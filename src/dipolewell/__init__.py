@@ -7,6 +7,9 @@ Three independent routes to the spectrum:
 * exact quantization of the Whittaker-W boundary condition
   (`spectrum.quantize_exact`),
 * direct finite-difference eigensolve (`oracle.fd_eigensolve`).
+
+`solve.solve` runs any of them for levels n = 1..n_max and records each
+route's level, or the error that route raised, per level.
 """
 
 from .errors import (
@@ -25,11 +28,11 @@ from .errors import (
 )
 from .model import (
     DerivedParams,
-    KappaMap,
     PhysicalParams,
     derive,
     effective_potential,
-    lambda_from_charge,
+    energy_of_kappa,
+    kappa_of_energy,
 )
 from .oracle import (
     GridScheme,
@@ -39,14 +42,13 @@ from .oracle import (
     numerov_node_count,
     sturm_tridiag_eigs,
 )
+from .solve import ROUTES, Solution, solve
 from .special import (
     SmallXApprox,
-    gamma_stirling_imag,
     gamma_uniform_asymptotic,
     kummer_m,
     ln_gamma_complex,
     whittaker_m_imag,
-    whittaker_w_imag,
     whittaker_w_scaled,
     whittaker_w_smallx_approx,
 )
@@ -56,10 +58,8 @@ from .spectrum import (
     Route,
     binding_energy,
     energy_levels_asymptotic,
-    energy_levels_s_wave,
     quantize_exact,
     radial_wavefunction,
-    x0_branch,
 )
 
 __version__ = "0.1.0"
@@ -68,15 +68,14 @@ __all__ = [
     "AccuracyLoss", "BracketError", "ConvergenceError", "DipoleWellError",
     "DomainError", "ForbiddenRegion", "GridTooCoarse", "NoBoundStateRegime",
     "ParameterPole", "PoleError", "RegimeError", "StepTooLarge",
-    "DerivedParams", "KappaMap", "PhysicalParams", "derive",
-    "effective_potential", "lambda_from_charge",
+    "DerivedParams", "PhysicalParams", "derive", "effective_potential",
+    "energy_of_kappa", "kappa_of_energy",
     "GridScheme", "OracleResult", "RadialGridSpec", "fd_eigensolve",
     "numerov_node_count", "sturm_tridiag_eigs",
-    "SmallXApprox", "gamma_stirling_imag", "gamma_uniform_asymptotic",
-    "kummer_m", "ln_gamma_complex", "whittaker_m_imag", "whittaker_w_imag",
-    "whittaker_w_scaled", "whittaker_w_smallx_approx",
+    "ROUTES", "Solution", "solve",
+    "SmallXApprox", "gamma_uniform_asymptotic", "kummer_m", "ln_gamma_complex",
+    "whittaker_m_imag", "whittaker_w_scaled", "whittaker_w_smallx_approx",
     "EnergyLevel", "RadialProfile", "Route", "binding_energy",
-    "energy_levels_asymptotic", "energy_levels_s_wave", "quantize_exact",
-    "radial_wavefunction", "x0_branch",
+    "energy_levels_asymptotic", "quantize_exact", "radial_wavefunction",
     "__version__",
 ]

@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import replace
 
 from . import model, oracle, spectrum
 from .errors import DipoleWellError, DomainError, NoBoundStateRegime
 from .model import PhysicalParams
 from .oracle import GridScheme, RadialGridSpec
+from .solve import ROUTES, solve
 from .spectrum import EnergyLevel, Route
 
 EXIT_OK = 0
@@ -56,34 +57,24 @@ def _fmt15(x: float) -> str:
     return f"{x:.14e}"
 
 
-@dataclass
-class Thresholds:
-    x0_admissible: float = spectrum.X0_ADMISSIBLE_DEFAULT
-    beta_min: float = spectrum.BETA_MIN_DEFAULT
-    compare_tol: float = 0.05
+def _bounded(kind: type, low: float, *, strict: bool = False):
+    """argparse type: a finite `kind` >= low (> low when strict)."""
 
-    def __post_init__(self) -> None:
-        if min(self.x0_admissible, self.beta_min, self.compare_tol) <= 0:
-            raise DomainError("thresholds must be positive")
+    def parse(text: str):
+        value = kind(text)
+        if not math.isfinite(value) or value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {kind.__name__} {'>' if strict else '>='} {low}, got {text}"
+            )
+        return value
 
-
-@dataclass
-class ValidationRow:
-    n: int
-    ell: int
-    e_asymptotic: float | None
-    e_exact: float | None
-    e_oracle: float | None
-    rel_gap_asym_exact: float | None
-    rel_gap_exact_oracle: float | None
-    flags: list[str] = field(default_factory=list)
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
+    return parse
 
 
-@dataclass
-class ValidationReport:
-    rows: list[ValidationRow]
-    max_rel_gap: float
-    regime_ok: bool
+_POSITIVE = _bounded(float, 0.0, strict=True)
+_COUNT = _bounded(int, 1)
+_SAMPLES = _bounded(int, 2)
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
@@ -95,18 +86,16 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--radius", type=float, help="hard-wall cut-off radius R")
     p.add_argument("--ell", type=int, help="angular momentum quantum number (default 0)")
     p.add_argument("--pz", type=float, help="axial momentum p_z (default 0)")
+    p.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
 
 
-def _add_threshold_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--x0-threshold", type=float, default=spectrum.X0_ADMISSIBLE_DEFAULT,
+def _add_solve_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--x0-threshold", type=_POSITIVE, default=spectrum.X0_ADMISSIBLE_DEFAULT,
                    help="x0 smallness threshold for regime flags (default %(default)s)")
-    p.add_argument("--beta-min", type=float, default=spectrum.BETA_MIN_DEFAULT,
+    p.add_argument("--beta-min", type=_POSITIVE, default=spectrum.BETA_MIN_DEFAULT,
                    help="minimum beta for the deep regime flag (default %(default)s)")
-    p.add_argument("--compare-tol", type=float, default=0.05,
+    p.add_argument("--compare-tol", type=_POSITIVE, default=0.05,
                    help="cross-route agreement tolerance in validate (default %(default)s)")
-
-
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-points", type=int, default=2000,
                    help="interior grid points for the numeric oracle (default %(default)s)")
     p.add_argument("--grid-rmax", type=float, default=None,
@@ -129,28 +118,23 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("spectrum", help="energy levels by one or all routes")
     _add_param_flags(sp)
-    _add_threshold_flags(sp)
-    _add_grid_flags(sp)
-    sp.add_argument("--nmax", type=int, default=3, help="levels n = 1..nmax (default %(default)s)")
+    _add_solve_flags(sp)
+    sp.add_argument("--nmax", type=_COUNT, default=3, help="levels n = 1..nmax (default %(default)s)")
     sp.add_argument("--route", choices=["asymptotic", "exact", "oracle", "all"],
                     default="asymptotic")
-    sp.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
 
     va = sub.add_parser("validate", help="compare all three routes per level")
     _add_param_flags(va)
-    _add_threshold_flags(va)
-    _add_grid_flags(va)
-    va.add_argument("--nmax", type=int, default=2)
-    va.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
+    _add_solve_flags(va)
+    va.add_argument("--nmax", type=_COUNT, default=2)
 
     wf = sub.add_parser("wavefunction", help="sample the radial wavefunction of one level")
     _add_param_flags(wf)
-    wf.add_argument("--n", type=int, default=1, help="level index (default %(default)s)")
+    wf.add_argument("--n", type=_COUNT, default=1, help="level index (default %(default)s)")
     wf.add_argument("--route", choices=["exact", "asymptotic"], default="exact")
     wf.add_argument("--rmax", type=float, default=None,
                     help="sampling range end (default: 3x outer turning point)")
-    wf.add_argument("--samples", type=int, default=512)
-    wf.add_argument("--out", default="-")
+    wf.add_argument("--samples", type=_SAMPLES, default=512)
 
     sw = sub.add_parser("sweep-cutoff", help="ground level vs cut-off radius R")
     _add_param_flags(sw)
@@ -158,17 +142,15 @@ def build_parser() -> _Parser:
                     help="comma-separated cut-off radii, positive descending")
     sw.add_argument("--no-exact", action="store_true",
                     help="skip the exact-quantization column")
-    sw.add_argument("--out", default="-")
 
     po = sub.add_parser("potential", help="tabulate the effective potential")
     _add_param_flags(po)
     po.add_argument("--r", default=None, help="comma-separated radii")
     po.add_argument("--rmin", type=float, default=None)
     po.add_argument("--rmax", type=float, default=None)
-    po.add_argument("--samples", type=int, default=200)
+    po.add_argument("--samples", type=_SAMPLES, default=200)
     po.add_argument("--with-centrifugal", action="store_true",
                     help="add the ell^2/(2 m r^2) column")
-    po.add_argument("--out", default="-")
 
     ev = sub.add_parser("eval", help="point evaluation of the special functions")
     ev.add_argument("kind", choices=["GammaLn", "KummerM", "WhittakerM", "WhittakerW", "WSmallX"])
@@ -199,11 +181,10 @@ def _build_params(ns: argparse.Namespace) -> PhysicalParams:
 
 
 def _grid_from_flags(ns: argparse.Namespace, params: PhysicalParams, nmax: int) -> RadialGridSpec:
-    scheme = GridScheme.LOG_UNIFORM if ns.grid_scheme == "log" else GridScheme.UNIFORM
+    scheme = GridScheme(ns.grid_scheme)
     if ns.grid_rmax is not None:
         return RadialGridSpec(params.cutoff_R, ns.grid_rmax, ns.grid_points, scheme)
-    base = oracle.default_grid(params, nmax, points=ns.grid_points)
-    return RadialGridSpec(base.r_min, base.r_max, ns.grid_points, scheme)
+    return replace(oracle.default_grid(params, nmax, points=ns.grid_points), scheme=scheme)
 
 
 def _write(out_path: str, lines: list[str]) -> None:
@@ -215,147 +196,66 @@ def _write(out_path: str, lines: list[str]) -> None:
             fh.write(payload)
 
 
+def _cell(x: float | None) -> str:
+    return "" if x is None else _fmt(x)
+
+
 def _level_row(level: EnergyLevel) -> str:
-    kappa = "" if level.kappa is None else _fmt(level.kappa)
     return (
         f"{level.n},{level.ell},{level.route},{_fmt(level.energy)},"
-        f"{kappa},{_fmt(level.est_error)}"
+        f"{_cell(level.kappa)},{_fmt(level.est_error)}"
     )
-
-
-def _binding_reference(params: PhysicalParams) -> float:
-    return params.omega + params.energy_shift
 
 
 def cmd_spectrum(ns: argparse.Namespace) -> int:
     params = _build_params(ns)
-    thresholds = Thresholds(ns.x0_threshold, ns.beta_min, ns.compare_tol)
-    routes = ["asymptotic", "exact", "oracle"] if ns.route == "all" else [ns.route]
-
-    by_n: dict[int, list[EnergyLevel]] = {n: [] for n in range(1, ns.nmax + 1)}
-    if "asymptotic" in routes:
-        for lv in spectrum.energy_levels_asymptotic(
-            params, ns.nmax,
-            x0_admissible=thresholds.x0_admissible, beta_min=thresholds.beta_min,
-        ):
-            by_n[lv.n].append(lv)
-    if "exact" in routes:
-        for n in range(1, ns.nmax + 1):
-            by_n[n].append(spectrum.quantize_exact(
-                params, n,
-                x0_admissible=thresholds.x0_admissible, beta_min=thresholds.beta_min,
-            ))
-    if "oracle" in routes:
-        grid = _grid_from_flags(ns, params, ns.nmax)
-        result = oracle.fd_eigensolve(params, grid, ns.nmax)
-        energies = result.energies(params)
-        kmap = model.KappaMap.from_params(params) if params.omega > 0 else None
-        for n in range(1, ns.nmax + 1):
-            kappa = kmap.kappa_of_energy(energies[n - 1]) if kmap else None
-            est = result.richardson_error_estimate[n - 1] / (2.0 * params.mass_m)
-            by_n[n].append(EnergyLevel(n, params.ell, energies[n - 1], Route.ORACLE, kappa, est))
-
-    order = {Route.ASYMPTOTIC: 0, Route.EXACT: 1, Route.ORACLE: 2}
+    routes = ROUTES if ns.route == "all" else (Route(ns.route),)
+    solution = solve(
+        params, ns.nmax, routes, lambda: _grid_from_flags(ns, params, ns.nmax),
+        x0_admissible=ns.x0_threshold, beta_min=ns.beta_min,
+    )
+    error = solution.first_error()
+    if error is not None:
+        raise error
     lines = [SPECTRUM_HEADER]
     for n in range(1, ns.nmax + 1):
-        for lv in sorted(by_n[n], key=lambda l: order[l.route]):
-            lines.append(_level_row(lv))
+        lines.extend(_level_row(solution.level(route, n)) for route in solution.outcomes)
     _write(ns.out, lines)
     return EXIT_OK
-
-
-def _rel_gap(reference: float, a: float, b: float) -> float:
-    """|a - b| relative to the binding energy (reference - a)."""
-    denom = abs(reference - a)
-    return abs(a - b) / denom if denom > 0 else math.inf
-
-
-def run_validation(
-    params: PhysicalParams,
-    n_max: int,
-    grid: RadialGridSpec,
-    thresholds: Thresholds,
-) -> ValidationReport:
-    """All three routes for n = 1..n_max with binding-relative discrepancies."""
-    ref = _binding_reference(params)
-    asym = {lv.n: lv for lv in spectrum.energy_levels_asymptotic(
-        params, n_max,
-        x0_admissible=thresholds.x0_admissible, beta_min=thresholds.beta_min,
-    )}
-    oracle_energies: dict[int, float] = {}
-    oracle_failure = ""
-    try:
-        result = oracle.fd_eigensolve(params, grid, n_max)
-        oracle_energies = {n: e for n, e in enumerate(result.energies(params), start=1)}
-    except DipoleWellError as exc:
-        oracle_failure = type(exc).__name__
-
-    rows = []
-    max_gap = 0.0
-    regime_ok = True
-    for n in range(1, n_max + 1):
-        flags: list[str] = []
-        lv_a = asym.get(n)
-        e_a = lv_a.energy if lv_a else None
-        if lv_a is not None and lv_a.regime is not None:
-            failures = lv_a.regime.failures()
-            flags.extend(failures)
-            regime_ok = regime_ok and not failures
-        e_x = None
-        try:
-            e_x = spectrum.quantize_exact(
-                params, n,
-                x0_admissible=thresholds.x0_admissible, beta_min=thresholds.beta_min,
-            ).energy
-        except DipoleWellError as exc:
-            flags.append(f"absent:exact:{type(exc).__name__}")
-            regime_ok = False
-        e_o = oracle_energies.get(n)
-        if e_o is None:
-            flags.append(f"absent:oracle:{oracle_failure or 'missing'}")
-            regime_ok = False
-
-        gap_ax = _rel_gap(ref, e_a, e_x) if (e_a is not None and e_x is not None) else None
-        gap_xo = _rel_gap(ref, e_x, e_o) if (e_x is not None and e_o is not None) else None
-        for g in (gap_ax, gap_xo):
-            if g is not None:
-                max_gap = max(max_gap, g)
-        rows.append(ValidationRow(n, params.ell, e_a, e_x, e_o, gap_ax, gap_xo, flags))
-    return ValidationReport(rows, max_gap, regime_ok)
 
 
 def cmd_validate(ns: argparse.Namespace) -> int:
     params = _build_params(ns)
     if params.omega <= 0:
         raise DomainError("validate requires omega > 0 (all three routes defined)")
-    thresholds = Thresholds(ns.x0_threshold, ns.beta_min, ns.compare_tol)
-    grid = _grid_from_flags(ns, params, ns.nmax)
-    report = run_validation(params, ns.nmax, grid, thresholds)
-
-    def cell(v: float | None) -> str:
-        return "" if v is None else _fmt(v)
-
+    grid = _grid_from_flags(ns, params, ns.nmax)  # bad grid flags fail before any route runs
+    solution = solve(
+        params, ns.nmax, ROUTES, lambda: grid,
+        x0_admissible=ns.x0_threshold, beta_min=ns.beta_min,
+    )
     lines = [VALIDATE_HEADER]
-    for row in report.rows:
-        flagcol = ";".join(row.flags) if row.flags else "ok"
-        lines.append(
-            f"{row.n},{row.ell},{cell(row.e_asymptotic)},{cell(row.e_exact)},"
-            f"{cell(row.e_oracle)},{cell(row.rel_gap_asym_exact)},"
-            f"{cell(row.rel_gap_exact_oracle)},{flagcol}"
-        )
+    regime_ok = True
+    for n in range(1, ns.nmax + 1):
+        flags = solution.flags(n)
+        regime_ok = regime_ok and not flags
+        levels = [solution.level(route, n) for route in ROUTES]
+        cells = [_cell(None if lv is None else lv.energy) for lv in levels] + [
+            _cell(solution.rel_gap(n, Route.ASYMPTOTIC, Route.EXACT)),
+            _cell(solution.rel_gap(n, Route.EXACT, Route.ORACLE)),
+        ]
+        lines.append(f"{n},{params.ell},{','.join(cells)},{';'.join(flags) or 'ok'}")
     _write(ns.out, lines)
-    ok = report.regime_ok and report.max_rel_gap <= thresholds.compare_tol
+    # the closed form is asymptotic, so only the exact-oracle cross-check is held to the tolerance
+    gap_xo = solution.max_gap(Route.EXACT, Route.ORACLE)
+    max_gap = max(solution.max_gap(Route.ASYMPTOTIC, Route.EXACT), gap_xo)
+    ok = regime_ok and gap_xo <= ns.compare_tol
     print(
-        f"validate: max_rel_gap={_fmt15(report.max_rel_gap)} "
-        f"regime_ok={str(report.regime_ok).lower()} "
+        f"validate: max_rel_gap={_fmt15(max_gap)} "
+        f"max_gap_exact_oracle={_fmt15(gap_xo)} "
+        f"regime_ok={str(regime_ok).lower()} "
         f"within_tol={str(ok).lower()}",
         file=sys.stderr,
     )
-    if all(
-        row.e_asymptotic is None and row.e_exact is None and row.e_oracle is None
-        for row in report.rows
-    ):
-        return EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -391,7 +291,7 @@ def cmd_sweep_cutoff(ns: argparse.Namespace) -> int:
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise _UsageError("--radii must be strictly descending")
 
-    ref = _binding_reference(params)
+    ref = params.omega + params.energy_shift
     lines = ["R,E1_asymptotic,E1_exact,R2_binding_asymptotic,status"]
     for R in radii:
         p_r = PhysicalParams(
@@ -474,7 +374,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         res = special.whittaker_m_imag(a[0], a[1], a[2])
         print(f"{_fmt15(res.value.real)} {_fmt15(res.value.imag)} {_fmt15(res.est_error)}")
     elif ns.kind == "WhittakerW":
-        res = special.whittaker_w_imag(a[0], a[1], a[2])
+        res = special.whittaker_w_scaled(a[0], a[1], a[2])
         print(f"{_fmt15(res.value)} {_fmt15(res.est_error)} {_fmt15(res.imag_residual)}")
     else:  # WSmallX
         approx = special.whittaker_w_smallx_approx(a[0], a[1])
@@ -497,13 +397,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        ns = build_parser().parse_args(argv)
         return _COMMANDS[ns.command](ns)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

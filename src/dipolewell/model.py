@@ -76,13 +76,6 @@ class DerivedParams:
     energy_shift_pz: float
 
 
-def lambda_from_charge(rho: float, R: float, epsilon0: float) -> float:
-    """Field constant lambda = rho R^2 / (2 epsilon0) of the charged cylinder."""
-    if rho <= 0 or R <= 0 or epsilon0 <= 0:
-        raise DomainError("lambda_from_charge requires positive rho, R, epsilon0")
-    return rho * R * R / (2.0 * epsilon0)
-
-
 def derive(params: PhysicalParams) -> DerivedParams:
     """Derive (Lambda, mu, x0, shift) from the physical inputs.
 
@@ -119,48 +112,20 @@ def effective_potential(
     return inv_sq / (r * r) + 0.5 * params.mass_m * params.omega**2 * r * r
 
 
-@dataclass(frozen=True)
-class KappaMap:
-    """Affine maps between energy E and the Whittaker parameters.
+def kappa_of_energy(params: PhysicalParams, energy: float) -> float:
+    """Whittaker parameter kappa = (E - shift) / (2 omega); beta = 1/2 - kappa.
 
-        kappa = (E - shift) / (2 omega),   beta = 1/2 - kappa,
-        E     = 2 omega kappa + shift      (tau = 2 m (E - shift) = 4 m omega kappa)
-
-    Defined only for omega > 0; the static omega = 0 problem has no
-    oscillator variable and is handled by the numeric oracle alone.
+    Defined only for omega > 0: the static problem has no oscillator variable
+    and is handled by the numeric oracle alone.
     """
+    if params.omega <= 0:
+        raise DomainError("the kappa map requires omega > 0")
+    return (energy - params.energy_shift) / (2.0 * params.omega)
 
-    omega: float
-    mass_m: float
-    energy_shift: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.omega <= 0:
-            raise DomainError("KappaMap requires omega > 0")
-        if self.mass_m <= 0:
-            raise DomainError("KappaMap requires mass_m > 0")
-
-    @classmethod
-    def from_params(cls, params: PhysicalParams) -> "KappaMap":
-        return cls(params.omega, params.mass_m, params.energy_shift)
-
-    def kappa_of_energy(self, energy: float) -> float:
-        return (energy - self.energy_shift) / (2.0 * self.omega)
-
-    def energy_of_kappa(self, kappa: float) -> float:
-        return 2.0 * self.omega * kappa + self.energy_shift
-
-    def beta_of_kappa(self, kappa: float) -> float:
-        return 0.5 - kappa
-
-    def kappa_of_beta(self, beta: float) -> float:
-        return 0.5 - beta
-
-    def tau_of_energy(self, energy: float) -> float:
-        return 2.0 * self.mass_m * (energy - self.energy_shift)
-
-    def energy_of_tau(self, tau: float) -> float:
-        return tau / (2.0 * self.mass_m) + self.energy_shift
+def energy_of_kappa(params: PhysicalParams, kappa: float) -> float:
+    """Inverse of kappa_of_energy: E = 2 omega kappa + shift."""
+    return 2.0 * params.omega * kappa + params.energy_shift
 
 
 def parse_config_text(text: str) -> dict[str, float]:

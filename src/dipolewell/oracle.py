@@ -40,9 +40,6 @@ class GridScheme(enum.Enum):
     UNIFORM = "uniform"
     LOG_UNIFORM = "log"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class RadialGridSpec:
@@ -87,12 +84,8 @@ class OracleResult:
         return [t / (2.0 * params.mass_m) + params.energy_shift for t in self.eigenvalues_tau]
 
 
-def _coefficient_lsq(params: PhysicalParams) -> float:
-    return params.coupling_strength - float(params.ell) ** 2
-
-
 def _u_potential(params: PhysicalParams, r: np.ndarray) -> np.ndarray:
-    lsq = _coefficient_lsq(params)
+    lsq = params.coupling_strength - float(params.ell) ** 2  # any sign
     mw = params.mass_m * params.omega
     return -(lsq + 0.25) / (r * r) + (mw * r) ** 2
 
@@ -281,10 +274,9 @@ def fd_eigensolve(
     (r_max too small).  Pass outer_wall=True when the Dirichlet condition at
     r_max is physical (e.g. a finite annulus); that skips the leak check.
     """
-    if k_levels < 1:
-        raise DomainError("k_levels must be >= 1")
-    k_work = k_levels + 1  # one spare level to gauge the spacing
-    k_work = min(k_work, grid.points)
+    if not 1 <= k_levels <= grid.points:
+        raise DomainError("need 1 <= k_levels <= grid.points")
+    k_work = min(k_levels + 1, grid.points)  # one spare level to gauge the spacing
     coarse = _solve_grid(params, grid, k_work, inner_bc)
     fine_grid = grid.refined()
     fine = _solve_grid(params, fine_grid, k_work, inner_bc)

@@ -1,0 +1,128 @@
+"""One runner for the three spectrum routes over levels n = 1..n_max.
+
+solve() runs each requested route once: the closed-form ladder, exact
+quantization level by level, and one oracle eigensolve for all levels.  Per
+route and level it records the EnergyLevel or the DipoleWellError the route
+raised, so one failing route does not hide the others.  NoBoundStateRegime
+propagates instead: it is a property of the parameters, which every
+analytic route meets before any other failure.  Routes are looked up as
+module attributes at call time.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Union
+
+from . import oracle, spectrum
+from .errors import DipoleWellError, DomainError, NoBoundStateRegime
+from .model import PhysicalParams, kappa_of_energy
+from .oracle import RadialGridSpec
+from .spectrum import BETA_MIN_DEFAULT, X0_ADMISSIBLE_DEFAULT, EnergyLevel, Route
+
+ROUTES = (Route.ASYMPTOTIC, Route.EXACT, Route.ORACLE)
+
+Outcome = Union[EnergyLevel, DipoleWellError]
+
+
+@dataclass(frozen=True)
+class Solution:
+    """Outcomes of levels 1..n_max for each requested route, in ROUTES order."""
+
+    params: PhysicalParams
+    n_max: int
+    outcomes: dict[Route, list[Outcome]]
+
+    def level(self, route: Route, n: int) -> EnergyLevel | None:
+        """Level n of the route, or None when the route failed or did not run."""
+        out = self.outcomes[route][n - 1] if route in self.outcomes else None
+        return out if isinstance(out, EnergyLevel) else None
+
+    def first_error(self) -> DipoleWellError | None:
+        """The first recorded failure in route order, then level order."""
+        errors = (o for outs in self.outcomes.values() for o in outs
+                  if isinstance(o, DipoleWellError))
+        return next(errors, None)
+
+    def flags(self, n: int) -> list[str]:
+        """Closed-form regime failures of level n, then absent:<route>:<error>."""
+        flags = []
+        for route, outs in self.outcomes.items():
+            out = outs[n - 1]
+            if isinstance(out, DipoleWellError):
+                flags.append(f"absent:{route}:{type(out).__name__}")
+            elif route is Route.ASYMPTOTIC:
+                flags.extend(out.regime.failures())
+        return flags
+
+    def rel_gap(self, n: int, a: Route, b: Route) -> float | None:
+        """|E_a - E_b| relative to the binding omega + shift - E_a of level n."""
+        lv_a, lv_b = self.level(a, n), self.level(b, n)
+        if lv_a is None or lv_b is None:
+            return None
+        denom = abs(self.params.omega + self.params.energy_shift - lv_a.energy)
+        return abs(lv_a.energy - lv_b.energy) / denom if denom > 0 else math.inf
+
+    def max_gap(self, a: Route, b: Route) -> float:
+        """Largest rel_gap over the levels both routes produced (0 if none)."""
+        gaps = (self.rel_gap(n, a, b) for n in range(1, self.n_max + 1))
+        return max([0.0] + [g for g in gaps if g is not None])
+
+
+def _attempt(run: Callable[[], object]) -> object:
+    try:
+        return run()
+    except NoBoundStateRegime:
+        raise
+    except DipoleWellError as exc:
+        return exc
+
+
+def _oracle_levels(
+    params: PhysicalParams, n_max: int, grid: Callable[[], RadialGridSpec]
+) -> list[Outcome]:
+    result = oracle.fd_eigensolve(params, grid(), n_max)
+    levels: list[Outcome] = []
+    for n, (energy, richardson) in enumerate(
+        zip(result.energies(params), result.richardson_error_estimate), start=1
+    ):
+        kappa = kappa_of_energy(params, energy) if params.omega > 0 else None
+        est = richardson / (2.0 * params.mass_m)
+        levels.append(EnergyLevel(n, params.ell, energy, Route.ORACLE, kappa, est))
+    return levels
+
+
+def solve(
+    params: PhysicalParams,
+    n_max: int,
+    routes,
+    grid: Callable[[], RadialGridSpec],
+    *,
+    x0_admissible: float = X0_ADMISSIBLE_DEFAULT,
+    beta_min: float = BETA_MIN_DEFAULT,
+) -> Solution:
+    """Run the requested routes (a collection of Route) for n = 1..n_max.
+
+    grid builds the oracle's RadialGridSpec.  It is called only when the
+    oracle route runs, so a failure to build the grid is recorded as the
+    oracle's.
+    """
+    if n_max < 1:
+        raise DomainError("n_max must be >= 1")
+    kw = {"x0_admissible": x0_admissible, "beta_min": beta_min}
+    runs = {
+        Route.ASYMPTOTIC: lambda: spectrum.energy_levels_asymptotic(params, n_max, **kw),
+        Route.EXACT: lambda: [
+            _attempt(lambda: spectrum.quantize_exact(params, n, **kw))
+            for n in range(1, n_max + 1)
+        ],
+        Route.ORACLE: lambda: _oracle_levels(params, n_max, grid),
+    }
+    outcomes = {}
+    for route in ROUTES:
+        if route in routes:
+            # a route that solves all levels at once fails them all at once
+            out = _attempt(runs[route])
+            outcomes[route] = [out] * n_max if isinstance(out, DipoleWellError) else out
+    return Solution(params, n_max, outcomes)

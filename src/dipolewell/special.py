@@ -7,8 +7,8 @@ The bound-state machinery needs four ingredients:
 * Whittaker functions M_{k, i*mu}(x) and W_{k, i*mu}(x) of imaginary
   second index, the latter through the Gamma-weighted connection formula
   that combines M_{k, +i*mu} and M_{k, -i*mu},
-* large-argument Stirling-type approximations of Gamma and the resulting
-  small-x cosine approximation of W with amplitude computed in log space.
+* the large-argument approximation of Gamma and the resulting small-x
+  cosine approximation of W with amplitude computed in log space.
 
 W decays double-exponentially in the large-|kappa| regime (its magnitude
 falls below the smallest double long before the physics stops caring), so
@@ -344,16 +344,6 @@ def whittaker_w_scaled(kappa: float, mu: float, x: float) -> WhittakerW:
     return _whittaker_w_asymptotic(kappa, mu, x)
 
 
-def whittaker_w_imag(kappa: float, mu: float, x: float) -> WhittakerW:
-    """Whittaker W of imaginary order (real-valued for real arguments).
-
-    Identical to whittaker_w_scaled; the plain value is
-    ``mantissa * exp(exponent)`` and may underflow to 0.0 (or overflow)
-    when the exponent leaves double range — the scaled fields stay valid.
-    """
-    return whittaker_w_scaled(kappa, mu, x)
-
-
 def gamma_uniform_asymptotic(a: float, zeta: float, b: complex) -> GammaAsym:
     """Large-argument approximation
 
@@ -380,23 +370,6 @@ def gamma_uniform_asymptotic(a: float, zeta: float, b: complex) -> GammaAsym:
     return GammaAsym(value, corr * abs(value), log_value)
 
 
-def gamma_stirling_imag(y: float) -> GammaAsym:
-    """Stirling form of Gamma(i*y) for real y > 0 (strong-field regime):
-
-        |Gamma(i*y)| ~ sqrt(2*pi/y) e^{-pi*y/2},  arg ~ y ln y - y - pi/4.
-
-    Gamma(-i*y) is the conjugate.  The relative error estimate is 1/(12y),
-    the first Stirling correction at imaginary argument.
-    """
-    if y <= 0:
-        raise DomainError("gamma_stirling_imag requires y > 0")
-    log_mod = 0.5 * math.log(2.0 * math.pi / y) - 0.5 * math.pi * y
-    phase = y * math.log(y) - y - 0.25 * math.pi
-    log_value = complex(log_mod, phase)
-    value = cmath.exp(log_value)
-    return GammaAsym(value, abs(value) / (12.0 * y), log_value)
-
-
 @dataclass(frozen=True)
 class SmallXApprox:
     """Small-x cosine approximation of W_{kappa, i*mu}:
@@ -407,10 +380,10 @@ class SmallXApprox:
 
         A = e^{beta - mu*pi} / (sqrt(2*mu) beta^{beta - 1/2})
 
-    held as log_amplitude because e^beta overflows for beta > ~709.
-    ``amplitude_A`` underflows to 0.0 once log_amplitude < ~-745; the log
-    field is always valid.  valid_below_x is the heuristic x below which
-    the neglected first series correction stays under ~5%.
+    held as log_amplitude because e^beta overflows for beta > ~709 and A
+    itself underflows once log_amplitude < ~-745.  valid_below_x is the
+    heuristic x below which the neglected first series correction stays
+    under ~5%.
     """
 
     log_amplitude: float
@@ -418,10 +391,6 @@ class SmallXApprox:
     valid_below_x: float
     beta: float
     mu: float
-
-    @property
-    def amplitude_A(self) -> float:
-        return math.exp(self.log_amplitude)
 
     def phase(self, x: float) -> float:
         return self.phase_at_x1 + self.mu * math.log(x)

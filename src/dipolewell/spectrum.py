@@ -20,17 +20,18 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BracketError, DomainError
-from .model import DerivedParams, KappaMap, PhysicalParams, derive
+from .model import DerivedParams, PhysicalParams, derive, energy_of_kappa, kappa_of_energy
 from .special import whittaker_w_scaled
 
 X0_ADMISSIBLE_DEFAULT = 0.01
 BETA_MIN_DEFAULT = 10.0
+# scaled-W mantissas below this are rounding noise in radial_wavefunction
+NOISE_FLOOR = 1e-12
 
 
 class Route(enum.Enum):
@@ -54,10 +55,6 @@ class RegimeFlags:
 
     x0_admissible: bool
     beta_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.x0_admissible and self.beta_ok
 
     def failures(self) -> list[str]:
         out = []
@@ -87,35 +84,6 @@ class EnergyLevel:
     extra_sign_changes: int = 0
 
 
-class X0Branch(NamedTuple):
-    value: float
-    admissible: bool
-
-
-def x0_branch(
-    derived: DerivedParams,
-    beta: float,
-    nu: int,
-    *,
-    admissible_below: float = X0_ADMISSIBLE_DEFAULT,
-) -> X0Branch:
-    """Cut-off value selected by the cosine quantization branch nu:
-
-        x0 = (Lambda^2 / beta) exp(pi/(2 Lambda) - 2) exp(2 pi nu / Lambda)
-
-    Successive branches differ by the exact factor exp(2 pi / Lambda).
-    The admissible flag records x0 < admissible_below (the x0 << 1 regime,
-    satisfied by nu = -n with n = 1, 2, ...).
-    """
-    if beta <= 0:
-        raise DomainError("x0_branch requires beta > 0")
-    lam = derived.Lambda
-    value = (lam * lam / beta) * math.exp(
-        math.pi / (2.0 * lam) - 2.0 + 2.0 * math.pi * nu / lam
-    )
-    return X0Branch(value, value < admissible_below)
-
-
 def binding_energy(params: PhysicalParams, n: int) -> float:
     """Closed-form binding omega + shift - E_n (positive, R^-2 scaled):
 
@@ -124,7 +92,10 @@ def binding_energy(params: PhysicalParams, n: int) -> float:
     Lambda^2 enters directly (not via sqrt-then-square) so the s-wave
     special case reduces to the same arithmetic bit for bit.
     """
-    d = derive(params)
+    return _binding(params, derive(params), n)
+
+
+def _binding(params: PhysicalParams, d: DerivedParams, n: int) -> float:
     lam = d.Lambda
     lam_sq = params.coupling_strength - float(params.ell) ** 2
     coef = 2.0 * lam_sq / (params.mass_m * params.cutoff_R**2)
@@ -132,12 +103,10 @@ def binding_energy(params: PhysicalParams, n: int) -> float:
 
 
 def _regime_flags(
-    params: PhysicalParams, beta_n: float | None, x0_admissible: float, beta_min: float
+    x0: float, beta_n: float | None, x0_admissible: float, beta_min: float
 ) -> RegimeFlags:
-    d = derive(params)
-    x0_ok = d.x0 < x0_admissible
     beta_ok = True if beta_n is None else beta_n >= beta_min
-    return RegimeFlags(x0_ok, beta_ok)
+    return RegimeFlags(x0 < x0_admissible, beta_ok)
 
 
 def energy_levels_asymptotic(
@@ -157,49 +126,16 @@ def energy_levels_asymptotic(
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     d = derive(params)
-    shift = d.energy_shift_pz
-    kmap = KappaMap.from_params(params) if params.omega > 0 else None
     levels = []
     for n in range(1, n_max + 1):
-        b = binding_energy(params, n)
-        energy = params.omega + shift - b
-        kappa = None
-        beta_n = None
-        if kmap is not None:
-            kappa = kmap.kappa_of_energy(energy)
-            beta_n = kmap.beta_of_kappa(kappa)
-        flags = _regime_flags(params, beta_n, x0_admissible, beta_min)
+        b = _binding(params, d, n)
+        energy = params.omega + d.energy_shift_pz - b
+        kappa = kappa_of_energy(params, energy) if params.omega > 0 else None
+        beta_n = None if kappa is None else 0.5 - kappa
+        flags = _regime_flags(d.x0, beta_n, x0_admissible, beta_min)
         # double rounding of the exp-ladder: ~couple of ulp on the binding
         est = 8.0 * np.finfo(float).eps * b
         levels.append(EnergyLevel(n, params.ell, energy, Route.ASYMPTOTIC, kappa, est, flags))
-    return levels
-
-
-def energy_levels_s_wave(params: PhysicalParams, n_max: int) -> list[EnergyLevel]:
-    """Dedicated s-wave (ell = 0) closed form with prefactor 4 alpha lambda^2 / R^2.
-
-    Algebraically identical to the general formula at ell = 0; kept as a
-    separate arithmetic path so the reduction identity can be verified.
-    """
-    if params.ell != 0:
-        raise DomainError("energy_levels_s_wave requires ell = 0")
-    d = derive(params)
-    lam = d.Lambda
-    shift = d.energy_shift_pz
-    coef = (
-        4.0
-        * params.polarizability_alpha
-        * params.field_coupling_lambda**2
-        / params.cutoff_R**2
-    )
-    kmap = KappaMap.from_params(params) if params.omega > 0 else None
-    levels = []
-    for n in range(1, n_max + 1):
-        b = coef * math.exp(math.pi / (2.0 * lam) - 2.0) * math.exp(-2.0 * math.pi * n / lam)
-        energy = params.omega + shift - b
-        kappa = kmap.kappa_of_energy(energy) if kmap is not None else None
-        est = 8.0 * np.finfo(float).eps * b
-        levels.append(EnergyLevel(n, 0, energy, Route.ASYMPTOTIC, kappa, est, None))
     return levels
 
 
@@ -230,10 +166,8 @@ def quantize_exact(
     d = derive(params)
     mu = d.mu
     x0 = d.x0
-    kmap = KappaMap.from_params(params)
-
-    estimate = energy_levels_asymptotic(params, n)[-1]
-    beta_hat = kmap.beta_of_kappa(kmap.kappa_of_energy(estimate.energy))
+    energy_hat = params.omega + d.energy_shift_pz - _binding(params, d, n)
+    beta_hat = 0.5 - kappa_of_energy(params, energy_hat)
     if beta_hat <= 0:
         raise BracketError(
             f"closed-form estimate for n={n} gives beta_hat = {beta_hat:.3g} <= 0; "
@@ -290,15 +224,15 @@ def quantize_exact(
     changes = int(np.sum(signs[:-1] * signs[1:] < 0))
     extra = max(0, changes - 1)
 
-    kappa_root = kmap.kappa_of_beta(beta_root)
-    energy = kmap.energy_of_kappa(kappa_root)
+    kappa_root = 0.5 - beta_root
+    energy = energy_of_kappa(params, kappa_root)
     w_root = whittaker_w_scaled(kappa_root, mu, x0)
     slope_scale = max(abs(g_hi - g_lo) / max(b_hi - b_lo, 1e-300), 1e-300)
     noise_width = abs(w_root.est_error) if w_root.value != 0 else 0.0
     est_kappa = 0.5 * (b_hi - b_lo) + noise_width / slope_scale
     est = 2.0 * params.omega * est_kappa
 
-    flags = _regime_flags(params, beta_root, x0_admissible, beta_min)
+    flags = _regime_flags(x0, beta_root, x0_admissible, beta_min)
     return EnergyLevel(
         n, params.ell, energy, Route.EXACT, kappa_root, est, flags, extra_sign_changes=extra
     )
@@ -316,16 +250,8 @@ class RadialProfile:
 
     r_samples: np.ndarray
     f_values: np.ndarray
-    normalization: str = "max-abs-one"
     route: Route = Route.EXACT
     boundary_warning: bool = False
-
-    def node_count(self) -> int:
-        """Interior sign changes of f, ignoring the r = R boundary zero."""
-        v = self.f_values
-        interior = v[1:] if abs(v[0]) < 1e-6 else v
-        s = np.sign(interior[np.abs(interior) > 1e-9])
-        return int(np.sum(s[:-1] * s[1:] < 0))
 
 
 def radial_wavefunction(
@@ -333,15 +259,13 @@ def radial_wavefunction(
     level: EnergyLevel,
     r_max: float,
     samples: int = 512,
-    *,
-    noise_floor: float = 1e-12,
 ) -> RadialProfile:
     """Sample f(r) on a uniform grid in [R, r_max] and normalize to max|f| = 1.
 
     Evaluates W in scaled form on a shared exponent, so profiles of deeply
     bound levels (where W itself underflows) stay representable.  Deep in
     the forbidden tail the scaled mantissa falls below double-precision
-    phase resolution; samples with |mantissa| < noise_floor are clipped to
+    phase resolution; samples with |mantissa| < NOISE_FLOOR are clipped to
     exactly 0 rather than reported as amplified rounding noise.
     """
     if params.omega <= 0:
@@ -359,7 +283,7 @@ def radial_wavefunction(
     for i, ri in enumerate(r):
         x = params.mass_m * params.omega * ri * ri
         w = whittaker_w_scaled(level.kappa, mu, x)
-        raw = w.mantissa if abs(w.mantissa) >= noise_floor else 0.0
+        raw = w.mantissa if abs(w.mantissa) >= NOISE_FLOOR else 0.0
         mant[i] = raw / math.sqrt(x)
         expo[i] = w.exponent
     ref = float(np.max(expo[mant != 0.0])) if np.any(mant != 0.0) else 0.0
@@ -368,6 +292,4 @@ def radial_wavefunction(
     if peak == 0.0 or not math.isfinite(peak):
         raise DomainError("wavefunction vanished or overflowed on the whole grid")
     f /= peak
-    return RadialProfile(
-        r, f, route=level.route, boundary_warning=level.route is not Route.EXACT
-    )
+    return RadialProfile(r, f, level.route, boundary_warning=level.route is not Route.EXACT)

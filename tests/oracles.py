@@ -1,23 +1,44 @@
-"""Extended-precision reference values for the test suite (mpmath, 40+ digits).
+"""Reference values for the test suite.
 
-These helpers exist only inside the tests: the package itself is pure
-double precision.  Every [frozen] constant in the test modules was produced
-by one of these functions.
+Extended-precision references (mpmath, 40+ digits) exist only inside the
+tests: the package itself is pure double precision.  Every [frozen] constant
+in the test modules was produced by one of these functions.  The dedicated
+s-wave closed form is a second double-precision arithmetic path for the
+ell = 0 reduction identity.
 """
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
+
+from dipolewell.model import PhysicalParams, derive
+
+
+def s_wave_energies(params: PhysicalParams, n_max: int) -> list[float]:
+    """Closed-form ell = 0 levels with the prefactor 4 alpha lambda^2 / R^2.
+
+    Algebraically identical to spectrum.energy_levels_asymptotic at ell = 0.
+    """
+    d = derive(params)
+    lam = d.Lambda
+    coef = (
+        4.0
+        * params.polarizability_alpha
+        * params.field_coupling_lambda**2
+        / params.cutoff_R**2
+    )
+    energies = []
+    for n in range(1, n_max + 1):
+        b = coef * math.exp(math.pi / (2.0 * lam) - 2.0) * math.exp(-2.0 * math.pi * n / lam)
+        energies.append(params.omega + d.energy_shift_pz - b)
+    return energies
 
 
 def mp_lngamma(z: complex, dps: int = 40) -> complex:
     with mp.workdps(dps):
         return complex(mp.loggamma(mp.mpc(z.real, z.imag)))
-
-
-def mp_gamma_abs(z: complex, dps: int = 40) -> float:
-    with mp.workdps(dps):
-        return float(abs(mp.gamma(mp.mpc(z.real, z.imag))))
 
 
 def mp_kummer(a: complex, b: complex, x: float, dps: int = 40) -> complex:

@@ -39,6 +39,22 @@ def test_exit_code_usage(capsys):
     assert code2 == 1
     code3, _, _ = run_cli(["eval", "GammaLn", "1"], capsys)  # wrong arg count
     assert code3 == 1
+    # flag values out of range: thresholds positive and finite, counts >= 1, samples >= 2
+    for argv in (
+        ["spectrum", *DEEP, "--compare-tol", "-1"],
+        ["spectrum", *DEEP, "--x0-threshold", "nan"],
+        ["spectrum", *DEEP, "--beta-min", "inf"],
+        ["spectrum", *DEEP, "--nmax", "0"],
+        ["spectrum", *DEEP, "--nmax", "0", "--route", "exact"],
+        ["validate", *DEEP, "--nmax", "0"],
+        ["wavefunction", *DEEP, "--n", "0"],
+        ["wavefunction", *DEEP, "--samples", "1"],
+        ["potential", *DEEP, "--samples", "1"],
+        ["potential", *DEEP, "--samples", "0"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, ""), argv
+        assert "usage error" in err
 
 
 def test_exit_code_regime_violation(capsys):
@@ -133,6 +149,10 @@ def test_validate_deep_regime(capsys):
     assert 0.10 < gap_ax < 0.13
     assert gap_xo < 1e-3
     assert "max_rel_gap" in err and "regime_ok=true" in err
+    # the closed form's 11.5% regime error at n = 1 does not fail the cross-check
+    gap = float(err.split("max_gap_exact_oracle=")[1].split()[0])
+    assert math.isclose(gap, max(float(ln.split(",")[6]) for ln in lines[1:]), rel_tol=1e-13)
+    assert "within_tol=true" in err
 
 
 def test_validate_shallow_regime_flags(capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from dipolewell import model
 from dipolewell.errors import DomainError, ForbiddenRegion, NoBoundStateRegime
-from dipolewell.model import KappaMap, PhysicalParams
+from dipolewell.model import PhysicalParams, energy_of_kappa, kappa_of_energy
 
 
 def make_params(**kw) -> PhysicalParams:
@@ -37,16 +37,6 @@ def test_params_validation():
         make_params(omega=-1e-6)
     with pytest.raises(DomainError):
         make_params(ell=1.5)  # type: ignore[arg-type]
-
-
-def test_lambda_from_charge():
-    assert model.lambda_from_charge(2.0, 1.0, 1.0) == 1.0
-    assert model.lambda_from_charge(1.0, 2.0, 0.5) == 4.0
-    lam1 = model.lambda_from_charge(3.0, 0.7, 2.0)
-    lam2 = model.lambda_from_charge(3.0, 1.4, 2.0)
-    assert lam2 == 4.0 * lam1
-    with pytest.raises(DomainError):
-        model.lambda_from_charge(0.0, 1.0, 1.0)
 
 
 def test_derive_basic_cases():
@@ -122,29 +112,26 @@ def test_effective_potential_centrifugal_minimum():
 
 
 def test_kappa_map_basics():
-    m = KappaMap(omega=0.5, mass_m=1.0, energy_shift=0.0)
-    assert m.kappa_of_energy(0.0) == 0.0
-    assert m.kappa_of_energy(1.0) == 1.0
-    shift = 0.125
-    ms = KappaMap(omega=0.5, mass_m=2.0, energy_shift=shift)
-    assert ms.kappa_of_energy(shift) == 0.0
+    p = make_params(omega=0.5)
+    assert kappa_of_energy(p, 0.0) == 0.0
+    assert kappa_of_energy(p, 1.0) == 1.0
+    # p_z = 1, m = 2: shift p_z^2/(2m) = 0.25
+    ps = make_params(omega=0.5, mass_m=2.0, p_z=1.0)
+    assert kappa_of_energy(ps, 0.25) == 0.0
 
 
 def test_kappa_map_round_trip():
     rng = np.random.default_rng(8)
-    m = KappaMap(omega=1e-3, mass_m=1.0, energy_shift=0.045)
+    p = make_params(p_z=0.3)  # shift 0.045
     for _ in range(100):
         e = float(rng.uniform(-500, 5))
-        rt = m.energy_of_kappa(m.kappa_of_energy(e))
+        rt = energy_of_kappa(p, kappa_of_energy(p, e))
         assert abs(rt - e) <= 4.0 * np.spacing(max(abs(e), 1.0))
-    for _ in range(20):
-        t = float(rng.uniform(-1000, 10))
-        assert abs(m.tau_of_energy(m.energy_of_tau(t)) - t) <= 4.0 * np.spacing(max(abs(t), 1.0))
 
 
 def test_kappa_map_rejects_zero_omega():
     with pytest.raises(DomainError):
-        KappaMap(omega=0.0, mass_m=1.0)
+        kappa_of_energy(make_params(omega=0.0), 1.0)
 
 
 def test_parse_config_text():

@@ -214,6 +214,11 @@ def test_fd_grid_too_coarse():
         oracle.fd_eigensolve(deep_params(), grid, 2)
 
 
+def test_fd_rejects_more_levels_than_grid_points():
+    with pytest.raises(DomainError):
+        oracle.fd_eigensolve(deep_params(), RadialGridSpec(0.1, 1.0, 100), 101)
+
+
 def test_fd_rmax_too_small():
     # r_max below the turning point of level 2 leaks mass into the boundary
     with pytest.raises(DomainError):

@@ -1,0 +1,67 @@
+"""Tests for the route runner: recorded failures, ordering and gaps."""
+
+from __future__ import annotations
+
+import pytest
+
+from dipolewell import oracle, spectrum
+from dipolewell.errors import DomainError, NoBoundStateRegime
+from dipolewell.model import PhysicalParams
+from dipolewell.solve import ROUTES, solve
+from dipolewell.spectrum import Route
+
+
+def no_grid():
+    raise AssertionError("grid built without the oracle route")
+
+
+def deep_params(**kw) -> PhysicalParams:
+    base = dict(mass_m=1.0, polarizability_alpha=12.5, field_coupling_lambda=1.0,
+                omega=1e-3, cutoff_R=0.1, ell=0, p_z=0.0)
+    base.update(kw)
+    return PhysicalParams(**base)
+
+
+def test_solve_levels_match_the_routes():
+    p = deep_params()
+    sol = solve(p, 2, (Route.EXACT, Route.ASYMPTOTIC), no_grid)
+    assert list(sol.outcomes) == [Route.ASYMPTOTIC, Route.EXACT]  # ROUTES order
+    assert sol.first_error() is None
+    assert sol.level(Route.ORACLE, 1) is None
+    for n in (1, 2):
+        assert sol.level(Route.EXACT, n) == spectrum.quantize_exact(p, n)
+        assert sol.level(Route.ASYMPTOTIC, n) == spectrum.energy_levels_asymptotic(p, 2)[n - 1]
+        assert sol.flags(n) == []
+
+
+def test_solve_binding_relative_gaps():
+    p = deep_params()
+    sol = solve(p, 2, (Route.ASYMPTOTIC, Route.EXACT), no_grid)
+    e_a = sol.level(Route.ASYMPTOTIC, 1).energy
+    e_x = sol.level(Route.EXACT, 1).energy
+    gap = sol.rel_gap(1, Route.ASYMPTOTIC, Route.EXACT)
+    assert gap == abs(e_a - e_x) / abs(p.omega + p.energy_shift - e_a)
+    assert 0.10 < gap < 0.13  # the closed form's regime error at Lambda = 5
+    assert sol.max_gap(Route.ASYMPTOTIC, Route.EXACT) == gap
+    assert sol.rel_gap(1, Route.EXACT, Route.ORACLE) is None
+    assert sol.max_gap(Route.EXACT, Route.ORACLE) == 0.0
+
+
+def test_solve_records_failures_per_route():
+    # omega = 0: the closed form still works, the exact route and the default
+    # oracle grid both need omega > 0
+    p = deep_params(omega=0.0)
+    sol = solve(p, 2, ROUTES, lambda: oracle.default_grid(p, 2))
+    assert sol.level(Route.ASYMPTOTIC, 2) is not None
+    errors = [sol.outcomes[Route.EXACT][0], sol.outcomes[Route.ORACLE][0]]
+    assert all(isinstance(e, DomainError) for e in errors)
+    assert sol.first_error() is errors[0]
+    assert sol.flags(1) == ["absent:exact:DomainError", "absent:oracle:DomainError"]
+    assert sol.max_gap(Route.ASYMPTOTIC, Route.EXACT) == 0.0
+
+
+def test_solve_regime_violation_propagates():
+    with pytest.raises(NoBoundStateRegime):
+        solve(deep_params(ell=6), 1, ROUTES, no_grid)
+    with pytest.raises(DomainError):
+        solve(deep_params(), 0, ROUTES, no_grid)
