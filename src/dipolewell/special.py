@@ -333,7 +333,9 @@ def whittaker_w_scaled(kappa: float, mu: float, x: float) -> WhittakerW:
 
     Chooses the connection-formula route for x <= LARGE_X_SWITCH and the
     truncated asymptotic series beyond it.  The scaled form is the one to
-    use for root finding: zeros of W are sign changes of the mantissa.
+    use for root finding: zeros of W are sign changes of the mantissa.  The
+    plain value underflows to 0.0 (or overflows) when the exponent leaves
+    double range; the scaled fields stay valid.
     """
     if x <= 0:
         raise DomainError("whittaker_w requires x > 0")
