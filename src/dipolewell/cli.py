@@ -75,6 +75,7 @@ def _bounded(kind: type, low: float, *, strict: bool = False):
 _POSITIVE = _bounded(float, 0.0, strict=True)
 _COUNT = _bounded(int, 1)
 _SAMPLES = _bounded(int, 2)
+_GRID_POINTS = _bounded(int, 100)
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
@@ -96,9 +97,9 @@ def _add_solve_flags(p: argparse.ArgumentParser) -> None:
                    help="minimum beta for the deep regime flag (default %(default)s)")
     p.add_argument("--compare-tol", type=_POSITIVE, default=0.05,
                    help="cross-route agreement tolerance in validate (default %(default)s)")
-    p.add_argument("--grid-points", type=int, default=2000,
+    p.add_argument("--grid-points", type=_GRID_POINTS, default=2000,
                    help="interior grid points for the numeric oracle (default %(default)s)")
-    p.add_argument("--grid-rmax", type=float, default=None,
+    p.add_argument("--grid-rmax", type=_POSITIVE, default=None,
                    help="outer radius for the oracle (default: 3x outer turning point)")
     p.add_argument("--grid-scheme", choices=["log", "uniform"], default="log",
                    help="oracle grid spacing (default %(default)s)")
@@ -286,8 +287,8 @@ def cmd_sweep_cutoff(ns: argparse.Namespace) -> int:
         radii = [float(tok) for tok in ns.radii.split(",") if tok.strip()]
     except ValueError as exc:
         raise _UsageError(f"bad --radii list: {exc}") from exc
-    if not radii or any(r <= 0 for r in radii):
-        raise _UsageError("--radii must be positive")
+    if not radii or not all(0 < r < math.inf for r in radii):
+        raise _UsageError("--radii must be finite and positive")
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise _UsageError("--radii must be strictly descending")
 
@@ -319,6 +320,8 @@ def cmd_potential(ns: argparse.Namespace) -> int:
             radii = [float(tok) for tok in ns.r.split(",") if tok.strip()]
         except ValueError as exc:
             raise _UsageError(f"bad --r list: {exc}") from exc
+        if not all(math.isfinite(r) for r in radii):
+            raise _UsageError("--r values must be finite")
     else:
         lo = ns.rmin if ns.rmin is not None else params.cutoff_R
         hi = ns.rmax if ns.rmax is not None else 10.0 * params.cutoff_R
@@ -363,6 +366,8 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     if len(ns.args) != want:
         raise _UsageError(f"{ns.kind} takes {want} numeric arguments, got {len(ns.args)}")
     a = ns.args
+    if not all(math.isfinite(v) for v in a):
+        raise _UsageError(f"{ns.kind} arguments must be finite")
     if ns.kind == "GammaLn":
         res = special.ln_gamma_complex(complex(a[0], a[1]))
         print(f"{_fmt15(res.value.real)} {_fmt15(res.value.imag)} {_fmt15(res.est_error)}")

@@ -17,8 +17,8 @@ sign; the oracle does not require the bound-state regime).  Two grids:
   density there; it also cancels the -1/(4 r^2) reduction term exactly
   when Lsq = 0.
 
-Eigenvalues come from a Sturm-sequence bisection kernel; a half-step
-refinement provides Richardson error estimates.
+Eigenvalues come from a Sturm multisection kernel that replays bisection
+exactly; a half-step refinement provides Richardson error estimates.
 """
 
 from __future__ import annotations
@@ -34,6 +34,10 @@ from .model import PhysicalParams
 
 RICHARDSON_SPACING_FRACTION = 0.01
 BOUNDARY_MASS_LIMIT = 1e-6
+STURM_PIVMIN = 1e-290
+BISECTION_MAX_STEPS = 220
+# bisection steps tested per Sturm sweep: 2**6 - 1 = 63 shifts per eigenvalue
+MULTISECTION_DEPTH = 6
 
 
 class GridScheme(enum.Enum):
@@ -134,16 +138,46 @@ def build_tridiag(
 
 
 def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues strictly below each shift (Sturm sequence)."""
+    """Number of eigenvalues strictly below each shift (Sturm sequence).
+
+    The pivot q of a row is clamped to +-STURM_PIVMIN (+ for q = -0.0) when
+    |q| < STURM_PIVMIN; the clamp runs only on rows where some shift needs it.
+    """
     x = np.atleast_1d(np.asarray(shifts, dtype=float))
-    pivmin = 1e-290
     q = diag[0] - x
     count = (q < 0).astype(np.int64)
-    for i in range(1, len(diag)):
-        q = np.where(np.abs(q) < pivmin, np.where(q < 0, -pivmin, pivmin), q)
-        q = diag[i] - x - offdiag_sq[i - 1] / q
-        count += q < 0
+    zero = np.zeros_like(q)  # comparing with an array skips a scalar conversion per row
+    mag = np.empty_like(q)
+    ratio = np.empty_like(q)
+    negative = np.empty(q.shape, dtype=bool)
+    for d, e_sq in zip(diag[1:].tolist(), offdiag_sq.tolist()):
+        np.abs(q, out=mag)
+        if not mag.min() >= STURM_PIVMIN:  # also true when q holds a NaN
+            q = np.where(mag < STURM_PIVMIN, np.where(q < 0, -STURM_PIVMIN, STURM_PIVMIN), q)
+        np.divide(e_sq, q, out=ratio)
+        np.subtract(d, x, out=q)
+        np.subtract(q, ratio, out=q)
+        np.less(q, zero, out=negative)
+        count += negative
     return count
+
+
+def _bisection_tree(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """Midpoints of the first MULTISECTION_DEPTH bisection steps of each bracket.
+
+    Row j holds the tree of bracket j in heap order: column 2**level - 1 + p
+    is the midpoint of node p at that level, whose children are nodes 2p
+    (lower half) and 2p + 1 (upper half) one level down.
+    """
+    lo = lows[:, None]
+    hi = highs[:, None]
+    levels = []
+    for _ in range(MULTISECTION_DEPTH):
+        mid = 0.5 * (lo + hi)
+        levels.append(mid)
+        lo = np.stack((lo, mid), axis=2).reshape(len(lows), -1)
+        hi = np.stack((mid, hi), axis=2).reshape(len(lows), -1)
+    return np.concatenate(levels, axis=1)
 
 
 def sturm_tridiag_eigs(
@@ -151,10 +185,15 @@ def sturm_tridiag_eigs(
 ) -> list[float]:
     """k smallest eigenvalues of a symmetric tridiagonal matrix.
 
-    Pure Sturm-sequence bisection from Gershgorin bounds.  Default absolute
-    tolerance is 1e-12 * max|diag| (pass atol/rtol to tighten; rtol is
-    relative to the eigenvalue magnitude, useful for strongly graded
-    matrices where max|diag| is far above the eigenvalues of interest).
+    Sturm-sequence bisection from Gershgorin bounds, run as multisection:
+    one sweep counts the eigenvalues below every midpoint of the next
+    MULTISECTION_DEPTH bisection steps of all k brackets, and the steps are
+    then replayed from those counts, with the convergence test before each.
+    The result is bit-identical to bisecting one midpoint per sweep.
+    Default absolute tolerance is 1e-12 * max|diag| (pass atol/rtol to
+    tighten; rtol is relative to the eigenvalue magnitude, useful for
+    strongly graded matrices where max|diag| is far above the eigenvalues
+    of interest).
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
@@ -163,6 +202,8 @@ def sturm_tridiag_eigs(
         raise DomainError("offdiag must have length len(diag) - 1")
     if not 1 <= k <= n:
         raise DomainError("need 1 <= k <= matrix dimension")
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag))):
+        raise DomainError("matrix entries must be finite")
     if n == 1:
         return [float(diag[0])]
 
@@ -176,19 +217,28 @@ def sturm_tridiag_eigs(
         atol = 1e-12 * float(np.max(np.abs(diag)))
     atol = atol or 0.0
 
+    def converged(lows: np.ndarray, highs: np.ndarray) -> bool:
+        mag = np.maximum(np.abs(lows), np.abs(highs))
+        return bool(np.all(highs - lows <= np.maximum(atol + rtol * mag, 4e-16 * mag)))
+
     lows = np.full(k, lo_bound)
     highs = np.full(k, hi_bound)
     idx = np.arange(k)
-    for _ in range(220):
-        width = highs - lows
-        limit = atol + rtol * np.maximum(np.abs(lows), np.abs(highs))
-        if np.all(width <= np.maximum(limit, 4e-16 * np.maximum(np.abs(lows), np.abs(highs)))):
-            break
-        mids = 0.5 * (lows + highs)
-        counts = sturm_count(diag, off_sq, mids)
-        go_down = counts > idx
-        highs = np.where(go_down, mids, highs)
-        lows = np.where(go_down, lows, mids)
+    steps = 0
+    while steps < BISECTION_MAX_STEPS and not converged(lows, highs):
+        tree = _bisection_tree(lows, highs)
+        counts = sturm_count(diag, off_sq, tree.ravel()).reshape(tree.shape)
+        node = np.zeros(k, dtype=np.int64)
+        for level in range(MULTISECTION_DEPTH):
+            if level and (steps == BISECTION_MAX_STEPS or converged(lows, highs)):
+                break
+            col = (1 << level) - 1 + node
+            mids = tree[idx, col]
+            go_down = counts[idx, col] > idx
+            highs = np.where(go_down, mids, highs)
+            lows = np.where(go_down, lows, mids)
+            node = 2 * node + ~go_down
+            steps += 1
     return [float(v) for v in 0.5 * (lows + highs)]
 
 

@@ -209,8 +209,8 @@ def kummer_m(a: complex, b: complex, x: float) -> KummerM:
     ``est_error`` is a *relative* bound; severe cancellation is not hidden,
     it is reported.
     """
-    if x < 0:
-        raise DomainError("kummer_m requires x >= 0")
+    if not 0.0 <= x < math.inf:
+        raise DomainError("kummer_m requires finite x >= 0")
     a = complex(a)
     b = complex(b)
     s, ln_scale, est, terms = _kummer_series_scaled(a, b, x)
@@ -244,8 +244,8 @@ def whittaker_m_imag(kappa: float, mu: float, x: float) -> WhittakerM:
     For x -> 0 the value divided by x^{1/2 + i*mu} tends to 1.  Either sign
     of mu is accepted; the two signs give complex-conjugate values.
     """
-    if x <= 0:
-        raise DomainError("whittaker_m_imag requires x > 0")
+    if not 0.0 < x < math.inf:
+        raise DomainError("whittaker_m_imag requires finite x > 0")
     if mu == 0:
         raise DomainError("whittaker_m_imag requires mu != 0")
     log_val, est_rel = _whittaker_m_log(kappa, mu, x)
@@ -337,8 +337,8 @@ def whittaker_w_scaled(kappa: float, mu: float, x: float) -> WhittakerW:
     plain value underflows to 0.0 (or overflows) when the exponent leaves
     double range; the scaled fields stay valid.
     """
-    if x <= 0:
-        raise DomainError("whittaker_w requires x > 0")
+    if not 0.0 < x < math.inf:
+        raise DomainError("whittaker_w requires finite x > 0")
     if mu <= 0:
         raise DomainError("whittaker_w requires mu > 0")
     if x <= LARGE_X_SWITCH:
@@ -403,14 +403,14 @@ class SmallXApprox:
 
     def scaled_value(self, x: float) -> tuple[float, float]:
         """(mantissa, exponent) with W_approx = mantissa * exp(exponent)."""
-        if x <= 0:
-            raise DomainError("scaled_value requires x > 0")
+        if not 0.0 < x < math.inf:
+            raise DomainError("scaled_value requires finite x > 0")
         return 2.0 * math.cos(self.phase(x)), self.log_amplitude + 0.5 * math.log(x)
 
     def zeros_in(self, x_lo: float, x_hi: float) -> list[float]:
         """Zeros of the cosine form inside [x_lo, x_hi], ascending."""
-        if not (0.0 < x_lo < x_hi):
-            raise DomainError("zeros_in requires 0 < x_lo < x_hi")
+        if not 0.0 < x_lo < x_hi < math.inf:
+            raise DomainError("zeros_in requires 0 < x_lo < x_hi < inf")
         out = []
         j_lo = math.floor((self.phase(x_lo) - 0.5 * math.pi) / math.pi) - 1
         j_hi = math.ceil((self.phase(x_hi) - 0.5 * math.pi) / math.pi) + 1

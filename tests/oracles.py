@@ -4,7 +4,8 @@ Extended-precision references (mpmath, 40+ digits) exist only inside the
 tests: the package itself is pure double precision.  Every [frozen] constant
 in the test modules was produced by one of these functions.  The dedicated
 s-wave closed form is a second double-precision arithmetic path for the
-ell = 0 reduction identity.
+ell = 0 reduction identity, and the one-midpoint-per-sweep Sturm bisection
+is the reference that the multisection kernel must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 
 import mpmath as mp
+import numpy as np
 
 from dipolewell.model import PhysicalParams, derive
 
@@ -34,6 +36,53 @@ def s_wave_energies(params: PhysicalParams, n_max: int) -> list[float]:
         b = coef * math.exp(math.pi / (2.0 * lam) - 2.0) * math.exp(-2.0 * math.pi * n / lam)
         energies.append(params.omega + d.energy_shift_pz - b)
     return energies
+
+
+def reference_sturm_count(diag, offdiag_sq, shifts) -> np.ndarray:
+    """Number of eigenvalues strictly below each shift, one np.where clamp per row."""
+    x = np.atleast_1d(np.asarray(shifts, dtype=float))
+    pivmin = 1e-290
+    q = diag[0] - x
+    count = (q < 0).astype(np.int64)
+    for i in range(1, len(diag)):
+        q = np.where(np.abs(q) < pivmin, np.where(q < 0, -pivmin, pivmin), q)
+        q = diag[i] - x - offdiag_sq[i - 1] / q
+        count += q < 0
+    return count
+
+
+def reference_sturm_eigs(diag, offdiag, k: int, *, atol=None, rtol: float = 0.0) -> list[float]:
+    """k smallest eigenvalues by bisection from Gershgorin bounds, one midpoint
+    per eigenvalue per Sturm sweep (the arithmetic of LAPACK dstebz's bisection)."""
+    diag = np.asarray(diag, dtype=float)
+    offdiag = np.asarray(offdiag, dtype=float)
+    n = len(diag)
+    if n == 1:
+        return [float(diag[0])]
+    off_sq = offdiag * offdiag
+    rad = np.zeros(n)
+    rad[:-1] += np.abs(offdiag)
+    rad[1:] += np.abs(offdiag)
+    lo_bound = float(np.min(diag - rad))
+    hi_bound = float(np.max(diag + rad))
+    if atol is None and rtol == 0.0:
+        atol = 1e-12 * float(np.max(np.abs(diag)))
+    atol = atol or 0.0
+
+    lows = np.full(k, lo_bound)
+    highs = np.full(k, hi_bound)
+    idx = np.arange(k)
+    for _ in range(220):
+        width = highs - lows
+        limit = atol + rtol * np.maximum(np.abs(lows), np.abs(highs))
+        if np.all(width <= np.maximum(limit, 4e-16 * np.maximum(np.abs(lows), np.abs(highs)))):
+            break
+        mids = 0.5 * (lows + highs)
+        counts = reference_sturm_count(diag, off_sq, mids)
+        go_down = counts > idx
+        highs = np.where(go_down, mids, highs)
+        lows = np.where(go_down, lows, mids)
+    return [float(v) for v in 0.5 * (lows + highs)]
 
 
 def mp_lngamma(z: complex, dps: int = 40) -> complex:

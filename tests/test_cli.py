@@ -51,6 +51,9 @@ def test_exit_code_usage(capsys):
         ["wavefunction", *DEEP, "--samples", "1"],
         ["potential", *DEEP, "--samples", "1"],
         ["potential", *DEEP, "--samples", "0"],
+        ["spectrum", *DEEP, "--route", "oracle", "--grid-points", "50"],
+        ["validate", *DEEP, "--grid-rmax", "nan"],
+        ["sweep-cutoff", *DEEP, "--radii", "nan"],
     ):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (1, ""), argv
@@ -71,6 +74,23 @@ def test_exit_code_numerical_failure(capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 3
     assert "numerical failure" in err
+    # a positive --grid-rmax below the cut-off is well formed but has no grid
+    code, _, err = run_cli(["validate", *DEEP, "--grid-rmax", "0.05"], capsys)
+    assert code == 3
+    assert "numerical failure" in err
+
+
+def test_non_finite_x_is_usage_error(capsys):
+    for argv in (
+        ["eval", "WhittakerW", "-3", "2.5", "nan"],
+        ["eval", "WhittakerW", "-3", "2.5", "inf"],
+        ["eval", "WSmallX", "-50", "2.5", "nan"],
+        ["eval", "KummerM", "1", "0", "1", "0", "nan"],
+        ["potential", *DEEP, "--r", "nan,0.5"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, ""), argv
+        assert "usage error" in err
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import j0, y0
 
@@ -14,11 +16,14 @@ from dipolewell.errors import DomainError, GridTooCoarse, StepTooLarge
 from dipolewell.model import PhysicalParams
 from dipolewell.oracle import GridScheme, RadialGridSpec
 
+from oracles import reference_sturm_count, reference_sturm_eigs
+
 # deep regime: exact E_1, E_2 from the 40-digit quantization oracle
 DEEP_E = (-293.9131309116332609364, -76.79106144608003514938)
 
 
 def deep_params(**kw) -> PhysicalParams:
+    """The parameters of deep.cfg (Lambda = 5, x0 = 1e-5), with overrides."""
     base = dict(
         mass_m=1.0,
         polarizability_alpha=12.5,
@@ -80,6 +85,11 @@ def test_sturm_validates_input():
         oracle.sturm_tridiag_eigs([1.0, 2.0], [0.5, 0.5], 1)
     with pytest.raises(DomainError):
         oracle.sturm_tridiag_eigs([1.0, 2.0], [0.5], 3)
+    # non-finite entries once came back as NaN eigenvalues
+    with pytest.raises(DomainError):
+        oracle.sturm_tridiag_eigs([math.nan, 1.0], [0.5], 1)
+    with pytest.raises(DomainError):
+        oracle.sturm_tridiag_eigs([1.0, 2.0], [math.inf], 2)
 
 
 def test_sturm_ascending():
@@ -88,6 +98,100 @@ def test_sturm_ascending():
     off = rng.uniform(-1, 1, size=29)
     got = oracle.sturm_tridiag_eigs(diag, off, 8)
     assert all(a <= b + 1e-13 for a, b in zip(got, got[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Multisection replays the one-midpoint bisection of tests/oracles.py exactly
+# ---------------------------------------------------------------------------
+
+RTOL_13 = dict(atol=0.0, rtol=1e-13)  # the tolerances fd_eigensolve uses
+
+
+@pytest.fixture(scope="module")
+def deep_matrices():
+    """Coarse and refined tridiagonals of deep.cfg at the default grid."""
+    p = deep_params()
+    grid = oracle.default_grid(p, 2)
+    return {"coarse": oracle.build_tridiag(p, grid),
+            "refined": oracle.build_tridiag(p, grid.refined())}
+
+
+@pytest.mark.parametrize("which", ["coarse", "refined"])
+def test_multisection_bit_identical_on_deep_grids(deep_matrices, which):
+    diag, off = deep_matrices[which]
+    got = oracle.sturm_tridiag_eigs(diag, off, 3, **RTOL_13)
+    assert got == reference_sturm_eigs(diag, off, 3, **RTOL_13)
+
+
+def _random_tridiag(n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-3, 3, size=n), rng.uniform(-2, 2, size=n - 1)
+
+
+@pytest.mark.parametrize(
+    "diag,off,k,kw",
+    [
+        (np.full(120, 2.0), np.full(119, -1.0), 6, {}),  # discrete Laplacian
+        (*_random_tridiag(50, 77), 1, RTOL_13),
+        (*_random_tridiag(50, 78), 50, {}),  # k = n
+        (np.array([1.0, 2.0]), np.array([1.0]), 2, {}),  # n = 2
+    ],
+    ids=["laplacian", "k1", "k_eq_n", "n2"],
+)
+def test_multisection_bit_identical_small(diag, off, k, kw):
+    assert oracle.sturm_tridiag_eigs(diag, off, k, **kw) == reference_sturm_eigs(
+        diag, off, k, **kw)
+
+
+@pytest.mark.parametrize(
+    "diag,off,shifts,expect",
+    [
+        ([1.0, 2.0], [1.0], [1.0], [1]),  # q is exactly 0 after row 0
+        ([-0.0, 1.0], [1.0], [0.0], [1]),  # q is -0.0: clamps to +pivmin
+        ([1.0, 2.0], [1.0], [1.0, 0.5, 3.0], [1, 1, 2]),  # one shift of three clamps
+    ],
+)
+def test_sturm_count_pivot_clamp(diag, off, shifts, expect):
+    diag, off_sq, shifts = np.array(diag), np.array(off) ** 2, np.array(shifts)
+    got = oracle.sturm_count(diag, off_sq, shifts).tolist()
+    assert got == expect == reference_sturm_count(diag, off_sq, shifts).tolist()
+
+
+def test_deep_solve_sweep_count(monkeypatch):
+    # six bisection steps per sweep: 129 sweeps at one midpoint per sweep
+    calls = []
+    count = oracle.sturm_count
+
+    def counting(*args):
+        calls.append(len(args[2]))
+        return count(*args)
+
+    monkeypatch.setattr(oracle, "sturm_count", counting)
+    p = deep_params()
+    oracle.fd_eigensolve(p, oracle.default_grid(p, 2), 2)
+    assert 0 < len(calls) <= 26
+
+
+@st.composite
+def tridiagonals(draw):
+    """Symmetric tridiagonals with entries spanning eight decades, and a k."""
+    n = draw(st.integers(2, 60))
+
+    def entries(size: int) -> np.ndarray:
+        mantissas = draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
+        exponents = draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))
+        return np.array([m * 10.0**e for m, e in zip(mantissas, exponents)])
+
+    diag, off = entries(n), entries(n - 1)
+    return diag, off, draw(st.integers(1, n)), draw(st.sampled_from([{}, RTOL_13]))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(tridiagonals())
+def test_multisection_bit_identical_property(case):
+    diag, off, k, kw = case
+    assert oracle.sturm_tridiag_eigs(diag, off, k, **kw) == reference_sturm_eigs(
+        diag, off, k, **kw)
 
 
 # ---------------------------------------------------------------------------

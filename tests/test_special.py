@@ -135,6 +135,13 @@ def test_kummer_negative_domain():
         special.kummer_m(1.0, 1.0, -0.5)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_kummer_rejects_non_finite_x(x):
+    # raised before the series runs, not as a ConvergenceError after 10000 terms
+    with pytest.raises(DomainError):
+        special.kummer_m(1.0, 1.0, x)
+
+
 def test_kummer_cancellation_is_reported():
     # deep negative Re(a) with sizable x cancels; the estimate must own it
     res = special.kummer_m(-30.5 + 0j, 2.5 + 0j, 8.0)
@@ -184,6 +191,8 @@ def test_whittaker_m_rejects_bad_domain():
         special.whittaker_m_imag(0.0, 1.0, 0.0)
     with pytest.raises(DomainError):
         special.whittaker_m_imag(0.0, 0.0, 1.0)
+    with pytest.raises(DomainError):
+        special.whittaker_m_imag(-3.0, 2.5, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +265,10 @@ def test_whittaker_w_domain_errors():
         special.whittaker_w_scaled(0.0, 1.0, 0.0)
     with pytest.raises(DomainError):
         special.whittaker_w_scaled(0.0, 0.0, 1.0)
+    # NaN once took the large-x route and came back with an error of 0
+    for x in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            special.whittaker_w_scaled(-3.0, 2.5, x)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +356,15 @@ def test_smallx_regime_gate():
         special.whittaker_w_smallx_approx(0.5 - 5.0, 2.5)
     approx = special.whittaker_w_smallx_approx(0.5 - 5.0, 2.5, allow_shallow=True)
     assert approx.beta == 5.0
+
+
+def test_smallx_rejects_non_finite_x():
+    approx = special.whittaker_w_smallx_approx(-50.0, 2.5)
+    for x in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            approx.value(x)
+    with pytest.raises(DomainError):
+        approx.zeros_in(1e-7, math.inf)
 
 
 def test_smallx_zeros_match_true_zeros():
