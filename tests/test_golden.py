@@ -1,9 +1,11 @@
 """Golden lock: stdout bytes and exit codes of the README CLI commands.
 
 Each case runs ``cli.main`` in-process on ``tests/golden/deep.cfg`` and
-compares its stdout, byte for byte, with ``tests/golden/<name>.out``.  The
-``validate`` summary goes to stderr and is not locked.  After a deliberate
-change of output, rewrite the files with
+compares its stdout, byte for byte, with ``tests/golden/<name>.out``.  Cases
+marked in ``LOCK_STDERR`` (the failing ones) also compare stderr with
+``tests/golden/<name>.err``, which pins the error's type, message and
+precedence; the ``validate`` summary on stderr is not locked.  After a
+deliberate change of output, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -36,27 +38,43 @@ CASES = [
     ("eval_whittaker_m", ["eval", "WhittakerM", "-3", "2.5", "0.001"], 0),
     ("eval_whittaker_w", ["eval", "WhittakerW", "-3", "2.5", "0.001"], 0),
     ("eval_w_small_x", ["eval", "WSmallX", "-50", "2.5", "1e-5"], 0),
+    ("wavefunction_shallow", ["wavefunction", "--mass", "1", "--alpha", "4", "--lambda", "1",
+                              "--omega", "1", "--radius", "0.1", "--n", "2"], 0),
+    # first sample beyond the large-x switch: the asymptotic series of W diverges
+    ("wavefunction_large_x_error", ["wavefunction", "--config", CFG, "--n", "1",
+                                    "--rmax", "200"], 3),
+    # the default --rmax overshoots and the Kummer series hits its term cap
+    ("wavefunction_kummer_error", ["wavefunction", "--mass", "1", "--alpha", "24.5",
+                                   "--lambda", "1", "--omega", "1e-6", "--radius", "0.1",
+                                   "--n", "1"], 3),
 ]
+LOCK_STDERR = {"wavefunction_large_x_error", "wavefunction_kummer_error"}
 
 
-def _run(argv: list[str]) -> tuple[int, bytes]:
+def _run(argv: list[str]) -> tuple[int, bytes, bytes]:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, out.getvalue().encode("utf-8")
+    return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
 
 
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
 def test_golden_output(name, argv, code):
-    got_code, got = _run(argv)
+    got_code, got, got_err = _run(argv)
     assert got_code == code
     assert got == (GOLDEN / f"{name}.out").read_bytes()
+    if name in LOCK_STDERR:
+        assert got_err == (GOLDEN / f"{name}.err").read_bytes()
 
 
 if __name__ == "__main__":
     for name, argv, code in CASES:
-        got_code, got = _run(argv)
+        got_code, got, got_err = _run(argv)
         if got_code != code:
             sys.exit(f"{name}: exit code {got_code}, expected {code}")
         (GOLDEN / f"{name}.out").write_bytes(got)
         print(f"wrote {name}.out ({len(got)} bytes)")
+        if name in LOCK_STDERR:
+            (GOLDEN / f"{name}.err").write_bytes(got_err)
+            print(f"wrote {name}.err ({len(got_err)} bytes)")
