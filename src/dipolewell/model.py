@@ -17,6 +17,9 @@ from dataclasses import dataclass
 from .errors import DomainError, ForbiddenRegion, NoBoundStateRegime
 
 CONFIG_KEYS = ("mass", "alpha", "lambda", "omega", "radius", "ell", "pz")
+_FLOAT_FIELDS = (
+    "mass_m", "polarizability_alpha", "field_coupling_lambda", "omega", "cutoff_R", "p_z"
+)
 
 
 @dataclass(frozen=True)
@@ -31,6 +34,8 @@ class PhysicalParams:
     ell                   angular momentum quantum number (integer)
     p_z                   axial momentum eigenvalue (enters as a rigid
                           energy shift p_z^2/(2m))
+
+    Every float field must be finite; DomainError otherwise.
     """
 
     mass_m: float
@@ -49,6 +54,9 @@ class PhysicalParams:
             raise DomainError("omega must be >= 0")
         if not isinstance(self.ell, int):
             raise DomainError("ell must be an integer")
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
 
     @property
     def coupling_strength(self) -> float:
@@ -158,7 +166,7 @@ def params_from_mapping(values: dict[str, float]) -> PhysicalParams:
     if missing:
         raise DomainError(f"missing required parameter(s): {', '.join(missing)}")
     ell = values.get("ell", 0.0)
-    if abs(ell - round(ell)) > 0:
+    if not math.isfinite(ell) or abs(ell - round(ell)) > 0:
         raise DomainError(f"ell must be an integer, got {ell}")
     return PhysicalParams(
         mass_m=values["mass"],

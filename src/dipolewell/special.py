@@ -19,6 +19,13 @@ product and may legitimately underflow to zero.
 Every operation returns an estimated error next to its value so callers
 can tell a true sign change from numerical noise.  All functions are pure;
 there is no caching or shared state.
+
+``whittaker_w_scaled_array`` evaluates W at one (kappa, mu) over an array
+of x, as a wavefunction profile needs: the four log-Gammas once, and the
+two Kummer series of all samples together on numpy arrays that replay
+CPython's complex arithmetic operation by operation.  Its results equal
+the scalar ``whittaker_w_scaled`` calls field for field (``==``), and it
+raises the exception a loop over those calls would raise first.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     AccuracyLoss,
@@ -63,6 +72,7 @@ _LANCZOS_C = (
 )
 
 KUMMER_MAX_TERMS = 10_000
+_LN_1E250 = 250.0 * math.log(10.0)  # a Kummer sum's scale step
 
 # Beyond this x the connection formula loses ~exp(x) in cancellation while
 # the divergent large-x series of W is already good; switch routes here.
@@ -189,14 +199,121 @@ def _kummer_series_scaled(
             comp *= 1e-250
             t *= 1e-250
             peak *= 1e-250
-            ln_scale += 250.0 * math.log(10.0)
+            ln_scale += _LN_1E250
     else:
-        raise ConvergenceError(
-            f"Kummer series failed truncation test after {KUMMER_MAX_TERMS} terms "
-            f"(a={a}, b={b}, x={x})"
-        )
+        raise _kummer_nonconvergence(a, b, x)
     est_rel = _TWO_EPS * (peak / max(abs(s), 1e-300)) + 4e-16
     return s, ln_scale, est_rel, k
+
+
+def _kummer_nonconvergence(a: complex, b: complex, x: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"Kummer series failed truncation test after {KUMMER_MAX_TERMS} terms "
+        f"(a={a}, b={b}, x={x})"
+    )
+
+
+class _SeriesArray(NamedTuple):
+    """Kummer sums of _whittaker_series_array; entries past ``ok`` are unset."""
+
+    sums: list[complex]
+    ln_scale: list[float]
+    est_rel: list[float]
+    ok: int  # samples before the first failure
+    error: Exception | None  # what the scalar series raises at sample ``ok``
+
+
+def _whittaker_series_array(kappa: float, mu_signed: float, x: np.ndarray) -> _SeriesArray:
+    """_kummer_series_scaled of M_{kappa, i*mu_signed} at every x, bit for bit.
+
+    a = 1/2 - kappa + i*mu_signed and b = 1 + 2i*mu_signed, which is never a
+    pole.  Each sample runs the scalar loop's operations in the same order on
+    float64 pairs: complex products as CPython's _Py_c_prod, the quotient as
+    its _Py_c_quot (Smith's ratio/denom, dividing by denom; numpy's complex
+    division rounds differently), a float promoted to complex(x, 0.0), and
+    magnitudes as hypot.  A sample leaves the active set once it stops; on a
+    failure the later samples are dropped, since only the first is raised.
+    """
+    n = len(x)
+    a = complex(0.5 - kappa, mu_signed)
+    b = complex(1.0, 2.0 * mu_signed)
+    res = np.zeros((4, n))  # final sum (re, im), ln_scale and peak per sample
+    live = np.arange(n)
+    xs = x
+    sr, si = np.ones(n), np.zeros(n)
+    cr, ci = np.zeros(n), np.zeros(n)
+    tr, ti = np.ones(n), np.zeros(n)
+    ln_scale, peak = np.zeros(n), np.ones(n)
+    streak = np.zeros(n, dtype=np.int64)
+    ok, error = n, None
+    k = 0
+    with np.errstate(all="ignore"):
+        while k < KUMMER_MAX_TERMS and len(live):
+            ak = a + k
+            bk = (b + k) * (k + 1.0)
+            # (a + k) * x, then the quotient by (b + k) * (k + 1.0)
+            nr = ak.real * xs - ak.imag * 0.0
+            ni = ak.real * 0.0 + ak.imag * xs
+            if abs(bk.real) >= abs(bk.imag):
+                ratio = bk.imag / bk.real
+                denom = bk.real + bk.imag * ratio
+                qr = (nr + ni * ratio) / denom
+                qi = (ni - nr * ratio) / denom
+            else:
+                ratio = bk.real / bk.imag
+                denom = bk.real * ratio + bk.imag
+                qr = (nr * ratio + ni) / denom
+                qi = (ni * ratio - nr) / denom
+            tr, ti = tr * qr - ti * qi, tr * qi + ti * qr
+            yr, yi = tr - cr, ti - ci
+            snr, sni = sr + yr, si + yi
+            cr, ci = (snr - sr) - yr, (sni - si) - yi
+            sr, si = snr, sni
+            k += 1
+            mag = np.hypot(sr, si)
+            tmag = np.hypot(tr, ti)
+            big = (mag > 1e250) | (tmag > 1e250)
+            if big.any():
+                # abs() of a finite complex raises OverflowError when hypot overflows
+                over = (np.isinf(mag) & np.isfinite(sr) & np.isfinite(si)) | (
+                    np.isinf(tmag) & np.isfinite(tr) & np.isfinite(ti)
+                )
+                if over.any():
+                    j = int(np.argmax(over))
+                    ok, error = int(live[j]), OverflowError("absolute value too large")
+                    keep = slice(0, j)
+                    live, xs, sr, si, cr, ci, tr, ti = (
+                        v[keep] for v in (live, xs, sr, si, cr, ci, tr, ti))
+                    ln_scale, peak, streak, mag, tmag, big = (
+                        v[keep] for v in (ln_scale, peak, streak, mag, tmag, big))
+            # peak is never NaN, so fmax keeps max(peak, mag, tmag)'s choice
+            peak = np.fmax(np.fmax(peak, mag), tmag)
+            small = tmag <= 1e-16 * np.maximum(mag, 1e-300)
+            streak = np.where(small, streak + 1, 0)
+            done = streak >= 2
+            rescale = big & ~done
+            if rescale.any():
+                f = 1e-250
+                sr, si = (np.where(rescale, sr * f - si * 0.0, sr),
+                          np.where(rescale, sr * 0.0 + si * f, si))
+                cr, ci = (np.where(rescale, cr * f - ci * 0.0, cr),
+                          np.where(rescale, cr * 0.0 + ci * f, ci))
+                tr, ti = (np.where(rescale, tr * f - ti * 0.0, tr),
+                          np.where(rescale, tr * 0.0 + ti * f, ti))
+                peak = np.where(rescale, peak * f, peak)
+                ln_scale = np.where(rescale, ln_scale + _LN_1E250, ln_scale)
+            if done.any():
+                res[:, live[done]] = sr[done], si[done], ln_scale[done], peak[done]
+                keep = ~done
+                live, xs, sr, si, cr, ci, tr, ti = (
+                    v[keep] for v in (live, xs, sr, si, cr, ci, tr, ti))
+                ln_scale, peak, streak = (v[keep] for v in (ln_scale, peak, streak))
+        if len(live):
+            ok, error = int(live[0]), _kummer_nonconvergence(a, b, float(xs[0]))
+        sums = np.empty(n, dtype=complex)
+        sums.real, sums.imag = res[0], res[1]
+        est_rel = _TWO_EPS * (res[3] / np.maximum(np.hypot(res[0], res[1]), 1e-300)) + 4e-16
+    return _SeriesArray(sums.tolist(), res[2].tolist(), est_rel.tolist(), ok, error)
 
 
 def kummer_m(a: complex, b: complex, x: float) -> KummerM:
@@ -227,13 +344,17 @@ def _whittaker_m_log(kappa: float, mu_signed: float, x: float) -> tuple[complex,
     a = complex(0.5 - kappa, mu_signed)
     b = complex(1.0, 2.0 * mu_signed)
     s, ln_scale, est, _ = _kummer_series_scaled(a, b, x)
-    log_val = (
+    return _m_log_from_sum(mu_signed, x, s, ln_scale), est
+
+
+def _m_log_from_sum(mu_signed: float, x: float, s: complex, ln_scale: float) -> complex:
+    """log M_{kappa, i*mu_signed}(x) from its Kummer sum s * exp(ln_scale)."""
+    return (
         complex(-0.5 * x, 0.0)
         + complex(0.5, mu_signed) * cmath.log(x)
         + ln_scale
         + cmath.log(s)
     )
-    return log_val, est
 
 
 def whittaker_m_imag(kappa: float, mu: float, x: float) -> WhittakerM:
@@ -263,17 +384,37 @@ def _whittaker_w_connection(kappa: float, mu: float, x: float) -> WhittakerW:
     Both terms are computed in log form and recombined on a shared exponent;
     they are complex conjugates, so the result is real up to rounding.
     """
-    beta = 0.5 - kappa
+    gammas = _connection_gammas(kappa, mu)
+    lm_minus, em1 = _whittaker_m_log(kappa, -mu, x)
+    lm_plus, em2 = _whittaker_m_log(kappa, mu, x)
+    return _connection_combine(kappa, mu, x, gammas, lm_minus, em1, lm_plus, em2)
 
+
+def _connection_gammas(kappa: float, mu: float) -> tuple[complex, complex, float]:
+    """The x-independent part of the connection formula: the log Gamma
+    ratios of the M_{-i mu} and M_{+i mu} terms and their summed errors."""
+    beta = 0.5 - kappa
     lg_plus, eg1 = ln_gamma_complex(complex(0.0, 2.0 * mu))
     lg_minus, eg2 = ln_gamma_complex(complex(0.0, -2.0 * mu))
     lg_bp, eg3 = ln_gamma_complex(complex(beta, mu))
     lg_bm, eg4 = ln_gamma_complex(complex(beta, -mu))
-    lm_minus, em1 = _whittaker_m_log(kappa, -mu, x)
-    lm_plus, em2 = _whittaker_m_log(kappa, mu, x)
+    return lg_plus - lg_bp, lg_minus - lg_bm, eg1 + eg2 + eg3 + eg4
 
-    log_t1 = lg_plus - lg_bp + lm_minus
-    log_t2 = lg_minus - lg_bm + lm_plus
+
+def _connection_combine(
+    kappa: float,
+    mu: float,
+    x: float,
+    gammas: tuple[complex, complex, float],
+    lm_minus: complex,
+    em1: float,
+    lm_plus: complex,
+    em2: float,
+) -> WhittakerW:
+    """Recombine the two connection-formula terms from log M_{-+ i mu}(x)."""
+    lr_minus, lr_plus, eg = gammas
+    log_t1 = lr_minus + lm_minus
+    log_t2 = lr_plus + lm_plus
     exponent = max(log_t1.real, log_t2.real)
     mc = cmath.exp(log_t1 - exponent) + cmath.exp(log_t2 - exponent)
 
@@ -291,7 +432,7 @@ def _whittaker_w_connection(kappa: float, mu: float, x: float) -> WhittakerW:
     mantissa_err = 2.0 * phase_noise + 4.0 * _TWO_EPS
     value = mantissa * math.exp(exponent) if exponent < 709.0 else math.inf * mantissa
     est = mantissa_err * math.exp(min(exponent, 709.0))
-    est += (eg1 + eg2 + eg3 + eg4) * abs(value)
+    est += eg * abs(value)
     return WhittakerW(value, est, mantissa, exponent, residual)
 
 
@@ -344,6 +485,61 @@ def whittaker_w_scaled(kappa: float, mu: float, x: float) -> WhittakerW:
     if x <= LARGE_X_SWITCH:
         return _whittaker_w_connection(kappa, mu, x)
     return _whittaker_w_asymptotic(kappa, mu, x)
+
+
+def whittaker_w_scaled_array(kappa: float, mu: float, x) -> list[WhittakerW]:
+    """whittaker_w_scaled(kappa, mu, xi) for every xi of the array x, in one pass.
+
+    The result equals the scalar calls field for field, and the exception
+    raised is the one the scalar loop over x would raise first, with the
+    same type and message.  The four log-Gammas are computed once and the
+    two Kummer series run over all x <= LARGE_X_SWITCH together as float64
+    arrays (see _whittaker_series_array); the log recombination and the
+    large-x route stay per sample.  Profiles pass x ascending, but any order
+    works.  Root finding (one x, many kappa) keeps the scalar function.
+    """
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    if n == 0:
+        return []
+    bad = ~((x > 0.0) & (x < math.inf))
+    limit, pending = n, None  # samples before the first failure, and its exception
+    if bad.any():
+        limit = int(np.argmax(bad))
+        pending = DomainError("whittaker_w requires finite x > 0")
+        if limit == 0:
+            raise pending
+    if mu <= 0:
+        raise DomainError("whittaker_w requires mu > 0")
+
+    conn = np.flatnonzero(x[:limit] <= LARGE_X_SWITCH)
+    if len(conn):
+        try:
+            gammas = _connection_gammas(kappa, mu)
+        except Exception as exc:  # raised at the first connection-route sample
+            limit, pending, conn = int(conn[0]), exc, conn[:0]
+    if len(conn):
+        minus = _whittaker_series_array(kappa, -mu, x[conn])
+        if minus.ok < len(conn):
+            limit, pending, conn = int(conn[minus.ok]), minus.error, conn[: minus.ok]
+        plus = _whittaker_series_array(kappa, mu, x[conn])
+        if plus.ok < len(conn):
+            limit, pending = int(conn[plus.ok]), plus.error
+
+    out = []
+    p = 0  # position in conn of the next connection-route sample
+    for xi in x[:limit].tolist():
+        if xi <= LARGE_X_SWITCH:
+            lm_minus = _m_log_from_sum(-mu, xi, minus.sums[p], minus.ln_scale[p])
+            lm_plus = _m_log_from_sum(mu, xi, plus.sums[p], plus.ln_scale[p])
+            out.append(_connection_combine(
+                kappa, mu, xi, gammas, lm_minus, minus.est_rel[p], lm_plus, plus.est_rel[p]))
+            p += 1
+        else:
+            out.append(_whittaker_w_asymptotic(kappa, mu, xi))
+    if pending is not None:
+        raise pending
+    return out
 
 
 def gamma_uniform_asymptotic(a: float, zeta: float, b: complex) -> GammaAsym:

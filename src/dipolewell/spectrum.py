@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BracketError, DomainError
 from .model import DerivedParams, PhysicalParams, derive, energy_of_kappa, kappa_of_energy
-from .special import whittaker_w_scaled
+from .special import whittaker_w_scaled, whittaker_w_scaled_array
 
 X0_ADMISSIBLE_DEFAULT = 0.01
 BETA_MIN_DEFAULT = 10.0
@@ -263,7 +263,8 @@ def radial_wavefunction(
     """Sample f(r) on a uniform grid in [R, r_max] and normalize to max|f| = 1.
 
     Evaluates W in scaled form on a shared exponent, so profiles of deeply
-    bound levels (where W itself underflows) stay representable.  Deep in
+    bound levels (where W itself underflows) stay representable; all
+    samples go through one whittaker_w_scaled_array call.  Deep in
     the forbidden tail the scaled mantissa falls below double-precision
     phase resolution; samples with |mantissa| < NOISE_FLOOR are clipped to
     exactly 0 rather than reported as amplified rounding noise.
@@ -278,14 +279,11 @@ def radial_wavefunction(
         raise DomainError("level carries no kappa (omega = 0 route?)")
     mu = derive(params).mu
     r = np.linspace(params.cutoff_R, r_max, samples)
-    mant = np.empty(samples)
-    expo = np.empty(samples)
-    for i, ri in enumerate(r):
-        x = params.mass_m * params.omega * ri * ri
-        w = whittaker_w_scaled(level.kappa, mu, x)
-        raw = w.mantissa if abs(w.mantissa) >= NOISE_FLOOR else 0.0
-        mant[i] = raw / math.sqrt(x)
-        expo[i] = w.exponent
+    x = params.mass_m * params.omega * r * r
+    ws = whittaker_w_scaled_array(level.kappa, mu, x)
+    raw = np.array([w.mantissa for w in ws])
+    expo = np.array([w.exponent for w in ws])
+    mant = np.where(np.abs(raw) >= NOISE_FLOOR, raw, 0.0) / np.sqrt(x)
     ref = float(np.max(expo[mant != 0.0])) if np.any(mant != 0.0) else 0.0
     f = mant * np.exp(expo - ref)
     peak = float(np.max(np.abs(f)))

@@ -54,6 +54,11 @@ def test_exit_code_usage(capsys):
         ["spectrum", *DEEP, "--route", "oracle", "--grid-points", "50"],
         ["validate", *DEEP, "--grid-rmax", "nan"],
         ["sweep-cutoff", *DEEP, "--radii", "nan"],
+        # non-finite physical parameters
+        ["spectrum", "--mass", "1", "--alpha", "12.5", "--lambda", "1", "--omega", "nan",
+         "--radius", "0.1"],
+        ["spectrum", *DEEP, "--pz", "nan"],
+        ["spectrum", *DEEP, "--mass", "inf"],
     ):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (1, ""), argv

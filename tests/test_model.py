@@ -39,6 +39,21 @@ def test_params_validation():
         make_params(ell=1.5)  # type: ignore[arg-type]
 
 
+@pytest.mark.parametrize("field", ["mass_m", "polarizability_alpha", "field_coupling_lambda",
+                                   "omega", "cutoff_R", "p_z"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(DomainError):
+        make_params(**{field: value})
+
+
+def test_params_from_mapping_rejects_non_finite_ell():
+    values = {"mass": 1.0, "alpha": 12.5, "lambda": 1.0, "omega": 1e-3, "radius": 0.1}
+    for ell in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            model.params_from_mapping({**values, "ell": ell})
+
+
 def test_derive_basic_cases():
     p = make_params(polarizability_alpha=1.0, field_coupling_lambda=math.sqrt(2.0))
     d = model.derive(p)

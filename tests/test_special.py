@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dipolewell import special
 from dipolewell.errors import DomainError, ParameterPole, PoleError, RegimeError
@@ -269,6 +271,72 @@ def test_whittaker_w_domain_errors():
     for x in (math.nan, math.inf):
         with pytest.raises(DomainError):
             special.whittaker_w_scaled(-3.0, 2.5, x)
+
+
+# ---------------------------------------------------------------------------
+# Whittaker W over an array of x
+# ---------------------------------------------------------------------------
+
+
+def _scalar_outcome(kappa, mu, xs):
+    """The scalar W at every x, or (type, message) of the first exception."""
+    try:
+        return [special.whittaker_w_scaled(kappa, mu, x) for x in xs]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _array_outcome(kappa, mu, xs):
+    try:
+        return special.whittaker_w_scaled_array(kappa, mu, np.array(xs))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def w_samples(draw):
+    """kappa, mu and ascending x in (0, LARGE_X_SWITCH] with |beta| x <= 2e3,
+    so that every Kummer series stays within a few hundred terms."""
+    mu = draw(st.floats(0.05, 8.0))
+    beta = draw(st.one_of(st.floats(-5.0, 5.0), st.floats(-2.0, 6.0).map(lambda u: 10.0**u)))
+    x_max = min(special.LARGE_X_SWITCH, 2e3 / max(abs(beta), 1.0))
+    xs = draw(st.lists(st.floats(-8.0, 0.0).map(lambda v: x_max * 10.0**v),
+                       min_size=1, max_size=16))
+    return 0.5 - beta, mu, sorted(xs)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(w_samples())
+def test_whittaker_w_array_bit_identical_property(case):
+    kappa, mu, xs = case
+    assert _array_outcome(kappa, mu, xs) == _scalar_outcome(kappa, mu, xs)
+
+
+@pytest.mark.parametrize(
+    "kappa,mu,xs",
+    [
+        (0.5 - 4e8, 3.5, [1e-3, 0.25, 0.3]),  # Kummer term cap at the second sample
+        # abs() of a finite Kummer sum overflows at the second sample
+        (-1.160238289845834e80, 3.6878550803485646, [1e-90, 0.017479403027643454, 0.0317]),
+        (0.5 - 1.5e5, 2.5, [1e-3, 30.5, 0.1]),  # large-x series diverges mid-array
+        (0.5 - 1.5e5, 2.5, [30.5, 1e-3]),  # ... before a connection-route sample
+        (-3.0, 2.5, [0.1, math.nan, 0.2]),  # non-finite x after a good sample
+        (-3.0, 2.5, [-1.0, 0.1]),
+        (-3.0, 0.0, [0.1]),  # mu <= 0
+    ],
+    ids=["kummer_cap", "abs_overflow", "large_x", "large_x_first", "nan_x", "negative_x", "mu_zero"],
+)
+def test_whittaker_w_array_raises_the_first_scalar_error(kappa, mu, xs):
+    expect = _scalar_outcome(kappa, mu, xs)
+    assert isinstance(expect, tuple)
+    assert _array_outcome(kappa, mu, xs) == expect
+
+
+def test_whittaker_w_array_mixed_routes_and_order():
+    # connection and large-x samples, unsorted, against the scalar calls
+    xs = [29.9, 1e-6, 45.0, 30.0, 0.3, 31.0, 2.0]
+    assert _array_outcome(-2.0, 1.5, xs) == _scalar_outcome(-2.0, 1.5, xs)
+    assert special.whittaker_w_scaled_array(-2.0, 1.5, np.array([])) == []
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from dipolewell import spectrum
+from dipolewell import special, spectrum
 from dipolewell.errors import BracketError, DomainError, NoBoundStateRegime
 from dipolewell.model import PhysicalParams, derive, energy_of_kappa
 from dipolewell.special import whittaker_w_scaled
@@ -288,6 +288,20 @@ def test_radial_wavefunction_node_counts(deep_exact_levels):
         s = np.sign(interior[np.abs(interior) > 1e-9])
         counts.append(int(np.sum(s[:-1] * s[1:] < 0)))
     assert counts == [0, 1, 2]
+
+
+def test_radial_wavefunction_computes_log_gammas_once(deep_exact_levels, monkeypatch):
+    # the four log-Gammas of W depend on (kappa, mu) only: once per profile
+    calls = []
+    ln_gamma = special.ln_gamma_complex
+
+    def counting(z):
+        calls.append(z)
+        return ln_gamma(z)
+
+    monkeypatch.setattr(special, "ln_gamma_complex", counting)
+    spectrum.radial_wavefunction(deep_params(), deep_exact_levels[1], r_max=0.7, samples=512)
+    assert len(calls) == 4
 
 
 def test_radial_wavefunction_tail_decay(deep_exact_levels):
