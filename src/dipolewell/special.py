@@ -40,6 +40,7 @@ import numpy as np
 from .errors import (
     AccuracyLoss,
     ConvergenceError,
+    DipoleWellError,
     DomainError,
     ParameterPole,
     PoleError,
@@ -516,7 +517,7 @@ def whittaker_w_scaled_array(kappa: float, mu: float, x) -> list[WhittakerW]:
     if len(conn):
         try:
             gammas = _connection_gammas(kappa, mu)
-        except Exception as exc:  # raised at the first connection-route sample
+        except DipoleWellError as exc:  # raised at the first connection-route sample
             limit, pending, conn = int(conn[0]), exc, conn[:0]
     if len(conn):
         minus = _whittaker_series_array(kappa, -mu, x[conn])

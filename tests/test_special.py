@@ -318,13 +318,16 @@ def test_whittaker_w_array_bit_identical_property(case):
         (0.5 - 4e8, 3.5, [1e-3, 0.25, 0.3]),  # Kummer term cap at the second sample
         # abs() of a finite Kummer sum overflows at the second sample
         (-1.160238289845834e80, 3.6878550803485646, [1e-90, 0.017479403027643454, 0.0317]),
+        (-1e306, 1.0, [0.1, 31.0]),  # log-Gamma overflows at the first sample
+        (-1e306, 1.0, [31.0, 0.1]),  # ... after the large-x route overflows
         (0.5 - 1.5e5, 2.5, [1e-3, 30.5, 0.1]),  # large-x series diverges mid-array
         (0.5 - 1.5e5, 2.5, [30.5, 1e-3]),  # ... before a connection-route sample
         (-3.0, 2.5, [0.1, math.nan, 0.2]),  # non-finite x after a good sample
         (-3.0, 2.5, [-1.0, 0.1]),
         (-3.0, 0.0, [0.1]),  # mu <= 0
     ],
-    ids=["kummer_cap", "abs_overflow", "large_x", "large_x_first", "nan_x", "negative_x", "mu_zero"],
+    ids=["kummer_cap", "abs_overflow", "log_gamma", "large_x_before_log_gamma", "large_x",
+         "large_x_first", "nan_x", "negative_x", "mu_zero"],
 )
 def test_whittaker_w_array_raises_the_first_scalar_error(kappa, mu, xs):
     expect = _scalar_outcome(kappa, mu, xs)
@@ -335,7 +338,9 @@ def test_whittaker_w_array_raises_the_first_scalar_error(kappa, mu, xs):
 def test_whittaker_w_array_mixed_routes_and_order():
     # connection and large-x samples, unsorted, against the scalar calls
     xs = [29.9, 1e-6, 45.0, 30.0, 0.3, 31.0, 2.0]
-    assert _array_outcome(-2.0, 1.5, xs) == _scalar_outcome(-2.0, 1.5, xs)
+    expect = _scalar_outcome(-2.0, 1.5, xs)
+    assert len(expect) == len(xs)
+    assert _array_outcome(-2.0, 1.5, xs) == expect
     assert special.whittaker_w_scaled_array(-2.0, 1.5, np.array([])) == []
 
 
