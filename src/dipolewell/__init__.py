@@ -50,7 +50,6 @@ from .special import (
     ln_gamma_complex,
     whittaker_m_imag,
     whittaker_w_scaled,
-    whittaker_w_scaled_array,
     whittaker_w_smallx_approx,
 )
 from .spectrum import (
@@ -75,8 +74,7 @@ __all__ = [
     "numerov_node_count", "sturm_tridiag_eigs",
     "ROUTES", "Solution", "solve",
     "SmallXApprox", "gamma_uniform_asymptotic", "kummer_m", "ln_gamma_complex",
-    "whittaker_m_imag", "whittaker_w_scaled", "whittaker_w_scaled_array",
-    "whittaker_w_smallx_approx",
+    "whittaker_m_imag", "whittaker_w_scaled", "whittaker_w_smallx_approx",
     "EnergyLevel", "RadialProfile", "Route", "binding_energy",
     "energy_levels_asymptotic", "quantize_exact", "radial_wavefunction",
     "__version__",

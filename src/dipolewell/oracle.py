@@ -36,10 +36,8 @@ RICHARDSON_SPACING_FRACTION = 0.01
 BOUNDARY_MASS_LIMIT = 1e-6
 STURM_PIVMIN = 1e-290
 BISECTION_MAX_STEPS = 220
-# bisection steps tested per Sturm sweep: at most 6 (2**6 - 1 = 63 shifts per
-# eigenvalue), fewer when k eigenvalues would need more than 256 shifts in all
+# bisection steps tested per Sturm sweep: 2**6 - 1 = 63 shifts per eigenvalue
 MULTISECTION_DEPTH = 6
-MULTISECTION_SHIFTS = 256
 
 
 class GridScheme(enum.Enum):
@@ -164,17 +162,8 @@ def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray) ->
     return count
 
 
-def _multisection_depth(k: int) -> int:
-    """Largest depth <= MULTISECTION_DEPTH whose trees for k brackets hold at
-    most MULTISECTION_SHIFTS midpoints, and at least 1."""
-    depth = MULTISECTION_DEPTH
-    while depth > 1 and k * ((1 << depth) - 1) > MULTISECTION_SHIFTS:
-        depth -= 1
-    return depth
-
-
-def _bisection_tree(lows: np.ndarray, highs: np.ndarray, depth: int) -> np.ndarray:
-    """Midpoints of the first ``depth`` bisection steps of each bracket.
+def _bisection_tree(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """Midpoints of the first MULTISECTION_DEPTH bisection steps of each bracket.
 
     Row j holds the tree of bracket j in heap order: column 2**level - 1 + p
     is the midpoint of node p at that level, whose children are nodes 2p
@@ -183,7 +172,7 @@ def _bisection_tree(lows: np.ndarray, highs: np.ndarray, depth: int) -> np.ndarr
     lo = lows[:, None]
     hi = highs[:, None]
     levels = []
-    for _ in range(depth):
+    for _ in range(MULTISECTION_DEPTH):
         mid = 0.5 * (lo + hi)
         levels.append(mid)
         lo = np.stack((lo, mid), axis=2).reshape(len(lows), -1)
@@ -197,9 +186,8 @@ def sturm_tridiag_eigs(
     """k smallest eigenvalues of a symmetric tridiagonal matrix.
 
     Sturm-sequence bisection from Gershgorin bounds, run as multisection:
-    one sweep counts the eigenvalues below every midpoint of the next few
-    bisection steps of all k brackets (as many as keep the sweep within
-    MULTISECTION_SHIFTS shifts, up to MULTISECTION_DEPTH), and the steps are
+    one sweep counts the eigenvalues below every midpoint of the next
+    MULTISECTION_DEPTH bisection steps of all k brackets, and the steps are
     then replayed from those counts, with the convergence test before each.
     The result is bit-identical to bisecting one midpoint per sweep.
     Default absolute tolerance is 1e-12 * max|diag| (pass atol/rtol to
@@ -236,13 +224,12 @@ def sturm_tridiag_eigs(
     lows = np.full(k, lo_bound)
     highs = np.full(k, hi_bound)
     idx = np.arange(k)
-    depth = _multisection_depth(k)
     steps = 0
     while steps < BISECTION_MAX_STEPS and not converged(lows, highs):
-        tree = _bisection_tree(lows, highs, depth)
+        tree = _bisection_tree(lows, highs)
         counts = sturm_count(diag, off_sq, tree.ravel()).reshape(tree.shape)
         node = np.zeros(k, dtype=np.int64)
-        for level in range(depth):
+        for level in range(MULTISECTION_DEPTH):
             if level and (steps == BISECTION_MAX_STEPS or converged(lows, highs)):
                 break
             col = (1 << level) - 1 + node

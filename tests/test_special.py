@@ -344,6 +344,24 @@ def test_whittaker_w_array_mixed_routes_and_order():
     assert special.whittaker_w_scaled_array(-2.0, 1.5, np.array([])) == []
 
 
+def test_whittaker_w_array_rescaled_sums():
+    # deep levels (beta ~ 1.5e5): both Kummer sums pass 1e250 and are rescaled,
+    # once at x = 0.7 and up to seven times at x = 29.9, before they converge.
+    # W's error estimate reads 0 here, so the sums' relative errors (which
+    # carry the rescaled peak) are compared on the series themselves.
+    kappa, mu, xs = 0.5 - 1.5e5, 2.5, [0.7, 5.0, 29.9]
+    for m in (-mu, mu):
+        a, b = complex(0.5 - kappa, m), complex(1.0, 2.0 * m)
+        expect = [special._kummer_series_scaled(a, b, x)[:3] for x in xs]
+        assert all(ln_scale > 0.0 for _, ln_scale, _ in expect)
+        got = special._whittaker_series_array(kappa, m, np.array(xs))
+        assert (got.ok, got.error) == (len(xs), None)
+        assert list(zip(got.sums, got.ln_scale, got.est_rel)) == expect
+    expect = _scalar_outcome(kappa, mu, xs)
+    assert len(expect) == len(xs)
+    assert _array_outcome(kappa, mu, xs) == expect
+
+
 # ---------------------------------------------------------------------------
 # Gamma asymptotics
 # ---------------------------------------------------------------------------
