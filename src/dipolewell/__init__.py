@@ -24,7 +24,6 @@ from .errors import (
     ParameterPole,
     PoleError,
     RegimeError,
-    StepTooLarge,
 )
 from .model import (
     DerivedParams,
@@ -39,7 +38,6 @@ from .oracle import (
     OracleResult,
     RadialGridSpec,
     fd_eigensolve,
-    numerov_node_count,
     sturm_tridiag_eigs,
 )
 from .solve import ROUTES, Solution, solve
@@ -67,11 +65,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyLoss", "BracketError", "ConvergenceError", "DipoleWellError",
     "DomainError", "ForbiddenRegion", "GridTooCoarse", "NoBoundStateRegime",
-    "ParameterPole", "PoleError", "RegimeError", "StepTooLarge",
+    "ParameterPole", "PoleError", "RegimeError",
     "DerivedParams", "PhysicalParams", "derive", "effective_potential",
     "energy_of_kappa", "kappa_of_energy",
     "GridScheme", "OracleResult", "RadialGridSpec", "fd_eigensolve",
-    "numerov_node_count", "sturm_tridiag_eigs",
+    "sturm_tridiag_eigs",
     "ROUTES", "Solution", "solve",
     "SmallXApprox", "gamma_uniform_asymptotic", "kummer_m", "ln_gamma_complex",
     "whittaker_m_imag", "whittaker_w_scaled", "whittaker_w_smallx_approx",

@@ -295,10 +295,7 @@ def cmd_sweep_cutoff(ns: argparse.Namespace) -> int:
     ref = params.omega + params.energy_shift
     lines = ["R,E1_asymptotic,E1_exact,R2_binding_asymptotic,status"]
     for R in radii:
-        p_r = PhysicalParams(
-            params.mass_m, params.polarizability_alpha, params.field_coupling_lambda,
-            params.omega, R, params.ell, params.p_z,
-        )
+        p_r = replace(params, cutoff_R=R)
         status = "ok"
         e1a = spectrum.energy_levels_asymptotic(p_r, 1)[0].energy
         scaled = R * R * (ref - e1a)

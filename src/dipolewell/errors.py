@@ -50,6 +50,3 @@ class BracketError(DipoleWellError):
 class GridTooCoarse(DipoleWellError):
     """Discretization error estimate too large relative to level spacing."""
 
-
-class StepTooLarge(DipoleWellError):
-    """Integration step too coarse for the local oscillation wavelength."""

@@ -17,8 +17,9 @@ sign; the oracle does not require the bound-state regime).  Two grids:
   density there; it also cancels the -1/(4 r^2) reduction term exactly
   when Lsq = 0.
 
-Eigenvalues come from a Sturm multisection kernel that replays bisection
-exactly; a half-step refinement provides Richardson error estimates.
+Eigenvalues come from Sturm multisection that replays bisection exactly (two
+numpy calls per matrix row); a half-step grid, its bisection paths predicted
+by the coarse eigenvalues and checked by count, gives Richardson estimates.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridTooCoarse, StepTooLarge
+from .errors import DomainError, GridTooCoarse
 from .model import PhysicalParams
 
 RICHARDSON_SPACING_FRACTION = 0.01
@@ -38,6 +39,8 @@ STURM_PIVMIN = 1e-290
 BISECTION_MAX_STEPS = 220
 # bisection steps tested per Sturm sweep: 2**6 - 1 = 63 shifts per eigenvalue
 MULTISECTION_DEPTH = 6
+# rows x shifts per block of a Sturm sweep (128 KiB of float64)
+STURM_BLOCK_ELEMENTS = 16384
 
 
 class GridScheme(enum.Enum):
@@ -141,24 +144,37 @@ def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray) ->
     """Number of eigenvalues strictly below each shift (Sturm sequence).
 
     The pivot q of a row is clamped to +-STURM_PIVMIN (+ for q = -0.0) when
-    |q| < STURM_PIVMIN; the clamp runs only on rows where some shift needs it.
+    |q| < STURM_PIVMIN.  Rows run in blocks of about STURM_BLOCK_ELEMENTS
+    values, filled with diag - shift by one outer subtraction; a row then
+    costs one division and one subtraction, unclamped.  A block in which some
+    pivot needs the clamp is recomputed from its first pivot, row by row with
+    the clamp, so the counts do not depend on the blocking.
     """
     x = np.atleast_1d(np.asarray(shifts, dtype=float))
-    q = diag[0] - x
-    count = (q < 0).astype(np.int64)
-    zero = np.zeros_like(q)  # comparing with an array skips a scalar conversion per row
-    mag = np.empty_like(q)
-    ratio = np.empty_like(q)
-    negative = np.empty(q.shape, dtype=bool)
-    for d, e_sq in zip(diag[1:].tolist(), offdiag_sq.tolist()):
-        np.abs(q, out=mag)
-        if not mag.min() >= STURM_PIVMIN:  # also true when q holds a NaN
-            q = np.where(mag < STURM_PIVMIN, np.where(q < 0, -STURM_PIVMIN, STURM_PIVMIN), q)
-        np.divide(e_sq, q, out=ratio)
-        np.subtract(d, x, out=q)
-        np.subtract(q, ratio, out=q)
-        np.less(q, zero, out=negative)
-        count += negative
+    n = len(diag)
+    block_rows = max(1, STURM_BLOCK_ELEMENTS // len(x))
+    buf = np.empty((min(block_rows, n - 1) + 1, len(x)))  # row 0: the pivot entering a block
+    rows = list(buf)
+    np.subtract(diag[0], x, out=buf[0])
+    count = (buf[0] < 0).astype(np.int64)
+    ratio = np.empty_like(x)
+    off_sq = offdiag_sq.tolist()
+    for start in range(1, n, block_rows):
+        stop = min(start + block_rows, n)
+        block = buf[: stop - start + 1]
+        np.subtract.outer(diag[start:stop], x, out=block[1:])
+        e_sq = off_sq[start - 1 : stop - 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for prev, row, e in zip(rows, rows[1 : len(block)], e_sq):
+                np.divide(e, prev, out=ratio)
+                np.subtract(row, ratio, out=row)
+        if not np.abs(block[:-1]).min() >= STURM_PIVMIN:  # also true on a NaN pivot
+            for j, (d, e) in enumerate(zip(diag[start:stop].tolist(), e_sq), 1):
+                q = block[j - 1]
+                q = np.where(np.abs(q) < STURM_PIVMIN, np.where(q < 0, -STURM_PIVMIN, STURM_PIVMIN), q)
+                block[j] = d - x - e / q
+        count += (block[1:] < 0).sum(axis=0)
+        buf[0] = block[-1]
     return count
 
 
@@ -180,20 +196,48 @@ def _bisection_tree(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
     return np.concatenate(levels, axis=1)
 
 
+def _step(lo: np.ndarray, hi: np.ndarray, rows, s, mids: np.ndarray, go_down: np.ndarray) -> None:
+    """Bisection step s of the brackets in `rows`: write their brackets after it."""
+    hi[rows, s + 1] = np.where(go_down, mids, hi[rows, s])
+    lo[rows, s + 1] = np.where(go_down, lo[rows, s], mids)
+
+
+def _follow_guesses(diag, off_sq, lo, hi, depth: np.ndarray, guesses, converged) -> None:
+    """One sweep that counts every midpoint of a path per eigenvalue that
+    steps toward guesses[i] until the convergence test passes.  A path is kept
+    up to and including its first step whose count disagrees with it, taken
+    the way the count says: the kept steps are bisection's own."""
+    idx = np.arange(len(depth))
+    g = np.asarray(guesses, dtype=float)
+    s = 0
+    while s < BISECTION_MAX_STEPS and not converged(lo[:, s], hi[:, s]):
+        mid = 0.5 * (lo[:, s] + hi[:, s])
+        _step(lo, hi, idx, s, mid, g < mid)
+        s += 1
+    if s:
+        mids = 0.5 * (lo[:, :s] + hi[:, :s])
+        go_down = sturm_count(diag, off_sq, mids.ravel()).reshape(mids.shape) > idx[:, None]
+        wrong = go_down != (g[:, None] < mids)
+        wrong[:, -1] = True  # a path right throughout is kept whole
+        last = wrong.argmax(axis=1)
+        _step(lo, hi, idx, last, mids[idx, last], go_down[idx, last])
+        depth[:] = last + 1
+
+
 def sturm_tridiag_eigs(
-    diag, offdiag, k: int, *, atol: float | None = None, rtol: float = 0.0
+    diag, offdiag, k: int, *, atol: float | None = None, rtol: float = 0.0, guesses=None
 ) -> list[float]:
     """k smallest eigenvalues of a symmetric tridiagonal matrix.
 
     Sturm-sequence bisection from Gershgorin bounds, run as multisection:
     one sweep counts the eigenvalues below every midpoint of the next
-    MULTISECTION_DEPTH bisection steps of all k brackets, and the steps are
-    then replayed from those counts, with the convergence test before each.
-    The result is bit-identical to bisecting one midpoint per sweep.
-    Default absolute tolerance is 1e-12 * max|diag| (pass atol/rtol to
-    tighten; rtol is relative to the eigenvalue magnitude, useful for
-    strongly graded matrices where max|diag| is far above the eigenvalues
-    of interest).
+    MULTISECTION_DEPTH bisection steps of each bracket's deepest known one,
+    and the steps are replayed from those counts, with the convergence test
+    before each.  Optional `guesses` (one per eigenvalue, any values) are
+    checked in a first sweep (_follow_guesses).  The result is bit-identical
+    to bisecting one midpoint per sweep.  Default absolute tolerance is
+    1e-12 * max|diag| (pass atol/rtol to tighten; rtol is relative to the
+    eigenvalue magnitude, for strongly graded matrices).
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
@@ -221,57 +265,54 @@ def sturm_tridiag_eigs(
         mag = np.maximum(np.abs(lows), np.abs(highs))
         return bool(np.all(highs - lows <= np.maximum(atol + rtol * mag, 4e-16 * mag)))
 
-    lows = np.full(k, lo_bound)
-    highs = np.full(k, hi_bound)
-    idx = np.arange(k)
+    # lo[i, s], hi[i, s]: bracket of eigenvalue i after s steps, known for s <= depth[i]
+    lo = np.full((k, BISECTION_MAX_STEPS + 2 * MULTISECTION_DEPTH), lo_bound)
+    hi = np.full(lo.shape, hi_bound)
+    depth = np.zeros(k, dtype=np.int64)
+    if guesses is not None:
+        _follow_guesses(diag, off_sq, lo, hi, depth, guesses, converged)
     steps = 0
-    while steps < BISECTION_MAX_STEPS and not converged(lows, highs):
-        tree = _bisection_tree(lows, highs)
-        counts = sturm_count(diag, off_sq, tree.ravel()).reshape(tree.shape)
-        node = np.zeros(k, dtype=np.int64)
-        for level in range(MULTISECTION_DEPTH):
-            if level and (steps == BISECTION_MAX_STEPS or converged(lows, highs)):
-                break
-            col = (1 << level) - 1 + node
-            mids = tree[idx, col]
-            go_down = counts[idx, col] > idx
-            highs = np.where(go_down, mids, highs)
-            lows = np.where(go_down, lows, mids)
-            node = 2 * node + ~go_down
-            steps += 1
-    return [float(v) for v in 0.5 * (lows + highs)]
+    while steps < BISECTION_MAX_STEPS and not converged(lo[:, steps], hi[:, steps]):
+        if depth.min() == steps:  # a sweep for every bracket known < DEPTH steps ahead
+            sel = np.flatnonzero(depth < steps + MULTISECTION_DEPTH)
+            at, rows = depth[sel], np.arange(len(sel))
+            tree = _bisection_tree(lo[sel, at], hi[sel, at])
+            counts = sturm_count(diag, off_sq, tree.ravel()).reshape(tree.shape)
+            node = np.zeros(len(sel), dtype=np.int64)
+            for level in range(MULTISECTION_DEPTH):
+                col = (1 << level) - 1 + node
+                go_down = counts[rows, col] > sel
+                _step(lo, hi, sel, at + level, tree[rows, col], go_down)
+                node = 2 * node + ~go_down
+            depth[sel] += MULTISECTION_DEPTH
+        steps += 1
+    return [float(v) for v in 0.5 * (lo[:, steps] + hi[:, steps])]
 
 
 def _tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Thomas solve of (tridiag) x = rhs; assumes the shifted matrix is regular."""
-    n = len(diag)
-    c = np.empty(n - 1)
-    d = np.empty(n)
-    c[0] = off[0] / diag[0]
-    d[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        denom = diag[i] - off[i - 1] * c[i - 1]
+    """Thomas solve of (tridiag) x = rhs on Python floats (numpy's float64
+    arithmetic without its per-scalar cost); a zero pivot becomes 1e-290."""
+    c, d, e_prev = [0.0], [0.0], 0.0  # a coupling-free row before row 0
+    for a_i, e_i, b_i in zip(diag.tolist(), off.tolist() + [0.0], rhs.tolist()):
+        denom = a_i - e_prev * c[-1]
         if denom == 0.0:
             denom = 1e-290
-        if i < n - 1:
-            c[i] = off[i] / denom
-        d[i] = (rhs[i] - off[i - 1] * d[i - 1]) / denom
-    x = np.empty(n)
-    x[-1] = d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
-    return x
+        c.append(e_i / denom)
+        d.append((b_i - e_prev * d[-1]) / denom)
+        e_prev = e_i
+    x = [d[-1]]
+    for c_i, d_i in zip(c[-2:0:-1], d[-2:0:-1]):
+        x.append(d_i - c_i * x[-1])
+    return np.array(x[::-1])
 
 
 def _eigenvector(diag: np.ndarray, off: np.ndarray, tau: float) -> np.ndarray:
     """Inverse iteration at shift tau (two sweeps are ample for isolated modes)."""
-    n = len(diag)
-    shift = tau + 1e-10 * max(1.0, abs(tau))
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(n)
+    shifted = diag - (tau + 1e-10 * max(1.0, abs(tau)))
+    v = np.random.default_rng(12345).standard_normal(len(diag))
     v /= np.linalg.norm(v)
     for _ in range(3):
-        v = _tridiag_solve(diag - shift, off, v)
+        v = _tridiag_solve(shifted, off, v)
         v /= np.linalg.norm(v)
     return v
 
@@ -301,13 +342,6 @@ def default_grid(
     return RadialGridSpec(params.cutoff_R, 3.0 * r_turn, points, GridScheme.LOG_UNIFORM)
 
 
-def _solve_grid(
-    params: PhysicalParams, grid: RadialGridSpec, k: int, inner_bc: str
-) -> list[float]:
-    diag, off = build_tridiag(params, grid, inner_bc=inner_bc)
-    return sturm_tridiag_eigs(diag, off, k, atol=0.0, rtol=1e-13)
-
-
 def fd_eigensolve(
     params: PhysicalParams,
     grid: RadialGridSpec,
@@ -327,9 +361,10 @@ def fd_eigensolve(
     if not 1 <= k_levels <= grid.points:
         raise DomainError("need 1 <= k_levels <= grid.points")
     k_work = min(k_levels + 1, grid.points)  # one spare level to gauge the spacing
-    coarse = _solve_grid(params, grid, k_work, inner_bc)
-    fine_grid = grid.refined()
-    fine = _solve_grid(params, fine_grid, k_work, inner_bc)
+    diag, off = build_tridiag(params, grid, inner_bc=inner_bc)
+    coarse = sturm_tridiag_eigs(diag, off, k_work, atol=0.0, rtol=1e-13)
+    diag, off = build_tridiag(params, grid.refined(), inner_bc=inner_bc)
+    fine = sturm_tridiag_eigs(diag, off, k_work, atol=0.0, rtol=1e-13, guesses=coarse)
     estimates = [abs(f - c) / 3.0 for f, c in zip(fine, coarse)]
 
     taus = fine[:k_levels]
@@ -345,7 +380,6 @@ def fd_eigensolve(
             )
 
     if not outer_wall:
-        diag, off = build_tridiag(params, fine_grid, inner_bc=inner_bc)
         v = _eigenvector(diag, off, taus[-1])
         tail = max(1, int(0.05 * len(v)))
         boundary_mass = float(np.sum(v[-tail:] ** 2))
@@ -355,39 +389,3 @@ def fd_eigensolve(
                 f"domain exceeds {BOUNDARY_MASS_LIMIT:.0e}; increase r_max"
             )
     return OracleResult(taus, grid, ests)
-
-
-def numerov_node_count(params: PhysicalParams, energy: float, grid: RadialGridSpec) -> int:
-    """Interior sign changes of u integrated outward at the trial energy.
-
-    Numerov marching of -u'' + W(r) u = tau u on a uniform step over
-    [r_min, r_max] from u(r_min) = 0.  By Sturm oscillation the count is
-    monotone nondecreasing in the energy and equals the number of
-    eigenvalues below it.  Raises StepTooLarge when the local phase
-    advance per step exceeds pi/4.
-    """
-    n = grid.points
-    h = (grid.r_max - grid.r_min) / (n + 1)
-    r = grid.r_min + np.arange(n + 2) * h
-    tau = 2.0 * params.mass_m * (energy - params.energy_shift)
-    ksq = tau - _u_potential(params, r)
-    phase = np.sqrt(np.maximum(ksq, 0.0)) * h
-    if float(np.max(phase)) > 0.25 * math.pi:
-        raise StepTooLarge(
-            f"phase advance {float(np.max(phase)):.3f} rad/step exceeds pi/4; "
-            "increase grid.points"
-        )
-    w = 1.0 + (h * h / 12.0) * ksq
-    u_prev = 0.0
-    u_cur = h
-    nodes = 0
-    for i in range(1, n + 1):
-        u_next = ((12.0 - 10.0 * w[i]) * u_cur - w[i - 1] * u_prev) / w[i + 1]
-        if u_next * u_cur < 0:
-            nodes += 1
-        u_prev, u_cur = u_cur, u_next
-        scale = abs(u_cur)
-        if scale > 1e250:
-            u_prev /= scale
-            u_cur /= scale
-    return nodes

@@ -186,8 +186,10 @@ def _kummer_series_scaled(
         comp = (snew - s) - y
         s = snew
         k += 1
-        mag = abs(s)
-        tmag = abs(t)
+        try:
+            mag, tmag = abs(s), abs(t)
+        except OverflowError:  # the modulus of a finite complex exceeds double range
+            raise _kummer_overflow(a, b, x) from None
         peak = max(peak, mag, tmag)
         if tmag <= 1e-16 * max(mag, 1e-300):
             small_streak += 1
@@ -212,6 +214,10 @@ def _kummer_nonconvergence(a: complex, b: complex, x: float) -> ConvergenceError
         f"Kummer series failed truncation test after {KUMMER_MAX_TERMS} terms "
         f"(a={a}, b={b}, x={x})"
     )
+
+
+def _kummer_overflow(a: complex, b: complex, x: float) -> ConvergenceError:
+    return ConvergenceError(f"Kummer series magnitude overflows (a={a}, b={b}, x={x})")
 
 
 class _SeriesArray(NamedTuple):
@@ -275,13 +281,13 @@ def _whittaker_series_array(kappa: float, mu_signed: float, x: np.ndarray) -> _S
             tmag = np.hypot(tr, ti)
             big = (mag > 1e250) | (tmag > 1e250)
             if big.any():
-                # abs() of a finite complex raises OverflowError when hypot overflows
+                # the scalar abs() of a finite complex overflows where hypot does
                 over = (np.isinf(mag) & np.isfinite(sr) & np.isfinite(si)) | (
                     np.isinf(tmag) & np.isfinite(tr) & np.isfinite(ti)
                 )
                 if over.any():
                     j = int(np.argmax(over))
-                    ok, error = int(live[j]), OverflowError("absolute value too large")
+                    ok, error = int(live[j]), _kummer_overflow(a, b, float(xs[j]))
                     keep = slice(0, j)
                     live, xs, sr, si, cr, ci, tr, ti = (
                         v[keep] for v in (live, xs, sr, si, cr, ci, tr, ti))
@@ -449,7 +455,10 @@ def _whittaker_w_asymptotic(kappa: float, mu: float, x: float) -> WhittakerW:
     smallest = 1.0
     s = 0
     while s < 400:
-        nxt = -term * ((beta + s) ** 2 + mu * mu) / ((s + 1.0) * x)
+        try:
+            nxt = -term * ((beta + s) ** 2 + mu * mu) / ((s + 1.0) * x)
+        except OverflowError:  # |beta| past 1e154: the terms grow from the first
+            break
         if abs(nxt) >= abs(term):
             break
         term = nxt

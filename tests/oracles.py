@@ -4,8 +4,9 @@ Extended-precision references (mpmath, 40+ digits) exist only inside the
 tests: the package itself is pure double precision.  Every [frozen] constant
 in the test modules was produced by one of these functions.  The dedicated
 s-wave closed form is a second double-precision arithmetic path for the
-ell = 0 reduction identity, and the one-midpoint-per-sweep Sturm bisection
-is the reference that the multisection kernel must reproduce bit for bit.
+ell = 0 reduction identity, the one-midpoint-per-sweep Sturm bisection is
+the reference that the multisection kernel must reproduce bit for bit, and
+the numpy-scalar Thomas loop the one the oracle's Python-float solve must.
 """
 
 from __future__ import annotations
@@ -83,6 +84,28 @@ def reference_sturm_eigs(diag, offdiag, k: int, *, atol=None, rtol: float = 0.0)
         highs = np.where(go_down, mids, highs)
         lows = np.where(go_down, lows, mids)
     return [float(v) for v in 0.5 * (lows + highs)]
+
+
+def reference_tridiag_solve(diag, off, rhs) -> np.ndarray:
+    """Thomas solve of (tridiag) x = rhs on numpy scalars, a zero pivot of rows
+    1.. replaced by 1e-290: the loop that oracle._tridiag_solve must reproduce."""
+    n = len(diag)
+    c = np.empty(n - 1)
+    d = np.empty(n)
+    c[0] = off[0] / diag[0]
+    d[0] = rhs[0] / diag[0]
+    for i in range(1, n):
+        denom = diag[i] - off[i - 1] * c[i - 1]
+        if denom == 0.0:
+            denom = 1e-290
+        if i < n - 1:
+            c[i] = off[i] / denom
+        d[i] = (rhs[i] - off[i - 1] * d[i - 1]) / denom
+    x = np.empty(n)
+    x[-1] = d[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = d[i] - c[i] * x[i + 1]
+    return x
 
 
 def mp_lngamma(z: complex, dps: int = 40) -> complex:

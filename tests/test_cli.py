@@ -98,6 +98,17 @@ def test_non_finite_x_is_usage_error(capsys):
         assert "usage error" in err
 
 
+def test_huge_kappa_overflow_is_numerical_failure(capsys):
+    # the large-x series, then the Kummer series, overflow double range
+    for argv in (
+        ["eval", "WhittakerW", "--", "-1e306", "1", "31"],
+        ["eval", "WhittakerW", "--", "-1.160238289845834e80", "3.6878550803485646", "0.0175"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (3, ""), argv
+        assert "numerical failure: ConvergenceError" in err
+
+
 # ---------------------------------------------------------------------------
 # spectrum command
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the finite-difference eigensolver, Sturm kernel, and Numerov counter."""
+"""Tests for the finite-difference eigensolver and its Sturm kernel."""
 
 from __future__ import annotations
 
@@ -12,11 +12,11 @@ from scipy.optimize import brentq
 from scipy.special import j0, y0
 
 from dipolewell import oracle
-from dipolewell.errors import DomainError, GridTooCoarse, StepTooLarge
+from dipolewell.errors import DomainError, GridTooCoarse
 from dipolewell.model import PhysicalParams
 from dipolewell.oracle import GridScheme, RadialGridSpec
 
-from oracles import reference_sturm_count, reference_sturm_eigs
+from oracles import reference_sturm_count, reference_sturm_eigs, reference_tridiag_solve
 
 # deep regime: exact E_1, E_2 from the 40-digit quantization oracle
 DEEP_E = (-293.9131309116332609364, -76.79106144608003514938)
@@ -157,6 +157,42 @@ def test_sturm_count_pivot_clamp(diag, off, shifts, expect):
     assert got == expect == reference_sturm_count(diag, off_sq, shifts).tolist()
 
 
+# shifts per sweep that give blocks of _B rows in sturm_count
+_M = oracle.STURM_BLOCK_ELEMENTS // 4
+_B = oracle.STURM_BLOCK_ELEMENTS // _M
+
+
+@pytest.mark.parametrize(
+    "n,zero_rows,m",
+    [
+        (43, [_B], _M),  # the first row of the second block divides by a -0.0 pivot
+        (43, [2 * _B - 1], _M),  # ... the last row of a block
+        (43, [41], _M),  # ... the last row of the matrix
+        (4 * _B + 1, [_B, 4 * _B - 1], _M),  # n - 1 a multiple of the block rows
+        (2, [0], _M),
+        (50, [3, 17], 1),  # one shift: the whole matrix in one block
+        (30, [0, 7, 20], oracle.STURM_BLOCK_ELEMENTS + 1),  # one row per block
+    ],
+    ids=["block_first_row", "block_last_row", "last_matrix_row", "exact_multiple", "n2",
+         "one_shift", "one_row_blocks"],
+)
+def test_sturm_count_blocks_match_reference(n, zero_rows, m):
+    # unclamped, row j + 1 would divide by -0.0 and count +inf where the
+    # clamp to +pivmin gives a negative pivot
+    diag, off = _random_tridiag(n, 80 + n)
+    shifts = np.linspace(-4.0, 4.0, m)
+    shifts[m // 2] = 0.0
+    for j in zero_rows:  # at shift 0.0 the pivot of row j - 1 is 10.0, of row j -0.0
+        if j:
+            diag[j - 1] = 10.0
+            off[max(j - 2, 0) : j] = 0.0
+        diag[j] = -0.0
+        off[j] = 1.0
+    off_sq = off * off
+    got = oracle.sturm_count(diag, off_sq, shifts)
+    assert np.array_equal(got, reference_sturm_count(diag, off_sq, shifts))
+
+
 def test_multisection_many_levels_bit_identical():
     # k = 200: 12600 shifts per sweep
     diag, off = _random_tridiag(400, 79)
@@ -164,7 +200,8 @@ def test_multisection_many_levels_bit_identical():
 
 
 def test_deep_solve_sweep_count(monkeypatch):
-    # six bisection steps per sweep: 129 sweeps at one midpoint per sweep
+    # six bisection steps per sweep, the fine grid warm-started from the
+    # coarse one: 129 sweeps at one midpoint per sweep, 22 without the warm start
     calls = []
     count = oracle.sturm_count
 
@@ -175,7 +212,7 @@ def test_deep_solve_sweep_count(monkeypatch):
     monkeypatch.setattr(oracle, "sturm_count", counting)
     p = deep_params()
     oracle.fd_eigensolve(p, oracle.default_grid(p, 2), 2)
-    assert 0 < len(calls) <= 26
+    assert 0 < len(calls) <= 20
 
 
 @st.composite
@@ -198,6 +235,87 @@ def test_multisection_bit_identical_property(case):
     diag, off, k, kw = case
     assert oracle.sturm_tridiag_eigs(diag, off, k, **kw) == reference_sturm_eigs(
         diag, off, k, **kw)
+
+
+# ---------------------------------------------------------------------------
+# Warm start: any guesses give the floats of plain bisection
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def refined_reference(deep_matrices):
+    diag, off = deep_matrices["refined"]
+    return reference_sturm_eigs(diag, off, 3, **RTOL_13)
+
+
+def _gershgorin(diag, off):
+    rad = np.zeros(len(diag))
+    rad[:-1] += np.abs(off)
+    rad[1:] += np.abs(off)
+    return float(np.min(diag - rad)), float(np.max(diag + rad))
+
+
+@pytest.mark.parametrize("kind", ["exact", "coarse", "far", "unsorted", "outside",
+                                  "midpoint", "nan"])
+def test_warm_start_bit_identical(deep_matrices, refined_reference, kind, monkeypatch):
+    diag, off = deep_matrices["refined"]
+    ref = refined_reference
+    lo, hi = _gershgorin(diag, off)
+    guesses = {
+        "exact": ref,
+        "coarse": oracle.sturm_tridiag_eigs(*deep_matrices["coarse"], 3, **RTOL_13),
+        "far": [r + 0.1 * abs(r) for r in ref],
+        "unsorted": ref[::-1],
+        "outside": [lo - 1.0, ref[1], 2.0 * hi],
+        "midpoint": [ref[0], 0.5 * (lo + hi), ref[2]],  # the first bisection midpoint
+        "nan": [ref[0], math.nan, ref[2]],
+    }[kind]
+    calls = []
+    count = oracle.sturm_count
+    monkeypatch.setattr(oracle, "sturm_count", lambda *a: calls.append(1) or count(*a))
+    assert oracle.sturm_tridiag_eigs(diag, off, 3, guesses=guesses, **RTOL_13) == ref
+    if kind == "exact":  # one sweep checks the whole path
+        assert len(calls) == 1
+
+
+@st.composite
+def guessed_tridiagonals(draw):
+    """A tridiagonal and k, with guesses near its eigenvalues, far off,
+    non-finite, and in either order."""
+    diag, off, k, kw = draw(tridiagonals())
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    eigs = np.sort(np.linalg.eigvalsh(dense))[:k].tolist()
+    near = st.one_of(st.floats(-1e-9, 1e-9), st.floats(-1.0, 1.0))
+    guesses = [
+        draw(st.one_of(near.map(lambda r, e=e: e * (1.0 + r)), st.floats(allow_nan=True)))
+        for e in eigs
+    ]
+    if draw(st.booleans()):
+        guesses.reverse()
+    return diag, off, k, kw, guesses
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(guessed_tridiagonals())
+def test_warm_start_bit_identical_property(case):
+    diag, off, k, kw, guesses = case
+    assert oracle.sturm_tridiag_eigs(diag, off, k, guesses=guesses, **kw) == (
+        reference_sturm_eigs(diag, off, k, **kw))
+
+
+def test_tridiag_solve_matches_numpy_scalar_loop(deep_matrices):
+    # the leak check's shifted fine-grid solve, and a random matrix
+    diag, off = deep_matrices["refined"]
+    tau = oracle.sturm_tridiag_eigs(diag, off, 2, **RTOL_13)[-1]
+    shifted = diag - (tau + 1e-10 * abs(tau))
+    rng = np.random.default_rng(81)
+    rhs = rng.standard_normal(len(diag))
+    assert np.array_equal(oracle._tridiag_solve(shifted, off, rhs),
+                          reference_tridiag_solve(shifted, off, rhs))
+    diag, off = _random_tridiag(300, 82)
+    rhs = rng.standard_normal(300)
+    assert np.array_equal(oracle._tridiag_solve(diag, off, rhs),
+                          reference_tridiag_solve(diag, off, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -353,54 +471,3 @@ def test_default_grid_shape():
     assert grid.scheme is GridScheme.LOG_UNIFORM
     with pytest.raises(DomainError):
         oracle.default_grid(deep_params(omega=0.0), 1)
-
-
-# ---------------------------------------------------------------------------
-# Numerov node counting
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def numerov_grid():
-    return RadialGridSpec(0.1, 3.0, 6000, GridScheme.UNIFORM)
-
-
-def test_numerov_below_ground_state(numerov_grid):
-    assert oracle.numerov_node_count(deep_params(), -400.0, numerov_grid) == 0
-
-
-def test_numerov_sturm_interleaving(deep_oracle, numerov_grid):
-    # between oracle levels k and k+1 the count is exactly k
-    p = deep_params()
-    energies = deep_oracle.energies(p)
-    mid = 0.5 * (energies[0] + energies[1])
-    assert oracle.numerov_node_count(p, mid, numerov_grid) == 1
-    above = energies[1] + 0.3 * abs(energies[1])
-    # E_3 = -21.39: energies[1]*0.7 = -53.7 sits between E_2 and E_3
-    assert oracle.numerov_node_count(p, above, numerov_grid) == 2
-
-
-def test_numerov_monotone_in_energy(numerov_grid):
-    p = deep_params()
-    counts = [
-        oracle.numerov_node_count(p, e, numerov_grid)
-        for e in (-500.0, -293.0, -100.0, -50.0, -21.0, -6.0)
-    ]
-    assert counts == sorted(counts)
-
-
-def test_numerov_step_too_large():
-    with pytest.raises(StepTooLarge):
-        oracle.numerov_node_count(deep_params(), -10.0, RadialGridSpec(0.1, 3.0, 100))
-
-
-def test_numerov_matches_exact_level_ordering(numerov_grid):
-    # just above the n-th exact level the count is n
-    from dipolewell import spectrum
-
-    p = deep_params()
-    for n in (1, 2):
-        e = spectrum.quantize_exact(p, n).energy
-        eps = 1e-3 * abs(e)
-        assert oracle.numerov_node_count(p, e + eps, numerov_grid) == n
-        assert oracle.numerov_node_count(p, e - eps, numerov_grid) == n - 1

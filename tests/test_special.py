@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dipolewell import special
-from dipolewell.errors import DomainError, ParameterPole, PoleError, RegimeError
+from dipolewell.errors import (
+    ConvergenceError,
+    DomainError,
+    ParameterPole,
+    PoleError,
+    RegimeError,
+)
 
 from oracles import (
     mp_kummer,
@@ -313,25 +319,26 @@ def test_whittaker_w_array_bit_identical_property(case):
 
 
 @pytest.mark.parametrize(
-    "kappa,mu,xs",
+    "kappa,mu,xs,error",
     [
-        (0.5 - 4e8, 3.5, [1e-3, 0.25, 0.3]),  # Kummer term cap at the second sample
-        # abs() of a finite Kummer sum overflows at the second sample
-        (-1.160238289845834e80, 3.6878550803485646, [1e-90, 0.017479403027643454, 0.0317]),
-        (-1e306, 1.0, [0.1, 31.0]),  # log-Gamma overflows at the first sample
-        (-1e306, 1.0, [31.0, 0.1]),  # ... after the large-x route overflows
-        (0.5 - 1.5e5, 2.5, [1e-3, 30.5, 0.1]),  # large-x series diverges mid-array
-        (0.5 - 1.5e5, 2.5, [30.5, 1e-3]),  # ... before a connection-route sample
-        (-3.0, 2.5, [0.1, math.nan, 0.2]),  # non-finite x after a good sample
-        (-3.0, 2.5, [-1.0, 0.1]),
-        (-3.0, 0.0, [0.1]),  # mu <= 0
+        (0.5 - 4e8, 3.5, [1e-3, 0.25, 0.3], ConvergenceError),  # Kummer term cap, 2nd sample
+        # the modulus of a finite Kummer sum overflows at the second sample
+        (-1.160238289845834e80, 3.6878550803485646, [1e-90, 0.017479403027643454, 0.0317],
+         ConvergenceError),
+        (-1e306, 1.0, [0.1, 31.0], ConvergenceError),  # log-Gamma overflows at the first sample
+        (-1e306, 1.0, [31.0, 0.1], ConvergenceError),  # ... after the large-x series overflows
+        (0.5 - 1.5e5, 2.5, [1e-3, 30.5, 0.1], ConvergenceError),  # large-x series diverges
+        (0.5 - 1.5e5, 2.5, [30.5, 1e-3], ConvergenceError),  # ... before a connection sample
+        (-3.0, 2.5, [0.1, math.nan, 0.2], DomainError),  # non-finite x after a good sample
+        (-3.0, 2.5, [-1.0, 0.1], DomainError),
+        (-3.0, 0.0, [0.1], DomainError),  # mu <= 0
     ],
     ids=["kummer_cap", "abs_overflow", "log_gamma", "large_x_before_log_gamma", "large_x",
          "large_x_first", "nan_x", "negative_x", "mu_zero"],
 )
-def test_whittaker_w_array_raises_the_first_scalar_error(kappa, mu, xs):
+def test_whittaker_w_array_raises_the_first_scalar_error(kappa, mu, xs, error):
     expect = _scalar_outcome(kappa, mu, xs)
-    assert isinstance(expect, tuple)
+    assert isinstance(expect, tuple) and expect[0] is error
     assert _array_outcome(kappa, mu, xs) == expect
 
 
