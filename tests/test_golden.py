@@ -47,8 +47,16 @@ CASES = [
     ("wavefunction_kummer_error", ["wavefunction", "--mass", "1", "--alpha", "24.5",
                                    "--lambda", "1", "--omega", "1e-6", "--radius", "0.1",
                                    "--n", "1"], 3),
+    # the scalar W of that failing sample: its -i mu Kummer series runs first
+    ("eval_whittaker_w_kummer_error", ["eval", "WhittakerW", "--", "-397350221.19136536",
+                                       "3.5", "0.23194849733152514"], 3),
+    # Lambda = 7, x0 = 1e-2: the top of the ladder the exact route brackets
+    ("spectrum_exact_lambda7", ["spectrum", "--mass", "1", "--alpha", "24.5", "--lambda", "1",
+                                "--omega", "1", "--radius", "0.1", "--nmax", "3",
+                                "--route", "exact"], 0),
 ]
-LOCK_STDERR = {"wavefunction_large_x_error", "wavefunction_kummer_error"}
+LOCK_STDERR = {"wavefunction_large_x_error", "wavefunction_kummer_error",
+               "eval_whittaker_w_kummer_error"}
 
 
 def _run(argv: list[str]) -> tuple[int, bytes, bytes]:
