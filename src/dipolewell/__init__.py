@@ -13,7 +13,6 @@ route's level, or the error that route raised, per level.
 """
 
 from .errors import (
-    AccuracyLoss,
     BracketError,
     ConvergenceError,
     DipoleWellError,
@@ -63,9 +62,9 @@ from .spectrum import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyLoss", "BracketError", "ConvergenceError", "DipoleWellError",
-    "DomainError", "ForbiddenRegion", "GridTooCoarse", "NoBoundStateRegime",
-    "ParameterPole", "PoleError", "RegimeError",
+    "BracketError", "ConvergenceError", "DipoleWellError", "DomainError",
+    "ForbiddenRegion", "GridTooCoarse", "NoBoundStateRegime", "ParameterPole",
+    "PoleError", "RegimeError",
     "DerivedParams", "PhysicalParams", "derive", "effective_potential",
     "energy_of_kappa", "kappa_of_energy",
     "GridScheme", "OracleResult", "RadialGridSpec", "fd_eigensolve",

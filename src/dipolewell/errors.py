@@ -27,10 +27,6 @@ class ConvergenceError(DipoleWellError):
     """A series or iteration failed its truncation/convergence test."""
 
 
-class AccuracyLoss(DipoleWellError):
-    """A self-consistency residual shows the result is noise-dominated."""
-
-
 class RegimeError(DipoleWellError):
     """Arguments fall outside the validity regime of an approximation."""
 

@@ -6,7 +6,7 @@ The bound-state machinery needs four ingredients:
 * the Kummer confluent hypergeometric series M(a; b; x),
 * Whittaker functions M_{k, i*mu}(x) and W_{k, i*mu}(x) of imaginary
   second index, the latter through the Gamma-weighted connection formula
-  that combines M_{k, +i*mu} and M_{k, -i*mu},
+  that adds a term in M_{k, -i*mu} to its complex conjugate,
 * the large-argument approximation of Gamma and the resulting small-x
   cosine approximation of W with amplitude computed in log space.
 
@@ -20,9 +20,14 @@ Every operation returns an estimated error next to its value so callers
 can tell a true sign change from numerical noise.  All functions are pure;
 there is no caching or shared state.
 
+W computes the -i*mu half of the connection formula (two log-Gammas, one
+Kummer series) and takes its ``.conjugate()`` as the +i*mu half.  That is
+bit-exact: CPython's complex product and quotient, hypot, atan2, sin and
+round-to-nearest all commute with negating the imaginary part.
+
 ``whittaker_w_scaled_array`` evaluates W at one (kappa, mu) over an array
-of x, as a wavefunction profile needs: the four log-Gammas once, and the
-two Kummer series of all samples together on numpy arrays that replay
+of x, as a wavefunction profile needs: the two log-Gammas once, and the
+Kummer series of all samples together on numpy arrays that replay
 CPython's complex arithmetic operation by operation.  Its results equal
 the scalar ``whittaker_w_scaled`` calls field for field (``==``), and it
 raises the exception a loop over those calls would raise first.
@@ -38,7 +43,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    AccuracyLoss,
     ConvergenceError,
     DipoleWellError,
     DomainError,
@@ -105,9 +109,9 @@ class WhittakerM(NamedTuple):
 class WhittakerW(NamedTuple):
     """W_{kappa, i*mu}(x) = value = mantissa * exp(exponent).
 
-    ``imag_residual`` is the conjugate-pair consistency residual
-    |Im| / (1 + |Re|) of the two-term combination, measured on the
-    mantissa scale.  ``est_error`` estimates the error of ``value``
+    ``imag_residual`` is |Im| / (1 + |Re|) of the two-term combination,
+    measured on the mantissa scale; the terms are exact conjugates, so it
+    reads 0.0.  ``est_error`` estimates the error of ``value``
     (it inherits the exp overflow/underflow of the value itself).
     """
 
@@ -342,7 +346,10 @@ def kummer_m(a: complex, b: complex, x: float) -> KummerM:
         s2, ln2, est2, terms2 = _kummer_series_scaled(b - a, b, -x)
         if est2 < est:
             s, ln_scale, est, terms = s2, ln2 + x, est2, terms2
-    value = s * cmath.exp(ln_scale)
+    try:
+        value = s * cmath.exp(ln_scale)
+    except OverflowError:
+        raise ConvergenceError(f"kummer_m overflows double range (a={a}, b={b}, x={x})") from None
     return KummerM(_require_finite(value, "kummer_m"), est, terms)
 
 
@@ -377,8 +384,13 @@ def whittaker_m_imag(kappa: float, mu: float, x: float) -> WhittakerM:
     if mu == 0:
         raise DomainError("whittaker_m_imag requires mu != 0")
     log_val, est_rel = _whittaker_m_log(kappa, mu, x)
-    value = cmath.exp(log_val)
-    return WhittakerM(_require_finite(value, "whittaker_m_imag"), est_rel * abs(value))
+    try:  # the modulus of a finite value may still exceed double range
+        value = cmath.exp(log_val)
+        est = est_rel * abs(value)
+    except OverflowError:
+        raise ConvergenceError(
+            f"whittaker_m_imag overflows double range (kappa={kappa}, mu={mu}, x={x})") from None
+    return WhittakerM(_require_finite(value, "whittaker_m_imag"), est)
 
 
 def _whittaker_w_connection(kappa: float, mu: float, x: float) -> WhittakerW:
@@ -388,30 +400,27 @@ def _whittaker_w_connection(kappa: float, mu: float, x: float) -> WhittakerW:
         W = Gamma(2 i mu)/Gamma(1/2 - kappa + i mu) * M_{kappa,-i mu}
           + Gamma(-2 i mu)/Gamma(1/2 - kappa - i mu) * M_{kappa,+i mu}
 
-    Both terms are computed in log form and recombined on a shared exponent;
-    they are complex conjugates, so the result is real up to rounding.
+    The second term is the conjugate of the first, bit for bit (see the module
+    docstring), so only log M_{kappa,-i mu} is summed; the two terms are then
+    recombined in log form on a shared exponent, and their sum is real.
     """
     gammas = _connection_gammas(kappa, mu)
     lm_minus, em1 = _whittaker_m_log(kappa, -mu, x)
-    lm_plus, em2 = _whittaker_m_log(kappa, mu, x)
-    return _connection_combine(kappa, mu, x, gammas, lm_minus, em1, lm_plus, em2)
+    return _connection_combine(gammas, lm_minus, em1, lm_minus.conjugate(), em1)
 
 
 def _connection_gammas(kappa: float, mu: float) -> tuple[complex, complex, float]:
     """The x-independent part of the connection formula: the log Gamma
-    ratios of the M_{-i mu} and M_{+i mu} terms and their summed errors."""
+    ratios of the M_{-i mu} and M_{+i mu} terms and their summed errors.  The
+    second ratio is the conjugate of the first, so each error counts twice."""
     beta = 0.5 - kappa
     lg_plus, eg1 = ln_gamma_complex(complex(0.0, 2.0 * mu))
-    lg_minus, eg2 = ln_gamma_complex(complex(0.0, -2.0 * mu))
     lg_bp, eg3 = ln_gamma_complex(complex(beta, mu))
-    lg_bm, eg4 = ln_gamma_complex(complex(beta, -mu))
-    return lg_plus - lg_bp, lg_minus - lg_bm, eg1 + eg2 + eg3 + eg4
+    lr_minus = lg_plus - lg_bp
+    return lr_minus, lr_minus.conjugate(), eg1 + eg1 + eg3 + eg3
 
 
 def _connection_combine(
-    kappa: float,
-    mu: float,
-    x: float,
     gammas: tuple[complex, complex, float],
     lm_minus: complex,
     em1: float,
@@ -427,11 +436,6 @@ def _connection_combine(
 
     mantissa = mc.real
     residual = abs(mc.imag) / (1.0 + abs(mc.real))
-    if residual > 1e-8:
-        raise AccuracyLoss(
-            f"conjugate-pair realness residual {residual:.2e} at "
-            f"kappa={kappa}, mu={mu}, x={x}"
-        )
 
     # phase noise of the log pipeline maps onto the mantissa; the |T|/|W|
     # cancellation of the connection formula enters through 1/|mantissa|
@@ -502,11 +506,11 @@ def whittaker_w_scaled_array(kappa: float, mu: float, x) -> list[WhittakerW]:
 
     The result equals the scalar calls field for field, and the exception
     raised is the one the scalar loop over x would raise first, with the
-    same type and message.  The four log-Gammas are computed once and the
-    two Kummer series run over all x <= LARGE_X_SWITCH together as float64
-    arrays (see _whittaker_series_array); the log recombination and the
-    large-x route stay per sample.  Profiles pass x ascending, but any order
-    works.  Root finding (one x, many kappa) keeps the scalar function.
+    same type and message.  The two log-Gammas are computed once and the
+    Kummer series of M_{kappa,-i mu} runs over all x <= LARGE_X_SWITCH as
+    float64 arrays (see _whittaker_series_array); the conjugation, the log
+    recombination and the large-x route stay per sample.  Profiles pass x
+    ascending, but any order works.  Root finding keeps the scalar function.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
@@ -531,19 +535,15 @@ def whittaker_w_scaled_array(kappa: float, mu: float, x) -> list[WhittakerW]:
     if len(conn):
         minus = _whittaker_series_array(kappa, -mu, x[conn])
         if minus.ok < len(conn):
-            limit, pending, conn = int(conn[minus.ok]), minus.error, conn[: minus.ok]
-        plus = _whittaker_series_array(kappa, mu, x[conn])
-        if plus.ok < len(conn):
-            limit, pending = int(conn[plus.ok]), plus.error
+            limit, pending = int(conn[minus.ok]), minus.error
 
     out = []
     p = 0  # position in conn of the next connection-route sample
     for xi in x[:limit].tolist():
         if xi <= LARGE_X_SWITCH:
             lm_minus = _m_log_from_sum(-mu, xi, minus.sums[p], minus.ln_scale[p])
-            lm_plus = _m_log_from_sum(mu, xi, plus.sums[p], plus.ln_scale[p])
-            out.append(_connection_combine(
-                kappa, mu, xi, gammas, lm_minus, minus.est_rel[p], lm_plus, plus.est_rel[p]))
+            em = minus.est_rel[p]
+            out.append(_connection_combine(gammas, lm_minus, em, lm_minus.conjugate(), em))
             p += 1
         else:
             out.append(_whittaker_w_asymptotic(kappa, mu, xi))

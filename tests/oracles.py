@@ -5,8 +5,10 @@ tests: the package itself is pure double precision.  Every [frozen] constant
 in the test modules was produced by one of these functions.  The dedicated
 s-wave closed form is a second double-precision arithmetic path for the
 ell = 0 reduction identity, the one-midpoint-per-sweep Sturm bisection is
-the reference that the multisection kernel must reproduce bit for bit, and
-the numpy-scalar Thomas loop the one the oracle's Python-float solve must.
+the reference that the multisection kernel must reproduce bit for bit, the
+numpy-scalar Thomas loop the one the oracle's Python-float solve must, and
+the two-series connection-formula W the one the conjugate construction of
+W must.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 import mpmath as mp
 import numpy as np
 
+from dipolewell import special
 from dipolewell.model import PhysicalParams, derive
 
 
@@ -106,6 +109,20 @@ def reference_tridiag_solve(diag, off, rhs) -> np.ndarray:
     for i in range(n - 2, -1, -1):
         x[i] = d[i] - c[i] * x[i + 1]
     return x
+
+
+def reference_whittaker_w_connection(kappa: float, mu: float, x: float) -> special.WhittakerW:
+    """Connection-formula W with both terms computed from scratch: four
+    log-Gammas and the Kummer series of M_{kappa,-i mu}, then of M_{kappa,+i mu}."""
+    beta = 0.5 - kappa
+    lg_plus, eg1 = special.ln_gamma_complex(complex(0.0, 2.0 * mu))
+    lg_minus, eg2 = special.ln_gamma_complex(complex(0.0, -2.0 * mu))
+    lg_bp, eg3 = special.ln_gamma_complex(complex(beta, mu))
+    lg_bm, eg4 = special.ln_gamma_complex(complex(beta, -mu))
+    gammas = (lg_plus - lg_bp, lg_minus - lg_bm, eg1 + eg2 + eg3 + eg4)
+    lm_minus, em1 = special._whittaker_m_log(kappa, -mu, x)
+    lm_plus, em2 = special._whittaker_m_log(kappa, mu, x)
+    return special._connection_combine(gammas, lm_minus, em1, lm_plus, em2)
 
 
 def mp_lngamma(z: complex, dps: int = 40) -> complex:

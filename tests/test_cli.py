@@ -83,6 +83,13 @@ def test_exit_code_numerical_failure(capsys):
     code, _, err = run_cli(["validate", *DEEP, "--grid-rmax", "0.05"], capsys)
     assert code == 3
     assert "numerical failure" in err
+    # M(1; 1; 1200) = e^1200 and M_{-1e6, i}(0.5) leave double range
+    for argv in (["eval", "KummerM", "1", "0", "1", "0", "1200"],
+                 ["eval", "WhittakerM", "--", "-1e6", "1", "0.5"]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (3, ""), argv
+        assert "numerical failure: ConvergenceError" in err
+        assert "overflows double range" in err
 
 
 def test_non_finite_x_is_usage_error(capsys):

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dipolewell import special
@@ -25,6 +25,7 @@ from oracles import (
     mp_whittaker_m,
     mp_whittaker_w,
     mp_whittaker_w_mantissa,
+    reference_whittaker_w_connection,
 )
 
 # ---------------------------------------------------------------------------
@@ -194,6 +195,13 @@ def test_whittaker_m_conjugation():
     assert minus == plus.conjugate()
 
 
+def test_whittaker_m_modulus_past_double_range(monkeypatch):
+    # exp of this log is finite in both parts, but its modulus is not
+    monkeypatch.setattr(special, "_whittaker_m_log", lambda *_: (complex(709.9, 0.785), 1e-16))
+    with pytest.raises(ConvergenceError, match="whittaker_m_imag overflows double range"):
+        special.whittaker_m_imag(0.0, 1.0, 1.0)
+
+
 def test_whittaker_m_rejects_bad_domain():
     with pytest.raises(DomainError):
         special.whittaker_m_imag(0.0, 1.0, 0.0)
@@ -266,6 +274,64 @@ def test_whittaker_w_connection_vs_asymptotic_switchover():
     ref_hi = mp_whittaker_w(0.0, 1.0, 30.5)
     assert abs(lo.value - ref_lo) <= max(3 * lo.est_error, 1e-8 * abs(ref_lo))
     assert abs(hi.value - ref_hi) <= max(3 * hi.est_error, 1e-8 * abs(ref_hi))
+
+
+def _w_outcome(w, kappa, mu, x):
+    """w(kappa, mu, x), or (type, message) of the exception it raises."""
+    try:
+        return w(kappa, mu, x)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def w_points(draw):
+    """kappa, mu and x in (0, LARGE_X_SWITCH] with |beta| x <= 2e3."""
+    mu = draw(st.one_of(st.floats(0.05, 8.0), st.floats(-14.0, -2.0).map(lambda u: 10.0**u)))
+    beta = draw(st.one_of(st.floats(-5.0, 5.0), st.floats(-2.0, 6.0).map(lambda u: 10.0**u)))
+    x_max = min(special.LARGE_X_SWITCH, 2e3 / max(abs(beta), 1.0))
+    x = draw(st.floats(-8.0, 0.0).map(lambda v: x_max * 10.0**v))
+    return 0.5 - beta, mu, x
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(w_points())
+@example((-3.0, 2.5, 1.0))  # log x = 0: the zero imaginary parts carry a sign
+@example((0.5 - 1.5e5, 2.5, 0.7))  # Kummer sums rescaled by 1e-250 once ...
+@example((0.5 - 1.5e5, 2.5, 5.0))
+@example((0.5 - 1.5e5, 2.5, 29.9))  # ... and up to seven times
+@example((-3.0, 1e-6, 0.1))  # tiny mu
+@example((-3.0, 1e-13, 0.1))  # lnGamma(2 i mu) at its pole
+@example((0.5, 1.0, 0.3))  # beta = 0
+@example((3.5, 0.7, 2.0))  # beta = -3
+@example((12.5, 1e-7, 1.0))  # beta = -12 with tiny mu, x = 1
+@example((0.5 - 397350221.69136536, 3.5, 0.23194849733152514))  # the term cap
+def test_whittaker_w_conjugate_half_matches_two_series_reference(case):
+    # the +i mu half of W is the conjugate of the -i mu half, bit for bit
+    kappa, mu, x = case
+    got = _w_outcome(special.whittaker_w_scaled, kappa, mu, x)
+    assert got == _w_outcome(reference_whittaker_w_connection, kappa, mu, x)
+    if isinstance(got, special.WhittakerW):
+        assert got.imag_residual == 0.0
+
+
+def test_whittaker_w_computes_half_the_connection_formula(monkeypatch):
+    # one scalar W: lnGamma(2 i mu), lnGamma(beta + i mu) and the -i mu series
+    calls = {"ln_gamma": 0, "series": 0}
+    ln_gamma, series = special.ln_gamma_complex, special._kummer_series_scaled
+
+    def counting_ln_gamma(z):
+        calls["ln_gamma"] += 1
+        return ln_gamma(z)
+
+    def counting_series(a, b, x):
+        calls["series"] += 1
+        return series(a, b, x)
+
+    monkeypatch.setattr(special, "ln_gamma_complex", counting_ln_gamma)
+    monkeypatch.setattr(special, "_kummer_series_scaled", counting_series)
+    special.whittaker_w_scaled(-3.0, 2.5, 1e-3)
+    assert calls == {"ln_gamma": 2, "series": 1}
 
 
 def test_whittaker_w_domain_errors():

@@ -291,7 +291,7 @@ def test_radial_wavefunction_node_counts(deep_exact_levels):
 
 
 def test_radial_wavefunction_computes_log_gammas_once(deep_exact_levels, monkeypatch):
-    # the four log-Gammas of W depend on (kappa, mu) only: once per profile
+    # the two log-Gammas of W depend on (kappa, mu) only: once per profile
     calls = []
     ln_gamma = special.ln_gamma_complex
 
@@ -301,7 +301,7 @@ def test_radial_wavefunction_computes_log_gammas_once(deep_exact_levels, monkeyp
 
     monkeypatch.setattr(special, "ln_gamma_complex", counting)
     spectrum.radial_wavefunction(deep_params(), deep_exact_levels[1], r_max=0.7, samples=512)
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 def test_radial_wavefunction_tail_decay(deep_exact_levels):
