@@ -2,9 +2,9 @@
 
 Each case runs ``cli.main`` in-process on ``tests/golden/deep.cfg`` and
 compares its stdout, byte for byte, with ``tests/golden/<name>.out``.  Cases
-marked in ``LOCK_STDERR`` (the failing ones) also compare stderr with
-``tests/golden/<name>.err``, which pins the error's type, message and
-precedence; the ``validate`` summary on stderr is not locked.  After a
+marked in ``LOCK_STDERR`` (the failing ones and one warning) also compare
+stderr with ``tests/golden/<name>.err``, which pins the error's type, message
+and precedence; the ``validate`` summary on stderr is not locked.  After a
 deliberate change of output, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -30,7 +30,15 @@ CASES = [
                       "--grid-points", "600"], 0),
     ("validate", ["validate", "--config", CFG, "--nmax", "2", "--grid-points", "600"], 0),
     ("sweep_cutoff", ["sweep-cutoff", "--config", CFG, "--radii", "0.2,0.1,0.05,0.025"], 0),
+    ("sweep_cutoff_no_exact", ["sweep-cutoff", "--config", CFG, "--radii", "0.2,0.1,0.05,0.025",
+                               "--no-exact"], 0),
+    # omega = 0: the closed form still runs, exact quantization is undefined
+    ("sweep_cutoff_static", ["sweep-cutoff", "--config", CFG, "--omega", "0",
+                             "--radii", "0.2,0.1,0.05"], 0),
     ("wavefunction", ["wavefunction", "--config", CFG, "--n", "1", "--rmax", "0.7"], 0),
+    # the closed-form level misses f(R) = 0, which stderr warns about
+    ("wavefunction_asymptotic", ["wavefunction", "--config", CFG, "--n", "2",
+                                 "--route", "asymptotic", "--rmax", "0.7"], 0),
     ("potential", ["potential", "--config", CFG, "--rmin", "0.1", "--rmax", "1",
                    "--samples", "200"], 0),
     ("eval_gamma_ln", ["eval", "GammaLn", "0.5", "3"], 0),
@@ -43,10 +51,11 @@ CASES = [
     # first sample beyond the large-x switch: the asymptotic series of W diverges
     ("wavefunction_large_x_error", ["wavefunction", "--config", CFG, "--n", "1",
                                     "--rmax", "200"], 3),
-    # the default --rmax overshoots and the Kummer series hits its term cap
+    # 3x the outer turning radius as its cancelling form used to give it: far past the
+    # turning region, where the Kummer series hits its term cap
     ("wavefunction_kummer_error", ["wavefunction", "--mass", "1", "--alpha", "24.5",
                                    "--lambda", "1", "--omega", "1e-6", "--radius", "0.1",
-                                   "--n", "1"], 3),
+                                   "--n", "1", "--rmax", "7937.253933193771"], 3),
     # the scalar W of that failing sample: its -i mu Kummer series runs first
     ("eval_whittaker_w_kummer_error", ["eval", "WhittakerW", "--", "-397350221.19136536",
                                        "3.5", "0.23194849733152514"], 3),
@@ -55,8 +64,8 @@ CASES = [
                                 "--omega", "1", "--radius", "0.1", "--nmax", "3",
                                 "--route", "exact"], 0),
 ]
-LOCK_STDERR = {"wavefunction_large_x_error", "wavefunction_kummer_error",
-               "eval_whittaker_w_kummer_error"}
+LOCK_STDERR = {"wavefunction_asymptotic", "wavefunction_large_x_error",
+               "wavefunction_kummer_error", "eval_whittaker_w_kummer_error"}
 
 
 def _run(argv: list[str]) -> tuple[int, bytes, bytes]:
