@@ -266,14 +266,9 @@ def cmd_wavefunction(ns: argparse.Namespace) -> int:
         level = spectrum.quantize_exact(params, ns.n)
     else:
         level = spectrum.energy_levels_asymptotic(params, ns.n)[-1]
-        print(
-            "warning: asymptotic level does not satisfy f(R) = 0 exactly",
-            file=sys.stderr,
-        )
-    r_max = ns.rmax if ns.rmax is not None else 3.0 * oracle.outer_turning_radius(
-        params, level.energy
-    )
-    profile = spectrum.radial_wavefunction(params, level, r_max, ns.samples)
+    profile = spectrum.radial_wavefunction(params, level, ns.rmax, ns.samples)
+    if profile.boundary_warning:
+        print("warning: asymptotic level does not satisfy f(R) = 0 exactly", file=sys.stderr)
     lines = ["r,f"]
     for r, f in zip(profile.r_samples, profile.f_values):
         lines.append(f"{_fmt(float(r))},{_fmt(float(f))}")
@@ -292,20 +287,18 @@ def cmd_sweep_cutoff(ns: argparse.Namespace) -> int:
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise _UsageError("--radii must be strictly descending")
 
+    routes = (Route.ASYMPTOTIC,) if ns.no_exact else (Route.ASYMPTOTIC, Route.EXACT)
     ref = params.omega + params.energy_shift
     lines = ["R,E1_asymptotic,E1_exact,R2_binding_asymptotic,status"]
     for R in radii:
-        p_r = replace(params, cutoff_R=R)
-        status = "ok"
-        e1a = spectrum.energy_levels_asymptotic(p_r, 1)[0].energy
-        scaled = R * R * (ref - e1a)
-        e1x = ""
-        if not ns.no_exact:
-            try:
-                e1x = _fmt(spectrum.quantize_exact(p_r, 1).energy)
-            except DipoleWellError as exc:
-                status = f"exact-failed:{type(exc).__name__}"
-        lines.append(f"{_fmt(R)},{_fmt(e1a)},{e1x},{_fmt(scaled)},{status}")
+        # the closed form fails only with NoBoundStateRegime, which solve raises
+        solution = solve(replace(params, cutoff_R=R), 1, routes)
+        e1a = solution.level(Route.ASYMPTOTIC, 1).energy
+        e1x = solution.level(Route.EXACT, 1)
+        error = solution.first_error()
+        status = "ok" if error is None else f"exact-failed:{type(error).__name__}"
+        lines.append(f"{_fmt(R)},{_fmt(e1a)},{_cell(e1x.energy if e1x else None)},"
+                     f"{_fmt(R * R * (ref - e1a))},{status}")
     _write(ns.out, lines)
     return EXIT_OK
 
@@ -380,11 +373,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         print(f"{_fmt15(res.value)} {_fmt15(res.est_error)} {_fmt15(res.imag_residual)}")
     else:  # WSmallX
         approx = special.whittaker_w_smallx_approx(a[0], a[1])
-        value = approx.value(a[2])
-        # first neglected series correction sets the accuracy scale
-        rel = approx.beta * a[2] / math.hypot(1.0, 2.0 * approx.mu) + 1.0 / (24.0 * approx.mu)
-        amp = 2.0 * math.exp(approx.log_amplitude) * math.sqrt(a[2])
-        print(f"{_fmt15(value)} {_fmt15(rel * amp)}")
+        print(f"{_fmt15(approx.value(a[2]))} {_fmt15(approx.est_error(a[2]))}")
     return EXIT_OK
 
 

@@ -120,6 +120,27 @@ def effective_potential(
     return inv_sq / (r * r) + 0.5 * params.mass_m * params.omega**2 * r * r
 
 
+def outer_turning_radius(params: PhysicalParams, energy: float) -> float:
+    """Classical outer turning point of -alpha lambda^2/r^2 + m omega^2 r^2/2.
+
+    Solves m omega^2 r^4 - 2 e r^2 - 2 alpha lambda^2 = 0 for r^2, with
+    e = energy - shift.  Below zero the root is taken in the form
+    c^2 / (m omega^2 (hypot(e, c) - e)), c^2 = 2 m omega^2 alpha lambda^2,
+    which does not cancel for deep levels.  The centrifugal term is left
+    out: it only weakens the attraction, so the turning point without it
+    lies farther out.
+    """
+    if params.omega <= 0:
+        raise DomainError("outer turning point needs omega > 0")
+    al2 = params.polarizability_alpha * params.field_coupling_lambda**2
+    mw2 = params.mass_m * params.omega**2
+    e = energy - params.energy_shift
+    c = math.sqrt(2.0 * mw2 * al2)
+    if e < 0:
+        return math.sqrt(c * c / (mw2 * (math.hypot(e, c) - e)))
+    return math.sqrt((e + math.hypot(e, c)) / mw2)
+
+
 def kappa_of_energy(params: PhysicalParams, energy: float) -> float:
     """Whittaker parameter kappa = (E - shift) / (2 omega); beta = 1/2 - kappa.
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .errors import DomainError, GridTooCoarse
 from .model import PhysicalParams
 
@@ -84,7 +85,6 @@ class OracleResult:
     """Lowest eigenvalues tau (ascending) with Richardson error estimates."""
 
     eigenvalues_tau: list[float]
-    grid: RadialGridSpec
     richardson_error_estimate: list[float]
 
     def energies(self, params: PhysicalParams) -> list[float]:
@@ -317,19 +317,6 @@ def _eigenvector(diag: np.ndarray, off: np.ndarray, tau: float) -> np.ndarray:
     return v
 
 
-def outer_turning_radius(params: PhysicalParams, energy: float) -> float:
-    """Classical outer turning point of -a l^2/r^2 + m w^2 r^2/2 at the given energy."""
-    if params.omega <= 0:
-        raise DomainError("outer turning point needs omega > 0")
-    al2 = params.polarizability_alpha * params.field_coupling_lambda**2
-    mw2 = params.mass_m * params.omega**2
-    e = energy - params.energy_shift
-    r_sq = (e + math.hypot(e, math.sqrt(2.0 * mw2 * al2))) / mw2
-    if r_sq <= 0:
-        r_sq = math.sqrt(2.0 * al2 / mw2)
-    return math.sqrt(r_sq)
-
-
 def default_grid(
     params: PhysicalParams, k_levels: int, *, points: int = 2000
 ) -> RadialGridSpec:
@@ -338,7 +325,7 @@ def default_grid(
     if params.omega <= 0:
         raise DomainError("default_grid needs omega > 0; supply an explicit grid")
     e_top = params.omega * (2.0 * k_levels + 1.0) + params.energy_shift
-    r_turn = outer_turning_radius(params, e_top)
+    r_turn = model.outer_turning_radius(params, e_top)
     return RadialGridSpec(params.cutoff_R, 3.0 * r_turn, points, GridScheme.LOG_UNIFORM)
 
 
@@ -388,4 +375,4 @@ def fd_eigensolve(
                 f"eigenfunction mass {boundary_mass:.2e} within the outer 5% of the "
                 f"domain exceeds {BOUNDARY_MASS_LIMIT:.0e}; increase r_max"
             )
-    return OracleResult(taus, grid, ests)
+    return OracleResult(taus, ests)

@@ -80,9 +80,10 @@ def _attempt(run: Callable[[], object]) -> object:
 
 
 def _oracle_levels(
-    params: PhysicalParams, n_max: int, grid: Callable[[], RadialGridSpec]
+    params: PhysicalParams, n_max: int, grid: Callable[[], RadialGridSpec] | None
 ) -> list[Outcome]:
-    result = oracle.fd_eigensolve(params, grid(), n_max)
+    spec = oracle.default_grid(params, n_max) if grid is None else grid()
+    result = oracle.fd_eigensolve(params, spec, n_max)
     levels: list[Outcome] = []
     for n, (energy, richardson) in enumerate(
         zip(result.energies(params), result.richardson_error_estimate), start=1
@@ -97,25 +98,26 @@ def solve(
     params: PhysicalParams,
     n_max: int,
     routes,
-    grid: Callable[[], RadialGridSpec],
+    grid: Callable[[], RadialGridSpec] | None = None,
     *,
     x0_admissible: float = X0_ADMISSIBLE_DEFAULT,
     beta_min: float = BETA_MIN_DEFAULT,
 ) -> Solution:
     """Run the requested routes (a collection of Route) for n = 1..n_max.
 
-    grid builds the oracle's RadialGridSpec.  It is called only when the
-    oracle route runs, so a failure to build the grid is recorded as the
-    oracle's.
+    grid builds the oracle's RadialGridSpec (default: oracle.default_grid).
+    It is called only when the oracle route runs, so a failure to build the
+    grid is recorded as the oracle's.  x0_admissible and beta_min set the
+    closed form's regime flags.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    kw = {"x0_admissible": x0_admissible, "beta_min": beta_min}
     runs = {
-        Route.ASYMPTOTIC: lambda: spectrum.energy_levels_asymptotic(params, n_max, **kw),
+        Route.ASYMPTOTIC: lambda: spectrum.energy_levels_asymptotic(
+            params, n_max, x0_admissible=x0_admissible, beta_min=beta_min
+        ),
         Route.EXACT: lambda: [
-            _attempt(lambda: spectrum.quantize_exact(params, n, **kw))
-            for n in range(1, n_max + 1)
+            _attempt(lambda: spectrum.quantize_exact(params, n)) for n in range(1, n_max + 1)
         ],
         Route.ORACLE: lambda: _oracle_levels(params, n_max, grid),
     }

@@ -613,6 +613,14 @@ class SmallXApprox:
             raise DomainError("scaled_value requires finite x > 0")
         return 2.0 * math.cos(self.phase(x)), self.log_amplitude + 0.5 * math.log(x)
 
+    def est_error(self, x: float) -> float:
+        """Accuracy scale of value(x): the first neglected series correction
+        times the envelope 2 A sqrt(x)."""
+        if not 0.0 < x < math.inf:
+            raise DomainError("est_error requires finite x > 0")
+        rel = self.beta * x / math.hypot(1.0, 2.0 * self.mu) + 1.0 / (24.0 * self.mu)
+        return rel * (2.0 * math.exp(self.log_amplitude) * math.sqrt(x))
+
     def zeros_in(self, x_lo: float, x_hi: float) -> list[float]:
         """Zeros of the cosine form inside [x_lo, x_hi], ascending."""
         if not 0.0 < x_lo < x_hi < math.inf:
@@ -627,24 +635,18 @@ class SmallXApprox:
         return sorted(out)
 
 
-def whittaker_w_smallx_approx(
-    kappa: float, mu: float, *, allow_shallow: bool = False
-) -> SmallXApprox:
+def whittaker_w_smallx_approx(kappa: float, mu: float) -> SmallXApprox:
     """Construct the small-x cosine approximation of W_{kappa, i*mu}.
 
-    Requires beta = 1/2 - kappa >= 10 (the large-beta regime); pass
-    allow_shallow=True to override and accept reduced accuracy.
+    Requires beta = 1/2 - kappa >= 10 (the large-beta regime).
     """
     if mu <= 0:
         raise DomainError("whittaker_w_smallx_approx requires mu > 0")
     beta = 0.5 - kappa
     if beta <= 0:
         raise DomainError("whittaker_w_smallx_approx requires beta = 1/2 - kappa > 0")
-    if beta < 10.0 and not allow_shallow:
-        raise RegimeError(
-            f"beta = {beta:.3g} < 10: cosine approximation unreliable "
-            "(pass allow_shallow=True to force)"
-        )
+    if beta < 10.0:
+        raise RegimeError(f"beta = {beta:.3g} < 10: cosine approximation unreliable")
     log_amplitude = (
         -mu * math.pi
         + beta

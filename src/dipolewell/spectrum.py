@@ -25,7 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, DomainError
-from .model import DerivedParams, PhysicalParams, derive, energy_of_kappa, kappa_of_energy
+from .model import (
+    DerivedParams, PhysicalParams, derive, energy_of_kappa, kappa_of_energy, outer_turning_radius
+)
 from .special import whittaker_w_scaled, whittaker_w_scaled_array
 
 X0_ADMISSIBLE_DEFAULT = 0.01
@@ -70,8 +72,10 @@ class EnergyLevel:
     """One bound state: level index n >= 1, energy, producing route.
 
     kappa is None when omega = 0 (the kappa map is undefined there).
-    extra_sign_changes flags additional W sign changes seen inside the
-    final bracket window of the exact route (reported, not interpreted).
+    regime holds the validity flags of a closed-form level (None on the
+    other routes).  extra_sign_changes flags additional W sign changes seen
+    inside the final bracket window of the exact route (reported, not
+    interpreted).
     """
 
     n: int
@@ -102,13 +106,6 @@ def _binding(params: PhysicalParams, d: DerivedParams, n: int) -> float:
     return coef * math.exp(math.pi / (2.0 * lam) - 2.0) * math.exp(-2.0 * math.pi * n / lam)
 
 
-def _regime_flags(
-    x0: float, beta_n: float | None, x0_admissible: float, beta_min: float
-) -> RegimeFlags:
-    beta_ok = True if beta_n is None else beta_n >= beta_min
-    return RegimeFlags(x0 < x0_admissible, beta_ok)
-
-
 def energy_levels_asymptotic(
     params: PhysicalParams,
     n_max: int,
@@ -131,8 +128,7 @@ def energy_levels_asymptotic(
         b = _binding(params, d, n)
         energy = params.omega + d.energy_shift_pz - b
         kappa = kappa_of_energy(params, energy) if params.omega > 0 else None
-        beta_n = None if kappa is None else 0.5 - kappa
-        flags = _regime_flags(d.x0, beta_n, x0_admissible, beta_min)
+        flags = RegimeFlags(d.x0 < x0_admissible, kappa is None or 0.5 - kappa >= beta_min)
         # double rounding of the exp-ladder: ~couple of ulp on the binding
         est = 8.0 * np.finfo(float).eps * b
         levels.append(EnergyLevel(n, params.ell, energy, Route.ASYMPTOTIC, kappa, est, flags))
@@ -143,14 +139,7 @@ def _mantissa_at_beta(beta: float, mu: float, x0: float) -> float:
     return whittaker_w_scaled(0.5 - beta, mu, x0).mantissa
 
 
-def quantize_exact(
-    params: PhysicalParams,
-    n: int,
-    *,
-    max_window: float | None = None,
-    x0_admissible: float = X0_ADMISSIBLE_DEFAULT,
-    beta_min: float = BETA_MIN_DEFAULT,
-) -> EnergyLevel:
+def quantize_exact(params: PhysicalParams, n: int) -> EnergyLevel:
     """Exact level n: root of W_{kappa, i mu}(x0) = 0 nearest the closed form.
 
     Brackets beta = 1/2 - kappa inside an expanding multiplicative window
@@ -175,7 +164,7 @@ def quantize_exact(
         )
     # stay well inside the current branch: neighbors sit at factors e^{+-2pi/Lambda}
     gap = 1.0 - math.exp(-2.0 * math.pi / d.Lambda)
-    window_cap = max_window if max_window is not None else min(0.35, 0.45 * gap)
+    window_cap = min(0.35, 0.45 * gap)
 
     f_hat = _mantissa_at_beta(beta_hat, mu, x0)
     lo = hi = beta_hat
@@ -231,10 +220,8 @@ def quantize_exact(
     noise_width = abs(w_root.est_error) if w_root.value != 0 else 0.0
     est_kappa = 0.5 * (b_hi - b_lo) + noise_width / slope_scale
     est = 2.0 * params.omega * est_kappa
-
-    flags = _regime_flags(x0, beta_root, x0_admissible, beta_min)
     return EnergyLevel(
-        n, params.ell, energy, Route.EXACT, kappa_root, est, flags, extra_sign_changes=extra
+        n, params.ell, energy, Route.EXACT, kappa_root, est, extra_sign_changes=extra
     )
 
 
@@ -250,17 +237,18 @@ class RadialProfile:
 
     r_samples: np.ndarray
     f_values: np.ndarray
-    route: Route = Route.EXACT
     boundary_warning: bool = False
 
 
 def radial_wavefunction(
     params: PhysicalParams,
     level: EnergyLevel,
-    r_max: float,
+    r_max: float | None = None,
     samples: int = 512,
 ) -> RadialProfile:
     """Sample f(r) on a uniform grid in [R, r_max] and normalize to max|f| = 1.
+
+    r_max defaults to 3x the level's outer turning radius (model).
 
     Evaluates W in scaled form on a shared exponent, so profiles of deeply
     bound levels (where W itself underflows) stay representable; all
@@ -271,6 +259,8 @@ def radial_wavefunction(
     """
     if params.omega <= 0:
         raise DomainError("radial_wavefunction requires omega > 0")
+    if r_max is None:
+        r_max = 3.0 * outer_turning_radius(params, level.energy)
     if r_max <= params.cutoff_R:
         raise DomainError("r_max must exceed the cut-off radius")
     if samples < 2:
@@ -290,4 +280,4 @@ def radial_wavefunction(
     if peak == 0.0 or not math.isfinite(peak):
         raise DomainError("wavefunction vanished or overflowed on the whole grid")
     f /= peak
-    return RadialProfile(r, f, level.route, boundary_warning=level.route is not Route.EXACT)
+    return RadialProfile(r, f, boundary_warning=level.route is not Route.EXACT)

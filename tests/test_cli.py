@@ -335,6 +335,19 @@ def test_eval_smallx(capsys):
 # ---------------------------------------------------------------------------
 
 
+def test_wavefunction_default_rmax_of_deep_level(capsys):
+    # E1 = -794.7: 3x the outer turning radius is r = 0.527, past the single lobe
+    argv = ["wavefunction", "--mass", "1", "--alpha", "24.5", "--lambda", "1",
+            "--omega", "1e-6", "--radius", "0.1", "--n", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    rows = [[float(c) for c in ln.split(",")] for ln in out.strip().split("\n")[1:]]
+    assert rows[0] == [0.1, 0.0]
+    assert 0.52 < rows[-1][0] < 0.53
+    f = [v for _, v in rows[1:] if v != 0.0]
+    assert f and all(math.copysign(1.0, v) == math.copysign(1.0, f[0]) for v in f)
+
+
 def test_wavefunction_csv(capsys):
     argv = ["wavefunction", *DEEP, "--n", "1", "--rmax", "0.6", "--samples", "50"]
     code, out, _ = run_cli(argv, capsys)

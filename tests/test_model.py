@@ -126,6 +126,30 @@ def test_effective_potential_centrifugal_minimum():
     assert abs(v_prime) < 1e-8
 
 
+def test_outer_turning_radius_of_deep_level():
+    # deep.cfg at E = -1e8: r^2 -> alpha lambda^2 / |E|, where e + hypot(e, c) cancels
+    r = model.outer_turning_radius(make_params(), -1e8)
+    assert math.isclose(r, 3.5355339059327e-4, rel_tol=1e-12)
+    # the radius does not depend on the cut-off; a smaller one lets V be evaluated there
+    v = model.effective_potential(make_params(cutoff_R=1e-6), r)
+    assert math.isclose(v, -1e8, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("energy", [-1e8, -794.7, -1.0, -1e-9, 0.0, 1e-9, 3e-3, 5.0])
+def test_outer_turning_radius_is_the_outer_root(energy):
+    p = make_params(p_z=0.3, cutoff_R=1e-6)
+    r = model.outer_turning_radius(p, energy + p.energy_shift)
+    v = model.effective_potential(p, r)
+    assert math.isclose(v, energy, rel_tol=1e-12, abs_tol=1e-12)
+    # the outer root: the potential rises through the energy there
+    assert model.effective_potential(p, 1.001 * r) > v
+
+
+def test_outer_turning_radius_rejects_zero_omega():
+    with pytest.raises(DomainError):
+        model.outer_turning_radius(make_params(omega=0.0), -1.0)
+
+
 def test_kappa_map_basics():
     p = make_params(omega=0.5)
     assert kappa_of_energy(p, 0.0) == 0.0

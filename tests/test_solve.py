@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from dipolewell import oracle, spectrum
+from dipolewell import spectrum
 from dipolewell.errors import DomainError, NoBoundStateRegime
 from dipolewell.model import PhysicalParams
 from dipolewell.solve import ROUTES, solve
@@ -30,6 +30,7 @@ def test_solve_levels_match_the_routes():
     assert sol.level(Route.ORACLE, 1) is None
     for n in (1, 2):
         assert sol.level(Route.EXACT, n) == spectrum.quantize_exact(p, n)
+        assert sol.level(Route.EXACT, n).regime is None  # flags are the closed form's
         assert sol.level(Route.ASYMPTOTIC, n) == spectrum.energy_levels_asymptotic(p, 2)[n - 1]
         assert sol.flags(n) == []
 
@@ -51,7 +52,7 @@ def test_solve_records_failures_per_route():
     # omega = 0: the closed form still works, the exact route and the default
     # oracle grid both need omega > 0
     p = deep_params(omega=0.0)
-    sol = solve(p, 2, ROUTES, lambda: oracle.default_grid(p, 2))
+    sol = solve(p, 2, ROUTES)
     assert sol.level(Route.ASYMPTOTIC, 2) is not None
     errors = [sol.outcomes[Route.EXACT][0], sol.outcomes[Route.ORACLE][0]]
     assert all(isinstance(e, DomainError) for e in errors)

@@ -518,8 +518,7 @@ def test_smallx_log_amplitude_formula():
 def test_smallx_regime_gate():
     with pytest.raises(RegimeError):
         special.whittaker_w_smallx_approx(0.5 - 5.0, 2.5)
-    approx = special.whittaker_w_smallx_approx(0.5 - 5.0, 2.5, allow_shallow=True)
-    assert approx.beta == 5.0
+    assert special.whittaker_w_smallx_approx(0.5 - 10.0, 2.5).beta == 10.0
 
 
 def test_smallx_rejects_non_finite_x():
@@ -527,6 +526,8 @@ def test_smallx_rejects_non_finite_x():
     for x in (math.nan, math.inf):
         with pytest.raises(DomainError):
             approx.value(x)
+        with pytest.raises(DomainError):
+            approx.est_error(x)
     with pytest.raises(DomainError):
         approx.zeros_in(1e-7, math.inf)
 

@@ -252,9 +252,11 @@ def test_quantize_exact_gap_direction_across_lambda():
         )
 
 
-def test_quantize_exact_bracket_error_when_window_too_small():
+def test_quantize_exact_bracket_error_when_window_too_small(monkeypatch):
+    # a W without a sign change anywhere in the window: no bracket to bisect
+    monkeypatch.setattr(spectrum, "_mantissa_at_beta", lambda beta, mu, x0: 1.0)
     with pytest.raises(BracketError):
-        spectrum.quantize_exact(deep_params(), 1, max_window=0.002)
+        spectrum.quantize_exact(deep_params(), 1)
 
 
 def test_quantize_exact_requires_positive_omega():
