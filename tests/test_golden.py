@@ -29,6 +29,9 @@ CASES = [
     ("spectrum_all", ["spectrum", "--config", CFG, "--nmax", "3", "--route", "all",
                       "--grid-points", "600"], 0),
     ("validate", ["validate", "--config", CFG, "--nmax", "2", "--grid-points", "600"], 0),
+    # thresholds that fail both regime flags, x0_admissible first
+    ("validate_thresholds", ["validate", "--config", CFG, "--nmax", "2", "--grid-points", "600",
+                             "--x0-threshold", "1e-6", "--beta-min", "1e5"], 0),
     ("sweep_cutoff", ["sweep-cutoff", "--config", CFG, "--radii", "0.2,0.1,0.05,0.025"], 0),
     ("sweep_cutoff_no_exact", ["sweep-cutoff", "--config", CFG, "--radii", "0.2,0.1,0.05,0.025",
                                "--no-exact"], 0),
