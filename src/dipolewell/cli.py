@@ -22,7 +22,7 @@ from . import model, oracle, spectrum
 from .errors import DipoleWellError, DomainError, NoBoundStateRegime
 from .model import PhysicalParams
 from .oracle import GridScheme, RadialGridSpec
-from .solve import ROUTES, solve
+from .solve import BETA_MIN_DEFAULT, ROUTES, X0_ADMISSIBLE_DEFAULT, solve
 from .spectrum import EnergyLevel, Route
 
 EXIT_OK = 0
@@ -59,12 +59,13 @@ def _fmt15(x: float) -> str:
 
 def _bounded(kind: type, low: float, *, strict: bool = False):
     """argparse type: a finite `kind` >= low (> low when strict)."""
+    bound = f" {'>' if strict else '>='} {low}" if low > -math.inf else ""
 
     def parse(text: str):
         value = kind(text)
         if not math.isfinite(value) or value < low or (strict and value == low):
             raise argparse.ArgumentTypeError(
-                f"expected a finite {kind.__name__} {'>' if strict else '>='} {low}, got {text}"
+                f"expected a finite {kind.__name__}{bound}, got {text}"
             )
         return value
 
@@ -72,6 +73,7 @@ def _bounded(kind: type, low: float, *, strict: bool = False):
     return parse
 
 
+_FINITE = _bounded(float, -math.inf)
 _POSITIVE = _bounded(float, 0.0, strict=True)
 _COUNT = _bounded(int, 1)
 _SAMPLES = _bounded(int, 2)
@@ -91,12 +93,6 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solve_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--x0-threshold", type=_POSITIVE, default=spectrum.X0_ADMISSIBLE_DEFAULT,
-                   help="x0 smallness threshold for regime flags (default %(default)s)")
-    p.add_argument("--beta-min", type=_POSITIVE, default=spectrum.BETA_MIN_DEFAULT,
-                   help="minimum beta for the deep regime flag (default %(default)s)")
-    p.add_argument("--compare-tol", type=_POSITIVE, default=0.05,
-                   help="cross-route agreement tolerance in validate (default %(default)s)")
     p.add_argument("--grid-points", type=_GRID_POINTS, default=2000,
                    help="interior grid points for the numeric oracle (default %(default)s)")
     p.add_argument("--grid-rmax", type=_POSITIVE, default=None,
@@ -128,12 +124,18 @@ def build_parser() -> _Parser:
     _add_param_flags(va)
     _add_solve_flags(va)
     va.add_argument("--nmax", type=_COUNT, default=2)
+    va.add_argument("--x0-threshold", type=_POSITIVE, default=X0_ADMISSIBLE_DEFAULT,
+                    help="x0 smallness threshold for regime flags (default %(default)s)")
+    va.add_argument("--beta-min", type=_POSITIVE, default=BETA_MIN_DEFAULT,
+                    help="minimum beta for the deep regime flag (default %(default)s)")
+    va.add_argument("--compare-tol", type=_POSITIVE, default=0.05,
+                    help="exact-oracle agreement tolerance (default %(default)s)")
 
     wf = sub.add_parser("wavefunction", help="sample the radial wavefunction of one level")
     _add_param_flags(wf)
     wf.add_argument("--n", type=_COUNT, default=1, help="level index (default %(default)s)")
     wf.add_argument("--route", choices=["exact", "asymptotic"], default="exact")
-    wf.add_argument("--rmax", type=float, default=None,
+    wf.add_argument("--rmax", type=_POSITIVE, default=None,
                     help="sampling range end (default: 3x outer turning point)")
     wf.add_argument("--samples", type=_SAMPLES, default=512)
 
@@ -147,8 +149,8 @@ def build_parser() -> _Parser:
     po = sub.add_parser("potential", help="tabulate the effective potential")
     _add_param_flags(po)
     po.add_argument("--r", default=None, help="comma-separated radii")
-    po.add_argument("--rmin", type=float, default=None)
-    po.add_argument("--rmax", type=float, default=None)
+    po.add_argument("--rmin", type=_FINITE, default=None)
+    po.add_argument("--rmax", type=_FINITE, default=None)
     po.add_argument("--samples", type=_SAMPLES, default=200)
     po.add_argument("--with-centrifugal", action="store_true",
                     help="add the ell^2/(2 m r^2) column")
@@ -211,10 +213,7 @@ def _level_row(level: EnergyLevel) -> str:
 def cmd_spectrum(ns: argparse.Namespace) -> int:
     params = _build_params(ns)
     routes = ROUTES if ns.route == "all" else (Route(ns.route),)
-    solution = solve(
-        params, ns.nmax, routes, lambda: _grid_from_flags(ns, params, ns.nmax),
-        x0_admissible=ns.x0_threshold, beta_min=ns.beta_min,
-    )
+    solution = solve(params, ns.nmax, routes, lambda: _grid_from_flags(ns, params, ns.nmax))
     error = solution.first_error()
     if error is not None:
         raise error
@@ -230,14 +229,11 @@ def cmd_validate(ns: argparse.Namespace) -> int:
     if params.omega <= 0:
         raise DomainError("validate requires omega > 0 (all three routes defined)")
     grid = _grid_from_flags(ns, params, ns.nmax)  # bad grid flags fail before any route runs
-    solution = solve(
-        params, ns.nmax, ROUTES, lambda: grid,
-        x0_admissible=ns.x0_threshold, beta_min=ns.beta_min,
-    )
+    solution = solve(params, ns.nmax, ROUTES, lambda: grid)
     lines = [VALIDATE_HEADER]
     regime_ok = True
     for n in range(1, ns.nmax + 1):
-        flags = solution.flags(n)
+        flags = solution.flags(n, x0_admissible=ns.x0_threshold, beta_min=ns.beta_min)
         regime_ok = regime_ok and not flags
         levels = [solution.level(route, n) for route in ROUTES]
         cells = [_cell(None if lv is None else lv.energy) for lv in levels] + [
@@ -315,8 +311,8 @@ def cmd_potential(ns: argparse.Namespace) -> int:
     else:
         lo = ns.rmin if ns.rmin is not None else params.cutoff_R
         hi = ns.rmax if ns.rmax is not None else 10.0 * params.cutoff_R
-        if not lo < hi:
-            raise _UsageError("need rmin < rmax")
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise _UsageError("need rmin < rmax a finite distance apart")
         step = (hi - lo) / (ns.samples - 1)
         radii = [lo + i * step for i in range(ns.samples)]
 
@@ -370,7 +366,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         print(f"{_fmt15(res.value.real)} {_fmt15(res.value.imag)} {_fmt15(res.est_error)}")
     elif ns.kind == "WhittakerW":
         res = special.whittaker_w_scaled(a[0], a[1], a[2])
-        print(f"{_fmt15(res.value)} {_fmt15(res.est_error)} {_fmt15(res.imag_residual)}")
+        print(f"{_fmt15(res.value)} {_fmt15(res.est_error)}")
     else:  # WSmallX
         approx = special.whittaker_w_smallx_approx(a[0], a[1])
         print(f"{_fmt15(approx.value(a[2]))} {_fmt15(approx.est_error(a[2]))}")

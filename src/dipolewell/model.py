@@ -75,17 +75,15 @@ class DerivedParams:
     Lambda          sqrt(2 m alpha lambda^2 - ell^2)  (> 0 in the bound regime)
     mu              Lambda / 2, the imaginary order of the Whittaker functions
     x0              m omega R^2, the cut-off in the oscillator variable x = m omega r^2
-    energy_shift_pz p_z^2/(2m), rigid additive offset of every level
     """
 
     Lambda: float
     mu: float
     x0: float
-    energy_shift_pz: float
 
 
 def derive(params: PhysicalParams) -> DerivedParams:
-    """Derive (Lambda, mu, x0, shift) from the physical inputs.
+    """Derive (Lambda, mu, x0) from the physical inputs.
 
     Raises NoBoundStateRegime when ell^2 >= 2 m alpha lambda^2, where the
     imaginary-order solution family (and the closed-form spectrum) ceases
@@ -101,7 +99,7 @@ def derive(params: PhysicalParams) -> DerivedParams:
         )
     Lambda = math.sqrt(lam_sq)
     x0 = params.mass_m * params.omega * params.cutoff_R**2
-    return DerivedParams(Lambda, 0.5 * Lambda, x0, params.energy_shift)
+    return DerivedParams(Lambda, 0.5 * Lambda, x0)
 
 
 def effective_potential(

@@ -17,11 +17,15 @@ from typing import Callable, Union
 
 from . import oracle, spectrum
 from .errors import DipoleWellError, DomainError, NoBoundStateRegime
-from .model import PhysicalParams, kappa_of_energy
+from .model import PhysicalParams, derive, kappa_of_energy
 from .oracle import RadialGridSpec
-from .spectrum import BETA_MIN_DEFAULT, X0_ADMISSIBLE_DEFAULT, EnergyLevel, Route
+from .spectrum import EnergyLevel, Route
 
 ROUTES = (Route.ASYMPTOTIC, Route.EXACT, Route.ORACLE)
+# the closed form is trusted where x0 = m omega R^2 < X0_ADMISSIBLE_DEFAULT
+# and beta_n = 1/2 - kappa_n >= BETA_MIN_DEFAULT
+X0_ADMISSIBLE_DEFAULT = 0.01
+BETA_MIN_DEFAULT = 10.0
 
 Outcome = Union[EnergyLevel, DipoleWellError]
 
@@ -45,15 +49,26 @@ class Solution:
                   if isinstance(o, DipoleWellError))
         return next(errors, None)
 
-    def flags(self, n: int) -> list[str]:
-        """Closed-form regime failures of level n, then absent:<route>:<error>."""
+    def flags(
+        self,
+        n: int,
+        *,
+        x0_admissible: float = X0_ADMISSIBLE_DEFAULT,
+        beta_min: float = BETA_MIN_DEFAULT,
+    ) -> list[str]:
+        """Closed-form regime failures of level n (x0_admissible when x0 is not
+        below x0_admissible, beta_min when beta_n is below beta_min), then
+        absent:<route>:<error> in route order."""
         flags = []
         for route, outs in self.outcomes.items():
             out = outs[n - 1]
             if isinstance(out, DipoleWellError):
                 flags.append(f"absent:{route}:{type(out).__name__}")
             elif route is Route.ASYMPTOTIC:
-                flags.extend(out.regime.failures())
+                if not derive(self.params).x0 < x0_admissible:
+                    flags.append("x0_admissible")
+                if not (out.kappa is None or 0.5 - out.kappa >= beta_min):
+                    flags.append("beta_min")
         return flags
 
     def rel_gap(self, n: int, a: Route, b: Route) -> float | None:
@@ -99,23 +114,17 @@ def solve(
     n_max: int,
     routes,
     grid: Callable[[], RadialGridSpec] | None = None,
-    *,
-    x0_admissible: float = X0_ADMISSIBLE_DEFAULT,
-    beta_min: float = BETA_MIN_DEFAULT,
 ) -> Solution:
     """Run the requested routes (a collection of Route) for n = 1..n_max.
 
     grid builds the oracle's RadialGridSpec (default: oracle.default_grid).
     It is called only when the oracle route runs, so a failure to build the
-    grid is recorded as the oracle's.  x0_admissible and beta_min set the
-    closed form's regime flags.
+    grid is recorded as the oracle's.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     runs = {
-        Route.ASYMPTOTIC: lambda: spectrum.energy_levels_asymptotic(
-            params, n_max, x0_admissible=x0_admissible, beta_min=beta_min
-        ),
+        Route.ASYMPTOTIC: lambda: spectrum.energy_levels_asymptotic(params, n_max),
         Route.EXACT: lambda: [
             _attempt(lambda: spectrum.quantize_exact(params, n)) for n in range(1, n_max + 1)
         ],

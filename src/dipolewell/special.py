@@ -20,10 +20,10 @@ Every operation returns an estimated error next to its value so callers
 can tell a true sign change from numerical noise.  All functions are pure;
 there is no caching or shared state.
 
-W computes the -i*mu half of the connection formula (two log-Gammas, one
-Kummer series) and takes its ``.conjugate()`` as the +i*mu half.  That is
-bit-exact: CPython's complex product and quotient, hypot, atan2, sin and
-round-to-nearest all commute with negating the imaginary part.
+W computes only the -i*mu term T of the connection formula (two
+log-Gammas, one Kummer series).  The +i*mu term is its complex conjugate, so
+W = T + conj(T) = 2|T| cos(arg T) is real: the exponent is Re log T and the
+mantissa 2 cos(Im log T).
 
 ``whittaker_w_scaled_array`` evaluates W at one (kappa, mu) over an array
 of x, as a wavefunction profile needs: the two log-Gammas once, and the
@@ -109,17 +109,14 @@ class WhittakerM(NamedTuple):
 class WhittakerW(NamedTuple):
     """W_{kappa, i*mu}(x) = value = mantissa * exp(exponent).
 
-    ``imag_residual`` is |Im| / (1 + |Re|) of the two-term combination,
-    measured on the mantissa scale; the terms are exact conjugates, so it
-    reads 0.0.  ``est_error`` estimates the error of ``value``
-    (it inherits the exp overflow/underflow of the value itself).
+    ``est_error`` estimates the error of ``value`` (it inherits the exp
+    overflow/underflow of the value itself).
     """
 
     value: float
     est_error: float
     mantissa: float
     exponent: float
-    imag_residual: float
 
 
 class GammaAsym(NamedTuple):
@@ -393,58 +390,40 @@ def whittaker_m_imag(kappa: float, mu: float, x: float) -> WhittakerM:
     return WhittakerM(_require_finite(value, "whittaker_m_imag"), est)
 
 
-def _whittaker_w_connection(kappa: float, mu: float, x: float) -> WhittakerW:
-    """Connection-formula route, exact for all x > 0 but cancellation-limited
-    for large x:
-
-        W = Gamma(2 i mu)/Gamma(1/2 - kappa + i mu) * M_{kappa,-i mu}
-          + Gamma(-2 i mu)/Gamma(1/2 - kappa - i mu) * M_{kappa,+i mu}
-
-    The second term is the conjugate of the first, bit for bit (see the module
-    docstring), so only log M_{kappa,-i mu} is summed; the two terms are then
-    recombined in log form on a shared exponent, and their sum is real.
-    """
-    gammas = _connection_gammas(kappa, mu)
-    lm_minus, em1 = _whittaker_m_log(kappa, -mu, x)
-    return _connection_combine(gammas, lm_minus, em1, lm_minus.conjugate(), em1)
-
-
-def _connection_gammas(kappa: float, mu: float) -> tuple[complex, complex, float]:
-    """The x-independent part of the connection formula: the log Gamma
-    ratios of the M_{-i mu} and M_{+i mu} terms and their summed errors.  The
-    second ratio is the conjugate of the first, so each error counts twice."""
+def _connection_gammas(kappa: float, mu: float) -> tuple[complex, float]:
+    """The x-independent part of the connection formula: the log Gamma ratio
+    of the M_{kappa,-i mu} term and the summed error of both terms' ratios
+    (the +i mu ratio is its conjugate, so each error counts twice)."""
     beta = 0.5 - kappa
     lg_plus, eg1 = ln_gamma_complex(complex(0.0, 2.0 * mu))
     lg_bp, eg3 = ln_gamma_complex(complex(beta, mu))
-    lr_minus = lg_plus - lg_bp
-    return lr_minus, lr_minus.conjugate(), eg1 + eg1 + eg3 + eg3
+    return lg_plus - lg_bp, eg1 + eg1 + eg3 + eg3
 
 
-def _connection_combine(
-    gammas: tuple[complex, complex, float],
-    lm_minus: complex,
-    em1: float,
-    lm_plus: complex,
-    em2: float,
+def _connection_w(
+    gammas: tuple[complex, float], mu: float, x: float, s: complex, ln_scale: float, em: float
 ) -> WhittakerW:
-    """Recombine the two connection-formula terms from log M_{-+ i mu}(x)."""
-    lr_minus, lr_plus, eg = gammas
-    log_t1 = lr_minus + lm_minus
-    log_t2 = lr_plus + lm_plus
-    exponent = max(log_t1.real, log_t2.real)
-    mc = cmath.exp(log_t1 - exponent) + cmath.exp(log_t2 - exponent)
+    """Connection-formula W from the Kummer sum s * exp(ln_scale) of
+    M_{kappa,-i mu}(x) and its relative error em; exact for all x > 0 but
+    cancellation-limited for large x:
 
-    mantissa = mc.real
-    residual = abs(mc.imag) / (1.0 + abs(mc.real))
+        W = T + conj(T),  T = Gamma(2 i mu)/Gamma(1/2 - kappa + i mu) * M_{kappa,-i mu}
+
+    so with log T = exponent + i phi, W = 2 cos(phi) exp(exponent).
+    """
+    lr, eg = gammas
+    log_t = lr + _m_log_from_sum(-mu, x, s, ln_scale)
+    exponent = log_t.real
+    mantissa = 2.0 * math.cos(log_t.imag)
 
     # phase noise of the log pipeline maps onto the mantissa; the |T|/|W|
     # cancellation of the connection formula enters through 1/|mantissa|
-    phase_noise = _TWO_EPS * (abs(log_t1) + abs(log_t2)) + 2.0 * (em1 + em2)
+    phase_noise = 2.0 * _TWO_EPS * abs(log_t) + 4.0 * em
     mantissa_err = 2.0 * phase_noise + 4.0 * _TWO_EPS
     value = mantissa * math.exp(exponent) if exponent < 709.0 else math.inf * mantissa
     est = mantissa_err * math.exp(min(exponent, 709.0))
     est += eg * abs(value)
-    return WhittakerW(value, est, mantissa, exponent, residual)
+    return WhittakerW(value, est, mantissa, exponent)
 
 
 def _whittaker_w_asymptotic(kappa: float, mu: float, x: float) -> WhittakerW:
@@ -480,7 +459,7 @@ def _whittaker_w_asymptotic(kappa: float, mu: float, x: float) -> WhittakerW:
         )
     exponent = -0.5 * x + kappa * math.log(x)
     value = total * math.exp(exponent) if exponent < 709.0 else math.inf * total
-    return WhittakerW(value, est_rel * abs(value), total, exponent, 0.0)
+    return WhittakerW(value, est_rel * abs(value), total, exponent)
 
 
 def whittaker_w_scaled(kappa: float, mu: float, x: float) -> WhittakerW:
@@ -496,9 +475,12 @@ def whittaker_w_scaled(kappa: float, mu: float, x: float) -> WhittakerW:
         raise DomainError("whittaker_w requires finite x > 0")
     if mu <= 0:
         raise DomainError("whittaker_w requires mu > 0")
-    if x <= LARGE_X_SWITCH:
-        return _whittaker_w_connection(kappa, mu, x)
-    return _whittaker_w_asymptotic(kappa, mu, x)
+    if x > LARGE_X_SWITCH:
+        return _whittaker_w_asymptotic(kappa, mu, x)
+    gammas = _connection_gammas(kappa, mu)
+    a, b = complex(0.5 - kappa, -mu), complex(1.0, -2.0 * mu)  # M_{kappa,-i mu}
+    s, ln_scale, em, _ = _kummer_series_scaled(a, b, x)
+    return _connection_w(gammas, mu, x, s, ln_scale, em)
 
 
 def whittaker_w_scaled_array(kappa: float, mu: float, x) -> list[WhittakerW]:
@@ -508,8 +490,8 @@ def whittaker_w_scaled_array(kappa: float, mu: float, x) -> list[WhittakerW]:
     raised is the one the scalar loop over x would raise first, with the
     same type and message.  The two log-Gammas are computed once and the
     Kummer series of M_{kappa,-i mu} runs over all x <= LARGE_X_SWITCH as
-    float64 arrays (see _whittaker_series_array); the conjugation, the log
-    recombination and the large-x route stay per sample.  Profiles pass x
+    float64 arrays (see _whittaker_series_array); the connection-formula
+    tail and the large-x route stay per sample.  Profiles pass x
     ascending, but any order works.  Root finding keeps the scalar function.
     """
     x = np.asarray(x, dtype=float)
@@ -541,9 +523,8 @@ def whittaker_w_scaled_array(kappa: float, mu: float, x) -> list[WhittakerW]:
     p = 0  # position in conn of the next connection-route sample
     for xi in x[:limit].tolist():
         if xi <= LARGE_X_SWITCH:
-            lm_minus = _m_log_from_sum(-mu, xi, minus.sums[p], minus.ln_scale[p])
-            em = minus.est_rel[p]
-            out.append(_connection_combine(gammas, lm_minus, em, lm_minus.conjugate(), em))
+            out.append(_connection_w(gammas, mu, xi, minus.sums[p], minus.ln_scale[p],
+                                     minus.est_rel[p]))
             p += 1
         else:
             out.append(_whittaker_w_asymptotic(kappa, mu, xi))

@@ -30,8 +30,6 @@ from .model import (
 )
 from .special import whittaker_w_scaled, whittaker_w_scaled_array
 
-X0_ADMISSIBLE_DEFAULT = 0.01
-BETA_MIN_DEFAULT = 10.0
 # scaled-W mantissas below this are rounding noise in radial_wavefunction
 NOISE_FLOOR = 1e-12
 
@@ -48,34 +46,12 @@ class Route(enum.Enum):
 
 
 @dataclass(frozen=True)
-class RegimeFlags:
-    """Validity indicators for one closed-form level.
-
-    x0_admissible   the quantization-branch value x0 is < the smallness threshold
-    beta_ok         beta_n = 1/2 - kappa_n exceeds the large-beta threshold
-    """
-
-    x0_admissible: bool
-    beta_ok: bool
-
-    def failures(self) -> list[str]:
-        out = []
-        if not self.x0_admissible:
-            out.append("x0_admissible")
-        if not self.beta_ok:
-            out.append("beta_min")
-        return out
-
-
-@dataclass(frozen=True)
 class EnergyLevel:
     """One bound state: level index n >= 1, energy, producing route.
 
     kappa is None when omega = 0 (the kappa map is undefined there).
-    regime holds the validity flags of a closed-form level (None on the
-    other routes).  extra_sign_changes flags additional W sign changes seen
-    inside the final bracket window of the exact route (reported, not
-    interpreted).
+    extra_sign_changes flags additional W sign changes seen inside the final
+    bracket window of the exact route (reported, not interpreted).
     """
 
     n: int
@@ -84,7 +60,6 @@ class EnergyLevel:
     route: Route
     kappa: float | None
     est_error: float
-    regime: RegimeFlags | None = None
     extra_sign_changes: int = 0
 
 
@@ -106,19 +81,12 @@ def _binding(params: PhysicalParams, d: DerivedParams, n: int) -> float:
     return coef * math.exp(math.pi / (2.0 * lam) - 2.0) * math.exp(-2.0 * math.pi * n / lam)
 
 
-def energy_levels_asymptotic(
-    params: PhysicalParams,
-    n_max: int,
-    *,
-    x0_admissible: float = X0_ADMISSIBLE_DEFAULT,
-    beta_min: float = BETA_MIN_DEFAULT,
-) -> list[EnergyLevel]:
+def energy_levels_asymptotic(params: PhysicalParams, n_max: int) -> list[EnergyLevel]:
     """Closed-form levels n = 1..n_max (general ell), strictly increasing in n.
 
     Works for omega >= 0: omega enters only as an additive offset, so the
-    omega = 0 limit is taken literally.  Each level carries regime flags
-    instead of being silently dropped when it falls outside the validity
-    domain.
+    omega = 0 limit is taken literally.  Levels outside the validity domain
+    are returned too; solve.Solution.flags names their regime failures.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -126,12 +94,11 @@ def energy_levels_asymptotic(
     levels = []
     for n in range(1, n_max + 1):
         b = _binding(params, d, n)
-        energy = params.omega + d.energy_shift_pz - b
+        energy = params.omega + params.energy_shift - b
         kappa = kappa_of_energy(params, energy) if params.omega > 0 else None
-        flags = RegimeFlags(d.x0 < x0_admissible, kappa is None or 0.5 - kappa >= beta_min)
         # double rounding of the exp-ladder: ~couple of ulp on the binding
         est = 8.0 * np.finfo(float).eps * b
-        levels.append(EnergyLevel(n, params.ell, energy, Route.ASYMPTOTIC, kappa, est, flags))
+        levels.append(EnergyLevel(n, params.ell, energy, Route.ASYMPTOTIC, kappa, est))
     return levels
 
 
@@ -155,7 +122,7 @@ def quantize_exact(params: PhysicalParams, n: int) -> EnergyLevel:
     d = derive(params)
     mu = d.mu
     x0 = d.x0
-    energy_hat = params.omega + d.energy_shift_pz - _binding(params, d, n)
+    energy_hat = params.omega + params.energy_shift - _binding(params, d, n)
     beta_hat = 0.5 - kappa_of_energy(params, energy_hat)
     if beta_hat <= 0:
         raise BracketError(

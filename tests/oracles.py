@@ -7,12 +7,12 @@ s-wave closed form is a second double-precision arithmetic path for the
 ell = 0 reduction identity, the one-midpoint-per-sweep Sturm bisection is
 the reference that the multisection kernel must reproduce bit for bit, the
 numpy-scalar Thomas loop the one the oracle's Python-float solve must, and
-the two-series connection-formula W the one the conjugate construction of
-W must.
+the two-series connection-formula W the one that W = 2|T| cos(arg T) must.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import mpmath as mp
@@ -38,7 +38,7 @@ def s_wave_energies(params: PhysicalParams, n_max: int) -> list[float]:
     energies = []
     for n in range(1, n_max + 1):
         b = coef * math.exp(math.pi / (2.0 * lam) - 2.0) * math.exp(-2.0 * math.pi * n / lam)
-        energies.append(params.omega + d.energy_shift_pz - b)
+        energies.append(params.omega + params.energy_shift - b)
     return energies
 
 
@@ -111,18 +111,31 @@ def reference_tridiag_solve(diag, off, rhs) -> np.ndarray:
     return x
 
 
-def reference_whittaker_w_connection(kappa: float, mu: float, x: float) -> special.WhittakerW:
+def reference_whittaker_w_connection(
+    kappa: float, mu: float, x: float
+) -> tuple[special.WhittakerW, float]:
     """Connection-formula W with both terms computed from scratch: four
-    log-Gammas and the Kummer series of M_{kappa,-i mu}, then of M_{kappa,+i mu}."""
+    log-Gammas and the Kummer series of M_{kappa,-i mu}, then of M_{kappa,+i mu},
+    recombined as two complex terms on a shared exponent.  Returns W and the
+    imaginary residual |Im| / (1 + |Re|) of that sum on the mantissa scale."""
     beta = 0.5 - kappa
     lg_plus, eg1 = special.ln_gamma_complex(complex(0.0, 2.0 * mu))
     lg_minus, eg2 = special.ln_gamma_complex(complex(0.0, -2.0 * mu))
     lg_bp, eg3 = special.ln_gamma_complex(complex(beta, mu))
     lg_bm, eg4 = special.ln_gamma_complex(complex(beta, -mu))
-    gammas = (lg_plus - lg_bp, lg_minus - lg_bm, eg1 + eg2 + eg3 + eg4)
+    eg = eg1 + eg2 + eg3 + eg4
     lm_minus, em1 = special._whittaker_m_log(kappa, -mu, x)
     lm_plus, em2 = special._whittaker_m_log(kappa, mu, x)
-    return special._connection_combine(gammas, lm_minus, em1, lm_plus, em2)
+    log_t1 = lg_plus - lg_bp + lm_minus
+    log_t2 = lg_minus - lg_bm + lm_plus
+    exponent = max(log_t1.real, log_t2.real)
+    mc = cmath.exp(log_t1 - exponent) + cmath.exp(log_t2 - exponent)
+    residual = abs(mc.imag) / (1.0 + abs(mc.real))
+    phase_noise = special._TWO_EPS * (abs(log_t1) + abs(log_t2)) + 2.0 * (em1 + em2)
+    mantissa_err = 2.0 * phase_noise + 4.0 * special._TWO_EPS
+    value = mc.real * math.exp(exponent) if exponent < 709.0 else math.inf * mc.real
+    est = mantissa_err * math.exp(min(exponent, 709.0)) + eg * abs(value)
+    return special.WhittakerW(value, est, mc.real, exponent), residual
 
 
 def mp_lngamma(z: complex, dps: int = 40) -> complex:

@@ -77,7 +77,6 @@ def test_derive_x0_bitwise():
     p = make_params()
     d = model.derive(p)
     assert d.x0 == p.mass_m * p.omega * p.cutoff_R**2
-    assert d.energy_shift_pz == p.p_z**2 / (2.0 * p.mass_m)
 
 
 def test_derive_scale_consistency():

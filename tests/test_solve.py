@@ -7,6 +7,7 @@ import pytest
 from dipolewell import spectrum
 from dipolewell.errors import DomainError, NoBoundStateRegime
 from dipolewell.model import PhysicalParams
+from dipolewell.oracle import GridScheme, RadialGridSpec
 from dipolewell.solve import ROUTES, solve
 from dipolewell.spectrum import Route
 
@@ -30,7 +31,6 @@ def test_solve_levels_match_the_routes():
     assert sol.level(Route.ORACLE, 1) is None
     for n in (1, 2):
         assert sol.level(Route.EXACT, n) == spectrum.quantize_exact(p, n)
-        assert sol.level(Route.EXACT, n).regime is None  # flags are the closed form's
         assert sol.level(Route.ASYMPTOTIC, n) == spectrum.energy_levels_asymptotic(p, 2)[n - 1]
         assert sol.flags(n) == []
 
@@ -59,6 +59,17 @@ def test_solve_records_failures_per_route():
     assert sol.first_error() is errors[0]
     assert sol.flags(1) == ["absent:exact:DomainError", "absent:oracle:DomainError"]
     assert sol.max_gap(Route.ASYMPTOTIC, Route.EXACT) == 0.0
+
+
+def test_solve_flags_regime_failures_before_absent_routes():
+    # Lambda = 2, x0 = 0.1: the closed form fails both thresholds; the oracle's
+    # grid ends inside the cut-off, so the oracle fails
+    p = deep_params(polarizability_alpha=2.0, omega=10.0)
+    sol = solve(p, 1, (Route.ASYMPTOTIC, Route.ORACLE),
+                lambda: RadialGridSpec(0.1, 0.05, 600, GridScheme.LOG_UNIFORM))
+    assert sol.flags(1) == ["x0_admissible", "beta_min", "absent:oracle:DomainError"]
+    assert sol.flags(1, x0_admissible=0.2) == ["beta_min", "absent:oracle:DomainError"]
+    assert sol.flags(1, x0_admissible=0.2, beta_min=0.1) == ["absent:oracle:DomainError"]
 
 
 def test_solve_regime_violation_propagates():
