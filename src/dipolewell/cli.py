@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 
 from . import model, oracle, spectrum
-from .errors import DipoleWellError, DomainError, NoBoundStateRegime
+from .errors import DipoleWellError, DomainError, ForbiddenRegion, NoBoundStateRegime
 from .model import PhysicalParams
 from .oracle import GridScheme, RadialGridSpec
 from .solve import BETA_MIN_DEFAULT, ROUTES, X0_ADMISSIBLE_DEFAULT, solve
@@ -321,24 +321,25 @@ def cmd_potential(ns: argparse.Namespace) -> int:
         header += ",V_with_centrifugal"
     header += ",status"
     lines = [header]
-    warnings = 0
+    blank = [""] * (2 if ns.with_centrifugal else 1)
+    counts = {"ok": 0, "forbidden": 0, "overflow": 0}
     for r in radii:
         try:
-            v = model.effective_potential(params, r)
-            cells = [_fmt(r), _fmt(v)]
+            cells = [_fmt(model.effective_potential(params, r))]
             if ns.with_centrifugal:
                 cells.append(_fmt(model.effective_potential(params, r, include_centrifugal=True)))
-            cells.append("ok")
-        except DipoleWellError:
-            warnings += 1
-            cells = [_fmt(r), ""]
-            if ns.with_centrifugal:
-                cells.append("")
-            cells.append("forbidden")
-        lines.append(",".join(cells))
+            status = "ok"
+        except ForbiddenRegion:
+            cells, status = blank, "forbidden"
+        except DomainError:  # the value leaves double range
+            cells, status = blank, "overflow"
+        counts[status] += 1
+        lines.append(",".join([_fmt(r), *cells, status]))
     _write(ns.out, lines)
-    if warnings:
-        print(f"warning: {warnings} radii inside the forbidden region r < R", file=sys.stderr)
+    for status, where in (("forbidden", "inside the forbidden region r < R"),
+                          ("overflow", "where the potential leaves double range")):
+        if counts[status]:
+            print(f"warning: {counts[status]} radii {where}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -108,14 +108,21 @@ def effective_potential(
     """Effective radial potential -alpha lambda^2/r^2 + m omega^2 r^2 / 2.
 
     With include_centrifugal=True the quantum centrifugal term
-    ell^2/(2 m r^2) is added.  r < cutoff_R raises ForbiddenRegion.
+    ell^2/(2 m r^2) is added.  r < cutoff_R raises ForbiddenRegion, and a
+    value outside double range raises DomainError.
     """
     if r < params.cutoff_R:
         raise ForbiddenRegion(f"r = {r} < cutoff radius R = {params.cutoff_R}")
-    inv_sq = -params.polarizability_alpha * params.field_coupling_lambda**2
-    if include_centrifugal:
-        inv_sq += float(params.ell) ** 2 / (2.0 * params.mass_m)
-    return inv_sq / (r * r) + 0.5 * params.mass_m * params.omega**2 * r * r
+    try:
+        inv_sq = -params.polarizability_alpha * params.field_coupling_lambda**2
+        if include_centrifugal:
+            inv_sq += float(params.ell) ** 2 / (2.0 * params.mass_m)
+        value = inv_sq / (r * r) + 0.5 * params.mass_m * params.omega**2 * r * r
+    except (OverflowError, ZeroDivisionError):  # a square past double range, or r * r == 0
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"effective potential at r = {r} leaves double range")
+    return value
 
 
 def outer_turning_radius(params: PhysicalParams, energy: float) -> float:

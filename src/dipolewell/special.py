@@ -23,7 +23,10 @@ there is no caching or shared state.
 W computes only the -i*mu term T of the connection formula (two
 log-Gammas, one Kummer series).  The +i*mu term is its complex conjugate, so
 W = T + conj(T) = 2|T| cos(arg T) is real: the exponent is Re log T and the
-mantissa 2 cos(Im log T).
+mantissa 2 cos(Im log T).  Of the two log-Gammas, lnGamma(2 i mu) does not
+depend on kappa: ``w_point(mu, x)`` computes it once, and a root search
+over kappa at fixed (mu, x) passes it to every ``whittaker_w_scaled`` call,
+so one root search computes one lnGamma(2 i mu) and the same floats.
 
 ``whittaker_w_scaled_array`` evaluates W at one (kappa, mu) over an array
 of x, as a wavefunction profile needs: the two log-Gammas once, and the
@@ -390,14 +393,33 @@ def whittaker_m_imag(kappa: float, mu: float, x: float) -> WhittakerM:
     return WhittakerM(_require_finite(value, "whittaker_m_imag"), est)
 
 
-def _connection_gammas(kappa: float, mu: float) -> tuple[complex, float]:
+class WPoint(NamedTuple):
+    """The kappa-independent half of the connection formula at (mu, x)."""
+
+    ln_gamma: complex  # lnGamma(2 i mu)
+    err2: float  # its error, counted twice (the +i mu term is the conjugate)
+    b: complex  # the Kummer parameter 1 - 2 i mu of M_{kappa,-i mu}
+
+
+def w_point(mu: float, x: float) -> WPoint | None:
+    """What whittaker_w_scaled(kappa, mu, x, point=...) shares across kappa.
+
+    None where W takes no connection route (x or mu out of domain, which W
+    raises itself, or x > LARGE_X_SWITCH); otherwise it raises what W's
+    lnGamma(2 i mu) would raise.
+    """
+    if not (0.0 < x <= LARGE_X_SWITCH and mu > 0):
+        return None
+    lg, eg = ln_gamma_complex(complex(0.0, 2.0 * mu))
+    return WPoint(lg, eg + eg, complex(1.0, -2.0 * mu))
+
+
+def _connection_gammas(point: WPoint, kappa: float, mu: float) -> tuple[complex, float]:
     """The x-independent part of the connection formula: the log Gamma ratio
     of the M_{kappa,-i mu} term and the summed error of both terms' ratios
     (the +i mu ratio is its conjugate, so each error counts twice)."""
-    beta = 0.5 - kappa
-    lg_plus, eg1 = ln_gamma_complex(complex(0.0, 2.0 * mu))
-    lg_bp, eg3 = ln_gamma_complex(complex(beta, mu))
-    return lg_plus - lg_bp, eg1 + eg1 + eg3 + eg3
+    lg_bp, eg3 = ln_gamma_complex(complex(0.5 - kappa, mu))
+    return point.ln_gamma - lg_bp, point.err2 + eg3 + eg3
 
 
 def _connection_w(
@@ -462,7 +484,9 @@ def _whittaker_w_asymptotic(kappa: float, mu: float, x: float) -> WhittakerW:
     return WhittakerW(value, est_rel * abs(value), total, exponent)
 
 
-def whittaker_w_scaled(kappa: float, mu: float, x: float) -> WhittakerW:
+def whittaker_w_scaled(
+    kappa: float, mu: float, x: float, *, point: WPoint | None = None
+) -> WhittakerW:
     """W_{kappa, i*mu}(x) in scaled form (see WhittakerW).
 
     Chooses the connection-formula route for x <= LARGE_X_SWITCH and the
@@ -470,6 +494,9 @@ def whittaker_w_scaled(kappa: float, mu: float, x: float) -> WhittakerW:
     use for root finding: zeros of W are sign changes of the mantissa.  The
     plain value underflows to 0.0 (or overflows) when the exponent leaves
     double range; the scaled fields stay valid.
+
+    ``point``, if given, must be w_point(mu, x): a root search over kappa
+    at fixed (mu, x) computes lnGamma(2 i mu) once.  The result is the same.
     """
     if not 0.0 < x < math.inf:
         raise DomainError("whittaker_w requires finite x > 0")
@@ -477,9 +504,10 @@ def whittaker_w_scaled(kappa: float, mu: float, x: float) -> WhittakerW:
         raise DomainError("whittaker_w requires mu > 0")
     if x > LARGE_X_SWITCH:
         return _whittaker_w_asymptotic(kappa, mu, x)
-    gammas = _connection_gammas(kappa, mu)
-    a, b = complex(0.5 - kappa, -mu), complex(1.0, -2.0 * mu)  # M_{kappa,-i mu}
-    s, ln_scale, em, _ = _kummer_series_scaled(a, b, x)
+    if point is None:
+        point = w_point(mu, x)
+    gammas = _connection_gammas(point, kappa, mu)
+    s, ln_scale, em, _ = _kummer_series_scaled(complex(0.5 - kappa, -mu), point.b, x)
     return _connection_w(gammas, mu, x, s, ln_scale, em)
 
 
@@ -511,7 +539,7 @@ def whittaker_w_scaled_array(kappa: float, mu: float, x) -> list[WhittakerW]:
     conn = np.flatnonzero(x[:limit] <= LARGE_X_SWITCH)
     if len(conn):
         try:
-            gammas = _connection_gammas(kappa, mu)
+            gammas = _connection_gammas(w_point(mu, float(x[conn[0]])), kappa, mu)
         except DipoleWellError as exc:  # raised at the first connection-route sample
             limit, pending, conn = int(conn[0]), exc, conn[:0]
     if len(conn):

@@ -28,7 +28,7 @@ from .errors import BracketError, DomainError
 from .model import (
     DerivedParams, PhysicalParams, derive, energy_of_kappa, kappa_of_energy, outer_turning_radius
 )
-from .special import whittaker_w_scaled, whittaker_w_scaled_array
+from .special import WPoint, w_point, whittaker_w_scaled, whittaker_w_scaled_array
 
 # scaled-W mantissas below this are rounding noise in radial_wavefunction
 NOISE_FLOOR = 1e-12
@@ -102,8 +102,8 @@ def energy_levels_asymptotic(params: PhysicalParams, n_max: int) -> list[EnergyL
     return levels
 
 
-def _mantissa_at_beta(beta: float, mu: float, x0: float) -> float:
-    return whittaker_w_scaled(0.5 - beta, mu, x0).mantissa
+def _mantissa_at_beta(beta: float, mu: float, x0: float, point: WPoint | None) -> float:
+    return whittaker_w_scaled(0.5 - beta, mu, x0, point=point).mantissa
 
 
 def quantize_exact(params: PhysicalParams, n: int) -> EnergyLevel:
@@ -114,6 +114,10 @@ def quantize_exact(params: PhysicalParams, n: int) -> EnergyLevel:
     bisects the scaled-W mantissa until the bracket is narrower than
     1e-12 * max(1, |kappa|).  The window never reaches the neighboring
     geometric branch.  Raises BracketError when no sign change is found.
+
+    Every W shares (mu, x0), so lnGamma(2 i mu) is computed once (w_point),
+    and each beta's mantissa once: the anomaly scan reuses the window ends
+    and its centre, the first bisection midpoint.
     """
     if params.omega <= 0:
         raise DomainError("quantize_exact requires omega > 0 (use the numeric oracle)")
@@ -133,17 +137,22 @@ def quantize_exact(params: PhysicalParams, n: int) -> EnergyLevel:
     gap = 1.0 - math.exp(-2.0 * math.pi / d.Lambda)
     window_cap = min(0.35, 0.45 * gap)
 
-    f_hat = _mantissa_at_beta(beta_hat, mu, x0)
+    point = w_point(mu, x0)
+    seen: dict[float, float] = {}
+
+    def mantissa(beta: float) -> float:
+        if beta not in seen:
+            seen[beta] = _mantissa_at_beta(beta, mu, x0, point)
+        return seen[beta]
+
+    f_hat = mantissa(beta_hat)
     lo = hi = beta_hat
     f_lo = f_hi = f_hat
     bracket = None
     delta = 1e-3
     while delta <= window_cap:
         lo_new, hi_new = beta_hat * (1.0 - delta), beta_hat * (1.0 + delta)
-        f_lo_new, f_hi_new = (
-            _mantissa_at_beta(lo_new, mu, x0),
-            _mantissa_at_beta(hi_new, mu, x0),
-        )
+        f_lo_new, f_hi_new = mantissa(lo_new), mantissa(hi_new)
         if f_lo_new * f_lo < 0:
             bracket = (lo_new, lo, f_lo_new, f_lo)
             break
@@ -164,7 +173,7 @@ def quantize_exact(params: PhysicalParams, n: int) -> EnergyLevel:
     tol = 1e-12 * kappa_scale
     while (b_hi - b_lo) > tol:
         mid = 0.5 * (b_lo + b_hi)
-        g_mid = _mantissa_at_beta(mid, mu, x0)
+        g_mid = mantissa(mid)
         if g_mid == 0.0:
             b_lo = b_hi = mid
             break
@@ -176,13 +185,13 @@ def quantize_exact(params: PhysicalParams, n: int) -> EnergyLevel:
 
     # anomaly scan: any sign changes other than the converged root
     samples = np.linspace(window_lo, window_hi, 33)
-    signs = np.sign([_mantissa_at_beta(b, mu, x0) for b in samples])
+    signs = np.sign([mantissa(b) for b in samples.tolist()])
     changes = int(np.sum(signs[:-1] * signs[1:] < 0))
     extra = max(0, changes - 1)
 
     kappa_root = 0.5 - beta_root
     energy = energy_of_kappa(params, kappa_root)
-    w_root = whittaker_w_scaled(kappa_root, mu, x0)
+    w_root = whittaker_w_scaled(kappa_root, mu, x0, point=point)
     slope_scale = max(abs(g_hi - g_lo) / max(b_hi - b_lo, 1e-300), 1e-300)
     noise_width = abs(w_root.est_error) if w_root.value != 0 else 0.0
     est_kappa = 0.5 * (b_hi - b_lo) + noise_width / slope_scale
@@ -234,6 +243,8 @@ def radial_wavefunction(
         raise DomainError("need at least 2 samples")
     if level.kappa is None:
         raise DomainError("level carries no kappa (omega = 0 route?)")
+    if not math.isfinite(params.mass_m * params.omega * r_max * r_max):
+        raise DomainError(f"r_max = {r_max} puts x = m omega r_max^2 past double range")
     mu = derive(params).mu
     r = np.linspace(params.cutoff_R, r_max, samples)
     x = params.mass_m * params.omega * r * r

@@ -309,6 +309,29 @@ def test_potential_forbidden_rows_marked(capsys):
     assert "forbidden region" in err
 
 
+def test_potential_overflow_rows_marked(capsys):
+    # V grows like r^2: past ~1.9e157 on deep.cfg it leaves double range
+    code, out, err = run_cli(["potential", *DEEP, "--rmax", "1e200", "--samples", "3"], capsys)
+    assert code == 0
+    assert out.split("\n")[1:] == [
+        "0.10000000000000001,-1249.9999999949998,ok",
+        "4.9999999999999998e+199,,overflow",
+        "9.9999999999999997e+199,,overflow",
+        "",
+    ]
+    assert err == "warning: 2 radii where the potential leaves double range\n"
+    # r * r underflowing to 0 and omega^2 past double range, next to a forbidden row
+    for argv, rows in (
+        (["--radius", "1e-170", "--r", "1e-170,1e-100", "--with-centrifugal"],
+         ["9.9999999999999998e-171,,,overflow",
+          "1e-100,-1.2500000000000001e+201,-1.2500000000000001e+201,ok"]),
+        (["--omega", "1e200", "--r", "0.05,1"], ["0.050000000000000003,,forbidden", "1,,overflow"]),
+    ):
+        code, out, err = run_cli(["potential", *DEEP, *argv], capsys)
+        assert (code, out.split("\n")[1:-1]) == (0, rows), argv
+        assert "1 radii where the potential leaves double range" in err
+
+
 def test_potential_centrifugal_minimum_location(capsys):
     # ell = 2, alpha lambda^2 = 1: net repulsive 1/r^2 with coefficient 1,
     # minimum at (2/(m w^2))^{1/4}
@@ -389,6 +412,16 @@ def test_wavefunction_default_rmax_of_deep_level(capsys):
     assert 0.52 < rows[-1][0] < 0.53
     f = [v for _, v in rows[1:] if v != 0.0]
     assert f and all(math.copysign(1.0, v) == math.copysign(1.0, f[0]) for v in f)
+
+
+def test_wavefunction_rmax_past_double_range(capsys):
+    # m omega r_max^2 overflows: a typed error naming r_max, and no numpy
+    # RuntimeWarning (the suite turns those into errors)
+    argv = ["wavefunction", *DEEP, "--n", "1", "--rmax", "1e160", "--samples", "3"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == ("numerical failure: DomainError: r_max = 1e+160 puts "
+                   "x = m omega r_max^2 past double range\n")
 
 
 def test_wavefunction_csv(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,15 @@ def test_effective_potential_values():
     assert model.effective_potential(p, 2.0) == -0.25
     with pytest.raises(ForbiddenRegion):
         model.effective_potential(p, 0.5 * p.cutoff_R)
+
+
+def test_effective_potential_outside_double_range():
+    p = make_params()
+    for params, r in ((p, 1e200), (make_params(cutoff_R=1e-170), 1e-170),
+                      (make_params(omega=1e200), 1.0)):
+        with pytest.raises(DomainError, match=re.escape(f"at r = {r} leaves double range")):
+            model.effective_potential(params, r)
+    assert math.isfinite(model.effective_potential(p, 1e150))
 
 
 def test_effective_potential_attractive_is_strictly_increasing():

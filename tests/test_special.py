@@ -340,6 +340,26 @@ def test_whittaker_w_computes_half_the_connection_formula(monkeypatch):
     assert calls == {"ln_gamma": 2, "series": 1}
 
 
+def _prepared_w(kappa, mu, x):
+    return special.whittaker_w_scaled(kappa, mu, x, point=special.w_point(mu, x))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(w_points())
+@example((-3.0, 1e-13, 0.1))  # lnGamma(2 i mu) at its pole
+@example((-3.0, 3e-13, 0.1))  # just off the pole
+@example((0.5, 1.0, 0.3))  # beta = 0: lnGamma(beta + i mu) is finite, the kappa half
+@example((-3.0, 2.5, 40.0))  # large-x route: no prepared point
+@example((-3.0, 2.5, 0.0))  # x out of domain
+@example((-3.0, -1.0, 0.1))  # mu out of domain
+@example((0.5 - 1.5e5, 2.5, 29.9))
+def test_whittaker_w_prepared_point_matches_plain_call(case):
+    # the kappa-independent half computed once gives the same W, or the same error
+    kappa, mu, x = case
+    assert _w_outcome(_prepared_w, kappa, mu, x) == _w_outcome(
+        special.whittaker_w_scaled, kappa, mu, x)
+
+
 def test_whittaker_w_domain_errors():
     with pytest.raises(DomainError):
         special.whittaker_w_scaled(0.0, 1.0, 0.0)

@@ -9,12 +9,13 @@ hence x0 = 1e-5.
 from __future__ import annotations
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from dipolewell import special, spectrum
-from dipolewell.errors import BracketError, DomainError, NoBoundStateRegime
+from dipolewell.errors import BracketError, DipoleWellError, DomainError, NoBoundStateRegime
 from dipolewell.model import PhysicalParams, derive, energy_of_kappa
 from dipolewell.special import whittaker_w_scaled
 from dipolewell.spectrum import Route
@@ -251,9 +252,56 @@ def test_quantize_exact_gap_direction_across_lambda():
         )
 
 
+def test_quantize_exact_one_gamma_of_the_order_and_one_series_per_beta(monkeypatch):
+    # all W of one root search share (mu, x0): lnGamma(2 i mu) once, and no
+    # beta's mantissa twice (the anomaly scan reuses the bracket search's)
+    p = deep_params()
+    order = complex(0.0, 2.0 * derive(p).mu)
+    gammas, series_a = [], []
+    ln_gamma, series = special.ln_gamma_complex, special._kummer_series_scaled
+
+    def counting_ln_gamma(z):
+        gammas.append(z)
+        return ln_gamma(z)
+
+    def counting_series(a, b, x):
+        series_a.append(a)
+        return series(a, b, x)
+
+    monkeypatch.setattr(special, "ln_gamma_complex", counting_ln_gamma)
+    monkeypatch.setattr(special, "_kummer_series_scaled", counting_series)
+    spectrum.quantize_exact(p, 1)
+    assert gammas.count(order) == 1
+    assert len(gammas) == len(series_a) + 1  # lnGamma(beta + i mu) per W
+    assert len(set(series_a)) == len(series_a)
+
+
+FROZEN_QUANTIZE = pathlib.Path(__file__).parent / "quantize_exact_frozen.txt"
+
+
+def _quantize_outcome(params: PhysicalParams, n: int) -> str:
+    try:
+        lv = spectrum.quantize_exact(params, n)
+    except DipoleWellError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr((lv.energy, lv.kappa, lv.est_error, lv.extra_sign_changes))
+
+
+def test_quantize_exact_frozen_table():
+    # every energy, kappa, est_error and extra_sign_changes to the last bit,
+    # or the same error: Lambda = 2..12, x0 = 1e-9..36, ell = 1, p_z != 0
+    rows = [ln for ln in FROZEN_QUANTIZE.read_text().splitlines() if not ln.startswith("#")]
+    assert len(rows) == 39
+    for row in rows:
+        inputs, want = row.split(" | ")
+        n, *floats, ell, pz = inputs.split()
+        params = PhysicalParams(*map(float, floats), int(ell), float(pz))
+        assert _quantize_outcome(params, int(n)) == want, row
+
+
 def test_quantize_exact_bracket_error_when_window_too_small(monkeypatch):
     # a W without a sign change anywhere in the window: no bracket to bisect
-    monkeypatch.setattr(spectrum, "_mantissa_at_beta", lambda beta, mu, x0: 1.0)
+    monkeypatch.setattr(spectrum, "_mantissa_at_beta", lambda beta, mu, x0, point: 1.0)
     with pytest.raises(BracketError):
         spectrum.quantize_exact(deep_params(), 1)
 
@@ -335,3 +383,5 @@ def test_radial_wavefunction_domain_checks(deep_exact_levels):
         spectrum.radial_wavefunction(p, deep_exact_levels[1], r_max=0.05)
     with pytest.raises(DomainError):
         spectrum.radial_wavefunction(p, deep_exact_levels[1], r_max=0.7, samples=1)
+    with pytest.raises(DomainError, match="r_max = 1e[+]160"):
+        spectrum.radial_wavefunction(p, deep_exact_levels[1], r_max=1e160, samples=3)
