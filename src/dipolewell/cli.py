@@ -178,7 +178,7 @@ def _build_params(ns: argparse.Namespace) -> PhysicalParams:
         }
         values.update({k: float(v) for k, v in overrides.items() if v is not None})
         return model.params_from_mapping(values)
-    except DomainError as exc:
+    except (DomainError, OverflowError) as exc:  # e.g. an --ell past float range
         # bad or missing configuration is a usage problem, not a numerical one
         raise _UsageError(str(exc)) from exc
 

@@ -35,7 +35,8 @@ class PhysicalParams:
     p_z                   axial momentum eigenvalue (enters as a rigid
                           energy shift p_z^2/(2m))
 
-    Every float field must be finite; DomainError otherwise.
+    Every float field must be finite, and lambda^2, R^2, p_z^2, ell^2 and
+    2 m alpha lambda^2 must not overflow; DomainError otherwise.
     """
 
     mass_m: float
@@ -57,6 +58,12 @@ class PhysicalParams:
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
+        for name in ("field_coupling_lambda", "cutoff_R", "p_z", "ell"):
+            v = float(getattr(self, name))
+            if not math.isfinite(v * v):
+                raise DomainError(f"{name} squared leaves double range")
+        if not math.isfinite(self.coupling_strength):
+            raise DomainError("2 m alpha lambda^2 leaves double range")
 
     @property
     def coupling_strength(self) -> float:
@@ -133,17 +140,21 @@ def outer_turning_radius(params: PhysicalParams, energy: float) -> float:
     c^2 / (m omega^2 (hypot(e, c) - e)), c^2 = 2 m omega^2 alpha lambda^2,
     which does not cancel for deep levels.  The centrifugal term is left
     out: it only weakens the attraction, so the turning point without it
-    lies farther out.
+    lies farther out.  DomainError where r^2 leaves double range.
     """
     if params.omega <= 0:
         raise DomainError("outer turning point needs omega > 0")
-    al2 = params.polarizability_alpha * params.field_coupling_lambda**2
-    mw2 = params.mass_m * params.omega**2
-    e = energy - params.energy_shift
-    c = math.sqrt(2.0 * mw2 * al2)
-    if e < 0:
-        return math.sqrt(c * c / (mw2 * (math.hypot(e, c) - e)))
-    return math.sqrt((e + math.hypot(e, c)) / mw2)
+    try:
+        al2 = params.polarizability_alpha * params.field_coupling_lambda**2
+        mw2 = params.mass_m * params.omega**2
+        e = energy - params.energy_shift
+        c = math.sqrt(2.0 * mw2 * al2)
+        r_sq = c * c / (mw2 * (math.hypot(e, c) - e)) if e < 0 else (e + math.hypot(e, c)) / mw2
+    except OverflowError:
+        r_sq = math.inf
+    if not math.isfinite(r_sq):
+        raise DomainError(f"outer turning radius at E = {energy:.6g} leaves double range")
+    return math.sqrt(r_sq)
 
 
 def kappa_of_energy(params: PhysicalParams, energy: float) -> float:

@@ -335,15 +335,13 @@ def fd_eigensolve(
     k_levels: int,
     *,
     inner_bc: str = "wall",
-    outer_wall: bool = False,
 ) -> OracleResult:
     """k_levels lowest tau eigenvalues with half-step Richardson estimates.
 
     Raises GridTooCoarse when a Richardson estimate exceeds 1% of the local
     level spacing, and DomainError when the topmost requested eigenfunction
     leaks more than 1e-6 of its mass into the outer 5% of the domain
-    (r_max too small).  Pass outer_wall=True when the Dirichlet condition at
-    r_max is physical (e.g. a finite annulus); that skips the leak check.
+    (r_max too small).
     """
     if not 1 <= k_levels <= grid.points:
         raise DomainError("need 1 <= k_levels <= grid.points")
@@ -366,13 +364,12 @@ def fd_eigensolve(
                 f"level spacing {spacing:.3e}; refine the grid"
             )
 
-    if not outer_wall:
-        v = _eigenvector(diag, off, taus[-1])
-        tail = max(1, int(0.05 * len(v)))
-        boundary_mass = float(np.sum(v[-tail:] ** 2))
-        if boundary_mass > BOUNDARY_MASS_LIMIT:
-            raise DomainError(
-                f"eigenfunction mass {boundary_mass:.2e} within the outer 5% of the "
-                f"domain exceeds {BOUNDARY_MASS_LIMIT:.0e}; increase r_max"
-            )
+    v = _eigenvector(diag, off, taus[-1])
+    tail = max(1, int(0.05 * len(v)))
+    boundary_mass = float(np.sum(v[-tail:] ** 2))
+    if boundary_mass > BOUNDARY_MASS_LIMIT:
+        raise DomainError(
+            f"eigenfunction mass {boundary_mass:.2e} within the outer 5% of the "
+            f"domain exceeds {BOUNDARY_MASS_LIMIT:.0e}; increase r_max"
+        )
     return OracleResult(taus, ests)

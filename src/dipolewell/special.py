@@ -23,17 +23,18 @@ there is no caching or shared state.
 W computes only the -i*mu term T of the connection formula (two
 log-Gammas, one Kummer series).  The +i*mu term is its complex conjugate, so
 W = T + conj(T) = 2|T| cos(arg T) is real: the exponent is Re log T and the
-mantissa 2 cos(Im log T).  Of the two log-Gammas, lnGamma(2 i mu) does not
-depend on kappa: ``w_point(mu, x)`` computes it once, and a root search
+mantissa 2 cos(Im log T).  Of the two log-Gammas, lnGamma(2 i mu) depends
+on neither kappa nor x: ``w_point(mu)`` computes it once, and a root search
 over kappa at fixed (mu, x) passes it to every ``whittaker_w_scaled`` call,
 so one root search computes one lnGamma(2 i mu) and the same floats.
 
-``whittaker_w_scaled_array`` evaluates W at one (kappa, mu) over an array
-of x, as a wavefunction profile needs: the two log-Gammas once, and the
-Kummer series of all samples together on numpy arrays that replay
-CPython's complex arithmetic operation by operation.  Its results equal
-the scalar ``whittaker_w_scaled`` calls field for field (``==``), and it
-raises the exception a loop over those calls would raise first.
+``whittaker_w_scaled_array`` evaluates W at one (kappa, mu) over an
+ascending array of x, as a wavefunction profile needs: the two log-Gammas
+once, and the Kummer series of all samples up to LARGE_X_SWITCH together
+on numpy arrays that replay CPython's complex arithmetic operation by
+operation.  Its results equal the scalar ``whittaker_w_scaled`` calls field
+for field (``==``), and it raises the exception a loop over those calls
+would raise first.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
-    DipoleWellError,
     DomainError,
     ParameterPole,
     PoleError,
@@ -225,13 +225,12 @@ def _kummer_overflow(a: complex, b: complex, x: float) -> ConvergenceError:
 
 
 class _SeriesArray(NamedTuple):
-    """Kummer sums of _whittaker_series_array; entries past ``ok`` are unset."""
+    """Kummer sums of _whittaker_series_array, unset from a failing sample on."""
 
     sums: list[complex]
     ln_scale: list[float]
     est_rel: list[float]
-    ok: int  # samples before the first failure
-    error: Exception | None  # what the scalar series raises at sample ``ok``
+    error: Exception | None  # what the scalar series raises at its first failing sample
 
 
 def _whittaker_series_array(kappa: float, mu_signed: float, x: np.ndarray) -> _SeriesArray:
@@ -256,7 +255,7 @@ def _whittaker_series_array(kappa: float, mu_signed: float, x: np.ndarray) -> _S
     tr, ti = np.ones(n), np.zeros(n)
     ln_scale, peak = np.zeros(n), np.ones(n)
     streak = np.zeros(n, dtype=np.int64)
-    ok, error = n, None
+    error = None
     k = 0
     with np.errstate(all="ignore"):
         while k < KUMMER_MAX_TERMS and len(live):
@@ -291,7 +290,7 @@ def _whittaker_series_array(kappa: float, mu_signed: float, x: np.ndarray) -> _S
                 )
                 if over.any():
                     j = int(np.argmax(over))
-                    ok, error = int(live[j]), _kummer_overflow(a, b, float(xs[j]))
+                    error = _kummer_overflow(a, b, float(xs[j]))
                     keep = slice(0, j)
                     live, xs, sr, si, cr, ci, tr, ti = (
                         v[keep] for v in (live, xs, sr, si, cr, ci, tr, ti))
@@ -320,11 +319,11 @@ def _whittaker_series_array(kappa: float, mu_signed: float, x: np.ndarray) -> _S
                     v[keep] for v in (live, xs, sr, si, cr, ci, tr, ti))
                 ln_scale, peak, streak = (v[keep] for v in (ln_scale, peak, streak))
         if len(live):
-            ok, error = int(live[0]), _kummer_nonconvergence(a, b, float(xs[0]))
+            error = _kummer_nonconvergence(a, b, float(xs[0]))
         sums = np.empty(n, dtype=complex)
         sums.real, sums.imag = res[0], res[1]
         est_rel = _TWO_EPS * (res[3] / np.maximum(np.hypot(res[0], res[1]), 1e-300)) + 4e-16
-    return _SeriesArray(sums.tolist(), res[2].tolist(), est_rel.tolist(), ok, error)
+    return _SeriesArray(sums.tolist(), res[2].tolist(), est_rel.tolist(), error)
 
 
 def kummer_m(a: complex, b: complex, x: float) -> KummerM:
@@ -394,22 +393,16 @@ def whittaker_m_imag(kappa: float, mu: float, x: float) -> WhittakerM:
 
 
 class WPoint(NamedTuple):
-    """The kappa-independent half of the connection formula at (mu, x)."""
+    """The kappa- and x-independent half of the connection formula at mu."""
 
     ln_gamma: complex  # lnGamma(2 i mu)
     err2: float  # its error, counted twice (the +i mu term is the conjugate)
     b: complex  # the Kummer parameter 1 - 2 i mu of M_{kappa,-i mu}
 
 
-def w_point(mu: float, x: float) -> WPoint | None:
-    """What whittaker_w_scaled(kappa, mu, x, point=...) shares across kappa.
-
-    None where W takes no connection route (x or mu out of domain, which W
-    raises itself, or x > LARGE_X_SWITCH); otherwise it raises what W's
-    lnGamma(2 i mu) would raise.
-    """
-    if not (0.0 < x <= LARGE_X_SWITCH and mu > 0):
-        return None
+def w_point(mu: float) -> WPoint:
+    """What whittaker_w_scaled(kappa, mu, x, point=...) shares across kappa
+    and x; it raises what W's lnGamma(2 i mu) would raise."""
     lg, eg = ln_gamma_complex(complex(0.0, 2.0 * mu))
     return WPoint(lg, eg + eg, complex(1.0, -2.0 * mu))
 
@@ -495,8 +488,8 @@ def whittaker_w_scaled(
     plain value underflows to 0.0 (or overflows) when the exponent leaves
     double range; the scaled fields stay valid.
 
-    ``point``, if given, must be w_point(mu, x): a root search over kappa
-    at fixed (mu, x) computes lnGamma(2 i mu) once.  The result is the same.
+    ``point``, if given, must be w_point(mu): a root search over kappa at
+    fixed (mu, x) computes lnGamma(2 i mu) once.  The result is the same.
     """
     if not 0.0 < x < math.inf:
         raise DomainError("whittaker_w requires finite x > 0")
@@ -505,60 +498,41 @@ def whittaker_w_scaled(
     if x > LARGE_X_SWITCH:
         return _whittaker_w_asymptotic(kappa, mu, x)
     if point is None:
-        point = w_point(mu, x)
+        point = w_point(mu)
     gammas = _connection_gammas(point, kappa, mu)
     s, ln_scale, em, _ = _kummer_series_scaled(complex(0.5 - kappa, -mu), point.b, x)
     return _connection_w(gammas, mu, x, s, ln_scale, em)
 
 
 def whittaker_w_scaled_array(kappa: float, mu: float, x) -> list[WhittakerW]:
-    """whittaker_w_scaled(kappa, mu, xi) for every xi of the array x, in one pass.
+    """whittaker_w_scaled(kappa, mu, xi) for every xi of the ascending array x.
 
-    The result equals the scalar calls field for field, and the exception
-    raised is the one the scalar loop over x would raise first, with the
-    same type and message.  The two log-Gammas are computed once and the
-    Kummer series of M_{kappa,-i mu} runs over all x <= LARGE_X_SWITCH as
-    float64 arrays (see _whittaker_series_array); the connection-formula
-    tail and the large-x route stay per sample.  Profiles pass x
-    ascending, but any order works.  Root finding keeps the scalar function.
+    x must be finite, > 0 and ascending (DomainError otherwise).  The result
+    equals the scalar calls field for field, and the exception raised is the
+    one the scalar loop over x would raise first, with the same type and
+    message.  x splits once at LARGE_X_SWITCH: the prefix shares one pair of
+    log-Gammas and runs the Kummer series of M_{kappa,-i mu} of all its
+    samples as float64 arrays (see _whittaker_series_array); the suffix
+    takes the large-x route sample by sample.  Root finding keeps the
+    scalar function.
     """
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    if n == 0:
-        return []
-    bad = ~((x > 0.0) & (x < math.inf))
-    limit, pending = n, None  # samples before the first failure, and its exception
-    if bad.any():
-        limit = int(np.argmax(bad))
-        pending = DomainError("whittaker_w requires finite x > 0")
-        if limit == 0:
-            raise pending
+    if not np.all((x > 0.0) & (x < math.inf)):
+        raise DomainError("whittaker_w requires finite x > 0")
+    if np.any(x[1:] < x[:-1]):
+        raise DomainError("whittaker_w_scaled_array requires ascending x")
     if mu <= 0:
         raise DomainError("whittaker_w requires mu > 0")
-
-    conn = np.flatnonzero(x[:limit] <= LARGE_X_SWITCH)
-    if len(conn):
-        try:
-            gammas = _connection_gammas(w_point(mu, float(x[conn[0]])), kappa, mu)
-        except DipoleWellError as exc:  # raised at the first connection-route sample
-            limit, pending, conn = int(conn[0]), exc, conn[:0]
-    if len(conn):
-        minus = _whittaker_series_array(kappa, -mu, x[conn])
-        if minus.ok < len(conn):
-            limit, pending = int(conn[minus.ok]), minus.error
-
+    split = int(np.searchsorted(x, LARGE_X_SWITCH, side="right"))
     out = []
-    p = 0  # position in conn of the next connection-route sample
-    for xi in x[:limit].tolist():
-        if xi <= LARGE_X_SWITCH:
-            out.append(_connection_w(gammas, mu, xi, minus.sums[p], minus.ln_scale[p],
-                                     minus.est_rel[p]))
-            p += 1
-        else:
-            out.append(_whittaker_w_asymptotic(kappa, mu, xi))
-    if pending is not None:
-        raise pending
-    return out
+    if split:
+        gammas = _connection_gammas(w_point(mu), kappa, mu)
+        minus = _whittaker_series_array(kappa, -mu, x[:split])
+        if minus.error is not None:
+            raise minus.error
+        out = [_connection_w(gammas, mu, xi, s, ln_scale, em) for xi, s, ln_scale, em
+               in zip(x[:split].tolist(), minus.sums, minus.ln_scale, minus.est_rel)]
+    return out + [_whittaker_w_asymptotic(kappa, mu, xi) for xi in x[split:].tolist()]
 
 
 def gamma_uniform_asymptotic(a: float, zeta: float, b: complex) -> GammaAsym:

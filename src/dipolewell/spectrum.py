@@ -78,7 +78,10 @@ def _binding(params: PhysicalParams, d: DerivedParams, n: int) -> float:
     lam = d.Lambda
     lam_sq = params.coupling_strength - float(params.ell) ** 2
     coef = 2.0 * lam_sq / (params.mass_m * params.cutoff_R**2)
-    return coef * math.exp(math.pi / (2.0 * lam) - 2.0) * math.exp(-2.0 * math.pi * n / lam)
+    try:
+        return coef * math.exp(math.pi / (2.0 * lam) - 2.0) * math.exp(-2.0 * math.pi * n / lam)
+    except OverflowError:  # weak coupling: the first factor alone leaves double range
+        return coef * math.exp(math.pi / (2.0 * lam) - 2.0 - 2.0 * math.pi * n / lam)
 
 
 def energy_levels_asymptotic(params: PhysicalParams, n_max: int) -> list[EnergyLevel]:
@@ -102,7 +105,7 @@ def energy_levels_asymptotic(params: PhysicalParams, n_max: int) -> list[EnergyL
     return levels
 
 
-def _mantissa_at_beta(beta: float, mu: float, x0: float, point: WPoint | None) -> float:
+def _mantissa_at_beta(beta: float, mu: float, x0: float, point: WPoint) -> float:
     return whittaker_w_scaled(0.5 - beta, mu, x0, point=point).mantissa
 
 
@@ -137,7 +140,7 @@ def quantize_exact(params: PhysicalParams, n: int) -> EnergyLevel:
     gap = 1.0 - math.exp(-2.0 * math.pi / d.Lambda)
     window_cap = min(0.35, 0.45 * gap)
 
-    point = w_point(mu, x0)
+    point = w_point(mu)
     seen: dict[float, float] = {}
 
     def mantissa(beta: float) -> float:

@@ -7,6 +7,8 @@ import ast
 import math
 import pathlib
 
+import pytest
+
 from dipolewell import cli
 
 DEEP = [
@@ -115,6 +117,43 @@ def test_non_finite_x_is_usage_error(capsys):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (1, ""), argv
         assert "usage error" in err
+
+
+WEAK = ["--mass", "1", "--alpha", "1e-6", "--lambda", "1", "--omega", "1", "--radius", "0.1"]
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        # a square or 2 m alpha lambda^2 past double range is a usage error
+        (["spectrum", *DEEP, "--lambda", "1e200", "--nmax", "1"], 1),
+        (["spectrum", *DEEP, "--radius", "1e200", "--nmax", "1"], 1),
+        (["spectrum", *DEEP, "--pz", "1e200", "--nmax", "1"], 1),
+        (["spectrum", "--config", "{ell_cfg}", "--nmax", "1"], 1),
+        (["spectrum", *DEEP, "--ell", "1" + "0" * 400, "--nmax", "1"], 1),
+        (["spectrum", *DEEP, "--alpha", "1e300", "--mass", "1e10", "--nmax", "1"], 1),
+        (["potential", *DEEP, "--lambda", "1e200"], 1),
+        # weak coupling: the closed form's binding underflows to 0, the exact route has no root
+        (["spectrum", *WEAK, "--nmax", "1"], 0),
+        (["spectrum", *WEAK, "--nmax", "1", "--route", "exact"], 3),
+        # omega^2 past double range: no turning radius, so no default grid or profile range
+        (["validate", *DEEP, "--omega", "1e200", "--nmax", "1"], 3),
+        (["spectrum", *DEEP, "--omega", "1e200", "--nmax", "1", "--route", "all"], 3),
+        (["wavefunction", *DEEP, "--omega", "1e200", "--route", "asymptotic"], 3),
+    ],
+    ids=["lambda", "radius", "pz", "ell_config", "ell_flag", "coupling", "potential",
+         "weak", "weak_exact", "validate_omega", "spectrum_all_omega", "wavefunction_omega"],
+)
+def test_parameter_extremes_exit_with_documented_code(argv, code, tmp_path, capsys):
+    cfg = tmp_path / "ell.cfg"
+    cfg.write_text("mass = 1\nalpha = 12.5\nlambda = 1\nomega = 1e-3\nradius = 0.1\nell = 1e200\n")
+    got, out, err = run_cli([a.replace("{ell_cfg}", str(cfg)) for a in argv], capsys)
+    assert got == code
+    if code == 0:
+        assert (out, err) == ("n,ell,route,energy,kappa,estimated_error\n1,0,asymptotic,1,0.5,0\n", "")
+    else:
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("usage error: " if code == 1 else "numerical failure: ")
 
 
 def test_huge_kappa_overflow_is_numerical_failure(capsys):

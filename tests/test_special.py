@@ -341,7 +341,7 @@ def test_whittaker_w_computes_half_the_connection_formula(monkeypatch):
 
 
 def _prepared_w(kappa, mu, x):
-    return special.whittaker_w_scaled(kappa, mu, x, point=special.w_point(mu, x))
+    return special.whittaker_w_scaled(kappa, mu, x, point=special.w_point(mu))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -349,7 +349,7 @@ def _prepared_w(kappa, mu, x):
 @example((-3.0, 1e-13, 0.1))  # lnGamma(2 i mu) at its pole
 @example((-3.0, 3e-13, 0.1))  # just off the pole
 @example((0.5, 1.0, 0.3))  # beta = 0: lnGamma(beta + i mu) is finite, the kappa half
-@example((-3.0, 2.5, 40.0))  # large-x route: no prepared point
+@example((-3.0, 2.5, 40.0))  # large-x route: the prepared point goes unused
 @example((-3.0, 2.5, 0.0))  # x out of domain
 @example((-3.0, -1.0, 0.1))  # mu out of domain
 @example((0.5 - 1.5e5, 2.5, 29.9))
@@ -410,6 +410,9 @@ def test_whittaker_w_array_bit_identical_property(case):
     assert _array_outcome(kappa, mu, xs) == _scalar_outcome(kappa, mu, xs)
 
 
+DESCENDING = (DomainError, "whittaker_w_scaled_array requires ascending x")
+
+
 @pytest.mark.parametrize(
     "kappa,mu,xs,error",
     [
@@ -417,26 +420,33 @@ def test_whittaker_w_array_bit_identical_property(case):
         # the modulus of a finite Kummer sum overflows at the second sample
         (-1.160238289845834e80, 3.6878550803485646, [1e-90, 0.017479403027643454, 0.0317],
          ConvergenceError),
+        # the first sample hits the term cap after the second one's modulus overflowed
+        (-1.160238289845834e80, 3.6878550803485646, [1e-70, 0.017479403027643454],
+         ConvergenceError),
         (-1e306, 1.0, [0.1, 31.0], ConvergenceError),  # log-Gamma overflows at the first sample
-        (-1e306, 1.0, [31.0, 0.1], ConvergenceError),  # ... after the large-x series overflows
-        (0.5 - 1.5e5, 2.5, [1e-3, 30.5, 0.1], ConvergenceError),  # large-x series diverges
-        (0.5 - 1.5e5, 2.5, [30.5, 1e-3], ConvergenceError),  # ... before a connection sample
+        # descending x is refused before any W, though the scalar loop would run
+        (-1e306, 1.0, [31.0, 0.1], DESCENDING),
+        (0.5 - 1.5e5, 2.5, [1e-3, 0.1, 30.5], ConvergenceError),  # large-x series diverges
+        (0.5 - 1.5e5, 2.5, [1e-3, 30.5], ConvergenceError),  # ... after one connection sample
         (-3.0, 2.5, [0.1, math.nan, 0.2], DomainError),  # non-finite x after a good sample
         (-3.0, 2.5, [-1.0, 0.1], DomainError),
         (-3.0, 0.0, [0.1], DomainError),  # mu <= 0
     ],
-    ids=["kummer_cap", "abs_overflow", "log_gamma", "large_x_before_log_gamma", "large_x",
-         "large_x_first", "nan_x", "negative_x", "mu_zero"],
+    ids=["kummer_cap", "abs_overflow", "cap_before_overflow", "log_gamma", "descending_x",
+         "large_x", "large_x_first", "nan_x", "negative_x", "mu_zero"],
 )
 def test_whittaker_w_array_raises_the_first_scalar_error(kappa, mu, xs, error):
-    expect = _scalar_outcome(kappa, mu, xs)
-    assert isinstance(expect, tuple) and expect[0] is error
+    if error is DESCENDING:
+        expect = DESCENDING
+    else:
+        expect = _scalar_outcome(kappa, mu, xs)
+        assert isinstance(expect, tuple) and expect[0] is error
     assert _array_outcome(kappa, mu, xs) == expect
 
 
 def test_whittaker_w_array_mixed_routes_and_order():
-    # connection and large-x samples, unsorted, against the scalar calls
-    xs = [29.9, 1e-6, 45.0, 30.0, 0.3, 31.0, 2.0]
+    # connection and large-x samples, ascending, against the scalar calls
+    xs = [1e-6, 0.3, 2.0, 29.9, 30.0, 31.0, 45.0]
     expect = _scalar_outcome(-2.0, 1.5, xs)
     assert len(expect) == len(xs)
     assert _array_outcome(-2.0, 1.5, xs) == expect
@@ -454,11 +464,40 @@ def test_whittaker_w_array_rescaled_sums():
         expect = [special._kummer_series_scaled(a, b, x)[:3] for x in xs]
         assert all(ln_scale > 0.0 for _, ln_scale, _ in expect)
         got = special._whittaker_series_array(kappa, m, np.array(xs))
-        assert (got.ok, got.error) == (len(xs), None)
+        assert got.error is None
         assert list(zip(got.sums, got.ln_scale, got.est_rel)) == expect
     expect = _scalar_outcome(kappa, mu, xs)
     assert len(expect) == len(xs)
     assert _array_outcome(kappa, mu, xs) == expect
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        [0.3, 30.0],  # LARGE_X_SWITCH itself takes the connection route
+        [30.0, 30.0, 31.0],
+        [0.2, 0.2, 0.2, 5.0, 5.0],  # repeated x
+        [1e-6, 0.3, 2.0, 29.9],  # all samples in the prefix
+        [0.7],  # a single sample
+    ],
+    ids=["switch_point", "switch_point_repeated", "repeated", "all_prefix", "single"],
+)
+def test_whittaker_w_array_split_boundaries(xs):
+    expect = _scalar_outcome(-2.0, 1.5, xs)
+    assert len(expect) == len(xs)
+    assert _array_outcome(-2.0, 1.5, xs) == expect
+
+
+def test_whittaker_w_array_all_large_x_needs_no_log_gamma(monkeypatch):
+    xs = [30.5, 31.0, 31.0, 45.0]
+    expect = _scalar_outcome(-2.0, 1.5, xs)
+    assert len(expect) == len(xs)
+
+    def no_ln_gamma(z):
+        raise AssertionError("the large-x route needs no log-Gamma")
+
+    monkeypatch.setattr(special, "ln_gamma_complex", no_ln_gamma)
+    assert _array_outcome(-2.0, 1.5, xs) == expect
 
 
 # ---------------------------------------------------------------------------
