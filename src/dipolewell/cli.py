@@ -19,7 +19,8 @@ import sys
 from dataclasses import replace
 
 from . import model, oracle, spectrum
-from .errors import DipoleWellError, DomainError, ForbiddenRegion, NoBoundStateRegime
+from .errors import (ConvergenceError, DipoleWellError, DomainError, ForbiddenRegion,
+                     NoBoundStateRegime)
 from .model import PhysicalParams
 from .oracle import GridScheme, RadialGridSpec
 from .solve import BETA_MIN_DEFAULT, ROUTES, X0_ADMISSIBLE_DEFAULT, solve
@@ -287,14 +288,17 @@ def cmd_sweep_cutoff(ns: argparse.Namespace) -> int:
     ref = params.omega + params.energy_shift
     lines = ["R,E1_asymptotic,E1_exact,R2_binding_asymptotic,status"]
     for R in radii:
-        # the closed form fails only with NoBoundStateRegime, which solve raises
         solution = solve(replace(params, cutoff_R=R), 1, routes)
-        e1a = solution.level(Route.ASYMPTOTIC, 1).energy
-        e1x = solution.level(Route.EXACT, 1)
         error = solution.first_error()
+        e1a, e1x = (solution.level(route, 1) for route in (Route.ASYMPTOTIC, Route.EXACT))
+        if e1a is None:  # its error is the first in route order
+            raise error
+        scaled = R * R * (ref - e1a.energy)
+        if not math.isfinite(scaled):
+            raise DomainError(f"R^2 times the binding at R = {R} leaves double range")
         status = "ok" if error is None else f"exact-failed:{type(error).__name__}"
-        lines.append(f"{_fmt(R)},{_fmt(e1a)},{_cell(e1x.energy if e1x else None)},"
-                     f"{_fmt(R * R * (ref - e1a))},{status}")
+        lines.append(f"{_fmt(R)},{_fmt(e1a.energy)},{_cell(e1x.energy if e1x else None)},"
+                     f"{_fmt(scaled)},{status}")
     _write(ns.out, lines)
     return EXIT_OK
 
@@ -367,6 +371,9 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         print(f"{_fmt15(res.value.real)} {_fmt15(res.value.imag)} {_fmt15(res.est_error)}")
     elif ns.kind == "WhittakerW":
         res = special.whittaker_w_scaled(a[0], a[1], a[2])
+        if not (math.isfinite(res.value) and math.isfinite(res.est_error)):
+            raise ConvergenceError(
+                f"whittaker_w overflows double range (kappa={a[0]}, mu={a[1]}, x={a[2]})")
         print(f"{_fmt15(res.value)} {_fmt15(res.est_error)}")
     else:  # WSmallX
         approx = special.whittaker_w_smallx_approx(a[0], a[1])

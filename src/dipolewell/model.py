@@ -35,8 +35,8 @@ class PhysicalParams:
     p_z                   axial momentum eigenvalue (enters as a rigid
                           energy shift p_z^2/(2m))
 
-    Every float field must be finite, and lambda^2, R^2, p_z^2, ell^2 and
-    2 m alpha lambda^2 must not overflow; DomainError otherwise.
+    Every float field must be finite, and lambda^2, R^2, p_z^2, ell^2,
+    2 m alpha lambda^2 and p_z^2/(2m) must not overflow; DomainError otherwise.
     """
 
     mass_m: float
@@ -64,6 +64,8 @@ class PhysicalParams:
                 raise DomainError(f"{name} squared leaves double range")
         if not math.isfinite(self.coupling_strength):
             raise DomainError("2 m alpha lambda^2 leaves double range")
+        if not math.isfinite(self.energy_shift):
+            raise DomainError("p_z^2/(2m) leaves double range")
 
     @property
     def coupling_strength(self) -> float:
@@ -161,11 +163,15 @@ def kappa_of_energy(params: PhysicalParams, energy: float) -> float:
     """Whittaker parameter kappa = (E - shift) / (2 omega); beta = 1/2 - kappa.
 
     Defined only for omega > 0: the static problem has no oscillator variable
-    and is handled by the numeric oracle alone.
+    and is handled by the numeric oracle alone.  DomainError where kappa
+    leaves double range.
     """
     if params.omega <= 0:
         raise DomainError("the kappa map requires omega > 0")
-    return (energy - params.energy_shift) / (2.0 * params.omega)
+    kappa = (energy - params.energy_shift) / (2.0 * params.omega)
+    if not math.isfinite(kappa):
+        raise DomainError(f"kappa at E = {energy:.6g} leaves double range")
+    return kappa
 
 
 def energy_of_kappa(params: PhysicalParams, kappa: float) -> float:

@@ -97,46 +97,21 @@ def _u_potential(params: PhysicalParams, r: np.ndarray) -> np.ndarray:
     return -(lsq + 0.25) / (r * r) + (mw * r) ** 2
 
 
-def build_tridiag(
-    params: PhysicalParams, grid: RadialGridSpec, *, inner_bc: str = "wall"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric tridiagonal (diag, offdiag) whose eigenvalues are tau.
-
-    inner_bc="wall" is the physical hard-wall Dirichlet condition u(r_min)=0.
-    inner_bc="regular" (log grid only) imposes the natural s-wave behavior
-    u ~ sqrt(r) at the inner edge instead of a wall; this is the right
-    condition for cut-off-free limits such as the pure-oscillator check,
-    where a Dirichlet wall at small R would add a slowly vanishing ~1/ln(R)
-    energy shift of its own.
-    """
+def build_tridiag(params: PhysicalParams, grid: RadialGridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric tridiagonal (diag, offdiag) whose eigenvalues are tau, with
+    the hard-wall Dirichlet condition u = 0 at both ends of the grid."""
     r = grid.nodes()
     n = grid.points
     if grid.scheme is GridScheme.UNIFORM:
-        if inner_bc != "wall":
-            raise DomainError("inner_bc='regular' requires the log grid")
         h = (grid.r_max - grid.r_min) / (n + 1)
         diag = 2.0 / (h * h) + _u_potential(params, r)
         off = np.full(n - 1, -1.0 / (h * h))
         return diag, off
     span = math.log(grid.r_max / grid.r_min)
     h = span / (n + 1)
-    if inner_bc == "wall":
-        q = 0.25 + r * r * _u_potential(params, r)
-        diag = (2.0 / (h * h) + q) / (r * r)
-        off = -1.0 / (h * h) / (r[:-1] * r[1:])
-        return diag, off
-    if inner_bc != "regular":
-        raise DomainError("inner_bc must be 'wall' or 'regular'")
-    # include the inner node with a reflected (Neumann) condition v'(0) = 0;
-    # half-cell weights keep the reduced problem symmetric
-    r_full = np.concatenate(([grid.r_min], r))
-    q = 0.25 + r_full * r_full * _u_potential(params, r_full)
-    a_diag = np.concatenate(([1.0 / (h * h) + 0.5 * q[0]], 2.0 / (h * h) + q[1:]))
-    weights = r_full * r_full
-    weights = np.concatenate(([0.5 * weights[0]], weights[1:]))
-    sqw = np.sqrt(weights)
-    diag = a_diag / weights
-    off = -1.0 / (h * h) / (sqw[:-1] * sqw[1:])
+    q = 0.25 + r * r * _u_potential(params, r)
+    diag = (2.0 / (h * h) + q) / (r * r)
+    off = -1.0 / (h * h) / (r[:-1] * r[1:])
     return diag, off
 
 
@@ -307,7 +282,7 @@ def _tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.nda
 
 
 def _eigenvector(diag: np.ndarray, off: np.ndarray, tau: float) -> np.ndarray:
-    """Inverse iteration at shift tau (two sweeps are ample for isolated modes)."""
+    """Inverse iteration at shift tau (three sweeps are ample for isolated modes)."""
     shifted = diag - (tau + 1e-10 * max(1.0, abs(tau)))
     v = np.random.default_rng(12345).standard_normal(len(diag))
     v /= np.linalg.norm(v)
@@ -329,13 +304,7 @@ def default_grid(
     return RadialGridSpec(params.cutoff_R, 3.0 * r_turn, points, GridScheme.LOG_UNIFORM)
 
 
-def fd_eigensolve(
-    params: PhysicalParams,
-    grid: RadialGridSpec,
-    k_levels: int,
-    *,
-    inner_bc: str = "wall",
-) -> OracleResult:
+def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -> OracleResult:
     """k_levels lowest tau eigenvalues with half-step Richardson estimates.
 
     Raises GridTooCoarse when a Richardson estimate exceeds 1% of the local
@@ -346,9 +315,9 @@ def fd_eigensolve(
     if not 1 <= k_levels <= grid.points:
         raise DomainError("need 1 <= k_levels <= grid.points")
     k_work = min(k_levels + 1, grid.points)  # one spare level to gauge the spacing
-    diag, off = build_tridiag(params, grid, inner_bc=inner_bc)
+    diag, off = build_tridiag(params, grid)
     coarse = sturm_tridiag_eigs(diag, off, k_work, atol=0.0, rtol=1e-13)
-    diag, off = build_tridiag(params, grid.refined(), inner_bc=inner_bc)
+    diag, off = build_tridiag(params, grid.refined())
     fine = sturm_tridiag_eigs(diag, off, k_work, atol=0.0, rtol=1e-13, guesses=coarse)
     estimates = [abs(f - c) / 3.0 for f, c in zip(fine, coarse)]
 

@@ -69,7 +69,8 @@ def binding_energy(params: PhysicalParams, n: int) -> float:
         b_n = (2 Lambda^2 / (m R^2)) exp(pi/(2 Lambda) - 2) exp(-2 pi n / Lambda)
 
     Lambda^2 enters directly (not via sqrt-then-square) so the s-wave
-    special case reduces to the same arithmetic bit for bit.
+    special case reduces to the same arithmetic bit for bit.  DomainError
+    where b_n leaves double range.
     """
     return _binding(params, derive(params), n)
 
@@ -77,11 +78,15 @@ def binding_energy(params: PhysicalParams, n: int) -> float:
 def _binding(params: PhysicalParams, d: DerivedParams, n: int) -> float:
     lam = d.Lambda
     lam_sq = params.coupling_strength - float(params.ell) ** 2
-    coef = 2.0 * lam_sq / (params.mass_m * params.cutoff_R**2)
+    m_r_sq = params.mass_m * params.cutoff_R**2
+    coef = 2.0 * lam_sq / m_r_sq if m_r_sq > 0 else math.inf  # m R^2 may underflow to 0
     try:
-        return coef * math.exp(math.pi / (2.0 * lam) - 2.0) * math.exp(-2.0 * math.pi * n / lam)
+        b = coef * math.exp(math.pi / (2.0 * lam) - 2.0) * math.exp(-2.0 * math.pi * n / lam)
     except OverflowError:  # weak coupling: the first factor alone leaves double range
-        return coef * math.exp(math.pi / (2.0 * lam) - 2.0 - 2.0 * math.pi * n / lam)
+        b = coef * math.exp(math.pi / (2.0 * lam) - 2.0 - 2.0 * math.pi * n / lam)
+    if not math.isfinite(b):
+        raise DomainError(f"closed-form binding of level {n} leaves double range")
+    return b
 
 
 def energy_levels_asymptotic(params: PhysicalParams, n_max: int) -> list[EnergyLevel]:

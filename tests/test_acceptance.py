@@ -330,12 +330,14 @@ def test_criterion_09_regime_gate(capsys):
 
 
 def test_criterion_10_oracle_sanity():
-    p = PhysicalParams(1.0, 1e-300, 1.0, 1.0, 1e-6)
+    # 2D p-wave oscillator behind the hard wall: tau = 2 m omega (2k + |ell| + 1)
+    # = 4, 8, 12; a wall at R = 1e-6 moves these by O(R^2) only
+    p = PhysicalParams(1.0, 1e-300, 1.0, 1.0, 1e-6, ell=1)
     grid = RadialGridSpec(1e-6, 12.0, 2000, GridScheme.LOG_UNIFORM)
-    res = oracle.fd_eigensolve(p, grid, 1, inner_bc="regular")
-    tau0 = res.eigenvalues_tau[0]
-    rich = res.richardson_error_estimate[0]
-    osc_ok = abs(tau0 - 2.0) <= 2.0 * rich + 1e-9
+    res = oracle.fd_eigensolve(p, grid, 3)
+    devs = [abs(tau - expect) for tau, expect in zip(res.eigenvalues_tau, (4.0, 8.0, 12.0))]
+    rich = res.richardson_error_estimate
+    osc_ok = len(devs) == 3 and all(d <= 2.0 * e + 1e-9 for d, e in zip(devs, rich))
 
     n = 160
     eig = oracle.sturm_tridiag_eigs(np.full(n, 2.0), np.full(n - 1, -1.0), 5)
@@ -346,6 +348,7 @@ def test_criterion_10_oracle_sanity():
     ok = osc_ok and lap_dev <= 1e-12
     verdict(
         10, "oracle-sanity", ok,
-        f"oscillator tau0 = {tau0:.9f} within Richardson {rich:.1e} of 2; "
+        f"p-wave oscillator |tau - (4, 8, 12)| = {', '.join(f'{d:.1e}' for d in devs)} "
+        f"within 2x Richardson {', '.join(f'{e:.1e}' for e in rich)}; "
         f"Laplacian closed form dev {lap_dev:.1e} <= 1e-12",
     )

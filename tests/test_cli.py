@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
+import io
 import math
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dipolewell import cli
 
@@ -98,8 +102,10 @@ def test_exit_code_numerical_failure(capsys):
     assert code == 3
     assert "numerical failure" in err
     # M(1; 1; 1200) = e^1200 and M_{-1e6, i}(0.5) leave double range
+    # ... and so does W_{1000, 2.5i}(0.001), whose scaled fields stay finite
     for argv in (["eval", "KummerM", "1", "0", "1", "0", "1200"],
-                 ["eval", "WhittakerM", "--", "-1e6", "1", "0.5"]):
+                 ["eval", "WhittakerM", "--", "-1e6", "1", "0.5"],
+                 ["eval", "WhittakerW", "1000", "2.5", "0.001"]):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (3, ""), argv
         assert "numerical failure: ConvergenceError" in err
@@ -120,6 +126,13 @@ def test_non_finite_x_is_usage_error(capsys):
 
 
 WEAK = ["--mass", "1", "--alpha", "1e-6", "--lambda", "1", "--omega", "1", "--radius", "0.1"]
+HEAVY = [
+    "--mass", "1e-10", "--alpha", "1e300", "--lambda", "1", "--omega", "1e-3", "--radius", "1e-5",
+]
+EXTREME = [
+    "--mass", "1e-300", "--alpha", "1e200", "--lambda", "1e10", "--omega", "1e-300",
+    "--radius", "1e10",
+]
 
 
 @pytest.mark.parametrize(
@@ -140,9 +153,23 @@ WEAK = ["--mass", "1", "--alpha", "1e-6", "--lambda", "1", "--omega", "1", "--ra
         (["validate", *DEEP, "--omega", "1e200", "--nmax", "1"], 3),
         (["spectrum", *DEEP, "--omega", "1e200", "--nmax", "1", "--route", "all"], 3),
         (["wavefunction", *DEEP, "--omega", "1e200", "--route", "asymptotic"], 3),
+        # p_z^2/(2m) past double range is a usage error
+        (["spectrum", *EXTREME, "--pz", "1e10"], 1),
+        # the closed-form binding leaves double range: R^2 underflows to 0, or
+        # its prefactor 2 Lambda^2/(m R^2) overflows
+        (["spectrum", *DEEP, "--radius", "1e-200", "--nmax", "1"], 3),
+        (["sweep-cutoff", *DEEP, "--radii", "0.1,1e-200"], 3),
+        (["spectrum", *HEAVY, "--nmax", "1"], 3),
+        (["sweep-cutoff", *HEAVY, "--radii", "1e-5"], 3),
+        # kappa = (E - shift)/(2 omega) of a finite level leaves double range
+        (["spectrum", *EXTREME, "--omega", "1e-200", "--mass", "1", "--pz", "1"], 3),
+        # the R^2 (omega + shift - E1) column of a finite level leaves double range
+        (["sweep-cutoff", *EXTREME, "--alpha", "1e300", "--omega", "0", "--radii", "1e10"], 3),
     ],
     ids=["lambda", "radius", "pz", "ell_config", "ell_flag", "coupling", "potential",
-         "weak", "weak_exact", "validate_omega", "spectrum_all_omega", "wavefunction_omega"],
+         "weak", "weak_exact", "validate_omega", "spectrum_all_omega", "wavefunction_omega",
+         "energy_shift", "binding_radius", "sweep_binding_radius", "binding_prefactor",
+         "sweep_binding_prefactor", "kappa", "sweep_scaled_binding"],
 )
 def test_parameter_extremes_exit_with_documented_code(argv, code, tmp_path, capsys):
     cfg = tmp_path / "ell.cfg"
@@ -154,6 +181,36 @@ def test_parameter_extremes_exit_with_documented_code(argv, code, tmp_path, caps
     else:
         assert out == "" and err.count("\n") == 1
         assert err.startswith("usage error: " if code == 1 else "numerical failure: ")
+
+
+EXTREME_VALUES = [
+    "-1", "0", "1e-300", "1e-200", "1e-10", "1", "1e10", "1e200", "1e300", "nan", "inf",
+]
+CHEAP_COMMANDS = {
+    "spectrum": ["--route", "asymptotic"],
+    "sweep-cutoff": ["--no-exact"],
+    "potential": ["--samples", "3"],
+}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(CHEAP_COMMANDS)),
+    st.lists(st.sampled_from(EXTREME_VALUES), min_size=6, max_size=6),
+)
+def test_cheap_commands_exit_with_a_documented_code_property(command, values):
+    # any finite or non-finite parameter: exit 0-3 and no exception; exit 0 prints no inf or nan
+    names = ("mass", "alpha", "lambda", "omega", "radius", "pz")
+    argv = [command, *(f"--{k}={v}" for k, v in zip(names, values)), *CHEAP_COMMANDS[command]]
+    if command == "sweep-cutoff":
+        argv.append(f"--radii={values[4]}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code == 0:
+        cells = set(out.getvalue().replace("\n", ",").split(","))
+        assert not cells & {"inf", "-inf", "nan"}, argv
 
 
 def test_huge_kappa_overflow_is_numerical_failure(capsys):

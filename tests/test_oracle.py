@@ -354,11 +354,14 @@ def test_fd_full_domain_matches_exact_quantization():
     assert abs(e_fd - e_ref) / binding <= rich_rel + 1e-3
 
 
-def test_fd_oscillator_limit_regular_bc():
-    # pure 2D s-wave oscillator: tau = 2 m omega (2k + 1) = 2, 6, 10
+def test_fd_oscillator_limit_p_wave():
+    # pure 2D p-wave oscillator: tau = 2 m omega (2k + 2) = 4, 8, 12; the hard
+    # wall at R = 1e-6 shifts these by O(R^2), far below the Richardson estimate
     grid = RadialGridSpec(1e-6, 12.0, 2000, GridScheme.LOG_UNIFORM)
-    res = oracle.fd_eigensolve(oscillator_params(), grid, 3, inner_bc="regular")
-    for tau, expect, rich in zip(res.eigenvalues_tau, (2.0, 6.0, 10.0), res.richardson_error_estimate):
+    res = oracle.fd_eigensolve(oscillator_params(ell=1), grid, 3)
+    assert len(res.eigenvalues_tau) == 3
+    expected = (4.0, 8.0, 12.0)
+    for tau, expect, rich in zip(res.eigenvalues_tau, expected, res.richardson_error_estimate):
         assert abs(tau - expect) <= 2.0 * rich + 1e-9
 
 
