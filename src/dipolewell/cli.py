@@ -17,6 +17,7 @@ import argparse
 import math
 import sys
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 from . import model, oracle, spectrum
 from .errors import (ConvergenceError, DipoleWellError, DomainError, ForbiddenRegion,
@@ -102,7 +103,62 @@ def _add_solve_flags(p: argparse.ArgumentParser) -> None:
                    help="oracle grid spacing (default %(default)s)")
 
 
-def build_parser() -> _Parser:
+def _spectrum_flags(p: argparse.ArgumentParser) -> None:
+    _add_param_flags(p)
+    _add_solve_flags(p)
+    p.add_argument("--nmax", type=_COUNT, default=3, help="levels n = 1..nmax (default %(default)s)")
+    p.add_argument("--route", choices=["asymptotic", "exact", "oracle", "all"],
+                   default="asymptotic")
+
+
+def _validate_flags(p: argparse.ArgumentParser) -> None:
+    _add_param_flags(p)
+    _add_solve_flags(p)
+    p.add_argument("--nmax", type=_COUNT, default=2)
+    p.add_argument("--x0-threshold", type=_POSITIVE, default=X0_ADMISSIBLE_DEFAULT,
+                   help="x0 smallness threshold for regime flags (default %(default)s)")
+    p.add_argument("--beta-min", type=_POSITIVE, default=BETA_MIN_DEFAULT,
+                   help="minimum beta for the deep regime flag (default %(default)s)")
+    p.add_argument("--compare-tol", type=_POSITIVE, default=0.05,
+                   help="exact-oracle agreement tolerance (default %(default)s)")
+
+
+def _wavefunction_flags(p: argparse.ArgumentParser) -> None:
+    _add_param_flags(p)
+    p.add_argument("--n", type=_COUNT, default=1, help="level index (default %(default)s)")
+    p.add_argument("--route", choices=["exact", "asymptotic"], default="exact")
+    p.add_argument("--rmax", type=_POSITIVE, default=None,
+                   help="sampling range end (default: 3x outer turning point)")
+    p.add_argument("--samples", type=_SAMPLES, default=512)
+
+
+def _sweep_cutoff_flags(p: argparse.ArgumentParser) -> None:
+    _add_param_flags(p)
+    p.add_argument("--radii", required=True,
+                   help="comma-separated cut-off radii, positive descending")
+    p.add_argument("--no-exact", action="store_true",
+                   help="skip the exact-quantization column")
+
+
+def _potential_flags(p: argparse.ArgumentParser) -> None:
+    _add_param_flags(p)
+    p.add_argument("--r", default=None, help="comma-separated radii")
+    p.add_argument("--rmin", type=_FINITE, default=None)
+    p.add_argument("--rmax", type=_FINITE, default=None)
+    p.add_argument("--samples", type=_SAMPLES, default=200)
+    p.add_argument("--with-centrifugal", action="store_true",
+                   help="add the ell^2/(2 m r^2) column")
+
+
+def _eval_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("kind", choices=list(_EVAL_ARGC))
+    p.add_argument("args", type=float, nargs="*",
+                   help="GammaLn re im | KummerM a_re a_im b_re b_im x | "
+                        "WhittakerM kappa mu x | WhittakerW kappa mu x | WSmallX kappa mu x")
+
+
+def _parser(commands) -> _Parser:
+    """The top-level parser with a subparser for each of the named commands."""
     p = _Parser(
         prog="dipolewell",
         description=(
@@ -113,55 +169,14 @@ def build_parser() -> _Parser:
         ),
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("spectrum", help="energy levels by one or all routes")
-    _add_param_flags(sp)
-    _add_solve_flags(sp)
-    sp.add_argument("--nmax", type=_COUNT, default=3, help="levels n = 1..nmax (default %(default)s)")
-    sp.add_argument("--route", choices=["asymptotic", "exact", "oracle", "all"],
-                    default="asymptotic")
-
-    va = sub.add_parser("validate", help="compare all three routes per level")
-    _add_param_flags(va)
-    _add_solve_flags(va)
-    va.add_argument("--nmax", type=_COUNT, default=2)
-    va.add_argument("--x0-threshold", type=_POSITIVE, default=X0_ADMISSIBLE_DEFAULT,
-                    help="x0 smallness threshold for regime flags (default %(default)s)")
-    va.add_argument("--beta-min", type=_POSITIVE, default=BETA_MIN_DEFAULT,
-                    help="minimum beta for the deep regime flag (default %(default)s)")
-    va.add_argument("--compare-tol", type=_POSITIVE, default=0.05,
-                    help="exact-oracle agreement tolerance (default %(default)s)")
-
-    wf = sub.add_parser("wavefunction", help="sample the radial wavefunction of one level")
-    _add_param_flags(wf)
-    wf.add_argument("--n", type=_COUNT, default=1, help="level index (default %(default)s)")
-    wf.add_argument("--route", choices=["exact", "asymptotic"], default="exact")
-    wf.add_argument("--rmax", type=_POSITIVE, default=None,
-                    help="sampling range end (default: 3x outer turning point)")
-    wf.add_argument("--samples", type=_SAMPLES, default=512)
-
-    sw = sub.add_parser("sweep-cutoff", help="ground level vs cut-off radius R")
-    _add_param_flags(sw)
-    sw.add_argument("--radii", required=True,
-                    help="comma-separated cut-off radii, positive descending")
-    sw.add_argument("--no-exact", action="store_true",
-                    help="skip the exact-quantization column")
-
-    po = sub.add_parser("potential", help="tabulate the effective potential")
-    _add_param_flags(po)
-    po.add_argument("--r", default=None, help="comma-separated radii")
-    po.add_argument("--rmin", type=_FINITE, default=None)
-    po.add_argument("--rmax", type=_FINITE, default=None)
-    po.add_argument("--samples", type=_SAMPLES, default=200)
-    po.add_argument("--with-centrifugal", action="store_true",
-                    help="add the ell^2/(2 m r^2) column")
-
-    ev = sub.add_parser("eval", help="point evaluation of the special functions")
-    ev.add_argument("kind", choices=["GammaLn", "KummerM", "WhittakerM", "WhittakerW", "WSmallX"])
-    ev.add_argument("args", type=float, nargs="*",
-                    help="GammaLn re im | KummerM a_re a_im b_re b_im x | "
-                         "WhittakerM kappa mu x | WhittakerW kappa mu x | WSmallX kappa mu x")
+    for name in commands:
+        command = _COMMANDS[name]
+        command.add_flags(sub.add_parser(name, help=command.help))
     return p
+
+
+def build_parser() -> _Parser:
+    return _parser(_COMMANDS)
 
 
 def _build_params(ns: argparse.Namespace) -> PhysicalParams:
@@ -267,8 +282,8 @@ def cmd_wavefunction(ns: argparse.Namespace) -> int:
     if profile.boundary_warning:
         print("warning: asymptotic level does not satisfy f(R) = 0 exactly", file=sys.stderr)
     lines = ["r,f"]
-    for r, f in zip(profile.r_samples, profile.f_values):
-        lines.append(f"{_fmt(float(r))},{_fmt(float(f))}")
+    for r, f in zip(profile.r_samples.tolist(), profile.f_values.tolist()):
+        lines.append(f"{_fmt(r)},{_fmt(f)}")
     _write(ns.out, lines)
     return EXIT_OK
 
@@ -371,30 +386,46 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         print(f"{_fmt15(res.value.real)} {_fmt15(res.value.imag)} {_fmt15(res.est_error)}")
     elif ns.kind == "WhittakerW":
         res = special.whittaker_w_scaled(a[0], a[1], a[2])
-        if not (math.isfinite(res.value) and math.isfinite(res.est_error)):
-            raise ConvergenceError(
-                f"whittaker_w overflows double range (kappa={a[0]}, mu={a[1]}, x={a[2]})")
-        print(f"{_fmt15(res.value)} {_fmt15(res.est_error)}")
+        _print_w("whittaker_w", a, res.value, res.est_error)
     else:  # WSmallX
         approx = special.whittaker_w_smallx_approx(a[0], a[1])
-        print(f"{_fmt15(approx.value(a[2]))} {_fmt15(approx.est_error(a[2]))}")
+        _print_w("whittaker_w_smallx", a, approx.value(a[2]), approx.est_error(a[2]))
     return EXIT_OK
 
 
+def _print_w(name: str, a: list[float], value: float, est: float) -> None:
+    if not (math.isfinite(value) and math.isfinite(est)):
+        raise ConvergenceError(
+            f"{name} overflows double range (kappa={a[0]}, mu={a[1]}, x={a[2]})")
+    print(f"{_fmt15(value)} {_fmt15(est)}")
+
+
+class _Command(NamedTuple):
+    help: str
+    add_flags: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+
+
 _COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "validate": cmd_validate,
-    "wavefunction": cmd_wavefunction,
-    "sweep-cutoff": cmd_sweep_cutoff,
-    "potential": cmd_potential,
-    "eval": cmd_eval,
+    "spectrum": _Command("energy levels by one or all routes", _spectrum_flags, cmd_spectrum),
+    "validate": _Command("compare all three routes per level", _validate_flags, cmd_validate),
+    "wavefunction": _Command("sample the radial wavefunction of one level",
+                             _wavefunction_flags, cmd_wavefunction),
+    "sweep-cutoff": _Command("ground level vs cut-off radius R", _sweep_cutoff_flags,
+                             cmd_sweep_cutoff),
+    "potential": _Command("tabulate the effective potential", _potential_flags, cmd_potential),
+    "eval": _Command("point evaluation of the special functions", _eval_flags, cmd_eval),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    # a named command needs only its own subparser; -h, no command and an
+    # unknown command get the full parser and its messages
+    commands = args[:1] if args and args[0] in _COMMANDS else _COMMANDS
     try:
-        ns = build_parser().parse_args(argv)
-        return _COMMANDS[ns.command](ns)
+        ns = _parser(commands).parse_args(args)
+        return _COMMANDS[ns.command].run(ns)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -80,6 +80,9 @@ _LANCZOS_C = (
 )
 
 KUMMER_MAX_TERMS = 10_000
+# ln_gamma_complex shifts Re z up by one per step of its recurrence; past this
+# many steps it refuses (and past 2^53 a step would not move Re z at all)
+LN_GAMMA_MAX_SHIFTS = 10_000_000
 _LN_1E250 = 250.0 * math.log(10.0)  # a Kummer sum's scale step
 
 # Beyond this x the connection formula loses ~exp(x) in cancellation while
@@ -136,7 +139,8 @@ def ln_gamma_complex(z: complex) -> GammaLn:
     plane) to shift arguments with smaller real part.  exp(value) equals
     Gamma(z); accuracy is 13+ significant digits for |z| <= 50.
 
-    Raises PoleError if z is within machine distance of 0, -1, -2, ...
+    Raises PoleError if z is within machine distance of 0, -1, -2, ..., and
+    DomainError if the recurrence would take more than LN_GAMMA_MAX_SHIFTS steps.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -144,6 +148,10 @@ def ln_gamma_complex(z: complex) -> GammaLn:
     n = round(z.real)
     if n <= 0 and abs(z - n) < 1e-12 * max(1.0, abs(n)):
         raise PoleError(f"Gamma pole at z = {n}")
+    if 0.5 - z.real > LN_GAMMA_MAX_SHIFTS:
+        raise DomainError(
+            f"ln_gamma_complex: Re z = {z.real} needs more than {LN_GAMMA_MAX_SHIFTS} "
+            "recurrence steps")
 
     shift = 0.0 + 0.0j
     shifts = 0
@@ -636,6 +644,11 @@ def whittaker_w_smallx_approx(kappa: float, mu: float) -> SmallXApprox:
         - (beta - 0.5) * math.log(beta)
         - 0.5 * math.log(2.0 * mu)
     )
-    phase_at_x1 = 2.0 * mu + mu * math.log(beta / (4.0 * mu * mu)) + 0.25 * math.pi
+    four_mu_sq = 4.0 * mu * mu
+    ratio = beta / four_mu_sq if four_mu_sq > 0.0 else math.inf
+    if not 0.0 < ratio < math.inf:
+        raise DomainError(f"whittaker_w_smallx_approx: beta/(4 mu^2) leaves double range "
+                          f"(kappa={kappa}, mu={mu})")
+    phase_at_x1 = 2.0 * mu + mu * math.log(ratio) + 0.25 * math.pi
     valid = min(0.9, 0.05 * math.hypot(1.0, 2.0 * mu) / beta)
     return SmallXApprox(log_amplitude, phase_at_x1, valid, beta, mu)

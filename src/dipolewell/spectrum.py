@@ -90,7 +90,8 @@ def _binding(params: PhysicalParams, d: DerivedParams, n: int) -> float:
 
 
 def energy_levels_asymptotic(params: PhysicalParams, n_max: int) -> list[EnergyLevel]:
-    """Closed-form levels n = 1..n_max (general ell), strictly increasing in n.
+    """Closed-form levels n = 1..n_max (general ell), strictly increasing in n;
+    DomainError where two consecutive levels round to the same double.
 
     Works for omega >= 0: omega enters only as an additive offset, so the
     omega = 0 limit is taken literally.  Levels outside the validity domain
@@ -103,6 +104,9 @@ def energy_levels_asymptotic(params: PhysicalParams, n_max: int) -> list[EnergyL
     for n in range(1, n_max + 1):
         b = _binding(params, d, n)
         energy = params.omega + params.energy_shift - b
+        if levels and not energy > levels[-1].energy:
+            raise DomainError(f"closed-form levels {n - 1} and {n} do not differ in double "
+                              f"precision (E = {energy!r})")
         kappa = kappa_of_energy(params, energy) if params.omega > 0 else None
         # double rounding of the exp-ladder: ~couple of ulp on the binding
         est = 8.0 * np.finfo(float).eps * b

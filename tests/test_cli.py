@@ -8,9 +8,10 @@ import contextlib
 import io
 import math
 import pathlib
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dipolewell import cli
@@ -102,10 +103,12 @@ def test_exit_code_numerical_failure(capsys):
     assert code == 3
     assert "numerical failure" in err
     # M(1; 1; 1200) = e^1200 and M_{-1e6, i}(0.5) leave double range
-    # ... and so does W_{1000, 2.5i}(0.001), whose scaled fields stay finite
+    # ... and so does W_{1000, 2.5i}(0.001), whose scaled fields stay finite, and the
+    # error of the small-x form far outside its range (inf * 0)
     for argv in (["eval", "KummerM", "1", "0", "1", "0", "1200"],
                  ["eval", "WhittakerM", "--", "-1e6", "1", "0.5"],
-                 ["eval", "WhittakerW", "1000", "2.5", "0.001"]):
+                 ["eval", "WhittakerW", "1000", "2.5", "0.001"],
+                 ["eval", "WSmallX", "--", "-1e200", "1e10", "1e300"]):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (3, ""), argv
         assert "numerical failure: ConvergenceError" in err
@@ -165,11 +168,14 @@ EXTREME = [
         (["spectrum", *EXTREME, "--omega", "1e-200", "--mass", "1", "--pz", "1"], 3),
         # the R^2 (omega + shift - E1) column of a finite level leaves double range
         (["sweep-cutoff", *EXTREME, "--alpha", "1e300", "--omega", "0", "--radii", "1e10"], 3),
+        # levels 1..3 round to one double: exp(-2 pi n / Lambda) is 1 at Lambda ~ 1e110
+        (["spectrum", "--mass", "1", "--alpha", "1e200", "--lambda", "1e10", "--omega", "0",
+          "--radius", "1e10"], 3),
     ],
     ids=["lambda", "radius", "pz", "ell_config", "ell_flag", "coupling", "potential",
          "weak", "weak_exact", "validate_omega", "spectrum_all_omega", "wavefunction_omega",
          "energy_shift", "binding_radius", "sweep_binding_radius", "binding_prefactor",
-         "sweep_binding_prefactor", "kappa", "sweep_scaled_binding"],
+         "sweep_binding_prefactor", "kappa", "sweep_scaled_binding", "level_order"],
 )
 def test_parameter_extremes_exit_with_documented_code(argv, code, tmp_path, capsys):
     cfg = tmp_path / "ell.cfg"
@@ -213,6 +219,46 @@ def test_cheap_commands_exit_with_a_documented_code_property(command, values):
         assert not cells & {"inf", "-inf", "nan"}, argv
 
 
+# either sign: a large negative kappa reaches the small-x form (beta >= 10), and a
+# large negative Re z a log-Gamma far left of the axis
+SIGNED_EXTREMES = EXTREME_VALUES + [f"-{v}" for v in EXTREME_VALUES if v != "-1"]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(cli._EVAL_ARGC)),
+    st.lists(st.sampled_from(SIGNED_EXTREMES), min_size=5, max_size=5),
+)
+# beta >= 10 needs kappa <= -9.5, so the draws rarely reach the small-x form
+@example("WSmallX", ["-1e300", "1e300", "1e300", "0", "0"])  # 4 mu^2 overflows
+@example("WSmallX", ["-1e200", "1e10", "1e300", "0", "0"])  # its error is inf * 0 = nan
+def test_eval_exits_with_a_documented_code_property(kind, values):
+    # any finite or non-finite argument of either sign: exit 0-3 and no exception;
+    # exit 0 prints no inf or nan
+    argv = ["eval", kind, "--", *values[:cli._EVAL_ARGC[kind]]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code == 0:
+        assert not set(out.getvalue().split()) & {"inf", "-inf", "nan"}, argv
+
+
+def test_eval_extremes_are_typed_errors(capsys):
+    # log-Gamma far left of the axis would take ~|Re z| recurrence steps (forever past
+    # 2^53), and 4 mu^2 past double range turns the small-x phase into log(0)
+    for argv, message in (
+        (["eval", "GammaLn", "--", "-1e10", "1"], "recurrence steps"),
+        (["eval", "GammaLn", "--", "-1e300", "1e300"], "recurrence steps"),
+        (["eval", "WhittakerW", "--", "1e10", "2.5", "0.001"], "recurrence steps"),
+        (["eval", "WSmallX", "--", "-1e300", "1e300", "1e300"], "leaves double range"),
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("numerical failure: DomainError: ") and message in err
+        assert err.count("\n") == 1
+
+
 def test_huge_kappa_overflow_is_numerical_failure(capsys):
     # the large-x series, then the Kummer series, overflow double range
     for argv in (
@@ -247,11 +293,78 @@ def test_every_flag_is_read_by_its_command():
     defs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == set(cli._COMMANDS)
-    for command, subparser in sub.choices.items():
-        dests = {a.dest for a in subparser._actions if not isinstance(a, argparse._HelpAction)}
-        reads = _ns_reads(cli._COMMANDS[command].__name__, defs, set())
-        assert dests <= reads, (command, sorted(dests - reads))
+    assert list(sub.choices) == list(cli._COMMANDS)
+    for name, command in cli._COMMANDS.items():
+        flags = argparse.ArgumentParser(add_help=False)
+        command.add_flags(flags)
+        dests = {a.dest for a in flags._actions}
+        assert dests == {a.dest for a in sub.choices[name]._actions} - {"help"}, name
+        reads = _ns_reads(command.run.__name__, defs, set())
+        assert dests <= reads, (name, sorted(dests - reads))
+
+
+def _full_parse(argv) -> None:
+    cli.build_parser().parse_args(argv)
+
+
+def _outcome(parse, argv):
+    """(exit code, stdout, stderr) of parse(argv), with a usage error reported as main does."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        except cli._UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            code = cli.EXIT_USAGE
+    return code, out.getvalue(), err.getvalue()
+
+
+PARSE_ONLY = {  # per command: argv that argparse rejects before the command runs
+    "spectrum": [["--nmax", "0"], ["--route", "nope"], ["--grid-points", "x"]],
+    "validate": [["--compare-tol", "-1"], ["--grid-scheme", "cubic"]],
+    "wavefunction": [["--samples", "1"], ["--rmax", "nan"], ["--n", "1.5"]],
+    "sweep-cutoff": [[], ["--radii"], ["--mass", "x", "--radii", "0.1"]],
+    "potential": [["--rmin", "nan"], ["--samples", "two"]],
+    "eval": [[], ["Foo"], ["GammaLn", "x"]],
+}
+
+
+@pytest.mark.parametrize("command", list(PARSE_ONLY))
+def test_main_parses_like_the_full_parser(command):
+    # main builds only the named command's subparser; its help and usage errors keep
+    # the full parser's bytes
+    cases = [["--help"], ["-h", "--bogus"], ["--bogus"], ["--radii", "0.1", "--bogus", "7"],
+             *PARSE_ONLY[command]]
+    for args in cases:
+        argv = [command, *args]
+        full = _outcome(_full_parse, argv)
+        assert full[0] in (0, 1), argv
+        assert _outcome(cli.main, argv) == full, argv
+
+
+def test_main_without_a_command_uses_the_full_parser():
+    for argv in ([], ["--help"], ["-h"], ["no-such-command"], ["--mass", "1"], ["eval-"]):
+        full = _outcome(_full_parse, argv)
+        assert full[0] in (0, 1), argv
+        assert _outcome(cli.main, argv) == full, argv
+
+
+def test_wavefunction_builds_only_its_own_subparser(monkeypatch, capsys):
+    calls = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+    argv = ["wavefunction", *DEEP, "--n", "1", "--rmax", "0.6", "--samples", "5"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and out.startswith("r,f\n")
+    # two -h flags, the nine parameter flags and the command's own four
+    assert 0 < len(calls) <= 15
 
 
 # ---------------------------------------------------------------------------

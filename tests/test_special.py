@@ -91,6 +91,21 @@ def test_lngamma_pole_rejection():
             special.ln_gamma_complex(bad)
 
 
+def test_lngamma_bounds_the_recurrence(monkeypatch):
+    # each step adds 1 to Re z, which past 2^53 no longer moves: refuse instead of looping
+    for z in (-1e10 + 1j, -1e300 + 1e300j):
+        with pytest.raises(DomainError, match="recurrence steps"):
+            special.ln_gamma_complex(z)
+    # the bound counts steps exactly, and an input inside it keeps its floats
+    inside = special.ln_gamma_complex(-9.4 + 0.5j)
+    monkeypatch.setattr(special, "LN_GAMMA_MAX_SHIFTS", 10)
+    assert special.ln_gamma_complex(-9.4 + 0.5j) == inside  # 10 steps
+    with pytest.raises(DomainError, match="recurrence steps"):
+        special.ln_gamma_complex(-9.6 + 0.5j)  # 11 steps
+    with pytest.raises(PoleError):  # a pole is still named as one
+        special.ln_gamma_complex(-20 + 0j)
+
+
 # ---------------------------------------------------------------------------
 # Kummer M
 # ---------------------------------------------------------------------------
@@ -595,6 +610,13 @@ def test_smallx_rejects_non_finite_x():
             approx.est_error(x)
     with pytest.raises(DomainError):
         approx.zeros_in(1e-7, math.inf)
+
+
+@pytest.mark.parametrize("kappa,mu", [(-1e300, 1e300), (-50.0, 1e155), (-50.0, 1e-200)])
+def test_smallx_ratio_past_double_range(kappa, mu):
+    # 4 mu^2 overflows (beta/(4 mu^2) rounds to 0) or underflows to 0
+    with pytest.raises(DomainError, match="leaves double range"):
+        special.whittaker_w_smallx_approx(kappa, mu)
 
 
 def test_smallx_zeros_match_true_zeros():

@@ -88,6 +88,19 @@ def test_asymptotic_omega_zero_is_finite():
         assert abs((b.energy - a.energy) - 2.0) <= 1e-12 * max(1.0, abs(a.energy))
 
 
+def test_asymptotic_levels_that_round_together_are_a_domain_error():
+    # Lambda ~ 1e110: exp(-2 pi n / Lambda) rounds to 1, so levels 1..3 would print one energy
+    p = deep_params(polarizability_alpha=1e200, field_coupling_lambda=1e10, omega=0.0,
+                    cutoff_R=1e10)
+    assert len(spectrum.energy_levels_asymptotic(p, 1)) == 1
+    with pytest.raises(DomainError, match="levels 1 and 2 do not differ"):
+        spectrum.energy_levels_asymptotic(p, 3)
+    # the binding underflows to 0 and every level sits at omega
+    weak = deep_params(polarizability_alpha=1e-6, omega=1.0)
+    with pytest.raises(DomainError, match="levels 1 and 2 do not differ"):
+        spectrum.energy_levels_asymptotic(weak, 2)
+
+
 def test_cutoff_scaling_of_binding():
     # R^2 * (omega + shift - E_n) independent of R to 1e-12
     vals = []
