@@ -606,11 +606,14 @@ class SmallXApprox:
 
     def est_error(self, x: float) -> float:
         """Accuracy scale of value(x): the first neglected series correction
-        times the envelope 2 A sqrt(x)."""
+        times the envelope 2 A sqrt(x) (ConvergenceError where not finite)."""
         if not 0.0 < x < math.inf:
             raise DomainError("est_error requires finite x > 0")
         rel = self.beta * x / math.hypot(1.0, 2.0 * self.mu) + 1.0 / (24.0 * self.mu)
-        return rel * (2.0 * math.exp(self.log_amplitude) * math.sqrt(x))
+        err = rel * (2.0 * math.exp(self.log_amplitude) * math.sqrt(x))
+        if not math.isfinite(err):
+            raise ConvergenceError("whittaker_w_smallx error estimate overflows double range")
+        return err
 
     def zeros_in(self, x_lo: float, x_hi: float) -> list[float]:
         """Zeros of the cosine form inside [x_lo, x_hi], ascending."""

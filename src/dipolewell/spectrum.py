@@ -11,15 +11,16 @@ a geometric ladder with binding ratio exp(-2 pi / Lambda) between
 consecutive levels.
 
 Route 2 (exact quantization): the n-th energy is the root kappa_n of
-W_{kappa, i mu}(x0) = 0 bracketed around the closed-form estimate and
-bisected on the *scaled* W mantissa, so the search works even where W
-itself underflows double precision.
+W_{kappa, i mu}(x0) = 0 bracketed around the Bessel-K phase estimate and
+narrowed by ITP on the *scaled* W mantissa, so the search works even where
+W itself underflows double precision.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,8 @@ class EnergyLevel:
     """One bound state: level index n >= 1, energy, producing route.
 
     kappa is None when omega = 0 (the kappa map is undefined there).
-    extra_sign_changes flags additional W sign changes seen inside the final
-    bracket window of the exact route (reported, not interpreted).
+    extra_sign_changes counts the W sign changes beyond the root's among the
+    samples of the exact route's search (reported, not interpreted).
     """
 
     n: int
@@ -89,6 +90,35 @@ def _binding(params: PhysicalParams, d: DerivedParams, n: int) -> float:
     return b
 
 
+def _phase(beta: float, nu: float, x0: float) -> float:
+    """Uniform Bessel-K phase phi = [nu arccosh(nu/z) - sqrt(nu^2 - z^2)]/pi at
+    z = 2 sqrt(beta x0), nan unless 0 < z < nu.  For large beta,
+    W_{1/2-beta, i nu/2}(x0) ~ (2/Gamma(beta)) sqrt(x0) K_{i nu}(z) (DLMF 13.21),
+    whose zeros sit near phi = n - 1/4 (Dunster, SIAM J. Math. Anal. 21, 1990;
+    DLMF 10.45); the closed form is the z -> 0 limit of that rule."""
+    z = 2.0 * math.sqrt(beta * x0)
+    if not 0.0 < z < nu:
+        return math.nan
+    return (nu * math.acosh(nu / z) - math.sqrt((nu - z) * (nu + z))) / math.pi
+
+
+def _phase_start(n: int, nu: float, x0: float) -> float:
+    """beta_phi, where phi = n - 1/4, by Newton in ln(beta) from the closed
+    form's root: phi is decreasing and convex in ln(beta), so the iterates
+    rise monotonically to beta_phi.  nan where phi is not resolved."""
+    target = n - 0.25
+    beta = nu * nu * math.exp(-2.0 - 2.0 * math.pi * target / nu) / x0 if x0 > 0 else math.nan
+    for _ in range(100):
+        z = 2.0 * math.sqrt(beta * x0)
+        if not 0.0 < z < nu:
+            return math.nan
+        step = 2.0 * math.pi * (_phase(beta, nu, x0) - target) / math.sqrt((nu - z) * (nu + z))
+        if not step > 1e-15:
+            break
+        beta *= math.exp(step)
+    return beta
+
+
 def energy_levels_asymptotic(params: PhysicalParams, n_max: int) -> list[EnergyLevel]:
     """Closed-form levels n = 1..n_max (general ell), strictly increasing in n;
     DomainError where two consecutive levels round to the same double.
@@ -109,7 +139,7 @@ def energy_levels_asymptotic(params: PhysicalParams, n_max: int) -> list[EnergyL
                               f"precision (E = {energy!r})")
         kappa = kappa_of_energy(params, energy) if params.omega > 0 else None
         # double rounding of the exp-ladder: ~couple of ulp on the binding
-        est = 8.0 * np.finfo(float).eps * b
+        est = 8.0 * sys.float_info.epsilon * b
         levels.append(EnergyLevel(n, params.ell, energy, Route.ASYMPTOTIC, kappa, est))
     return levels
 
@@ -119,36 +149,25 @@ def _mantissa_at_beta(beta: float, mu: float, x0: float, point: WPoint) -> float
 
 
 def quantize_exact(params: PhysicalParams, n: int) -> EnergyLevel:
-    """Exact level n: root of W_{kappa, i mu}(x0) = 0 nearest the closed form.
+    """Exact level n: the root of W_{kappa, i mu}(x0) = 0 whose phase label is n.
 
-    Brackets beta = 1/2 - kappa inside an expanding multiplicative window
-    beta_hat * (1 +/- 2^k * 1e-3) around the closed-form estimate, then
-    bisects the scaled-W mantissa until the bracket is narrower than
-    1e-12 * max(1, |kappa|).  The window never reaches the neighboring
-    geometric branch.  Raises BracketError when no sign change is found.
-
-    Every W shares (mu, x0), so lnGamma(2 i mu) is computed once (w_point),
-    and each beta's mantissa once: the anomaly scan reuses the window ends
-    and its centre, the first bisection midpoint.
+    Widens a window beta_phi * e^{+-delta} around the beta where the Bessel-K
+    phase phi = n - 1/4 (_phase) until the scaled-W mantissa changes sign, then
+    narrows that bracket by ITP to 1e-12 * max(1, |kappa|); phi + 1/4 at the
+    root must round to n, else BracketError (so also wherever Lambda > 32 pi,
+    where the first step 1/16 already exceeds the branch spacing 2 pi/Lambda).
+    All W share lnGamma(2 i mu) (w_point), and each beta's mantissa is one W.
     """
     if params.omega <= 0:
         raise DomainError("quantize_exact requires omega > 0 (use the numeric oracle)")
     if n < 1:
         raise DomainError("level index n must be >= 1")
     d = derive(params)
-    mu = d.mu
-    x0 = d.x0
-    energy_hat = params.omega + params.energy_shift - _binding(params, d, n)
-    beta_hat = 0.5 - kappa_of_energy(params, energy_hat)
-    if beta_hat <= 0:
-        raise BracketError(
-            f"closed-form estimate for n={n} gives beta_hat = {beta_hat:.3g} <= 0; "
-            "no quantization search possible"
-        )
-    # stay well inside the current branch: neighbors sit at factors e^{+-2pi/Lambda}
-    gap = 1.0 - math.exp(-2.0 * math.pi / d.Lambda)
-    window_cap = min(0.35, 0.45 * gap)
-
+    mu, x0, lam = d.mu, d.x0, d.Lambda
+    beta_phi = _phase_start(n, lam, x0)
+    if not 0.0 < beta_phi < math.inf:
+        raise BracketError(f"no quantization search possible at beta_phi = {beta_phi:.3g} (n={n})")
+    tol = 1e-12 * max(1.0, abs(0.5 - beta_phi))
     point = w_point(mu)
     seen: dict[float, float] = {}
 
@@ -157,60 +176,61 @@ def quantize_exact(params: PhysicalParams, n: int) -> EnergyLevel:
             seen[beta] = _mantissa_at_beta(beta, mu, x0, point)
         return seen[beta]
 
-    f_hat = mantissa(beta_hat)
-    lo = hi = beta_hat
-    f_lo = f_hi = f_hat
-    bracket = None
-    delta = 1e-3
-    while delta <= window_cap:
-        lo_new, hi_new = beta_hat * (1.0 - delta), beta_hat * (1.0 + delta)
+    # neighbouring roots sit near ln(beta) +- 2 pi / Lambda; the label rejects them
+    lo = hi = beta_phi
+    f_lo = f_hi = mantissa(beta_phi)
+    delta = 1.0 / 16.0
+    b_lo = b_hi = g_lo = g_hi = math.nan
+    while delta <= 2.0 * math.pi / lam:
+        lo_new, hi_new = beta_phi * math.exp(-delta), beta_phi * math.exp(delta)
         f_lo_new, f_hi_new = mantissa(lo_new), mantissa(hi_new)
         if f_lo_new * f_lo < 0:
-            bracket = (lo_new, lo, f_lo_new, f_lo)
+            b_lo, b_hi, g_lo, g_hi = _itp(mantissa, lo_new, lo, f_lo_new, f_lo, tol)
             break
         if f_hi * f_hi_new < 0:
-            bracket = (hi, hi_new, f_hi, f_hi_new)
+            b_lo, b_hi, g_lo, g_hi = _itp(mantissa, hi, hi_new, f_hi, f_hi_new, tol)
             break
         lo, hi, f_lo, f_hi = lo_new, hi_new, f_lo_new, f_hi_new
         delta *= 2.0
-    if bracket is None:
-        raise BracketError(
-            f"no sign change of W around beta_hat = {beta_hat:.6g} within "
-            f"relative window +-{window_cap:.3g} (n={n})"
-        )
-
-    b_lo, b_hi, g_lo, g_hi = bracket
-    window_lo, window_hi = b_lo, b_hi
-    kappa_scale = max(1.0, abs(0.5 - beta_hat))
-    tol = 1e-12 * kappa_scale
-    while (b_hi - b_lo) > tol:
-        mid = 0.5 * (b_lo + b_hi)
-        g_mid = mantissa(mid)
-        if g_mid == 0.0:
-            b_lo = b_hi = mid
-            break
-        if g_lo * g_mid < 0:
-            b_hi, g_hi = mid, g_mid
-        else:
-            b_lo, g_lo = mid, g_mid
     beta_root = 0.5 * (b_lo + b_hi)
+    if not abs(_phase(beta_root, lam, x0) + 0.25 - n) < 0.5:  # phi + 1/4 rounds to n
+        raise BracketError(f"no root of W with phase label {n} around beta_phi = "
+                           f"{beta_phi:.6g} (n={n})")
 
-    # anomaly scan: any sign changes other than the converged root
-    samples = np.linspace(window_lo, window_hi, 33)
-    signs = np.sign([mantissa(b) for b in samples.tolist()])
-    changes = int(np.sum(signs[:-1] * signs[1:] < 0))
-    extra = max(0, changes - 1)
-
+    samples = [seen[b] for b in sorted(seen)]
+    extra = max(0, sum(a * b < 0 for a, b in zip(samples, samples[1:])) - 1)
     kappa_root = 0.5 - beta_root
     energy = energy_of_kappa(params, kappa_root)
     w_root = whittaker_w_scaled(kappa_root, mu, x0, point=point)
     slope_scale = max(abs(g_hi - g_lo) / max(b_hi - b_lo, 1e-300), 1e-300)
     noise_width = abs(w_root.est_error) if w_root.value != 0 else 0.0
-    est_kappa = 0.5 * (b_hi - b_lo) + noise_width / slope_scale
-    est = 2.0 * params.omega * est_kappa
-    return EnergyLevel(
-        n, params.ell, energy, Route.EXACT, kappa_root, est, extra_sign_changes=extra
-    )
+    est = 2.0 * params.omega * (0.5 * max(b_hi - b_lo, tol) + noise_width / slope_scale)
+    return EnergyLevel(n, params.ell, energy, Route.EXACT, kappa_root, est, extra)
+
+
+def _itp(f, a: float, b: float, fa: float, fb: float, tol: float) -> tuple[float, ...]:
+    """(a, b, f(a), f(b)): the sign-change bracket of f narrowed to width <= tol by
+    ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) with kappa1 = 0.01 / (b - a),
+    kappa2 = 2 and n0 = 1: at most one step more than bisection, superlinear
+    on smooth f.  The truncation is at least tol/4, so that a regula falsi
+    point stuck at the mantissa's noise still steps across the root."""
+    limit = tol * 2.0 ** math.ceil(math.log2(2.0 * (b - a) / tol))  # 2 eps 2^(n_max - j)
+    k1 = 0.01 / (b - a)
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        radius = 0.5 * (limit - (b - a))
+        limit *= 0.5
+        delta = max(k1 * (b - a) ** 2, 0.25 * tol)
+        x_f = (fb * a - fa * b) / (fb - fa)
+        sigma = math.copysign(1.0, mid - x_f)
+        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        x = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
+        fx = f(x)
+        if (fx < 0) == (fa < 0):
+            a, fa = x, fx
+        else:
+            b, fb = x, fx
+    return a, b, fa, fb
 
 
 @dataclass(frozen=True)

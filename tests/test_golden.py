@@ -60,12 +60,16 @@ CASES = [
                                    "--lambda", "1", "--omega", "1e-6", "--radius", "0.1",
                                    "--n", "1", "--rmax", "7937.253933193771"], 3),
     # the scalar W of that failing sample: its -i mu Kummer series runs first
-    ("eval_whittaker_w_kummer_error", ["eval", "WhittakerW", "--", "-397350221.19136536",
+    ("eval_whittaker_w_kummer_error", ["eval", "WhittakerW", "--", "-397350221.191409",
                                        "3.5", "0.23194849733152514"], 3),
-    # Lambda = 7, x0 = 1e-2: the top of the ladder the exact route brackets
+    # Lambda = 7, x0 = 1e-2: the top of the ladder the beta_hat window used to bracket
     ("spectrum_exact_lambda7", ["spectrum", "--mass", "1", "--alpha", "24.5", "--lambda", "1",
                                 "--omega", "1", "--radius", "0.1", "--nmax", "3",
                                 "--route", "exact"], 0),
+    # Lambda = 8, x0 = 1e-2: strong field, where n = 1 needs the Bessel-K phase start
+    ("spectrum_all_lambda8", ["spectrum", "--mass", "1", "--alpha", "32", "--lambda", "1",
+                              "--omega", "1", "--radius", "0.1", "--nmax", "3",
+                              "--route", "all"], 0),
 ]
 LOCK_STDERR = {"wavefunction_asymptotic", "wavefunction_large_x_error",
                "wavefunction_kummer_error", "eval_whittaker_w_kummer_error"}

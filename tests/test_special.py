@@ -619,6 +619,15 @@ def test_smallx_ratio_past_double_range(kappa, mu):
         special.whittaker_w_smallx_approx(kappa, mu)
 
 
+@pytest.mark.parametrize("kappa,mu", [(-1e200, 1e10), (-10.0, 1e-150)])
+def test_smallx_error_past_double_range(kappa, mu):
+    # beta x overflows against an envelope of 0 (inf * 0), or the envelope itself
+    approx = special.whittaker_w_smallx_approx(kappa, mu)
+    with pytest.raises(ConvergenceError, match="error estimate overflows double range"):
+        approx.est_error(1e300)
+    assert math.isfinite(approx.est_error(1e-5))
+
+
 def test_smallx_zeros_match_true_zeros():
     # beta = 200, mu = 2.5, window (0, 1e-3]: every matched zero within 2%
     beta, mu = 200.0, 2.5

@@ -8,19 +8,20 @@ hence x0 = 1e-5.
 
 from __future__ import annotations
 
+import ast
 import math
 import pathlib
 
 import numpy as np
 import pytest
 
-from dipolewell import special, spectrum
+from dipolewell import cli, oracle, special, spectrum
 from dipolewell.errors import BracketError, DipoleWellError, DomainError, NoBoundStateRegime
 from dipolewell.model import PhysicalParams, derive, energy_of_kappa
 from dipolewell.special import whittaker_w_scaled
 from dipolewell.spectrum import Route
 
-from oracles import s_wave_energies
+from oracles import mp_whittaker_w_mantissa, s_wave_energies
 
 # exact quantization roots in the deep regime  [frozen, 40-digit oracle]
 DEEP_EXACT = {
@@ -267,7 +268,7 @@ def test_quantize_exact_gap_direction_across_lambda():
 
 def test_quantize_exact_one_gamma_of_the_order_and_one_series_per_beta(monkeypatch):
     # all W of one root search share (mu, x0): lnGamma(2 i mu) once, and no
-    # beta's mantissa twice (the anomaly scan reuses the bracket search's)
+    # beta's mantissa twice (the window search and ITP share one cache)
     p = deep_params()
     order = complex(0.0, 2.0 * derive(p).mu)
     gammas, series_a = [], []
@@ -290,6 +291,8 @@ def test_quantize_exact_one_gamma_of_the_order_and_one_series_per_beta(monkeypat
 
 
 FROZEN_QUANTIZE = pathlib.Path(__file__).parent / "quantize_exact_frozen.txt"
+# the same rows as solved by the beta_hat window and bisection, before the phase start and ITP
+FROZEN_BISECTION = pathlib.Path(__file__).parent / "quantize_exact_frozen_bisection.txt"
 
 
 def _quantize_outcome(params: PhysicalParams, n: int) -> str:
@@ -300,16 +303,168 @@ def _quantize_outcome(params: PhysicalParams, n: int) -> str:
     return repr((lv.energy, lv.kappa, lv.est_error, lv.extra_sign_changes))
 
 
-def test_quantize_exact_frozen_table():
-    # every energy, kappa, est_error and extra_sign_changes to the last bit,
-    # or the same error: Lambda = 2..12, x0 = 1e-9..36, ell = 1, p_z != 0
-    rows = [ln for ln in FROZEN_QUANTIZE.read_text().splitlines() if not ln.startswith("#")]
+def _frozen_rows(path: pathlib.Path) -> list[tuple[PhysicalParams, int, str]]:
+    rows = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     assert len(rows) == 39
+    out = []
     for row in rows:
         inputs, want = row.split(" | ")
         n, *floats, ell, pz = inputs.split()
-        params = PhysicalParams(*map(float, floats), int(ell), float(pz))
-        assert _quantize_outcome(params, int(n)) == want, row
+        out.append((PhysicalParams(*map(float, floats), int(ell), float(pz)), int(n), want))
+    return out
+
+
+def test_quantize_exact_frozen_table():
+    # every energy, kappa, est_error and extra_sign_changes to the last bit,
+    # or the same error: Lambda = 1..12, x0 = 1e-9..36, ell = 1, p_z != 0
+    for params, n, want in _frozen_rows(FROZEN_QUANTIZE):
+        assert _quantize_outcome(params, n) == want, (params, n)
+
+
+def test_quantize_exact_moves_within_the_errors_of_the_bisection_table():
+    # a level the bisection found moves by at most the sum of both est_errors;
+    # a BracketError there either stays one or now agrees with the oracle
+    for params, n, want in _frozen_rows(FROZEN_BISECTION):
+        if want.startswith("("):
+            e_old, _, est_old, _ = ast.literal_eval(want)
+            lv = spectrum.quantize_exact(params, n)
+            assert abs(lv.energy - e_old) <= est_old + lv.est_error, (params, n)
+            continue
+        assert want.startswith("BracketError")
+        try:
+            lv = spectrum.quantize_exact(params, n)
+        except BracketError:
+            continue
+        res = oracle.fd_eigensolve(params, oracle.default_grid(params, n), n)
+        est = res.richardson_error_estimate[n - 1] / (2.0 * params.mass_m)
+        assert abs(lv.energy - res.energies(params)[n - 1]) <= 2.0 * est, (params, n)
+
+
+def test_phase_start_solves_the_phase_rule():
+    # phi(beta_phi) = n - 1/4; no phase where z = 2 sqrt(beta x0) >= nu
+    for lam, x0 in ((1.0, 1e-5), (5.0, 1e-5), (12.0, 1e-2), (2.5, 1e-2)):
+        for n in (1, 2, 3, 7):
+            beta = spectrum._phase_start(n, lam, x0)
+            assert abs(spectrum._phase(beta, lam, x0) - (n - 0.25)) <= 1e-12 * n
+    assert math.isnan(spectrum._phase(0.25 * 25.0 / 1e-2, 5.0, 1e-2))  # z = nu
+    assert math.isnan(spectrum._phase(1e300, 5.0, 1e-2))
+
+
+def test_quantize_exact_w_evaluations_per_deep_level(monkeypatch):
+    # phase start, window and ITP: about 10 W per level (75 with the bisection)
+    calls = []
+    w = spectrum.whittaker_w_scaled
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return w(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "whittaker_w_scaled", counting)
+    for n in (1, 2, 3):
+        calls.clear()
+        spectrum.quantize_exact(deep_params(), n)
+        assert 0 < len(calls) <= 15, n
+
+
+# Lambda in {8, 10, 12} at x0 = 1e-2: the strong-field levels
+STRONG = {lam: deep_params(polarizability_alpha=lam * lam / 2.0, omega=1.0) for lam in (8, 10, 12)}
+
+
+@pytest.fixture(scope="module")
+def strong_oracle():
+    return {lam: oracle.fd_eigensolve(p, oracle.default_grid(p, 3), 3)
+            for lam, p in STRONG.items()}
+
+
+def test_quantize_exact_agrees_with_the_oracle_in_the_strong_field(strong_oracle):
+    # the Richardson estimate tracks the true error to < 0.5 %, so 2x is a margin
+    for lam, p in STRONG.items():
+        res = strong_oracle[lam]
+        for n in (1, 2, 3):
+            lv = spectrum.quantize_exact(p, n)
+            est = res.richardson_error_estimate[n - 1] / (2.0 * p.mass_m)
+            assert abs(lv.energy - res.energies(p)[n - 1]) <= 2.0 * est, (lam, n)
+
+
+def test_strong_field_spectrum_exits_0(strong_oracle, capsys):
+    # this command exited 3 with a BracketError while the window sat on beta_hat
+    argv = ["spectrum", "--mass", "1", "--alpha", "32", "--lambda", "1", "--omega", "1",
+            "--radius", "0.1", "--nmax", "1", "--route", "exact"]
+    assert cli.main(argv) == 0
+    e1 = float(capsys.readouterr().out.splitlines()[1].split(",")[3])
+    res = strong_oracle[8]
+    e_oracle, est = res.energies(STRONG[8])[0], res.richardson_error_estimate[0] / 2.0
+    assert round(e_oracle, 3) == -1153.139
+    assert abs(e1 - e_oracle) <= 2.0 * est
+
+
+def test_spectrum_beyond_the_search_range_exits_3(capsys):
+    # Lambda = 200 > 32 pi: the first window step 1/16 exceeds the branch
+    # spacing 2 pi/Lambda, and the mantissa there is Kummer-cancellation noise
+    # whose sign changes lie within a third of a level of n - 1/4
+    argv = ["spectrum", "--mass", "1", "--alpha", "20000", "--lambda", "1", "--omega", "1",
+            "--radius", "0.1", "--nmax", "3", "--route", "exact"]
+    assert cli.main(argv) == 3
+    assert "BracketError: no root of W with phase label 1" in capsys.readouterr().err
+
+
+def test_quantize_exact_est_error_holds_against_mpmath():
+    # the 40-digit W changes sign within E +- est_error, and the root's phase
+    # lies near n - 1/4; (2.5, 1e-2, 3) has beta < 0, out of the search's reach
+    failing = []
+    for lam in (2.5, 5.0, 8.0, 12.0):
+        for x0 in (1e-6, 1e-4, 1e-2):
+            p = deep_params(polarizability_alpha=lam * lam / 2.0, omega=x0 / 0.01)
+            mu = derive(p).mu
+            for n in (1, 2, 3):
+                try:
+                    lv = spectrum.quantize_exact(p, n)
+                except BracketError:
+                    failing.append((lam, x0, n))
+                    continue
+                dk = lv.est_error / (2.0 * p.omega)
+                expo = whittaker_w_scaled(lv.kappa, mu, x0).exponent
+                lo = mp_whittaker_w_mantissa(lv.kappa - dk, mu, x0, expo)
+                hi = mp_whittaker_w_mantissa(lv.kappa + dk, mu, x0, expo)
+                assert lo * hi < 0, (lam, x0, n)
+                phi = spectrum._phase(0.5 - lv.kappa, lam, x0)
+                assert 0.6 <= phi - (n - 1) <= 0.9, (lam, x0, n)
+    assert failing == [(2.5, 1e-2, 3)]
+
+
+@pytest.mark.parametrize("branch", [-1, 1])
+def test_quantize_exact_start_one_branch_off_is_rejected(monkeypatch, branch):
+    # started at the neighbouring branch, the search finds the neighbour's
+    # root; its phase label is n -+ 1, so the level is refused, not returned
+    start = spectrum._phase_start
+    lam = derive(deep_params()).Lambda
+    monkeypatch.setattr(spectrum, "_phase_start",
+                        lambda n, nu, x0: start(n, nu, x0) * math.exp(branch * 2 * math.pi / lam))
+    with pytest.raises(BracketError, match="phase label 2 around beta_phi"):
+        spectrum.quantize_exact(deep_params(), 2)
+
+
+def test_quantize_exact_returns_the_labelled_root_among_its_neighbours(monkeypatch):
+    # a mantissa with its roots exactly at phi = k - 1/4: from any start within
+    # a branch of beta_phi the search returns the n-th root or raises
+    p = deep_params()
+    d = derive(p)
+    start = spectrum._phase_start
+    monkeypatch.setattr(spectrum, "_mantissa_at_beta", lambda beta, mu, x0, point: math.sin(
+        math.pi * (spectrum._phase(beta, d.Lambda, x0) + 0.25)))
+    want = 0.5 - start(2, d.Lambda, d.x0)
+    outcomes = []
+    for shift in np.linspace(-2.0, 2.0, 17):
+        monkeypatch.setattr(spectrum, "_phase_start", lambda n, nu, x0, s=shift:
+                            start(n, nu, x0) * math.exp(s * math.pi / d.Lambda))
+        try:
+            lv = spectrum.quantize_exact(p, 2)
+        except BracketError:
+            outcomes.append("raised")
+            continue
+        assert abs(lv.kappa - want) <= 1e-9 * abs(want), shift
+        outcomes.append("root")
+    assert "root" in outcomes and "raised" in outcomes
 
 
 def test_quantize_exact_bracket_error_when_window_too_small(monkeypatch):
