@@ -20,6 +20,13 @@ sign; the oracle does not require the bound-state regime).  Two grids:
 Eigenvalues come from Sturm multisection that replays bisection exactly (two
 numpy calls per matrix row); a half-step grid, its bisection paths predicted
 by the coarse eigenvalues and checked by count, gives Richardson estimates.
+A sweep drops each shift at the rows that can no longer change what its
+count decides: once the count reaches the number of wanted eigenvalues, or
+once the rows left are diagonally dominant below the shift (by a margin of
+STURM_TAIL_ULPS epsilons per magnitude plus STURM_PIVMIN) and the entering
+pivot is negative or at least the coupling, so that no later pivot can turn
+negative.  The floats do not move; on the default grids most rows lie in the
+classically forbidden region past the outer turning points, never swept.
 """
 
 from __future__ import annotations
@@ -42,6 +49,10 @@ BISECTION_MAX_STEPS = 220
 MULTISECTION_DEPTH = 6
 # rows x shifts per block of a Sturm sweep (128 KiB of float64)
 STURM_BLOCK_ELEMENTS = 16384
+# most rows per block, and fewest between two tests for retiring shifts
+STURM_BLOCK_ROWS = 128
+# margin of sturm_count's tail rule, in machine epsilons of each magnitude
+STURM_TAIL_ULPS = 8
 
 
 class GridScheme(enum.Enum):
@@ -115,42 +126,93 @@ def build_tridiag(params: PhysicalParams, grid: RadialGridSpec) -> tuple[np.ndar
     return diag, off
 
 
-def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues strictly below each shift (Sturm sequence).
+def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray, *,
+                k: int | None = None) -> np.ndarray:
+    """Number of eigenvalues strictly below each shift (Sturm sequence),
+    capped at k: callers that read only count > i for i < k pass k.
 
     The pivot q of a row is clamped to +-STURM_PIVMIN (+ for q = -0.0) when
     |q| < STURM_PIVMIN.  Rows run in blocks of about STURM_BLOCK_ELEMENTS
-    values, filled with diag - shift by one outer subtraction; a row then
-    costs one division and one subtraction, unclamped.  A block in which some
-    pivot needs the clamp is recomputed from its first pivot, row by row with
-    the clamp, so the counts do not depend on the blocking.
+    values and at most STURM_BLOCK_ROWS rows, filled with diag - shift by
+    one outer subtraction; a row then costs one division and one
+    subtraction, unclamped.  A block in which some pivot needs the clamp is
+    recomputed from its first pivot, row by row with the clamp, so the
+    counts do not depend on the blocking.
+
+    A shift retires, and the sweep ends when none is left, once no later row
+    can change its capped count.  This is tested at block ends at least
+    STURM_BLOCK_ROWS rows apart, and holds when (a) its count has reached k,
+    or (b) the pivot q entering the next row j is negative or >= |e_{j-1}|,
+    and every row i >= j is dominant by a margin:
+
+        shift + m |shift| < d_i - rad_i - m (|d_i| + rad_i) - STURM_PIVMIN
+
+    with |e| = sqrt(offdiag_sq), the magnitude the pivots divide, rad_i =
+    |e_{i-1}| + |e_i| and m = STURM_TAIL_ULPS machine epsilons.  Each later
+    pivot is then d_i - shift - e_{i-1}^2/q >= d_i - shift - |e_{i-1}| >=
+    |e_i|, and > 0, by induction: the margin is about four times the
+    rounding of a row's subtraction, division and square root and of the
+    test itself, and STURM_PIVMIN covers the absolute rounding of subnormal
+    values.  So a retired shift's remaining rows would add nothing to its
+    count, and no pivot of the other shifts is computed differently: the
+    counts, and the bisection steps taken from them, are those of the full
+    sweep.
     """
     x = np.atleast_1d(np.asarray(shifts, dtype=float))
     n = len(diag)
-    block_rows = max(1, STURM_BLOCK_ELEMENTS // len(x))
-    buf = np.empty((min(block_rows, n - 1) + 1, len(x)))  # row 0: the pivot entering a block
-    rows = list(buf)
-    np.subtract(diag[0], x, out=buf[0])
-    count = (buf[0] < 0).astype(np.int64)
-    ratio = np.empty_like(x)
+    cap = n if k is None else k
+    d = np.asarray(diag, dtype=float)
+    e = np.sqrt(offdiag_sq)  # |e| of the pivots' arithmetic; e^2 = inf gives no tail
+    rad = np.zeros(n)
+    rad[:-1] += e
+    rad[1:] += e
+    margin = STURM_TAIL_ULPS * np.finfo(float).eps
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN in a row: no tail before it
+        lower = d - rad - margin * (np.abs(d) + rad) - STURM_PIVMIN
+        floor = np.minimum.accumulate(lower[::-1])[::-1]  # floor[j]: min over rows i >= j
+        reach = x + margin * np.abs(x)
+    counts = np.empty(len(x), dtype=np.int64)
+    live = np.arange(len(x))  # the shifts not retired, each column's index in `shifts`
+    q = diag[0] - x  # the pivot entering the next block
+    count = (q < 0).astype(np.int64)
     off_sq = offdiag_sq.tolist()
-    for start in range(1, n, block_rows):
-        stop = min(start + block_rows, n)
-        block = buf[: stop - start + 1]
-        np.subtract.outer(diag[start:stop], x, out=block[1:])
-        e_sq = off_sq[start - 1 : stop - 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for prev, row, e in zip(rows, rows[1 : len(block)], e_sq):
-                np.divide(e, prev, out=ratio)
-                np.subtract(row, ratio, out=row)
-        if not np.abs(block[:-1]).min() >= STURM_PIVMIN:  # also true on a NaN pivot
-            for j, (d, e) in enumerate(zip(diag[start:stop].tolist(), e_sq), 1):
-                q = block[j - 1]
-                q = np.where(np.abs(q) < STURM_PIVMIN, np.where(q < 0, -STURM_PIVMIN, STURM_PIVMIN), q)
-                block[j] = d - x - e / q
-        count += (block[1:] < 0).sum(axis=0)
-        buf[0] = block[-1]
-    return count
+    start, check = 1, 1 + STURM_BLOCK_ROWS
+    while start < n and len(x):
+        block_rows = min(STURM_BLOCK_ROWS, max(1, STURM_BLOCK_ELEMENTS // len(x)))
+        buf = np.empty((min(block_rows, n - start) + 1, len(x)))  # row 0: the entering pivot
+        buf[0] = q
+        rows = list(buf)
+        ratio = np.empty_like(x)
+        for start in range(start, n, block_rows):
+            stop = min(start + block_rows, n)
+            block = buf[: stop - start + 1]
+            np.subtract.outer(diag[start:stop], x, out=block[1:])
+            e_sq = off_sq[start - 1 : stop - 1]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # redone if clamped
+                for prev, row, e_i in zip(rows, rows[1 : len(block)], e_sq):
+                    np.divide(e_i, prev, out=ratio)
+                    np.subtract(row, ratio, out=row)
+            if not np.abs(block[:-1]).min() >= STURM_PIVMIN:  # also true on a NaN pivot
+                for j, (d_j, e_i) in enumerate(zip(diag[start:stop].tolist(), e_sq), 1):
+                    p = block[j - 1]
+                    clamp = np.where(p < 0, -STURM_PIVMIN, STURM_PIVMIN)
+                    p = np.where(np.abs(p) < STURM_PIVMIN, clamp, p)
+                    block[j] = d_j - x - e_i / p
+            count += (block[1:] < 0).sum(axis=0)
+            q = buf[0] = block[-1]
+            if check <= stop < n:
+                check = stop + STURM_BLOCK_ROWS
+                done = (count >= cap) | ((reach < floor[stop]) & ((q < 0) | (q >= e[stop - 1])))
+                if done.any():
+                    break
+        else:
+            break  # the last row is swept
+        counts[live[done]] = count[done]
+        keep = ~done
+        live, x, reach, count, q = live[keep], x[keep], reach[keep], count[keep], q[keep]
+        start = stop
+    counts[live] = count
+    return np.minimum(counts, cap)
 
 
 def _bisection_tree(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
@@ -191,7 +253,8 @@ def _follow_guesses(diag, off_sq, lo, hi, depth: np.ndarray, guesses, converged)
         s += 1
     if s:
         mids = 0.5 * (lo[:, :s] + hi[:, :s])
-        go_down = sturm_count(diag, off_sq, mids.ravel()).reshape(mids.shape) > idx[:, None]
+        counts = sturm_count(diag, off_sq, mids.ravel(), k=len(depth)).reshape(mids.shape)
+        go_down = counts > idx[:, None]
         wrong = go_down != (g[:, None] < mids)
         wrong[:, -1] = True  # a path right throughout is kept whole
         last = wrong.argmax(axis=1)
@@ -252,7 +315,7 @@ def sturm_tridiag_eigs(
             sel = np.flatnonzero(depth < steps + MULTISECTION_DEPTH)
             at, rows = depth[sel], np.arange(len(sel))
             tree = _bisection_tree(lo[sel, at], hi[sel, at])
-            counts = sturm_count(diag, off_sq, tree.ravel()).reshape(tree.shape)
+            counts = sturm_count(diag, off_sq, tree.ravel(), k=k).reshape(tree.shape)
             node = np.zeros(len(sel), dtype=np.int64)
             for level in range(MULTISECTION_DEPTH):
                 col = (1 << level) - 1 + node

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import j0, y0
@@ -199,20 +199,34 @@ def test_multisection_many_levels_bit_identical():
     assert oracle.sturm_tridiag_eigs(diag, off, 200) == reference_sturm_eigs(diag, off, 200)
 
 
+class _RowsRead(np.ndarray):
+    """A view of a diagonal that records the highest row read through it."""
+
+    def __getitem__(self, key):
+        stop = key.stop if isinstance(key, slice) else int(key) + 1
+        self.rows_read = max(getattr(self, "rows_read", 0), stop)
+        return np.asarray(self)[key]
+
+
 def test_deep_solve_sweep_count(monkeypatch):
     # six bisection steps per sweep, the fine grid warm-started from the
-    # coarse one: 129 sweeps at one midpoint per sweep, 22 without the warm start
+    # coarse one: 129 sweeps at one midpoint per sweep, 22 without the warm
+    # start; each sweep stops where only rows past the turning points are left
     calls = []
     count = oracle.sturm_count
 
-    def counting(*args):
-        calls.append(len(args[2]))
-        return count(*args)
+    def counting(diag, *args, **kwargs):
+        seen = diag.view(_RowsRead)
+        result = count(seen, *args, **kwargs)
+        calls.append((seen.rows_read, len(diag)))
+        return result
 
     monkeypatch.setattr(oracle, "sturm_count", counting)
     p = deep_params()
     oracle.fd_eigensolve(p, oracle.default_grid(p, 2), 2)
     assert 0 < len(calls) <= 20
+    swept, total = map(sum, zip(*calls))
+    assert total == 50007 and swept <= 0.4 * total
 
 
 @st.composite
@@ -235,6 +249,87 @@ def test_multisection_bit_identical_property(case):
     diag, off, k, kw = case
     assert oracle.sturm_tridiag_eigs(diag, off, k, **kw) == reference_sturm_eigs(
         diag, off, k, **kw)
+
+
+# ---------------------------------------------------------------------------
+# Early stop: a sweep retires a shift once no later row can change its count
+# ---------------------------------------------------------------------------
+
+# the first block end at which sturm_count may retire shifts, for up to 128 shifts
+_CHECK = oracle.STURM_BLOCK_ROWS + 1
+
+
+def _tailed_tridiag(head, e_tail, c_tail, entering, seed, at_floor=False):
+    """A random head of `head` rows whose last row is cut off from the rest
+    (zero off-diagonal), then a tail coupled by the off-diagonals `e_tail`
+    with diag_i = (|e_{i-1}| + |e_i|) + c_i.  The head's last diagonal is
+    `entering` (plus the shift one ulp below the tail's Gershgorin floor,
+    with at_floor): the pivot entering the tail at shift 0 (at that shift)
+    is `entering`, exactly wherever the sum is exact.  Returns diag, off,
+    the shifts 0, the floor and one ulp either side of it, and k = n."""
+    rng = np.random.default_rng(seed)
+    n = head + len(e_tail)
+    diag, off = rng.uniform(-3, 3, n), rng.uniform(-2, 2, n - 1)
+    e = np.asarray(e_tail, dtype=float)
+    off[head - 2] = 0.0
+    off[head - 1 :] = e
+    rad = e + np.append(e[1:], 0.0)
+    diag[head:] = rad + np.asarray(c_tail, dtype=float)
+    floor = float(np.min(diag[head:] - rad))
+    below = float(np.nextafter(floor, -np.inf))
+    diag[head - 1] = entering + (below if at_floor else 0.0)
+    shifts = np.array([0.0, below, floor, np.nextafter(floor, np.inf)])
+    return diag, off, shifts, n
+
+
+@st.composite
+def tailed_tridiagonals(draw):
+    """_tailed_tridiag with the tail starting at a retirement check or a row
+    or two before it, some tail off-diagonals and margins c_i zero, entering
+    pivots 0, +-STURM_PIVMIN, NaN, |e| and its neighbours, and a k."""
+    e_tail = draw(st.lists(st.integers(0, 30).map(lambda i: i / 10), min_size=1, max_size=6))
+    c_tail = draw(st.lists(st.sampled_from([0.0, 1e-3, 1.0]), min_size=len(e_tail),
+                           max_size=len(e_tail)))
+    e0 = e_tail[0]
+    entering = draw(st.sampled_from([0.0, oracle.STURM_PIVMIN, -oracle.STURM_PIVMIN, math.nan,
+                                     e0, np.nextafter(e0, -np.inf), np.nextafter(e0, np.inf),
+                                     -1.0, 2.5]))
+    head = _CHECK - draw(st.integers(0, 2))
+    diag, off, shifts, n = _tailed_tridiag(head, e_tail, c_tail, entering,
+                                           draw(st.integers(0, 2**32 - 1)), draw(st.booleans()))
+    return diag, off, shifts, draw(st.integers(1, n))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(tailed_tridiagonals())
+# the edges of the tail rule.  0.1 * 0.1 / 0.1 rounds one ulp above 0.1, so
+# the pivot |e| = 0.1 entering a last row at its floor leaves it a pivot of
+# -1 ulp there: only the margin keeps the shift one ulp below from retiring
+@example(_tailed_tridiag(_CHECK, [0.1], [0.0], 0.1, 90))  # floor 0: the STURM_PIVMIN term
+@example(_tailed_tridiag(_CHECK, [0.1], [1e-3], 0.1, 90, at_floor=True))  # the ulps terms
+@example(_tailed_tridiag(_CHECK, [1.0, 1.0], [1.0, 1.0], 0.0, 90))  # clamped to +pivmin
+@example(_tailed_tridiag(_CHECK, [1.0, 1.0], [1.0, 1.0], oracle.STURM_PIVMIN, 90))
+@example(_tailed_tridiag(_CHECK, [1.0, 1.0], [1.0, 1.0], 0.5, 90))  # 0 < q < |e|
+@example(_tailed_tridiag(_CHECK, [1.0, 0.0, 1.0], [1.0, 0.0, 0.0], -oracle.STURM_PIVMIN, 90))
+def test_sturm_count_tail_rule_property(case):
+    diag, off, shifts, k = case
+    off_sq = off * off
+    got = oracle.sturm_count(diag, off_sq, shifts, k=k)
+    assert np.array_equal(got, np.minimum(reference_sturm_count(diag, off_sq, shifts), k))
+    if np.all(np.isfinite(diag)):
+        assert oracle.sturm_tridiag_eigs(diag, off, k) == reference_sturm_eigs(diag, off, k)
+
+
+@pytest.mark.parametrize("which", ["coarse", "refined"])
+def test_sturm_count_stops_early_on_deep_grids(deep_matrices, which):
+    # shifts at the three lowest eigenvalues are the latest to retire: the
+    # count at the third changes only at row 852 of the coarse grid's 2000
+    diag, off = deep_matrices[which]
+    eigs = oracle.sturm_tridiag_eigs(diag, off, 3, **RTOL_13)
+    seen = diag.view(_RowsRead)
+    got = oracle.sturm_count(seen, off * off, np.array(eigs), k=3)
+    assert np.array_equal(got, reference_sturm_count(diag, off * off, np.array(eigs)))
+    assert seen.rows_read <= 0.45 * len(diag)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +367,7 @@ def test_warm_start_bit_identical(deep_matrices, refined_reference, kind, monkey
     }[kind]
     calls = []
     count = oracle.sturm_count
-    monkeypatch.setattr(oracle, "sturm_count", lambda *a: calls.append(1) or count(*a))
+    monkeypatch.setattr(oracle, "sturm_count", lambda *a, **kw: calls.append(1) or count(*a, **kw))
     assert oracle.sturm_tridiag_eigs(diag, off, 3, guesses=guesses, **RTOL_13) == ref
     if kind == "exact":  # one sweep checks the whole path
         assert len(calls) == 1
