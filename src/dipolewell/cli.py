@@ -59,13 +59,14 @@ def _fmt15(x: float) -> str:
     return f"{x:.14e}"
 
 
-def _bounded(kind: type, low: float, *, strict: bool = False):
-    """argparse type: a finite `kind` >= low (> low when strict)."""
+def _bounded(kind: type, low: float, high: float = math.inf, *, strict: bool = False):
+    """argparse type: a finite `kind` >= low (> low when strict) and <= high."""
     bound = f" {'>' if strict else '>='} {low}" if low > -math.inf else ""
+    bound += f" and <= {high}" if high < math.inf else ""
 
     def parse(text: str):
         value = kind(text)
-        if not math.isfinite(value) or value < low or (strict and value == low):
+        if not math.isfinite(value) or not low <= value <= high or (strict and value == low):
             raise argparse.ArgumentTypeError(
                 f"expected a finite {kind.__name__}{bound}, got {text}"
             )
@@ -77,9 +78,11 @@ def _bounded(kind: type, low: float, *, strict: bool = False):
 
 _FINITE = _bounded(float, -math.inf)
 _POSITIVE = _bounded(float, 0.0, strict=True)
-_COUNT = _bounded(int, 1)
-_SAMPLES = _bounded(int, 2)
-_GRID_POINTS = _bounded(int, 100)
+# upper bounds on the size flags, so that an absurd size is a usage error, not
+# an allocation that fails (or a run that never ends)
+_COUNT = _bounded(int, 1, 1000)
+_SAMPLES = _bounded(int, 2, 10**6)
+_GRID_POINTS = _bounded(int, 100, 10**6)
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:

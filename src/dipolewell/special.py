@@ -32,9 +32,12 @@ so one root search computes one lnGamma(2 i mu) and the same floats.
 ascending array of x, as a wavefunction profile needs: the two log-Gammas
 once, and the Kummer series of all samples up to LARGE_X_SWITCH together
 on numpy arrays that replay CPython's complex arithmetic operation by
-operation.  Its results equal the scalar ``whittaker_w_scaled`` calls field
-for field (``==``), and it raises the exception a loop over those calls
-would raise first.
+operation.  It returns the mantissas and exponents, which equal the scalar
+``whittaker_w_scaled`` calls' fields bit for bit, and it raises the
+exception a loop over those calls would raise first.  The rule that keeps
+the bits: numpy for the IEEE arithmetic (+, -, *, / and libm's hypot),
+cmath/math per element for the transcendentals (log, cos), whose numpy
+versions need not round alike.
 """
 
 from __future__ import annotations
@@ -235,9 +238,9 @@ def _kummer_overflow(a: complex, b: complex, x: float) -> ConvergenceError:
 class _SeriesArray(NamedTuple):
     """Kummer sums of _whittaker_series_array, unset from a failing sample on."""
 
-    sums: list[complex]
-    ln_scale: list[float]
-    est_rel: list[float]
+    sums: np.ndarray  # complex
+    ln_scale: np.ndarray
+    est_rel: np.ndarray
     error: Exception | None  # what the scalar series raises at its first failing sample
 
 
@@ -262,7 +265,7 @@ def _whittaker_series_array(kappa: float, mu_signed: float, x: np.ndarray) -> _S
     cr, ci = np.zeros(n), np.zeros(n)
     tr, ti = np.ones(n), np.zeros(n)
     ln_scale, peak = np.zeros(n), np.ones(n)
-    streak = np.zeros(n, dtype=np.int64)
+    prev = np.zeros(n, dtype=bool)  # the previous term was small
     error = None
     k = 0
     with np.errstate(all="ignore"):
@@ -290,8 +293,10 @@ def _whittaker_series_array(kappa: float, mu_signed: float, x: np.ndarray) -> _S
             k += 1
             mag = np.hypot(sr, si)
             tmag = np.hypot(tr, ti)
-            big = (mag > 1e250) | (tmag > 1e250)
-            if big.any():
+            top = np.fmax(mag, tmag)  # fmax skips one NaN: top > 1e250 iff mag or tmag is
+            big = top > 1e250
+            any_big = big.any()
+            if any_big:
                 # the scalar abs() of a finite complex overflows where hypot does
                 over = (np.isinf(mag) & np.isfinite(sr) & np.isfinite(si)) | (
                     np.isinf(tmag) & np.isfinite(tr) & np.isfinite(ti)
@@ -302,15 +307,14 @@ def _whittaker_series_array(kappa: float, mu_signed: float, x: np.ndarray) -> _S
                     keep = slice(0, j)
                     live, xs, sr, si, cr, ci, tr, ti = (
                         v[keep] for v in (live, xs, sr, si, cr, ci, tr, ti))
-                    ln_scale, peak, streak, mag, tmag, big = (
-                        v[keep] for v in (ln_scale, peak, streak, mag, tmag, big))
+                    ln_scale, peak, prev, mag, tmag, top, big = (
+                        v[keep] for v in (ln_scale, peak, prev, mag, tmag, top, big))
             # peak is never NaN, so fmax keeps max(peak, mag, tmag)'s choice
-            peak = np.fmax(np.fmax(peak, mag), tmag)
+            peak = np.fmax(peak, top)
             small = tmag <= 1e-16 * np.maximum(mag, 1e-300)
-            streak = np.where(small, streak + 1, 0)
-            done = streak >= 2
-            rescale = big & ~done
-            if rescale.any():
+            done = small & prev
+            prev = small
+            if any_big and (rescale := big & ~done).any():
                 f = 1e-250
                 sr, si = (np.where(rescale, sr * f - si * 0.0, sr),
                           np.where(rescale, sr * 0.0 + si * f, si))
@@ -325,13 +329,13 @@ def _whittaker_series_array(kappa: float, mu_signed: float, x: np.ndarray) -> _S
                 keep = ~done
                 live, xs, sr, si, cr, ci, tr, ti = (
                     v[keep] for v in (live, xs, sr, si, cr, ci, tr, ti))
-                ln_scale, peak, streak = (v[keep] for v in (ln_scale, peak, streak))
+                ln_scale, peak, prev = (v[keep] for v in (ln_scale, peak, prev))
         if len(live):
             error = _kummer_nonconvergence(a, b, float(xs[0]))
         sums = np.empty(n, dtype=complex)
         sums.real, sums.imag = res[0], res[1]
         est_rel = _TWO_EPS * (res[3] / np.maximum(np.hypot(res[0], res[1]), 1e-300)) + 4e-16
-    return _SeriesArray(sums.tolist(), res[2].tolist(), est_rel.tolist(), error)
+    return _SeriesArray(sums, res[2], est_rel, error)
 
 
 def kummer_m(a: complex, b: complex, x: float) -> KummerM:
@@ -512,17 +516,21 @@ def whittaker_w_scaled(
     return _connection_w(gammas, mu, x, s, ln_scale, em)
 
 
-def whittaker_w_scaled_array(kappa: float, mu: float, x) -> list[WhittakerW]:
-    """whittaker_w_scaled(kappa, mu, xi) for every xi of the ascending array x.
+def whittaker_w_scaled_array(kappa: float, mu: float, x) -> tuple[np.ndarray, np.ndarray]:
+    """(mantissa, exponent) of whittaker_w_scaled(kappa, mu, xi) at every xi of
+    the ascending array x, as two float arrays.
 
-    x must be finite, > 0 and ascending (DomainError otherwise).  The result
-    equals the scalar calls field for field, and the exception raised is the
-    one the scalar loop over x would raise first, with the same type and
+    x must be finite, > 0 and ascending (DomainError otherwise).  Both arrays
+    equal the scalar calls' fields bit for bit, and the exception raised is
+    the one the scalar loop over x would raise first, with the same type and
     message.  x splits once at LARGE_X_SWITCH: the prefix shares one pair of
     log-Gammas and runs the Kummer series of M_{kappa,-i mu} of all its
     samples as float64 arrays (see _whittaker_series_array); the suffix
-    takes the large-x route sample by sample.  Root finding keeps the
-    scalar function.
+    takes the large-x route sample by sample.  The prefix's tail replays
+    _connection_w's log T in CPython's operation order: numpy does the
+    IEEE-exact float arithmetic, while cmath.log and math.cos run per
+    element, because numpy's log rounds differently (and its cos need not
+    be libm's).  Root finding keeps the scalar function.
     """
     x = np.asarray(x, dtype=float)
     if not np.all((x > 0.0) & (x < math.inf)):
@@ -532,15 +540,23 @@ def whittaker_w_scaled_array(kappa: float, mu: float, x) -> list[WhittakerW]:
     if mu <= 0:
         raise DomainError("whittaker_w requires mu > 0")
     split = int(np.searchsorted(x, LARGE_X_SWITCH, side="right"))
-    out = []
+    mantissa, exponent = np.empty(0), np.empty(0)
     if split:
-        gammas = _connection_gammas(w_point(mu), kappa, mu)
+        lr, _ = _connection_gammas(w_point(mu), kappa, mu)
         minus = _whittaker_series_array(kappa, -mu, x[:split])
         if minus.error is not None:
             raise minus.error
-        out = [_connection_w(gammas, mu, xi, s, ln_scale, em) for xi, s, ln_scale, em
-               in zip(x[:split].tolist(), minus.sums, minus.ln_scale, minus.est_rel)]
-    return out + [_whittaker_w_asymptotic(kappa, mu, xi) for xi in x[split:].tolist()]
+        xp, m = x[:split], -mu
+        log_x = np.array(list(map(cmath.log, xp.tolist())))
+        log_s = np.array(list(map(cmath.log, minus.sums.tolist())))
+        # lr + _m_log_from_sum(m, x, s, ln_scale): each complex + float adds 0.0 to imag
+        re = -0.5 * xp + (0.5 * log_x.real - m * log_x.imag) + minus.ln_scale + log_s.real
+        im = 0.0 + (0.5 * log_x.imag + m * log_x.real) + 0.0 + log_s.imag
+        exponent = lr.real + re
+        mantissa = 2.0 * np.array(list(map(math.cos, (lr.imag + im).tolist())))
+    large = [_whittaker_w_asymptotic(kappa, mu, xi) for xi in x[split:].tolist()]
+    return (np.concatenate([mantissa, [w.mantissa for w in large]]),
+            np.concatenate([exponent, [w.exponent for w in large]]))
 
 
 def gamma_uniform_asymptotic(a: float, zeta: float, b: complex) -> GammaAsym:

@@ -260,7 +260,8 @@ def radial_wavefunction(
 
     Evaluates W in scaled form on a shared exponent, so profiles of deeply
     bound levels (where W itself underflows) stay representable; all
-    samples go through one whittaker_w_scaled_array call.  Deep in
+    samples go through one whittaker_w_scaled_array call, which returns
+    the scalar W's mantissas and exponents bit for bit.  Deep in
     the forbidden tail the scaled mantissa falls below double-precision
     phase resolution; samples with |mantissa| < NOISE_FLOOR are clipped to
     exactly 0 rather than reported as amplified rounding noise.
@@ -280,12 +281,12 @@ def radial_wavefunction(
     mu = derive(params).mu
     r = np.linspace(params.cutoff_R, r_max, samples)
     x = params.mass_m * params.omega * r * r
-    ws = whittaker_w_scaled_array(level.kappa, mu, x)
-    raw = np.array([w.mantissa for w in ws])
-    expo = np.array([w.exponent for w in ws])
+    raw, expo = whittaker_w_scaled_array(level.kappa, mu, x)
     mant = np.where(np.abs(raw) >= NOISE_FLOOR, raw, 0.0) / np.sqrt(x)
-    ref = float(np.max(expo[mant != 0.0])) if np.any(mant != 0.0) else 0.0
-    f = mant * np.exp(expo - ref)
+    live = mant != 0.0  # a clipped sample's exponent may lie far above ref: exp overflows
+    ref = float(np.max(expo[live])) if live.any() else 0.0
+    f = np.zeros_like(mant)
+    f[live] = mant[live] * np.exp(expo[live] - ref)
     peak = float(np.max(np.abs(f)))
     if peak == 0.0 or not math.isfinite(peak):
         raise DomainError("wavefunction vanished or overflowed on the whole grid")

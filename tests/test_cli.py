@@ -128,6 +128,37 @@ def test_non_finite_x_is_usage_error(capsys):
         assert "usage error" in err
 
 
+HUGE = str(10**12)
+
+
+@pytest.mark.parametrize(
+    "argv,flag,low,high",
+    [
+        (["wavefunction"], "--samples", 2, 10**6),
+        (["potential"], "--samples", 2, 10**6),
+        (["spectrum", "--route", "oracle"], "--grid-points", 100, 10**6),
+        (["validate"], "--grid-points", 100, 10**6),
+        (["spectrum", "--route", "asymptotic"], "--nmax", 1, 1000),
+        (["spectrum", "--route", "exact"], "--nmax", 1, 1000),
+        (["validate"], "--nmax", 1, 1000),
+        (["wavefunction"], "--n", 1, 1000),
+    ],
+    ids=["wavefunction_samples", "potential_samples", "oracle_grid_points",
+         "validate_grid_points", "asymptotic_nmax", "exact_nmax", "validate_nmax", "level"],
+)
+def test_absurd_sizes_are_usage_errors(argv, flag, low, high, monkeypatch, capsys):
+    # rejected while parsing: a command that ran would allocate or loop over the size
+    for name, command in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, name, command._replace(run=None))
+    for value in (HUGE, str(high + 1)):
+        code, out, err = run_cli([*argv, *DEEP, flag, value], capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"usage error: argument {flag}: expected a finite int >= {low} "
+                       f"and <= {high}, got {value}\n")
+    ns = cli._parser(argv[:1]).parse_args([*argv, *DEEP, flag, str(high)])
+    assert getattr(ns, flag[2:].replace("-", "_")) == high
+
+
 WEAK = ["--mass", "1", "--alpha", "1e-6", "--lambda", "1", "--omega", "1", "--radius", "0.1"]
 HEAVY = [
     "--mass", "1e-10", "--alpha", "1e300", "--lambda", "1", "--omega", "1e-3", "--radius", "1e-5",
@@ -217,6 +248,38 @@ def test_cheap_commands_exit_with_a_documented_code_property(command, values):
     if code == 0:
         cells = set(out.getvalue().replace("\n", ",").split(","))
         assert not cells & {"inf", "-inf", "nan"}, argv
+
+
+PARAM_NAMES = ("mass", "alpha", "lambda", "omega", "radius", "pz")
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    st.sampled_from(["exact", "asymptotic"]),
+    st.sampled_from(["1", "2", "3", "1000"]),
+    st.sampled_from([None, "0.05", "0.1", "0.6", "3", "40", "1e160"]),
+    st.integers(2, 6),
+    st.one_of(st.none(), st.tuples(st.sampled_from(PARAM_NAMES), st.sampled_from(EXTREME_VALUES))),
+)
+# clipped tail samples whose exponents lie far above the live ones' (exp overflowed)
+@example("exact", "1", "40", 300, None)
+def test_wavefunction_exits_with_a_documented_code_property(route, n, rmax, samples, extreme):
+    # deep.cfg with one parameter at an extreme: exit 0-3 and no exception; exit 0
+    # prints the header and one row per sample
+    argv = ["wavefunction", *DEEP, "--route", route, "--n", n, "--samples", str(samples)]
+    if rmax is not None:
+        argv += ["--rmax", rmax]
+    if extreme is not None:
+        argv.append(f"--{extreme[0]}={extreme[1]}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0:
+        lines = out.getvalue().split("\n")
+        assert lines[0] == "r,f" and lines[-1] == "" and len(lines) == samples + 2, argv
+        assert not set(",".join(lines[1:]).split(",")) & {"inf", "-inf", "nan"}, argv
 
 
 # either sign: a large negative kappa reaches the small-x form (beta >= 10), and a

@@ -4,6 +4,8 @@ the model, so their cross-check compares two independent computations."""
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 import pytest
@@ -45,3 +47,14 @@ def test_oracle_imports_no_analytic_route():
 @pytest.mark.parametrize("module", ["special", "spectrum", "model"])
 def test_analytic_modules_import_no_oracle(module):
     assert "oracle" not in package_imports(module)
+
+
+def test_perfbench_tracer_targets_resolve():
+    # perfbench --trace 1 wraps these attributes by name; a rename must fail here
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module, attr, _, _ in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)

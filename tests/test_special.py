@@ -392,18 +392,21 @@ def test_whittaker_w_domain_errors():
 
 
 def _scalar_outcome(kappa, mu, xs):
-    """The scalar W at every x, or (type, message) of the first exception."""
+    """The bits (float.hex) of the scalar W's mantissa and exponent at every x,
+    or (type, message) of the first exception."""
     try:
-        return [special.whittaker_w_scaled(kappa, mu, x) for x in xs]
+        ws = [special.whittaker_w_scaled(kappa, mu, x) for x in xs]
     except Exception as exc:
         return type(exc), str(exc)
+    return [(w.mantissa.hex(), w.exponent.hex()) for w in ws]
 
 
 def _array_outcome(kappa, mu, xs):
     try:
-        return special.whittaker_w_scaled_array(kappa, mu, np.array(xs))
+        mantissa, exponent = special.whittaker_w_scaled_array(kappa, mu, np.array(xs))
     except Exception as exc:
         return type(exc), str(exc)
+    return [(m.hex(), e.hex()) for m, e in zip(mantissa.tolist(), exponent.tolist())]
 
 
 @st.composite
@@ -465,7 +468,19 @@ def test_whittaker_w_array_mixed_routes_and_order():
     expect = _scalar_outcome(-2.0, 1.5, xs)
     assert len(expect) == len(xs)
     assert _array_outcome(-2.0, 1.5, xs) == expect
-    assert special.whittaker_w_scaled_array(-2.0, 1.5, np.array([])) == []
+    mantissa, exponent = special.whittaker_w_scaled_array(-2.0, 1.5, np.array([]))
+    assert mantissa.shape == exponent.shape == (0,)
+
+
+@pytest.mark.parametrize("kappa,mu", [(1.3, 0.3), (-0.2, 0.7), (-3.0, 2.5), (0.5 - 1.5e5, 2.5)])
+def test_whittaker_w_array_log1p_branch_of_log_x(kappa, mu):
+    # cmath.log(x) takes its log1p branch for x in [0.71, 1.73], where numpy's
+    # real log rounds differently, and at small |beta| the Kummer sums lie near
+    # 1 too, where numpy's complex log does; the tail calls cmath.log per element
+    xs = np.linspace(0.71, 1.73, 97).tolist()
+    expect = _scalar_outcome(kappa, mu, xs)
+    assert len(expect) == len(xs)
+    assert _array_outcome(kappa, mu, xs) == expect
 
 
 def test_whittaker_w_array_rescaled_sums():

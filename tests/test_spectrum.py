@@ -521,6 +521,27 @@ def test_radial_wavefunction_computes_log_gammas_once(deep_exact_levels, monkeyp
     assert len(calls) == 2
 
 
+def test_radial_wavefunction_w_bits_equal_the_scalar_w(deep_exact_levels, monkeypatch):
+    # every sample of the default deep.cfg profiles n = 1..3: the array W's
+    # mantissa and exponent carry the scalar W's bits
+    seen = []
+    array_w = spectrum.whittaker_w_scaled_array
+
+    def recording(kappa, mu, x):
+        seen.append((kappa, mu, x, array_w(kappa, mu, x)))
+        return seen[-1][3]
+
+    monkeypatch.setattr(spectrum, "whittaker_w_scaled_array", recording)
+    for lv in deep_exact_levels.values():
+        spectrum.radial_wavefunction(deep_params(), lv)
+    assert len(seen) == 3
+    for kappa, mu, x, (mantissa, exponent) in seen:
+        assert len(x) == 512
+        ws = [whittaker_w_scaled(kappa, mu, xi) for xi in x.tolist()]
+        assert [m.hex() for m in mantissa.tolist()] == [w.mantissa.hex() for w in ws]
+        assert [e.hex() for e in exponent.tolist()] == [w.exponent.hex() for w in ws]
+
+
 def test_radial_wavefunction_tail_decay(deep_exact_levels):
     p = deep_params()
     profile = spectrum.radial_wavefunction(p, deep_exact_levels[1], r_max=1.0, samples=800)
