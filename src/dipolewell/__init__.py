@@ -33,7 +33,6 @@ from .model import (
     kappa_of_energy,
 )
 from .oracle import (
-    GridScheme,
     OracleResult,
     RadialGridSpec,
     fd_eigensolve,
@@ -67,8 +66,7 @@ __all__ = [
     "PoleError", "RegimeError",
     "DerivedParams", "PhysicalParams", "derive", "effective_potential",
     "energy_of_kappa", "kappa_of_energy",
-    "GridScheme", "OracleResult", "RadialGridSpec", "fd_eigensolve",
-    "sturm_tridiag_eigs",
+    "OracleResult", "RadialGridSpec", "fd_eigensolve", "sturm_tridiag_eigs",
     "ROUTES", "Solution", "solve",
     "SmallXApprox", "gamma_uniform_asymptotic", "kummer_m", "ln_gamma_complex",
     "whittaker_m_imag", "whittaker_w_scaled", "whittaker_w_smallx_approx",

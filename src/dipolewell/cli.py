@@ -23,7 +23,7 @@ from . import model, oracle, spectrum
 from .errors import (ConvergenceError, DipoleWellError, DomainError, ForbiddenRegion,
                      NoBoundStateRegime)
 from .model import PhysicalParams
-from .oracle import GridScheme, RadialGridSpec
+from .oracle import RadialGridSpec
 from .solve import BETA_MIN_DEFAULT, ROUTES, X0_ADMISSIBLE_DEFAULT, solve
 from .spectrum import EnergyLevel, Route
 
@@ -102,8 +102,6 @@ def _add_solve_flags(p: argparse.ArgumentParser) -> None:
                    help="interior grid points for the numeric oracle (default %(default)s)")
     p.add_argument("--grid-rmax", type=_POSITIVE, default=None,
                    help="outer radius for the oracle (default: 3x outer turning point)")
-    p.add_argument("--grid-scheme", choices=["log", "uniform"], default="log",
-                   help="oracle grid spacing (default %(default)s)")
 
 
 def _spectrum_flags(p: argparse.ArgumentParser) -> None:
@@ -203,10 +201,9 @@ def _build_params(ns: argparse.Namespace) -> PhysicalParams:
 
 
 def _grid_from_flags(ns: argparse.Namespace, params: PhysicalParams, nmax: int) -> RadialGridSpec:
-    scheme = GridScheme(ns.grid_scheme)
     if ns.grid_rmax is not None:
-        return RadialGridSpec(params.cutoff_R, ns.grid_rmax, ns.grid_points, scheme)
-    return replace(oracle.default_grid(params, nmax, points=ns.grid_points), scheme=scheme)
+        return RadialGridSpec(params.cutoff_R, ns.grid_rmax, ns.grid_points)
+    return oracle.default_grid(params, nmax, points=ns.grid_points)
 
 
 def _write(out_path: str, lines: list[str]) -> None:

@@ -6,16 +6,15 @@ self-adjoint form
     -u'' - (Lsq + 1/4)/r^2 u + m^2 omega^2 r^2 u = tau u,     tau = 2m(E - shift)
 
 with u(r_min) = u(r_max) = 0, where Lsq = 2 m alpha lambda^2 - ell^2 (any
-sign; the oracle does not require the bound-state regime).  Two grids:
+sign; the oracle does not require the bound-state regime).  The grid is
+log-uniform, r = r_min e^s with s uniform: substituting u = sqrt(r) v gives
 
-* Uniform in r: plain second-order central differences.
-* Log-uniform (r = r_min e^s, s uniform): substituting u = sqrt(r) v gives
-      -v'' + [1/4 + r^2 W(r)] v = tau r^2 v
-  which is reduced to a standard symmetric tridiagonal problem by the
-  diagonal congruence with 1/r.  Near the cut-off the wavefunction
-  oscillates uniformly in ln r, so this grid carries constant phase
-  density there; it also cancels the -1/(4 r^2) reduction term exactly
-  when Lsq = 0.
+    -v'' + [1/4 + r^2 W(r)] v = tau r^2 v
+
+which is reduced to a standard symmetric tridiagonal problem by the
+diagonal congruence with 1/r.  Near the cut-off the wavefunction oscillates
+uniformly in ln r, so this grid carries constant phase density there; it
+also cancels the -1/(4 r^2) reduction term exactly when Lsq = 0.
 
 Eigenvalues come from Sturm multisection that replays bisection exactly (two
 numpy calls per matrix row); a half-step grid, its bisection paths predicted
@@ -31,7 +30,6 @@ classically forbidden region past the outer turning points, never swept.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -45,6 +43,8 @@ RICHARDSON_SPACING_FRACTION = 0.01
 BOUNDARY_MASS_LIMIT = 1e-6
 STURM_PIVMIN = 1e-290
 BISECTION_MAX_STEPS = 220
+# relative width at which a bisection bracket has converged
+STURM_RTOL = 1e-13
 # bisection steps tested per Sturm sweep: 2**6 - 1 = 63 shifts per eigenvalue
 MULTISECTION_DEPTH = 6
 # rows x shifts per block of a Sturm sweep (128 KiB of float64)
@@ -55,37 +55,28 @@ STURM_BLOCK_ROWS = 128
 STURM_TAIL_ULPS = 8
 
 
-class GridScheme(enum.Enum):
-    UNIFORM = "uniform"
-    LOG_UNIFORM = "log"
-
-
 @dataclass(frozen=True)
 class RadialGridSpec:
-    """Discretization of [r_min, r_max] with `points` interior nodes."""
+    """Log-uniform discretization of [r_min, r_max] with `points` interior nodes."""
 
     r_min: float
     r_max: float
-    points: int = 2000
-    scheme: GridScheme = GridScheme.LOG_UNIFORM
+    points: int
 
     def __post_init__(self) -> None:
         if not self.r_min < self.r_max:
             raise DomainError("grid requires r_min < r_max")
         if self.points < 100:
             raise DomainError("grid requires at least 100 points")
-        if self.scheme is GridScheme.LOG_UNIFORM and self.r_min <= 0:
+        if self.r_min <= 0:
             raise DomainError("log grid requires r_min > 0")
 
     def refined(self) -> "RadialGridSpec":
         """Same domain at half the step (2N+1 interior nodes)."""
-        return RadialGridSpec(self.r_min, self.r_max, 2 * self.points + 1, self.scheme)
+        return RadialGridSpec(self.r_min, self.r_max, 2 * self.points + 1)
 
     def nodes(self) -> np.ndarray:
         """Interior node radii."""
-        if self.scheme is GridScheme.UNIFORM:
-            h = (self.r_max - self.r_min) / (self.points + 1)
-            return self.r_min + (np.arange(self.points) + 1.0) * h
         span = math.log(self.r_max / self.r_min)
         h = span / (self.points + 1)
         return self.r_min * np.exp((np.arange(self.points) + 1.0) * h)
@@ -112,14 +103,8 @@ def build_tridiag(params: PhysicalParams, grid: RadialGridSpec) -> tuple[np.ndar
     """Symmetric tridiagonal (diag, offdiag) whose eigenvalues are tau, with
     the hard-wall Dirichlet condition u = 0 at both ends of the grid."""
     r = grid.nodes()
-    n = grid.points
-    if grid.scheme is GridScheme.UNIFORM:
-        h = (grid.r_max - grid.r_min) / (n + 1)
-        diag = 2.0 / (h * h) + _u_potential(params, r)
-        off = np.full(n - 1, -1.0 / (h * h))
-        return diag, off
     span = math.log(grid.r_max / grid.r_min)
-    h = span / (n + 1)
+    h = span / (grid.points + 1)
     q = 0.25 + r * r * _u_potential(params, r)
     diag = (2.0 / (h * h) + q) / (r * r)
     off = -1.0 / (h * h) / (r[:-1] * r[1:])
@@ -262,9 +247,7 @@ def _follow_guesses(diag, off_sq, lo, hi, depth: np.ndarray, guesses, converged)
         depth[:] = last + 1
 
 
-def sturm_tridiag_eigs(
-    diag, offdiag, k: int, *, atol: float | None = None, rtol: float = 0.0, guesses=None
-) -> list[float]:
+def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses=None) -> list[float]:
     """k smallest eigenvalues of a symmetric tridiagonal matrix.
 
     Sturm-sequence bisection from Gershgorin bounds, run as multisection:
@@ -273,9 +256,8 @@ def sturm_tridiag_eigs(
     and the steps are replayed from those counts, with the convergence test
     before each.  Optional `guesses` (one per eigenvalue, any values) are
     checked in a first sweep (_follow_guesses).  The result is bit-identical
-    to bisecting one midpoint per sweep.  Default absolute tolerance is
-    1e-12 * max|diag| (pass atol/rtol to tighten; rtol is relative to the
-    eigenvalue magnitude, for strongly graded matrices).
+    to bisecting one midpoint per sweep.  A bracket has converged once its
+    width is at most STURM_RTOL times the larger magnitude of its ends.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
@@ -295,13 +277,10 @@ def sturm_tridiag_eigs(
     rad[1:] += np.abs(offdiag)
     lo_bound = float(np.min(diag - rad))
     hi_bound = float(np.max(diag + rad))
-    if atol is None and rtol == 0.0:
-        atol = 1e-12 * float(np.max(np.abs(diag)))
-    atol = atol or 0.0
 
     def converged(lows: np.ndarray, highs: np.ndarray) -> bool:
         mag = np.maximum(np.abs(lows), np.abs(highs))
-        return bool(np.all(highs - lows <= np.maximum(atol + rtol * mag, 4e-16 * mag)))
+        return bool(np.all(highs - lows <= STURM_RTOL * mag))
 
     # lo[i, s], hi[i, s]: bracket of eigenvalue i after s steps, known for s <= depth[i]
     lo = np.full((k, BISECTION_MAX_STEPS + 2 * MULTISECTION_DEPTH), lo_bound)
@@ -364,7 +343,7 @@ def default_grid(
         raise DomainError("default_grid needs omega > 0; supply an explicit grid")
     e_top = params.omega * (2.0 * k_levels + 1.0) + params.energy_shift
     r_turn = model.outer_turning_radius(params, e_top)
-    return RadialGridSpec(params.cutoff_R, 3.0 * r_turn, points, GridScheme.LOG_UNIFORM)
+    return RadialGridSpec(params.cutoff_R, 3.0 * r_turn, points)
 
 
 def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -> OracleResult:
@@ -379,9 +358,9 @@ def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -
         raise DomainError("need 1 <= k_levels <= grid.points")
     k_work = min(k_levels + 1, grid.points)  # one spare level to gauge the spacing
     diag, off = build_tridiag(params, grid)
-    coarse = sturm_tridiag_eigs(diag, off, k_work, atol=0.0, rtol=1e-13)
+    coarse = sturm_tridiag_eigs(diag, off, k_work)
     diag, off = build_tridiag(params, grid.refined())
-    fine = sturm_tridiag_eigs(diag, off, k_work, atol=0.0, rtol=1e-13, guesses=coarse)
+    fine = sturm_tridiag_eigs(diag, off, k_work, guesses=coarse)
     estimates = [abs(f - c) / 3.0 for f, c in zip(fine, coarse)]
 
     taus = fine[:k_levels]

@@ -55,9 +55,10 @@ def reference_sturm_count(diag, offdiag_sq, shifts) -> np.ndarray:
     return count
 
 
-def reference_sturm_eigs(diag, offdiag, k: int, *, atol=None, rtol: float = 0.0) -> list[float]:
+def reference_sturm_eigs(diag, offdiag, k: int) -> list[float]:
     """k smallest eigenvalues by bisection from Gershgorin bounds, one midpoint
-    per eigenvalue per Sturm sweep (the arithmetic of LAPACK dstebz's bisection)."""
+    per eigenvalue per Sturm sweep (the arithmetic of LAPACK dstebz's bisection),
+    until every bracket is at most 1e-13 of its larger end's magnitude wide."""
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
     n = len(diag)
@@ -69,17 +70,12 @@ def reference_sturm_eigs(diag, offdiag, k: int, *, atol=None, rtol: float = 0.0)
     rad[1:] += np.abs(offdiag)
     lo_bound = float(np.min(diag - rad))
     hi_bound = float(np.max(diag + rad))
-    if atol is None and rtol == 0.0:
-        atol = 1e-12 * float(np.max(np.abs(diag)))
-    atol = atol or 0.0
 
     lows = np.full(k, lo_bound)
     highs = np.full(k, hi_bound)
     idx = np.arange(k)
     for _ in range(220):
-        width = highs - lows
-        limit = atol + rtol * np.maximum(np.abs(lows), np.abs(highs))
-        if np.all(width <= np.maximum(limit, 4e-16 * np.maximum(np.abs(lows), np.abs(highs)))):
+        if np.all(highs - lows <= 1e-13 * np.maximum(np.abs(lows), np.abs(highs))):
             break
         mids = 0.5 * (lows + highs)
         counts = reference_sturm_count(diag, off_sq, mids)

@@ -18,7 +18,7 @@ import pytest
 from dipolewell import cli, oracle, special, spectrum
 from dipolewell.errors import NoBoundStateRegime
 from dipolewell.model import PhysicalParams, derive
-from dipolewell.oracle import GridScheme, RadialGridSpec
+from dipolewell.oracle import RadialGridSpec
 from dipolewell.special import whittaker_w_scaled
 
 from oracles import reference_whittaker_w_connection, s_wave_energies
@@ -78,7 +78,7 @@ def deep_exact():
 
 @pytest.fixture(scope="module")
 def deep_fd():
-    grid = RadialGridSpec(0.1, 2.0, 1500, GridScheme.LOG_UNIFORM)
+    grid = RadialGridSpec(0.1, 2.0, 1500)
     return oracle.fd_eigensolve(deep_params(), grid, 2)
 
 
@@ -270,7 +270,7 @@ def test_criterion_07_fall_to_center():
         e1 = spectrum.energy_levels_asymptotic(p, 1)[0].energy
         scaled.append(R * R * (ref - e1))
         e_exact.append(spectrum.quantize_exact(p, 1).energy)
-        grid = RadialGridSpec(R, 12.0 * R, 900, GridScheme.LOG_UNIFORM)
+        grid = RadialGridSpec(R, 12.0 * R, 900)
         e_oracle.append(oracle.fd_eigensolve(p, grid, 1).energies(p)[0])
     const_dev = max(abs(s - scaled[0]) / scaled[0] for s in scaled)
     exact_mono = all(a > b for a, b in zip(e_exact, e_exact[1:]))
@@ -316,7 +316,7 @@ def test_criterion_09_regime_gate(capsys):
         "--omega", "1e-3", "--radius", "0.1", "--ell", "2",
     ])
     err = capsys.readouterr().err
-    grid = RadialGridSpec(0.1, 10.0, 800, GridScheme.LOG_UNIFORM)
+    grid = RadialGridSpec(0.1, 10.0, 800)
     res = oracle.fd_eigensolve(deep_params(
         polarizability_alpha=2.0, field_coupling_lambda=1.0, ell=2, omega=1.0
     ), grid, 2)
@@ -333,7 +333,7 @@ def test_criterion_10_oracle_sanity():
     # 2D p-wave oscillator behind the hard wall: tau = 2 m omega (2k + |ell| + 1)
     # = 4, 8, 12; a wall at R = 1e-6 moves these by O(R^2) only
     p = PhysicalParams(1.0, 1e-300, 1.0, 1.0, 1e-6, ell=1)
-    grid = RadialGridSpec(1e-6, 12.0, 2000, GridScheme.LOG_UNIFORM)
+    grid = RadialGridSpec(1e-6, 12.0, 2000)
     res = oracle.fd_eigensolve(p, grid, 3)
     devs = [abs(tau - expect) for tau, expect in zip(res.eigenvalues_tau, (4.0, 8.0, 12.0))]
     rich = res.richardson_error_estimate

@@ -386,7 +386,7 @@ def _outcome(parse, argv):
 
 PARSE_ONLY = {  # per command: argv that argparse rejects before the command runs
     "spectrum": [["--nmax", "0"], ["--route", "nope"], ["--grid-points", "x"]],
-    "validate": [["--compare-tol", "-1"], ["--grid-scheme", "cubic"]],
+    "validate": [["--compare-tol", "-1"], ["--grid-scheme", "log"]],  # a removed flag
     "wavefunction": [["--samples", "1"], ["--rmax", "nan"], ["--n", "1.5"]],
     "sweep-cutoff": [[], ["--radii"], ["--mass", "x", "--radii", "0.1"]],
     "potential": [["--rmin", "nan"], ["--samples", "two"]],

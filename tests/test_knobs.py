@@ -1,6 +1,7 @@
 """No test-only keyword knobs: every keyword-only parameter of a package
 function is passed by that keyword somewhere in the package itself, so no
-option exists that only tests set."""
+option exists that only tests set; and no such parameter is a constant in
+disguise, passed by every call in the package as one and the same literal."""
 
 from __future__ import annotations
 
@@ -8,6 +9,10 @@ import ast
 import pathlib
 
 PACKAGE = pathlib.Path(__file__).parents[1] / "src" / "dipolewell"
+
+
+def _callee(node: ast.Call) -> str | None:
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
 
 
 def keyword_knobs(trees: dict[str, ast.Module]) -> tuple[set, set]:
@@ -20,9 +25,32 @@ def keyword_knobs(trees: dict[str, ast.Module]) -> tuple[set, set]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 declared.update((node.name, a.arg) for a in node.args.kwonlyargs)
             elif isinstance(node, ast.Call):
-                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                passed.update((name, k.arg) for k in node.keywords if k.arg)
+                passed.update((_callee(node), k.arg) for k in node.keywords if k.arg)
     return declared, passed
+
+
+def _literal(node: ast.expr | None) -> str | None:
+    """repr of a literal argument; None for an omitted or computed one."""
+    try:
+        return repr(ast.literal_eval(node)) if node is not None else None
+    except ValueError:
+        return None
+
+
+def constant_knobs(trees: dict[str, ast.Module]) -> set:
+    """(function name, keyword) pairs of keyword-only parameters that every
+    call in the package passes, always as the same literal."""
+    declared, _ = keyword_knobs(trees)
+    seen: dict[tuple, set] = {}  # per knob, the _literal of its argument at each call
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                given = {k.arg: k.value for k in node.keywords}  # **kw: key None
+                for knob in declared:
+                    if knob[0] == _callee(node):
+                        value = None if None in given else _literal(given.get(knob[1]))
+                        seen.setdefault(knob, set()).add(value)
+    return {knob for knob, values in seen.items() if len(values) == 1 and None not in values}
 
 
 def test_keyword_knobs_sees_declarations_and_calls():
@@ -31,10 +59,25 @@ def test_keyword_knobs_sees_declarations_and_calls():
     assert declared - passed == {("f", "unused")}
 
 
-def test_every_keyword_only_parameter_is_passed_in_the_package():
-    trees = {
+def test_constant_knobs_sees_one_literal_everywhere():
+    # tol is 0.5 at every call; mode is left at its default once
+    tree = ast.parse("def f(a, *, tol=1.0, mode=None): pass\nf(1, tol=0.5, mode=2)\n"
+                     "m.f(3, tol=0.5)\n")
+    assert constant_knobs({"m": tree}) == {("f", "tol")}
+
+
+def _package_trees() -> dict[str, ast.Module]:
+    return {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(PACKAGE.glob("*.py"))
     }
-    declared, passed = keyword_knobs(trees)
+
+
+def test_every_keyword_only_parameter_is_passed_in_the_package():
+    declared, passed = keyword_knobs(_package_trees())
     assert not declared - passed, sorted(declared - passed)
+
+
+def test_no_keyword_only_parameter_is_a_constant_in_the_package():
+    knobs = constant_knobs(_package_trees())
+    assert not knobs, sorted(knobs)

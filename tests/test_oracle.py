@@ -14,7 +14,7 @@ from scipy.special import j0, y0
 from dipolewell import oracle
 from dipolewell.errors import DomainError, GridTooCoarse
 from dipolewell.model import PhysicalParams
-from dipolewell.oracle import GridScheme, RadialGridSpec
+from dipolewell.oracle import RadialGridSpec
 
 from oracles import reference_sturm_count, reference_sturm_eigs, reference_tridiag_solve
 
@@ -70,7 +70,7 @@ def test_sturm_matches_dense_reference():
     rng = np.random.default_rng(77)
     diag = rng.uniform(-3, 3, size=50)
     off = rng.uniform(-2, 2, size=49)
-    got = oracle.sturm_tridiag_eigs(diag, off, 12, atol=1e-14)
+    got = oracle.sturm_tridiag_eigs(diag, off, 12)
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     expect = np.sort(np.linalg.eigvalsh(dense))[:12]
     assert np.max(np.abs(np.array(got) - expect)) <= 1e-10
@@ -104,9 +104,6 @@ def test_sturm_ascending():
 # Multisection replays the one-midpoint bisection of tests/oracles.py exactly
 # ---------------------------------------------------------------------------
 
-RTOL_13 = dict(atol=0.0, rtol=1e-13)  # the tolerances fd_eigensolve uses
-
-
 @pytest.fixture(scope="module")
 def deep_matrices():
     """Coarse and refined tridiagonals of deep.cfg at the default grid."""
@@ -119,8 +116,7 @@ def deep_matrices():
 @pytest.mark.parametrize("which", ["coarse", "refined"])
 def test_multisection_bit_identical_on_deep_grids(deep_matrices, which):
     diag, off = deep_matrices[which]
-    got = oracle.sturm_tridiag_eigs(diag, off, 3, **RTOL_13)
-    assert got == reference_sturm_eigs(diag, off, 3, **RTOL_13)
+    assert oracle.sturm_tridiag_eigs(diag, off, 3) == reference_sturm_eigs(diag, off, 3)
 
 
 def _random_tridiag(n: int, seed: int):
@@ -129,18 +125,17 @@ def _random_tridiag(n: int, seed: int):
 
 
 @pytest.mark.parametrize(
-    "diag,off,k,kw",
+    "diag,off,k",
     [
-        (np.full(120, 2.0), np.full(119, -1.0), 6, {}),  # discrete Laplacian
-        (*_random_tridiag(50, 77), 1, RTOL_13),
-        (*_random_tridiag(50, 78), 50, {}),  # k = n
-        (np.array([1.0, 2.0]), np.array([1.0]), 2, {}),  # n = 2
+        (np.full(120, 2.0), np.full(119, -1.0), 6),  # discrete Laplacian
+        (*_random_tridiag(50, 77), 1),
+        (*_random_tridiag(50, 78), 50),  # k = n
+        (np.array([1.0, 2.0]), np.array([1.0]), 2),  # n = 2
     ],
     ids=["laplacian", "k1", "k_eq_n", "n2"],
 )
-def test_multisection_bit_identical_small(diag, off, k, kw):
-    assert oracle.sturm_tridiag_eigs(diag, off, k, **kw) == reference_sturm_eigs(
-        diag, off, k, **kw)
+def test_multisection_bit_identical_small(diag, off, k):
+    assert oracle.sturm_tridiag_eigs(diag, off, k) == reference_sturm_eigs(diag, off, k)
 
 
 @pytest.mark.parametrize(
@@ -240,15 +235,14 @@ def tridiagonals(draw):
         return np.array([m * 10.0**e for m, e in zip(mantissas, exponents)])
 
     diag, off = entries(n), entries(n - 1)
-    return diag, off, draw(st.integers(1, n)), draw(st.sampled_from([{}, RTOL_13]))
+    return diag, off, draw(st.integers(1, n))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(tridiagonals())
 def test_multisection_bit_identical_property(case):
-    diag, off, k, kw = case
-    assert oracle.sturm_tridiag_eigs(diag, off, k, **kw) == reference_sturm_eigs(
-        diag, off, k, **kw)
+    diag, off, k = case
+    assert oracle.sturm_tridiag_eigs(diag, off, k) == reference_sturm_eigs(diag, off, k)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +319,7 @@ def test_sturm_count_stops_early_on_deep_grids(deep_matrices, which):
     # shifts at the three lowest eigenvalues are the latest to retire: the
     # count at the third changes only at row 852 of the coarse grid's 2000
     diag, off = deep_matrices[which]
-    eigs = oracle.sturm_tridiag_eigs(diag, off, 3, **RTOL_13)
+    eigs = oracle.sturm_tridiag_eigs(diag, off, 3)
     seen = diag.view(_RowsRead)
     got = oracle.sturm_count(seen, off * off, np.array(eigs), k=3)
     assert np.array_equal(got, reference_sturm_count(diag, off * off, np.array(eigs)))
@@ -340,7 +334,7 @@ def test_sturm_count_stops_early_on_deep_grids(deep_matrices, which):
 @pytest.fixture(scope="module")
 def refined_reference(deep_matrices):
     diag, off = deep_matrices["refined"]
-    return reference_sturm_eigs(diag, off, 3, **RTOL_13)
+    return reference_sturm_eigs(diag, off, 3)
 
 
 def _gershgorin(diag, off):
@@ -358,7 +352,7 @@ def test_warm_start_bit_identical(deep_matrices, refined_reference, kind, monkey
     lo, hi = _gershgorin(diag, off)
     guesses = {
         "exact": ref,
-        "coarse": oracle.sturm_tridiag_eigs(*deep_matrices["coarse"], 3, **RTOL_13),
+        "coarse": oracle.sturm_tridiag_eigs(*deep_matrices["coarse"], 3),
         "far": [r + 0.1 * abs(r) for r in ref],
         "unsorted": ref[::-1],
         "outside": [lo - 1.0, ref[1], 2.0 * hi],
@@ -368,7 +362,7 @@ def test_warm_start_bit_identical(deep_matrices, refined_reference, kind, monkey
     calls = []
     count = oracle.sturm_count
     monkeypatch.setattr(oracle, "sturm_count", lambda *a, **kw: calls.append(1) or count(*a, **kw))
-    assert oracle.sturm_tridiag_eigs(diag, off, 3, guesses=guesses, **RTOL_13) == ref
+    assert oracle.sturm_tridiag_eigs(diag, off, 3, guesses=guesses) == ref
     if kind == "exact":  # one sweep checks the whole path
         assert len(calls) == 1
 
@@ -377,7 +371,7 @@ def test_warm_start_bit_identical(deep_matrices, refined_reference, kind, monkey
 def guessed_tridiagonals(draw):
     """A tridiagonal and k, with guesses near its eigenvalues, far off,
     non-finite, and in either order."""
-    diag, off, k, kw = draw(tridiagonals())
+    diag, off, k = draw(tridiagonals())
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     eigs = np.sort(np.linalg.eigvalsh(dense))[:k].tolist()
     near = st.one_of(st.floats(-1e-9, 1e-9), st.floats(-1.0, 1.0))
@@ -387,21 +381,21 @@ def guessed_tridiagonals(draw):
     ]
     if draw(st.booleans()):
         guesses.reverse()
-    return diag, off, k, kw, guesses
+    return diag, off, k, guesses
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(guessed_tridiagonals())
 def test_warm_start_bit_identical_property(case):
-    diag, off, k, kw, guesses = case
-    assert oracle.sturm_tridiag_eigs(diag, off, k, guesses=guesses, **kw) == (
-        reference_sturm_eigs(diag, off, k, **kw))
+    diag, off, k, guesses = case
+    assert oracle.sturm_tridiag_eigs(diag, off, k, guesses=guesses) == (
+        reference_sturm_eigs(diag, off, k))
 
 
 def test_tridiag_solve_matches_numpy_scalar_loop(deep_matrices):
     # the leak check's shifted fine-grid solve, and a random matrix
     diag, off = deep_matrices["refined"]
-    tau = oracle.sturm_tridiag_eigs(diag, off, 2, **RTOL_13)[-1]
+    tau = oracle.sturm_tridiag_eigs(diag, off, 2)[-1]
     shifted = diag - (tau + 1e-10 * abs(tau))
     rng = np.random.default_rng(81)
     rhs = rng.standard_normal(len(diag))
@@ -420,7 +414,7 @@ def test_tridiag_solve_matches_numpy_scalar_loop(deep_matrices):
 
 @pytest.fixture(scope="module")
 def deep_oracle():
-    grid = RadialGridSpec(0.1, 3.0, 1500, GridScheme.LOG_UNIFORM)
+    grid = RadialGridSpec(0.1, 3.0, 1500)
     return oracle.fd_eigensolve(deep_params(), grid, 2)
 
 
@@ -440,7 +434,7 @@ def test_fd_full_domain_matches_exact_quantization():
     from dipolewell import spectrum
 
     p = deep_params()
-    grid = RadialGridSpec(0.1, 400.0, 3000, GridScheme.LOG_UNIFORM)
+    grid = RadialGridSpec(0.1, 400.0, 3000)
     res = oracle.fd_eigensolve(p, grid, 1)
     e_fd = res.energies(p)[0]
     e_ref = spectrum.quantize_exact(p, 1).energy
@@ -452,7 +446,7 @@ def test_fd_full_domain_matches_exact_quantization():
 def test_fd_oscillator_limit_p_wave():
     # pure 2D p-wave oscillator: tau = 2 m omega (2k + 2) = 4, 8, 12; the hard
     # wall at R = 1e-6 shifts these by O(R^2), far below the Richardson estimate
-    grid = RadialGridSpec(1e-6, 12.0, 2000, GridScheme.LOG_UNIFORM)
+    grid = RadialGridSpec(1e-6, 12.0, 2000)
     res = oracle.fd_eigensolve(oscillator_params(ell=1), grid, 3)
     assert len(res.eigenvalues_tau) == 3
     expected = (4.0, 8.0, 12.0)
@@ -464,7 +458,7 @@ def test_fd_oscillator_wall_shift_is_real_and_logarithmic():
     # with the physical Dirichlet wall the critical-coupling ground state is
     # shifted by ~ 4 omega / ln(2 e^{-2 gamma} / (m omega R^2)); the shift is
     # physics, not discretization, so it must exceed the Richardson estimate
-    grid = RadialGridSpec(1e-4, 12.0, 2000, GridScheme.LOG_UNIFORM)
+    grid = RadialGridSpec(1e-4, 12.0, 2000)
     res = oracle.fd_eigensolve(oscillator_params(cutoff_R=1e-4), grid, 1)
     shift = res.eigenvalues_tau[0] - 2.0
     predicted = 4.0 / (math.log(2.0 / 1e-8) - 2.0 * 0.5772156649015329)
@@ -491,10 +485,10 @@ def test_fd_annulus_bessel_check():
     expect = [kk * kk for kk in ks]
 
     # the wall at r2 is physical here, so fd_eigensolve's leak check does not
-    # apply: solve its fine grid directly, with its tolerances
-    grid = RadialGridSpec(r1, r2, 2000, GridScheme.UNIFORM).refined()
+    # apply: solve its fine grid directly
+    grid = RadialGridSpec(r1, r2, 2000).refined()
     diag, off = oracle.build_tridiag(p, grid)
-    taus = oracle.sturm_tridiag_eigs(diag, off, 4, atol=0.0, rtol=1e-13)[:3]
+    taus = oracle.sturm_tridiag_eigs(diag, off, 4)[:3]
     for tau, ref in zip(taus, expect):
         assert abs(tau - ref) <= 1e-5 * ref
 
@@ -503,26 +497,28 @@ def test_fd_grid_convergence_is_second_order():
     p = deep_params()
     taus = []
     for n in (400, 801, 1603):  # successive halvings of the step
-        grid = RadialGridSpec(0.1, 3.0, n, GridScheme.LOG_UNIFORM)
+        grid = RadialGridSpec(0.1, 3.0, n)
         diag, off = oracle.build_tridiag(p, grid)
-        taus.append(oracle.sturm_tridiag_eigs(diag, off, 1, atol=0.0, rtol=1e-13)[0])
+        taus.append(oracle.sturm_tridiag_eigs(diag, off, 1)[0])
     d1 = abs(taus[1] - taus[0])
     d2 = abs(taus[2] - taus[1])
     assert 3.2 <= d1 / d2 <= 4.8
 
 
 def test_fd_variational_monotonicity_nested_domains():
-    # same step h, nested uniform domains: tau_k never increases with r_max
+    # same step h in ln r, nested domains: the log grid solves A v = tau
+    # diag(r^2) v, whose levels interlace as the domain grows, so tau_k never
+    # increases with r_max; the walls at 0.5 and 1 squeeze some level
     p = deep_params(omega=0.5)
-    h = 6.0 / 1200
+    h = math.log(0.5 / 0.1) / 400
     prev = None
-    for n in (1199, 1599, 1999):  # r_max = 6, 8, 10 at fixed h
-        r_max = 0.1 + (n + 1) * h
-        grid = RadialGridSpec(0.1, r_max, n, GridScheme.UNIFORM)
+    for n in (399, 571, 744):  # r_max ~ 0.5, 1, 2 at fixed h
+        grid = RadialGridSpec(0.1, 0.1 * math.exp((n + 1) * h), n)
         diag, off = oracle.build_tridiag(p, grid)
-        taus = oracle.sturm_tridiag_eigs(diag, off, 3, atol=1e-11)
+        taus = oracle.sturm_tridiag_eigs(diag, off, 3)
         if prev is not None:
-            assert all(t <= s + 1e-9 for t, s in zip(taus, prev))
+            assert all(t <= s for t, s in zip(taus, prev))
+            assert any(t < s for t, s in zip(taus, prev))
         prev = taus
 
 
@@ -531,16 +527,16 @@ def test_fd_cutoff_monotonicity():
     p = deep_params()
     taus = []
     for R in (0.2, 0.1, 0.05):
-        grid = RadialGridSpec(R, 3.0, 1000, GridScheme.LOG_UNIFORM)
+        grid = RadialGridSpec(R, 3.0, 1000)
         res = oracle.fd_eigensolve(deep_params(cutoff_R=R), grid, 1)
         taus.append(res.eigenvalues_tau[0])
     assert taus[0] > taus[1] > taus[2]
 
 
 def test_fd_grid_too_coarse():
+    # 100 log points resolve the two deepest levels, not the ten lowest
     with pytest.raises(GridTooCoarse):
-        grid = RadialGridSpec(0.1, 3.0, 100, GridScheme.UNIFORM)
-        oracle.fd_eigensolve(deep_params(), grid, 2)
+        oracle.fd_eigensolve(deep_params(), RadialGridSpec(0.1, 3.0, 100), 10)
 
 
 def test_fd_rejects_more_levels_than_grid_points():
@@ -551,14 +547,14 @@ def test_fd_rejects_more_levels_than_grid_points():
 def test_fd_rmax_too_small():
     # r_max below the turning point of level 2 leaks mass into the boundary
     with pytest.raises(DomainError):
-        grid = RadialGridSpec(0.1, 0.32, 1200, GridScheme.LOG_UNIFORM)
+        grid = RadialGridSpec(0.1, 0.32, 1200)
         oracle.fd_eigensolve(deep_params(), grid, 2)
 
 
 def test_fd_non_whittaker_regime_still_solves():
     # ell^2 >= 2 m alpha lambda^2: no analytic route, oracle still works
     p = deep_params(polarizability_alpha=2.0, field_coupling_lambda=1.0, ell=3, omega=1.0)
-    grid = RadialGridSpec(0.1, 12.0, 1500, GridScheme.LOG_UNIFORM)
+    grid = RadialGridSpec(0.1, 12.0, 1500)
     res = oracle.fd_eigensolve(p, grid, 2)
     assert res.eigenvalues_tau[0] < res.eigenvalues_tau[1]
     assert all(e >= 0 for e in res.richardson_error_estimate)
@@ -569,6 +565,8 @@ def test_default_grid_shape():
     grid = oracle.default_grid(p, 2)
     assert grid.r_min == p.cutoff_R
     assert grid.r_max > 3.0 * p.cutoff_R
-    assert grid.scheme is GridScheme.LOG_UNIFORM
+    steps = np.diff(np.log(grid.nodes()))
+    assert grid.nodes()[0] > p.cutoff_R
+    assert np.max(np.abs(steps - steps[0])) <= 1e-12 * steps[0]
     with pytest.raises(DomainError):
         oracle.default_grid(deep_params(omega=0.0), 1)

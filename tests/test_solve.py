@@ -7,7 +7,7 @@ import pytest
 from dipolewell import spectrum
 from dipolewell.errors import DomainError, NoBoundStateRegime
 from dipolewell.model import PhysicalParams
-from dipolewell.oracle import GridScheme, RadialGridSpec
+from dipolewell.oracle import RadialGridSpec
 from dipolewell.solve import ROUTES, solve
 from dipolewell.spectrum import Route
 
@@ -66,7 +66,7 @@ def test_solve_flags_regime_failures_before_absent_routes():
     # grid ends inside the cut-off, so the oracle fails
     p = deep_params(polarizability_alpha=2.0, omega=10.0)
     sol = solve(p, 1, (Route.ASYMPTOTIC, Route.ORACLE),
-                lambda: RadialGridSpec(0.1, 0.05, 600, GridScheme.LOG_UNIFORM))
+                lambda: RadialGridSpec(0.1, 0.05, 600))
     assert sol.flags(1) == ["x0_admissible", "beta_min", "absent:oracle:DomainError"]
     assert sol.flags(1, x0_admissible=0.2) == ["beta_min", "absent:oracle:DomainError"]
     assert sol.flags(1, x0_admissible=0.2, beta_min=0.1) == ["absent:oracle:DomainError"]
