@@ -17,8 +17,11 @@ uniformly in ln r, so this grid carries constant phase density there; it
 also cancels the -1/(4 r^2) reduction term exactly when Lsq = 0.
 
 Eigenvalues come from Sturm multisection that replays bisection exactly (two
-numpy calls per matrix row); a half-step grid, its bisection paths predicted
-by the coarse eigenvalues and checked by count, gives Richardson estimates.
+numpy calls per matrix row, the convergence test once per sweep); a half-step
+grid gives Richardson estimates.  Its bisection paths are predicted by the
+Rayleigh quotients of the coarse eigenvectors, carried to the half-step nodes
+by cubic interpolation in ln r, and checked by count, so that any prediction
+gives bisection's floats.
 A sweep drops each shift at the rows that can no longer change what its
 count decides: once the count reaches the number of wanted eigenvalues, or
 once the rows left are diagonally dominant below the shift (by a margin of
@@ -75,11 +78,14 @@ class RadialGridSpec:
         """Same domain at half the step (2N+1 interior nodes)."""
         return RadialGridSpec(self.r_min, self.r_max, 2 * self.points + 1)
 
+    @property
+    def h(self) -> float:
+        """Step in s = ln(r / r_min)."""
+        return math.log(self.r_max / self.r_min) / (self.points + 1)
+
     def nodes(self) -> np.ndarray:
         """Interior node radii."""
-        span = math.log(self.r_max / self.r_min)
-        h = span / (self.points + 1)
-        return self.r_min * np.exp((np.arange(self.points) + 1.0) * h)
+        return self.r_min * np.exp((np.arange(self.points) + 1.0) * self.h)
 
 
 @dataclass(frozen=True)
@@ -103,8 +109,7 @@ def build_tridiag(params: PhysicalParams, grid: RadialGridSpec) -> tuple[np.ndar
     """Symmetric tridiagonal (diag, offdiag) whose eigenvalues are tau, with
     the hard-wall Dirichlet condition u = 0 at both ends of the grid."""
     r = grid.nodes()
-    span = math.log(grid.r_max / grid.r_min)
-    h = span / (grid.points + 1)
+    h = grid.h
     q = 0.25 + r * r * _u_potential(params, r)
     diag = (2.0 / (h * h) + q) / (r * r)
     off = -1.0 / (h * h) / (r[:-1] * r[1:])
@@ -200,50 +205,63 @@ def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray, *,
     return np.minimum(counts, cap)
 
 
-def _bisection_tree(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-    """Midpoints of the first MULTISECTION_DEPTH bisection steps of each bracket.
+def _bisection_grid(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """The next MULTISECTION_DEPTH bisection steps of each bracket, as the
+    ascending ends of their 2**MULTISECTION_DEPTH leaves.
 
-    Row j holds the tree of bracket j in heap order: column 2**level - 1 + p
-    is the midpoint of node p at that level, whose children are nodes 2p
-    (lower half) and 2p + 1 (upper half) one level down.
+    Row j runs from lows[j] to highs[j].  A node of level L spans
+    2**(MULTISECTION_DEPTH - L) leaves, and its midpoint, the column halfway
+    along it, is 0.5 * (lo + hi) of its two end columns: bisection's own
+    arithmetic.  The columns 1 .. 2**MULTISECTION_DEPTH - 1 are the midpoints.
     """
-    lo = lows[:, None]
-    hi = highs[:, None]
-    levels = []
-    for _ in range(MULTISECTION_DEPTH):
-        mid = 0.5 * (lo + hi)
-        levels.append(mid)
-        lo = np.stack((lo, mid), axis=2).reshape(len(lows), -1)
-        hi = np.stack((mid, hi), axis=2).reshape(len(lows), -1)
-    return np.concatenate(levels, axis=1)
+    width = 1 << MULTISECTION_DEPTH
+    ends = np.empty((len(lows), width + 1))
+    ends[:, 0] = lows
+    ends[:, width] = highs
+    while width > 1:
+        ends[:, width // 2 :: width] = 0.5 * (ends[:, :-1:width] + ends[:, width::width])
+        width //= 2
+    return ends
 
 
-def _step(lo: np.ndarray, hi: np.ndarray, rows, s, mids: np.ndarray, go_down: np.ndarray) -> None:
-    """Bisection step s of the brackets in `rows`: write their brackets after it."""
-    hi[rows, s + 1] = np.where(go_down, mids, hi[rows, s])
-    lo[rows, s + 1] = np.where(go_down, lo[rows, s], mids)
+def _first_converged(lo: np.ndarray, hi: np.ndarray, start: int, stop: int) -> int:
+    """The first step in start .. stop - 1 at which every bracket has
+    converged, or stop: a bracket has converged once its width is at most
+    STURM_RTOL times the larger magnitude of its ends."""
+    lows, highs = lo[:, start:stop], hi[:, start:stop]
+    done = np.all(highs - lows <= STURM_RTOL * np.maximum(np.abs(lows), np.abs(highs)), axis=0)
+    return start + int(done.argmax()) if done.any() else stop
 
 
-def _follow_guesses(diag, off_sq, lo, hi, depth: np.ndarray, guesses, converged) -> None:
+def _follow_guesses(diag, off_sq, lo, hi, depth: np.ndarray, guesses) -> None:
     """One sweep that counts every midpoint of a path per eigenvalue that
     steps toward guesses[i] until the convergence test passes.  A path is kept
     up to and including its first step whose count disagrees with it, taken
     the way the count says: the kept steps are bisection's own."""
-    idx = np.arange(len(depth))
     g = np.asarray(guesses, dtype=float)
+    low, high = lo[:, 0], hi[:, 0]
     s = 0
-    while s < BISECTION_MAX_STEPS and not converged(lo[:, s], hi[:, s]):
-        mid = 0.5 * (lo[:, s] + hi[:, s])
-        _step(lo, hi, idx, s, mid, g < mid)
-        s += 1
+    while s < BISECTION_MAX_STEPS:  # the convergence test once per MULTISECTION_DEPTH steps
+        stop = min(s + MULTISECTION_DEPTH, BISECTION_MAX_STEPS)
+        for t in range(s + 1, stop + 1):
+            mid = 0.5 * (low + high)
+            down = g < mid
+            high = hi[:, t] = np.where(down, mid, high)
+            low = lo[:, t] = np.where(down, low, mid)
+        s = _first_converged(lo, hi, s, stop)
+        if s < stop:
+            break
     if s:
+        idx = np.arange(len(depth))
         mids = 0.5 * (lo[:, :s] + hi[:, :s])
         counts = sturm_count(diag, off_sq, mids.ravel(), k=len(depth)).reshape(mids.shape)
         go_down = counts > idx[:, None]
         wrong = go_down != (g[:, None] < mids)
         wrong[:, -1] = True  # a path right throughout is kept whole
         last = wrong.argmax(axis=1)
-        _step(lo, hi, idx, last, mids[idx, last], go_down[idx, last])
+        down, mid = go_down[idx, last], mids[idx, last]
+        hi[idx, last + 1] = np.where(down, mid, hi[idx, last])
+        lo[idx, last + 1] = np.where(down, lo[idx, last], mid)
         depth[:] = last + 1
 
 
@@ -253,11 +271,13 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses=None) -> list[float]:
     Sturm-sequence bisection from Gershgorin bounds, run as multisection:
     one sweep counts the eigenvalues below every midpoint of the next
     MULTISECTION_DEPTH bisection steps of each bracket's deepest known one,
-    and the steps are replayed from those counts, with the convergence test
-    before each.  Optional `guesses` (one per eigenvalue, any values) are
-    checked in a first sweep (_follow_guesses).  The result is bit-identical
-    to bisecting one midpoint per sweep.  A bracket has converged once its
-    width is at most STURM_RTOL times the larger magnitude of its ends.
+    and the steps are replayed from those counts.  The convergence test runs
+    once per sweep, on every step known for all brackets, and the first step
+    that passes it ends the bisection.  Optional `guesses` (one per
+    eigenvalue, any values) are checked in a first sweep (_follow_guesses).
+    The result is bit-identical to bisecting one midpoint per sweep with the
+    test before each step.  A bracket has converged once its width is at
+    most STURM_RTOL times the larger magnitude of its ends.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
@@ -278,60 +298,97 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses=None) -> list[float]:
     lo_bound = float(np.min(diag - rad))
     hi_bound = float(np.max(diag + rad))
 
-    def converged(lows: np.ndarray, highs: np.ndarray) -> bool:
-        mag = np.maximum(np.abs(lows), np.abs(highs))
-        return bool(np.all(highs - lows <= STURM_RTOL * mag))
-
     # lo[i, s], hi[i, s]: bracket of eigenvalue i after s steps, known for s <= depth[i]
     lo = np.full((k, BISECTION_MAX_STEPS + 2 * MULTISECTION_DEPTH), lo_bound)
     hi = np.full(lo.shape, hi_bound)
     depth = np.zeros(k, dtype=np.int64)
     if guesses is not None:
-        _follow_guesses(diag, off_sq, lo, hi, depth, guesses, converged)
+        _follow_guesses(diag, off_sq, lo, hi, depth, guesses)
+    # leaves of the bisection grid per bracket after each step of a sweep
+    spans = (1 << MULTISECTION_DEPTH) >> np.arange(1, MULTISECTION_DEPTH + 1)
     steps = 0
-    while steps < BISECTION_MAX_STEPS and not converged(lo[:, steps], hi[:, steps]):
-        if depth.min() == steps:  # a sweep for every bracket known < DEPTH steps ahead
-            sel = np.flatnonzero(depth < steps + MULTISECTION_DEPTH)
-            at, rows = depth[sel], np.arange(len(sel))
-            tree = _bisection_tree(lo[sel, at], hi[sel, at])
-            counts = sturm_count(diag, off_sq, tree.ravel(), k=k).reshape(tree.shape)
-            node = np.zeros(len(sel), dtype=np.int64)
-            for level in range(MULTISECTION_DEPTH):
-                col = (1 << level) - 1 + node
-                go_down = counts[rows, col] > sel
-                _step(lo, hi, sel, at + level, tree[rows, col], go_down)
-                node = 2 * node + ~go_down
-            depth[sel] += MULTISECTION_DEPTH
-        steps += 1
+    while steps < BISECTION_MAX_STEPS:
+        known = int(depth.min())
+        stop = min(known + 1, BISECTION_MAX_STEPS)
+        steps = _first_converged(lo, hi, steps, stop)
+        if steps < stop or known >= BISECTION_MAX_STEPS:
+            break
+        # a sweep for every bracket known < DEPTH steps ahead
+        sel = np.flatnonzero(depth < known + MULTISECTION_DEPTH)
+        at, rows = depth[sel], np.arange(len(sel))
+        ends = _bisection_grid(lo[sel, at], hi[sel, at])
+        counts = sturm_count(diag, off_sq, ends[:, 1:-1].ravel(), k=k).reshape(len(sel), -1)
+        go_down = counts > sel[:, None]  # column c: the midpoint at leaf end c + 1
+        low = np.zeros(len(sel), dtype=np.int64)  # the column of each bracket's lower end
+        path = np.empty((len(sel), MULTISECTION_DEPTH), dtype=np.int64)
+        for level, span in enumerate(spans.tolist()):
+            mid = low + span
+            low = np.where(go_down[rows, mid - 1], low, mid)
+            path[:, level] = low
+        cols = at[:, None] + np.arange(1, MULTISECTION_DEPTH + 1)
+        lo[sel[:, None], cols] = ends[rows[:, None], path]
+        hi[sel[:, None], cols] = ends[rows[:, None], path + spans]
+        depth[sel] += MULTISECTION_DEPTH
     return [float(v) for v in 0.5 * (lo[:, steps] + hi[:, steps])]
 
 
 def _tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Thomas solve of (tridiag) x = rhs on Python floats (numpy's float64
     arithmetic without its per-scalar cost); a zero pivot becomes 1e-290."""
-    c, d, e_prev = [0.0], [0.0], 0.0  # a coupling-free row before row 0
+    cs, ds = [], []
+    c = d = e_prev = 0.0  # a coupling-free row before row 0
     for a_i, e_i, b_i in zip(diag.tolist(), off.tolist() + [0.0], rhs.tolist()):
-        denom = a_i - e_prev * c[-1]
+        denom = a_i - e_prev * c
         if denom == 0.0:
             denom = 1e-290
-        c.append(e_i / denom)
-        d.append((b_i - e_prev * d[-1]) / denom)
+        c = e_i / denom
+        d = (b_i - e_prev * d) / denom
+        cs.append(c)
+        ds.append(d)
         e_prev = e_i
-    x = [d[-1]]
-    for c_i, d_i in zip(c[-2:0:-1], d[-2:0:-1]):
-        x.append(d_i - c_i * x[-1])
-    return np.array(x[::-1])
+    x = [d]
+    for c_i, d_i in zip(reversed(cs[:-1]), reversed(ds[:-1])):
+        d = d_i - c_i * d
+        x.append(d)
+    x.reverse()
+    return np.array(x)
 
 
 def _eigenvector(diag: np.ndarray, off: np.ndarray, tau: float) -> np.ndarray:
-    """Inverse iteration at shift tau (three sweeps are ample for isolated modes)."""
+    """Unit eigenvector at the eigenvalue tau: one solve of inverse iteration
+    from a fixed random start.  The shift lies 1e-10 |tau| off tau, so the
+    solve damps each other mode j against the wanted one by about
+    1e-10 |tau| / |tau_j - tau|."""
     shifted = diag - (tau + 1e-10 * max(1.0, abs(tau)))
-    v = np.random.default_rng(12345).standard_normal(len(diag))
-    v /= np.linalg.norm(v)
-    for _ in range(3):
-        v = _tridiag_solve(shifted, off, v)
-        v /= np.linalg.norm(v)
-    return v
+    v = _tridiag_solve(shifted, off, np.random.default_rng(12345).standard_normal(len(diag)))
+    return v / np.linalg.norm(v)
+
+
+def _rayleigh_guesses(grid: RadialGridSpec, vectors, diag: np.ndarray,
+                      off: np.ndarray) -> np.ndarray:
+    """Guesses for the eigenvalues of grid.refined(), whose matrix is (diag,
+    off): the Rayleigh quotients w^T T w / w^T w of the coarse eigenvectors
+    `vectors` of `grid`, carried to the refined nodes.
+
+    The matrix eigenvector is w = r v, with v smooth in s = ln(r / r_min).
+    Each refined node is a coarse node or the midpoint of two, so v is
+    interpolated there by the 4-point cubic (-1, 9, 9, -1) / 16, with v odd
+    about both Dirichlet walls.  The quotient's error is quadratic in that
+    of w, O(h^4) against the O(h^2) gap between the two grids' eigenvalues.
+    A vector without a finite, nonzero norm gives a NaN guess.
+    """
+    v = np.asarray(vectors, dtype=float) / grid.nodes()
+    pad = np.zeros((len(v), grid.points + 4))  # v at coarse nodes -1 .. N + 2
+    pad[:, 2:-2] = v
+    pad[:, 0], pad[:, -1] = -v[:, 0], -v[:, -1]
+    fine = np.empty((len(v), 2 * grid.points + 1))
+    fine[:, 1::2] = v
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fine[:, 0::2] = (9.0 * (pad[:, 1:-2] + pad[:, 2:-1]) - pad[:, :-3] - pad[:, 3:]) / 16.0
+        w = fine * grid.refined().nodes()
+        ww = w * w
+        quad = (ww * diag).sum(axis=1) + 2.0 * (w[:, :-1] * w[:, 1:] * off).sum(axis=1)
+        return quad / ww.sum(axis=1)
 
 
 def default_grid(
@@ -349,18 +406,26 @@ def default_grid(
 def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -> OracleResult:
     """k_levels lowest tau eigenvalues with half-step Richardson estimates.
 
+    The half-step solve starts from guesses (_rayleigh_guesses): the
+    Rayleigh quotients of the coarse eigenvectors, one solve of inverse
+    iteration each, which lie about 1e-9 (relative) from the half-step
+    eigenvalues where the coarse eigenvalues lie about 1e-5 off.  The floats
+    are those of plain bisection whatever the guesses.
+
     Raises GridTooCoarse when a Richardson estimate exceeds 1% of the local
     level spacing, and DomainError when the topmost requested eigenfunction
-    leaks more than 1e-6 of its mass into the outer 5% of the domain
-    (r_max too small).
+    (one solve of inverse iteration on the half-step matrix) leaks more than
+    1e-6 of its mass into the outer 5% of the domain (r_max too small).
     """
     if not 1 <= k_levels <= grid.points:
         raise DomainError("need 1 <= k_levels <= grid.points")
     k_work = min(k_levels + 1, grid.points)  # one spare level to gauge the spacing
     diag, off = build_tridiag(params, grid)
     coarse = sturm_tridiag_eigs(diag, off, k_work)
+    vectors = [_eigenvector(diag, off, tau) for tau in coarse]
     diag, off = build_tridiag(params, grid.refined())
-    fine = sturm_tridiag_eigs(diag, off, k_work, guesses=coarse)
+    guesses = _rayleigh_guesses(grid, vectors, diag, off)
+    fine = sturm_tridiag_eigs(diag, off, k_work, guesses=guesses)
     estimates = [abs(f - c) / 3.0 for f, c in zip(fine, coarse)]
 
     taus = fine[:k_levels]

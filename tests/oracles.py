@@ -107,6 +107,19 @@ def reference_tridiag_solve(diag, off, rhs) -> np.ndarray:
     return x
 
 
+def reference_eigenvector(diag, off, tau: float) -> np.ndarray:
+    """Three solves of inverse iteration at the shift of oracle._eigenvector,
+    from its random start, normalized after each: the converged vector that
+    the one-solve eigenvector of the leak check is held against."""
+    shifted = diag - (tau + 1e-10 * max(1.0, abs(tau)))
+    v = np.random.default_rng(12345).standard_normal(len(diag))
+    v /= np.linalg.norm(v)
+    for _ in range(3):
+        v = reference_tridiag_solve(shifted, off, v)
+        v /= np.linalg.norm(v)
+    return v
+
+
 def reference_whittaker_w_connection(
     kappa: float, mu: float, x: float
 ) -> tuple[special.WhittakerW, float]:

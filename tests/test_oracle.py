@@ -16,7 +16,8 @@ from dipolewell.errors import DomainError, GridTooCoarse
 from dipolewell.model import PhysicalParams
 from dipolewell.oracle import RadialGridSpec
 
-from oracles import reference_sturm_count, reference_sturm_eigs, reference_tridiag_solve
+from oracles import (reference_eigenvector, reference_sturm_count, reference_sturm_eigs,
+                     reference_tridiag_solve)
 
 # deep regime: exact E_1, E_2 from the 40-digit quantization oracle
 DEEP_E = (-293.9131309116332609364, -76.79106144608003514938)
@@ -106,11 +107,11 @@ def test_sturm_ascending():
 
 @pytest.fixture(scope="module")
 def deep_matrices():
-    """Coarse and refined tridiagonals of deep.cfg at the default grid."""
+    """Coarse and refined tridiagonals of deep.cfg at the default grid, and the grid."""
     p = deep_params()
     grid = oracle.default_grid(p, 2)
     return {"coarse": oracle.build_tridiag(p, grid),
-            "refined": oracle.build_tridiag(p, grid.refined())}
+            "refined": oracle.build_tridiag(p, grid.refined()), "grid": grid}
 
 
 @pytest.mark.parametrize("which", ["coarse", "refined"])
@@ -204,9 +205,10 @@ class _RowsRead(np.ndarray):
 
 
 def test_deep_solve_sweep_count(monkeypatch):
-    # six bisection steps per sweep, the fine grid warm-started from the
-    # coarse one: 129 sweeps at one midpoint per sweep, 22 without the warm
-    # start; each sweep stops where only rows past the turning points are left
+    # six bisection steps per sweep: 129 sweeps at one midpoint per sweep, 22
+    # without a warm start, 18 with the coarse eigenvalues as the fine grid's
+    # guesses, 15 (11 coarse, 4 fine) with their Rayleigh quotients; each
+    # sweep stops where only rows past the turning points are left
     calls = []
     count = oracle.sturm_count
 
@@ -219,9 +221,9 @@ def test_deep_solve_sweep_count(monkeypatch):
     monkeypatch.setattr(oracle, "sturm_count", counting)
     p = deep_params()
     oracle.fd_eigensolve(p, oracle.default_grid(p, 2), 2)
-    assert 0 < len(calls) <= 20
+    assert 0 < len(calls) <= 15
     swept, total = map(sum, zip(*calls))
-    assert total == 50007 and swept <= 0.4 * total
+    assert total == 11 * 2000 + 4 * 4001 and swept <= 0.4 * total
 
 
 @st.composite
@@ -344,7 +346,14 @@ def _gershgorin(diag, off):
     return float(np.min(diag - rad)), float(np.max(diag + rad))
 
 
-@pytest.mark.parametrize("kind", ["exact", "coarse", "far", "unsorted", "outside",
+def _rayleigh_guesses(deep_matrices):
+    """The fine guesses of fd_eigensolve on deep.cfg's default grid."""
+    coarse = deep_matrices["coarse"]
+    vectors = [oracle._eigenvector(*coarse, tau) for tau in oracle.sturm_tridiag_eigs(*coarse, 3)]
+    return oracle._rayleigh_guesses(deep_matrices["grid"], vectors, *deep_matrices["refined"])
+
+
+@pytest.mark.parametrize("kind", ["exact", "coarse", "rq", "far", "unsorted", "outside",
                                   "midpoint", "nan"])
 def test_warm_start_bit_identical(deep_matrices, refined_reference, kind, monkeypatch):
     diag, off = deep_matrices["refined"]
@@ -353,6 +362,7 @@ def test_warm_start_bit_identical(deep_matrices, refined_reference, kind, monkey
     guesses = {
         "exact": ref,
         "coarse": oracle.sturm_tridiag_eigs(*deep_matrices["coarse"], 3),
+        "rq": _rayleigh_guesses(deep_matrices),
         "far": [r + 0.1 * abs(r) for r in ref],
         "unsorted": ref[::-1],
         "outside": [lo - 1.0, ref[1], 2.0 * hi],
@@ -365,6 +375,52 @@ def test_warm_start_bit_identical(deep_matrices, refined_reference, kind, monkey
     assert oracle.sturm_tridiag_eigs(diag, off, 3, guesses=guesses) == ref
     if kind == "exact":  # one sweep checks the whole path
         assert len(calls) == 1
+
+
+def test_rayleigh_guesses_are_close(deep_matrices, refined_reference):
+    # interpolated cubically, the coarse eigenvectors give Rayleigh quotients
+    # 2.1e-10, 7.8e-10 and 1.7e-9 from the fine eigenvalues, where the coarse
+    # eigenvalues are 8.2e-6 to 3.7e-5 off; linear interpolation is no closer
+    # than the coarse eigenvalues
+    for guess, tau in zip(_rayleigh_guesses(deep_matrices), refined_reference, strict=True):
+        assert abs(guess - tau) <= 1e-8 * abs(tau)
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+def test_degenerate_coarse_vectors_give_nan_guesses(deep_matrices, refined_reference, bad,
+                                                    monkeypatch):
+    # no RuntimeWarning (pytest turns them into errors), and bisection's floats
+    grid, coarse = deep_matrices["grid"], deep_matrices["coarse"]
+    taus = oracle.sturm_tridiag_eigs(*coarse, 3)
+    vectors = [np.full(grid.points, bad), *[oracle._eigenvector(*coarse, tau) for tau in taus[1:]]]
+    guesses = oracle._rayleigh_guesses(grid, vectors, *deep_matrices["refined"])
+    assert math.isnan(guesses[0]) and np.all(np.isfinite(guesses[1:]))
+    eigenvector = oracle._eigenvector
+
+    def degenerate(diag, off, tau):  # the coarse vectors only: the leak check stays real
+        return np.full(len(diag), bad) if len(diag) == grid.points else eigenvector(diag, off, tau)
+
+    monkeypatch.setattr(oracle, "_eigenvector", degenerate)
+    res = oracle.fd_eigensolve(deep_params(), grid, 2)
+    assert res.eigenvalues_tau == refined_reference[:2]
+
+
+def _outer_mass(v: np.ndarray) -> float:
+    """The leak check's mass of a unit vector within the outer 5% of the grid."""
+    return float(np.sum(v[-max(1, int(0.05 * len(v))):] ** 2))
+
+
+@pytest.mark.parametrize("grid", [None, RadialGridSpec(0.1, 0.32, 1200)], ids=["deep", "leaky"])
+def test_leak_check_one_solve_matches_three(grid):
+    # one solve of inverse iteration against three: deep.cfg's default grid
+    # gives 7.7e-18 against 6.1e-58, the leaky grid 8.890886e-3 both ways
+    p = deep_params()
+    diag, off = oracle.build_tridiag(p, (grid or oracle.default_grid(p, 2)).refined())
+    tau = oracle.sturm_tridiag_eigs(diag, off, 2)[-1]
+    one = _outer_mass(oracle._eigenvector(diag, off, tau))
+    three = _outer_mass(reference_eigenvector(diag, off, tau))
+    assert abs(one - three) <= 1e-12
+    assert (one > oracle.BOUNDARY_MASS_LIMIT) == (grid is not None)
 
 
 @st.composite
@@ -567,6 +623,6 @@ def test_default_grid_shape():
     assert grid.r_max > 3.0 * p.cutoff_R
     steps = np.diff(np.log(grid.nodes()))
     assert grid.nodes()[0] > p.cutoff_R
-    assert np.max(np.abs(steps - steps[0])) <= 1e-12 * steps[0]
+    assert np.max(np.abs(steps - grid.h)) <= 1e-12 * grid.h
     with pytest.raises(DomainError):
         oracle.default_grid(deep_params(omega=0.0), 1)
