@@ -16,12 +16,13 @@ diagonal congruence with 1/r.  Near the cut-off the wavefunction oscillates
 uniformly in ln r, so this grid carries constant phase density there; it
 also cancels the -1/(4 r^2) reduction term exactly when Lsq = 0.
 
-Eigenvalues come from Sturm multisection that replays bisection exactly (two
-numpy calls per matrix row, the convergence test once per sweep); a half-step
-grid gives Richardson estimates.  Its bisection paths are predicted by the
-Rayleigh quotients of the coarse eigenvectors, carried to the half-step nodes
-by cubic interpolation in ln r, and checked by count, so that any prediction
-gives bisection's floats.
+Eigenvalues come from Sturm bisection that reads its counts from a table
+local to each call, filled by multisection sweeps (two numpy calls per matrix
+row): the steps, and so the floats, are bisection's own whatever the table
+holds.  A half-step grid gives Richardson estimates.  Its bisection paths are
+predicted by the Rayleigh quotients of the coarse eigenvectors, carried to
+the half-step nodes by cubic interpolation in ln r, and all their midpoints
+are counted in its first sweep.
 A sweep drops each shift at the rows that can no longer change what its
 count decides: once the count reaches the number of wanted eigenvalues, or
 once the rows left are diagonally dominant below the shift (by a margin of
@@ -117,9 +118,10 @@ def build_tridiag(params: PhysicalParams, grid: RadialGridSpec) -> tuple[np.ndar
 
 
 def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray, *,
-                k: int | None = None) -> np.ndarray:
+                k: int) -> np.ndarray:
     """Number of eigenvalues strictly below each shift (Sturm sequence),
-    capped at k: callers that read only count > i for i < k pass k.
+    capped at k (bisection reads only count > i for i < k; k = len(diag)
+    caps nothing).
 
     The pivot q of a row is clamped to +-STURM_PIVMIN (+ for q = -0.0) when
     |q| < STURM_PIVMIN.  Rows run in blocks of about STURM_BLOCK_ELEMENTS
@@ -150,7 +152,6 @@ def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray, *,
     """
     x = np.atleast_1d(np.asarray(shifts, dtype=float))
     n = len(diag)
-    cap = n if k is None else k
     d = np.asarray(diag, dtype=float)
     e = np.sqrt(offdiag_sq)  # |e| of the pivots' arithmetic; e^2 = inf gives no tail
     rad = np.zeros(n)
@@ -192,7 +193,7 @@ def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray, *,
             q = buf[0] = block[-1]
             if check <= stop < n:
                 check = stop + STURM_BLOCK_ROWS
-                done = (count >= cap) | ((reach < floor[stop]) & ((q < 0) | (q >= e[stop - 1])))
+                done = (count >= k) | ((reach < floor[stop]) & ((q < 0) | (q >= e[stop - 1])))
                 if done.any():
                     break
         else:
@@ -202,7 +203,7 @@ def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray, *,
         live, x, reach, count, q = live[keep], x[keep], reach[keep], count[keep], q[keep]
         start = stop
     counts[live] = count
-    return np.minimum(counts, cap)
+    return np.minimum(counts, k)
 
 
 def _bisection_grid(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
@@ -224,60 +225,44 @@ def _bisection_grid(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
     return ends
 
 
-def _first_converged(lo: np.ndarray, hi: np.ndarray, start: int, stop: int) -> int:
-    """The first step in start .. stop - 1 at which every bracket has
-    converged, or stop: a bracket has converged once its width is at most
-    STURM_RTOL times the larger magnitude of its ends."""
-    lows, highs = lo[:, start:stop], hi[:, start:stop]
-    done = np.all(highs - lows <= STURM_RTOL * np.maximum(np.abs(lows), np.abs(highs)), axis=0)
-    return start + int(done.argmax()) if done.any() else stop
+def _converged(lows, highs) -> bool:
+    """Whether every bracket has converged: its width is at most STURM_RTOL
+    times the larger magnitude of its ends."""
+    return all(h - lo <= STURM_RTOL * max(abs(lo), abs(h)) for lo, h in zip(lows, highs))
 
 
-def _follow_guesses(diag, off_sq, lo, hi, depth: np.ndarray, guesses) -> None:
-    """One sweep that counts every midpoint of a path per eigenvalue that
-    steps toward guesses[i] until the convergence test passes.  A path is kept
-    up to and including its first step whose count disagrees with it, taken
-    the way the count says: the kept steps are bisection's own."""
-    g = np.asarray(guesses, dtype=float)
-    low, high = lo[:, 0], hi[:, 0]
-    s = 0
-    while s < BISECTION_MAX_STEPS:  # the convergence test once per MULTISECTION_DEPTH steps
-        stop = min(s + MULTISECTION_DEPTH, BISECTION_MAX_STEPS)
-        for t in range(s + 1, stop + 1):
-            mid = 0.5 * (low + high)
-            down = g < mid
-            high = hi[:, t] = np.where(down, mid, high)
-            low = lo[:, t] = np.where(down, low, mid)
-        s = _first_converged(lo, hi, s, stop)
-        if s < stop:
-            break
-    if s:
-        idx = np.arange(len(depth))
-        mids = 0.5 * (lo[:, :s] + hi[:, :s])
-        counts = sturm_count(diag, off_sq, mids.ravel(), k=len(depth)).reshape(mids.shape)
-        go_down = counts > idx[:, None]
-        wrong = go_down != (g[:, None] < mids)
-        wrong[:, -1] = True  # a path right throughout is kept whole
-        last = wrong.argmax(axis=1)
-        down, mid = go_down[idx, last], mids[idx, last]
-        hi[idx, last + 1] = np.where(down, mid, hi[idx, last])
-        lo[idx, last + 1] = np.where(down, lo[idx, last], mid)
-        depth[:] = last + 1
+def _halves(lows, highs, mids, down):
+    """The brackets after one bisection step: the lower half where down."""
+    return ([a if d else m for a, m, d in zip(lows, mids, down)],
+            [m if d else b for b, m, d in zip(highs, mids, down)])
+
+
+def _count_into(table: dict, diag, off_sq, k: int, shifts) -> None:
+    """One sturm_count sweep over the shifts not yet in `table`, adding their
+    counts (capped at k) to it."""
+    fresh = [x for x in dict.fromkeys(shifts) if x not in table]
+    if fresh:
+        table.update(zip(fresh, sturm_count(diag, off_sq, np.array(fresh), k=k).tolist()))
 
 
 def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses=None) -> list[float]:
     """k smallest eigenvalues of a symmetric tridiagonal matrix.
 
-    Sturm-sequence bisection from Gershgorin bounds, run as multisection:
-    one sweep counts the eigenvalues below every midpoint of the next
-    MULTISECTION_DEPTH bisection steps of each bracket's deepest known one,
-    and the steps are replayed from those counts.  The convergence test runs
-    once per sweep, on every step known for all brackets, and the first step
-    that passes it ends the bisection.  Optional `guesses` (one per
-    eigenvalue, any values) are checked in a first sweep (_follow_guesses).
-    The result is bit-identical to bisecting one midpoint per sweep with the
-    test before each step.  A bracket has converged once its width is at
-    most STURM_RTOL times the larger magnitude of its ends.
+    Sturm-sequence bisection from Gershgorin bounds: before each step every
+    bracket is tested for convergence (its width at most STURM_RTOL times the
+    larger magnitude of its ends), then eigenvalue i halves its bracket at the
+    midpoint 0.5 * (lo + hi), keeping the lower half when more than i
+    eigenvalues lie below it.  The counts come from a table local to the
+    call, shift -> count.  When a step's midpoint is missing, one sturm_count
+    sweep fills it as multisection: each bracket walks ahead through the
+    table, and each whose walk ends within MULTISECTION_DEPTH steps adds the
+    2**MULTISECTION_DEPTH - 1 midpoints of its next MULTISECTION_DEPTH steps
+    from there (_bisection_grid).  A sweep counts each shift not yet in the
+    table once, and the table keeps only the counts that some walk reached,
+    so it stays small.  Optional `guesses` (one per eigenvalue, any values, NaN
+    too) make the first sweep count every midpoint of the path toward each
+    guess until the predicted brackets converge.  Whatever the table holds,
+    the steps are bisection's own, so the floats are too.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
@@ -288,6 +273,8 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses=None) -> list[float]:
         raise DomainError("need 1 <= k <= matrix dimension")
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag))):
         raise DomainError("matrix entries must be finite")
+    if guesses is not None and np.shape(guesses) != (k,):
+        raise DomainError("need one guess per eigenvalue")
     if n == 1:
         return [float(diag[0])]
 
@@ -295,41 +282,40 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses=None) -> list[float]:
     rad = np.zeros(n)
     rad[:-1] += np.abs(offdiag)
     rad[1:] += np.abs(offdiag)
-    lo_bound = float(np.min(diag - rad))
-    hi_bound = float(np.max(diag + rad))
-
-    # lo[i, s], hi[i, s]: bracket of eigenvalue i after s steps, known for s <= depth[i]
-    lo = np.full((k, BISECTION_MAX_STEPS + 2 * MULTISECTION_DEPTH), lo_bound)
-    hi = np.full(lo.shape, hi_bound)
-    depth = np.zeros(k, dtype=np.int64)
+    lows = [float(np.min(diag - rad))] * k
+    highs = [float(np.max(diag + rad))] * k
+    table: dict[float, int] = {}
     if guesses is not None:
-        _follow_guesses(diag, off_sq, lo, hi, depth, guesses)
-    # leaves of the bisection grid per bracket after each step of a sweep
-    spans = (1 << MULTISECTION_DEPTH) >> np.arange(1, MULTISECTION_DEPTH + 1)
-    steps = 0
-    while steps < BISECTION_MAX_STEPS:
-        known = int(depth.min())
-        stop = min(known + 1, BISECTION_MAX_STEPS)
-        steps = _first_converged(lo, hi, steps, stop)
-        if steps < stop or known >= BISECTION_MAX_STEPS:
+        lo, hi, path = lows, highs, []
+        g = np.asarray(guesses, dtype=float).tolist()
+        for _ in range(BISECTION_MAX_STEPS):
+            if _converged(lo, hi):
+                break
+            mids = [0.5 * (a + b) for a, b in zip(lo, hi)]
+            path += mids
+            lo, hi = _halves(lo, hi, mids, [x < m for x, m in zip(g, mids)])
+        _count_into(table, diag, off_sq, k, path)
+    for step in range(BISECTION_MAX_STEPS):
+        if _converged(lows, highs):
             break
-        # a sweep for every bracket known < DEPTH steps ahead
-        sel = np.flatnonzero(depth < known + MULTISECTION_DEPTH)
-        at, rows = depth[sel], np.arange(len(sel))
-        ends = _bisection_grid(lo[sel, at], hi[sel, at])
-        counts = sturm_count(diag, off_sq, ends[:, 1:-1].ravel(), k=k).reshape(len(sel), -1)
-        go_down = counts > sel[:, None]  # column c: the midpoint at leaf end c + 1
-        low = np.zeros(len(sel), dtype=np.int64)  # the column of each bracket's lower end
-        path = np.empty((len(sel), MULTISECTION_DEPTH), dtype=np.int64)
-        for level, span in enumerate(spans.tolist()):
-            mid = low + span
-            low = np.where(go_down[rows, mid - 1], low, mid)
-            path[:, level] = low
-        cols = at[:, None] + np.arange(1, MULTISECTION_DEPTH + 1)
-        lo[sel[:, None], cols] = ends[rows[:, None], path]
-        hi[sel[:, None], cols] = ends[rows[:, None], path + spans]
-        depth[sel] += MULTISECTION_DEPTH
-    return [float(v) for v in 0.5 * (lo[:, steps] + hi[:, steps])]
+        mids = [0.5 * (a + b) for a, b in zip(lows, highs)]
+        if not all(m in table for m in mids):
+            reached, heads = {}, []
+            for i in range(k):  # walk bracket i through the table, at most to the last step
+                lo, hi = lows[i], highs[i]
+                for ahead in range(BISECTION_MAX_STEPS - step):
+                    mid = 0.5 * (lo + hi)
+                    if mid not in table:
+                        if ahead < MULTISECTION_DEPTH:
+                            heads.append((lo, hi))
+                        break
+                    reached[mid] = table[mid]
+                    lo, hi = (lo, mid) if reached[mid] > i else (mid, hi)
+            table = reached
+            ends = _bisection_grid(*np.array(heads).T)
+            _count_into(table, diag, off_sq, k, ends[:, 1:-1].ravel().tolist())
+        lows, highs = _halves(lows, highs, mids, [table[m] > i for i, m in enumerate(mids)])
+    return [0.5 * (a + b) for a, b in zip(lows, highs)]
 
 
 def _tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -49,13 +49,7 @@ class Solution:
                   if isinstance(o, DipoleWellError))
         return next(errors, None)
 
-    def flags(
-        self,
-        n: int,
-        *,
-        x0_admissible: float = X0_ADMISSIBLE_DEFAULT,
-        beta_min: float = BETA_MIN_DEFAULT,
-    ) -> list[str]:
+    def flags(self, n: int, *, x0_admissible: float, beta_min: float) -> list[str]:
         """Closed-form regime failures of level n (x0_admissible when x0 is not
         below x0_admissible, beta_min when beta_n is below beta_min), then
         absent:<route>:<error> in route order."""

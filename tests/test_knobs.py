@@ -1,7 +1,8 @@
 """No test-only keyword knobs: every keyword-only parameter of a package
 function is passed by that keyword somewhere in the package itself, so no
-option exists that only tests set; and no such parameter is a constant in
-disguise, passed by every call in the package as one and the same literal."""
+option exists that only tests set; no such parameter is a constant in
+disguise, passed by every call in the package as one and the same literal;
+and no default of one exists that only calls from outside the package use."""
 
 from __future__ import annotations
 
@@ -53,6 +54,26 @@ def constant_knobs(trees: dict[str, ast.Module]) -> set:
     return {knob for knob, values in seen.items() if len(values) == 1 and None not in values}
 
 
+def unused_defaults(trees: dict[str, ast.Module]) -> set:
+    """(function name, keyword) pairs of keyword-only parameters with a
+    default that no call in the package leaves out (a call with **kw may pass
+    any keyword, so it leaves none out)."""
+    defaulted = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defaulted.update((node.name, a.arg) for a, d in
+                                 zip(node.args.kwonlyargs, node.args.kw_defaults) if d)
+    relied = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and all(k.arg for k in node.keywords):
+                given = {k.arg for k in node.keywords}
+                relied.update(knob for knob in defaulted
+                              if knob[0] == _callee(node) and knob[1] not in given)
+    return defaulted - relied
+
+
 def test_keyword_knobs_sees_declarations_and_calls():
     tree = ast.parse("def f(a, *, used, unused=0): pass\nf(1, used=2)\nm.f(3, used=4)\n")
     declared, passed = keyword_knobs({"m": tree})
@@ -64,6 +85,13 @@ def test_constant_knobs_sees_one_literal_everywhere():
     tree = ast.parse("def f(a, *, tol=1.0, mode=None): pass\nf(1, tol=0.5, mode=2)\n"
                      "m.f(3, tol=0.5)\n")
     assert constant_knobs({"m": tree}) == {("f", "tol")}
+
+
+def test_unused_defaults_sees_defaults_every_call_passes():
+    # tol is passed at every call; mode is left out once, by f(1, ...) alone
+    tree = ast.parse("def f(a, *, tol=1.0, mode=None, k): pass\nf(1, tol=0.5, k=2)\n"
+                     "m.f(3, tol=0.5, mode=2, k=3)\nf(4, **kw)\n")
+    assert unused_defaults({"m": tree}) == {("f", "tol")}
 
 
 def _package_trees() -> dict[str, ast.Module]:
@@ -81,3 +109,8 @@ def test_every_keyword_only_parameter_is_passed_in_the_package():
 def test_no_keyword_only_parameter_is_a_constant_in_the_package():
     knobs = constant_knobs(_package_trees())
     assert not knobs, sorted(knobs)
+
+
+def test_every_keyword_only_default_is_used_in_the_package():
+    unused = unused_defaults(_package_trees())
+    assert not unused, sorted(unused)

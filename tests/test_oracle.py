@@ -91,6 +91,11 @@ def test_sturm_validates_input():
         oracle.sturm_tridiag_eigs([math.nan, 1.0], [0.5], 1)
     with pytest.raises(DomainError):
         oracle.sturm_tridiag_eigs([1.0, 2.0], [math.inf], 2)
+    # one guess per eigenvalue: four for k = 3 once raised numpy's broadcast
+    # ValueError, and one was broadcast to every eigenvalue
+    for guesses in ([0.0, 1.0, 2.0, 3.0], [1.0], [], 1.0):
+        with pytest.raises(DomainError):
+            oracle.sturm_tridiag_eigs([1.0, 2.0, 3.0], [0.5, 0.5], 3, guesses=guesses)
 
 
 def test_sturm_ascending():
@@ -102,7 +107,7 @@ def test_sturm_ascending():
 
 
 # ---------------------------------------------------------------------------
-# Multisection replays the one-midpoint bisection of tests/oracles.py exactly
+# Multisection gives the floats of the one-midpoint bisection of tests/oracles.py
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -114,10 +119,17 @@ def deep_matrices():
             "refined": oracle.build_tridiag(p, grid.refined()), "grid": grid}
 
 
+@pytest.fixture(scope="module")
+def deep_references(deep_matrices):
+    """The three lowest eigenvalues of both deep.cfg matrices by reference_sturm_eigs."""
+    return {which: reference_sturm_eigs(*deep_matrices[which], 3)
+            for which in ("coarse", "refined")}
+
+
 @pytest.mark.parametrize("which", ["coarse", "refined"])
-def test_multisection_bit_identical_on_deep_grids(deep_matrices, which):
+def test_multisection_bit_identical_on_deep_grids(deep_matrices, deep_references, which):
     diag, off = deep_matrices[which]
-    assert oracle.sturm_tridiag_eigs(diag, off, 3) == reference_sturm_eigs(diag, off, 3)
+    assert oracle.sturm_tridiag_eigs(diag, off, 3) == deep_references[which]
 
 
 def _random_tridiag(n: int, seed: int):
@@ -149,7 +161,7 @@ def test_multisection_bit_identical_small(diag, off, k):
 )
 def test_sturm_count_pivot_clamp(diag, off, shifts, expect):
     diag, off_sq, shifts = np.array(diag), np.array(off) ** 2, np.array(shifts)
-    got = oracle.sturm_count(diag, off_sq, shifts).tolist()
+    got = oracle.sturm_count(diag, off_sq, shifts, k=len(diag)).tolist()
     assert got == expect == reference_sturm_count(diag, off_sq, shifts).tolist()
 
 
@@ -185,8 +197,27 @@ def test_sturm_count_blocks_match_reference(n, zero_rows, m):
         diag[j] = -0.0
         off[j] = 1.0
     off_sq = off * off
-    got = oracle.sturm_count(diag, off_sq, shifts)
+    got = oracle.sturm_count(diag, off_sq, shifts, k=n)
     assert np.array_equal(got, reference_sturm_count(diag, off_sq, shifts))
+
+
+@pytest.mark.parametrize(
+    "diag,off",
+    [
+        ([0.0, -0.0, 0.0, -0.0, 0.0], [1.0, 1.0, 1.0, 1.0]),  # eigenvalue 0: all 220 steps
+        ([-0.0, 0.0, -0.0, 0.0], [0.5, -2.0, 0.5]),
+        # subnormal: brackets a few ulps wide about 0 step at 0.0, then at -0.0
+        ([-5e-324, -0.0, 0.0, 5e-324], [1e-322, 1e-322, 1e-322]),
+    ],
+    ids=["zero_eigenvalue", "symmetric", "subnormal"],
+)
+@pytest.mark.parametrize("guess", [None, 0.0, -0.0], ids=["no_guess", "zero", "minus_zero"])
+def test_signed_zero_midpoints_bit_identical(diag, off, guess):
+    # symmetric Gershgorin bounds make 0.0 the first midpoint; 0.0 and -0.0
+    # are one key of the count table, and give the same count
+    k = len(diag)
+    got = oracle.sturm_tridiag_eigs(diag, off, k, guesses=None if guess is None else [guess] * k)
+    assert [x.hex() for x in got] == [x.hex() for x in reference_sturm_eigs(diag, off, k)]
 
 
 def test_multisection_many_levels_bit_identical():
@@ -333,12 +364,6 @@ def test_sturm_count_stops_early_on_deep_grids(deep_matrices, which):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def refined_reference(deep_matrices):
-    diag, off = deep_matrices["refined"]
-    return reference_sturm_eigs(diag, off, 3)
-
-
 def _gershgorin(diag, off):
     rad = np.zeros(len(diag))
     rad[:-1] += np.abs(off)
@@ -355,9 +380,9 @@ def _rayleigh_guesses(deep_matrices):
 
 @pytest.mark.parametrize("kind", ["exact", "coarse", "rq", "far", "unsorted", "outside",
                                   "midpoint", "nan"])
-def test_warm_start_bit_identical(deep_matrices, refined_reference, kind, monkeypatch):
+def test_warm_start_bit_identical(deep_matrices, deep_references, kind, monkeypatch):
     diag, off = deep_matrices["refined"]
-    ref = refined_reference
+    ref = deep_references["refined"]
     lo, hi = _gershgorin(diag, off)
     guesses = {
         "exact": ref,
@@ -369,25 +394,35 @@ def test_warm_start_bit_identical(deep_matrices, refined_reference, kind, monkey
         "midpoint": [ref[0], 0.5 * (lo + hi), ref[2]],  # the first bisection midpoint
         "nan": [ref[0], math.nan, ref[2]],
     }[kind]
-    calls = []
+    shifts = []  # per sweep
     count = oracle.sturm_count
-    monkeypatch.setattr(oracle, "sturm_count", lambda *a, **kw: calls.append(1) or count(*a, **kw))
+    monkeypatch.setattr(oracle, "sturm_count",
+                        lambda d, o, x, **kw: shifts.append(len(x)) or count(d, o, x, **kw))
     assert oracle.sturm_tridiag_eigs(diag, off, 3, guesses=guesses) == ref
     if kind == "exact":  # one sweep checks the whole path
-        assert len(calls) == 1
+        assert len(shifts) == 1
+    if kind == "nan":
+        # brackets 0 and 2 follow their guessed paths; the NaN guess leaves
+        # bracket 1 behind, and each sweep until it catches up counts the 63
+        # midpoints of its next six steps alone.  A per-bracket step history
+        # made 12 sweeps of 1014 shifts; the count table, whose first sweep
+        # also serves bracket 1's early steps from the other paths, makes 9 of
+        # 753.  Sweeping the brackets ahead too would give the second sweep 148.
+        assert len(shifts) <= 12 and sum(shifts) <= 1014 and max(shifts[1:-1]) <= 63
 
 
-def test_rayleigh_guesses_are_close(deep_matrices, refined_reference):
+def test_rayleigh_guesses_are_close(deep_matrices, deep_references):
     # interpolated cubically, the coarse eigenvectors give Rayleigh quotients
     # 2.1e-10, 7.8e-10 and 1.7e-9 from the fine eigenvalues, where the coarse
     # eigenvalues are 8.2e-6 to 3.7e-5 off; linear interpolation is no closer
     # than the coarse eigenvalues
-    for guess, tau in zip(_rayleigh_guesses(deep_matrices), refined_reference, strict=True):
+    for guess, tau in zip(_rayleigh_guesses(deep_matrices), deep_references["refined"],
+                          strict=True):
         assert abs(guess - tau) <= 1e-8 * abs(tau)
 
 
 @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
-def test_degenerate_coarse_vectors_give_nan_guesses(deep_matrices, refined_reference, bad,
+def test_degenerate_coarse_vectors_give_nan_guesses(deep_matrices, deep_references, bad,
                                                     monkeypatch):
     # no RuntimeWarning (pytest turns them into errors), and bisection's floats
     grid, coarse = deep_matrices["grid"], deep_matrices["coarse"]
@@ -402,7 +437,7 @@ def test_degenerate_coarse_vectors_give_nan_guesses(deep_matrices, refined_refer
 
     monkeypatch.setattr(oracle, "_eigenvector", degenerate)
     res = oracle.fd_eigensolve(deep_params(), grid, 2)
-    assert res.eigenvalues_tau == refined_reference[:2]
+    assert res.eigenvalues_tau == deep_references["refined"][:2]
 
 
 def _outer_mass(v: np.ndarray) -> float:

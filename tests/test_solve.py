@@ -8,8 +8,12 @@ from dipolewell import spectrum
 from dipolewell.errors import DomainError, NoBoundStateRegime
 from dipolewell.model import PhysicalParams
 from dipolewell.oracle import RadialGridSpec
-from dipolewell.solve import ROUTES, solve
+from dipolewell.solve import BETA_MIN_DEFAULT, ROUTES, X0_ADMISSIBLE_DEFAULT, solve
 from dipolewell.spectrum import Route
+
+
+# the thresholds of `validate` when no flag sets them
+DEFAULTS = dict(x0_admissible=X0_ADMISSIBLE_DEFAULT, beta_min=BETA_MIN_DEFAULT)
 
 
 def no_grid():
@@ -32,7 +36,7 @@ def test_solve_levels_match_the_routes():
     for n in (1, 2):
         assert sol.level(Route.EXACT, n) == spectrum.quantize_exact(p, n)
         assert sol.level(Route.ASYMPTOTIC, n) == spectrum.energy_levels_asymptotic(p, 2)[n - 1]
-        assert sol.flags(n) == []
+        assert sol.flags(n, **DEFAULTS) == []
 
 
 def test_solve_binding_relative_gaps():
@@ -57,7 +61,7 @@ def test_solve_records_failures_per_route():
     errors = [sol.outcomes[Route.EXACT][0], sol.outcomes[Route.ORACLE][0]]
     assert all(isinstance(e, DomainError) for e in errors)
     assert sol.first_error() is errors[0]
-    assert sol.flags(1) == ["absent:exact:DomainError", "absent:oracle:DomainError"]
+    assert sol.flags(1, **DEFAULTS) == ["absent:exact:DomainError", "absent:oracle:DomainError"]
     assert sol.max_gap(Route.ASYMPTOTIC, Route.EXACT) == 0.0
 
 
@@ -67,8 +71,9 @@ def test_solve_flags_regime_failures_before_absent_routes():
     p = deep_params(polarizability_alpha=2.0, omega=10.0)
     sol = solve(p, 1, (Route.ASYMPTOTIC, Route.ORACLE),
                 lambda: RadialGridSpec(0.1, 0.05, 600))
-    assert sol.flags(1) == ["x0_admissible", "beta_min", "absent:oracle:DomainError"]
-    assert sol.flags(1, x0_admissible=0.2) == ["beta_min", "absent:oracle:DomainError"]
+    assert sol.flags(1, **DEFAULTS) == ["x0_admissible", "beta_min", "absent:oracle:DomainError"]
+    assert sol.flags(1, x0_admissible=0.2, beta_min=BETA_MIN_DEFAULT) == [
+        "beta_min", "absent:oracle:DomainError"]
     assert sol.flags(1, x0_admissible=0.2, beta_min=0.1) == ["absent:oracle:DomainError"]
 
 
