@@ -23,13 +23,14 @@ holds.  A half-step grid gives Richardson estimates.  Its bisection paths are
 predicted by the Rayleigh quotients of the coarse eigenvectors, carried to
 the half-step nodes by cubic interpolation in ln r, and all their midpoints
 are counted in its first sweep.
-A sweep drops each shift at the rows that can no longer change what its
-count decides: once the count reaches the number of wanted eigenvalues, or
-once the rows left are diagonally dominant below the shift (by a margin of
-STURM_TAIL_ULPS epsilons per magnitude plus STURM_PIVMIN) and the entering
-pivot is negative or at least the coupling, so that no later pivot can turn
-negative.  The floats do not move; on the default grids most rows lie in the
-classically forbidden region past the outer turning points, never swept.
+A sweep ends at the first tested rows past which no shift's count can
+change what it decides: for each shift, either the count has reached the
+number of wanted eigenvalues, or the rows left are diagonally dominant below
+the shift (by a margin of STURM_TAIL_ULPS epsilons per magnitude plus
+STURM_PIVMIN) and the entering pivot is negative or at least the coupling,
+so that no later pivot can turn negative.  The floats do not move; on the
+default grids most rows lie in the classically forbidden region past the
+outer turning points, never swept.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ STURM_RTOL = 1e-13
 MULTISECTION_DEPTH = 6
 # rows x shifts per block of a Sturm sweep (128 KiB of float64)
 STURM_BLOCK_ELEMENTS = 16384
-# most rows per block, and fewest between two tests for retiring shifts
+# most rows per block, and fewest between two tests for ending a sweep
 STURM_BLOCK_ROWS = 128
 # margin of sturm_count's tail rule, in machine epsilons of each magnitude
 STURM_TAIL_ULPS = 8
@@ -70,6 +71,8 @@ class RadialGridSpec:
     def __post_init__(self) -> None:
         if not self.r_min < self.r_max:
             raise DomainError("grid requires r_min < r_max")
+        if not isinstance(self.points, (int, np.integer)):
+            raise DomainError("grid requires an integer number of points")
         if self.points < 100:
             raise DomainError("grid requires at least 100 points")
         if self.r_min <= 0:
@@ -131,11 +134,12 @@ def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray, *,
     recomputed from its first pivot, row by row with the clamp, so the
     counts do not depend on the blocking.
 
-    A shift retires, and the sweep ends when none is left, once no later row
-    can change its capped count.  This is tested at block ends at least
-    STURM_BLOCK_ROWS rows apart, and holds when (a) its count has reached k,
-    or (b) the pivot q entering the next row j is negative or >= |e_{j-1}|,
-    and every row i >= j is dominant by a margin:
+    Every shift runs in every block, and the sweep ends at the first block
+    end at which every shift is settled: no later row can change its capped
+    count.  This is tested at block ends at least STURM_BLOCK_ROWS rows
+    apart, and a shift is settled when (a) its count has reached k, or (b)
+    the pivot q entering the next row j is negative or >= |e_{j-1}|, and
+    every row i >= j is dominant by a margin:
 
         shift + m |shift| < d_i - rad_i - m (|d_i| + rad_i) - STURM_PIVMIN
 
@@ -145,10 +149,10 @@ def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray, *,
     |e_i|, and > 0, by induction: the margin is about four times the
     rounding of a row's subtraction, division and square root and of the
     test itself, and STURM_PIVMIN covers the absolute rounding of subnormal
-    values.  So a retired shift's remaining rows would add nothing to its
-    count, and no pivot of the other shifts is computed differently: the
-    counts, and the bisection steps taken from them, are those of the full
-    sweep.
+    values.  So the rows left would add nothing to the count of a shift
+    settled by (b), and would only raise past k that of a shift settled by
+    (a): the capped counts, and the bisection steps taken from them, are
+    those of the full sweep.
     """
     x = np.atleast_1d(np.asarray(shifts, dtype=float))
     n = len(diag)
@@ -162,48 +166,39 @@ def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray, *,
         lower = d - rad - margin * (np.abs(d) + rad) - STURM_PIVMIN
         floor = np.minimum.accumulate(lower[::-1])[::-1]  # floor[j]: min over rows i >= j
         reach = x + margin * np.abs(x)
-    counts = np.empty(len(x), dtype=np.int64)
-    live = np.arange(len(x))  # the shifts not retired, each column's index in `shifts`
     q = diag[0] - x  # the pivot entering the next block
     count = (q < 0).astype(np.int64)
+    if not len(x):
+        return count
     off_sq = offdiag_sq.tolist()
-    start, check = 1, 1 + STURM_BLOCK_ROWS
-    while start < n and len(x):
-        block_rows = min(STURM_BLOCK_ROWS, max(1, STURM_BLOCK_ELEMENTS // len(x)))
-        buf = np.empty((min(block_rows, n - start) + 1, len(x)))  # row 0: the entering pivot
-        buf[0] = q
-        rows = list(buf)
-        ratio = np.empty_like(x)
-        for start in range(start, n, block_rows):
-            stop = min(start + block_rows, n)
-            block = buf[: stop - start + 1]
-            np.subtract.outer(diag[start:stop], x, out=block[1:])
-            e_sq = off_sq[start - 1 : stop - 1]
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # redone if clamped
-                for prev, row, e_i in zip(rows, rows[1 : len(block)], e_sq):
-                    np.divide(e_i, prev, out=ratio)
-                    np.subtract(row, ratio, out=row)
-            if not np.abs(block[:-1]).min() >= STURM_PIVMIN:  # also true on a NaN pivot
-                for j, (d_j, e_i) in enumerate(zip(diag[start:stop].tolist(), e_sq), 1):
-                    p = block[j - 1]
-                    clamp = np.where(p < 0, -STURM_PIVMIN, STURM_PIVMIN)
-                    p = np.where(np.abs(p) < STURM_PIVMIN, clamp, p)
-                    block[j] = d_j - x - e_i / p
-            count += (block[1:] < 0).sum(axis=0)
-            q = buf[0] = block[-1]
-            if check <= stop < n:
-                check = stop + STURM_BLOCK_ROWS
-                done = (count >= k) | ((reach < floor[stop]) & ((q < 0) | (q >= e[stop - 1])))
-                if done.any():
-                    break
-        else:
-            break  # the last row is swept
-        counts[live[done]] = count[done]
-        keep = ~done
-        live, x, reach, count, q = live[keep], x[keep], reach[keep], count[keep], q[keep]
-        start = stop
-    counts[live] = count
-    return np.minimum(counts, k)
+    block_rows = min(STURM_BLOCK_ROWS, max(1, STURM_BLOCK_ELEMENTS // len(x)))
+    buf = np.empty((min(block_rows, n - 1) + 1, len(x)))  # row 0: the entering pivot
+    buf[0] = q
+    rows = list(buf)
+    ratio = np.empty_like(x)
+    check = 1 + STURM_BLOCK_ROWS
+    for start in range(1, n, block_rows):
+        stop = min(start + block_rows, n)
+        block = buf[: stop - start + 1]
+        np.subtract.outer(diag[start:stop], x, out=block[1:])
+        e_sq = off_sq[start - 1 : stop - 1]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # redone if clamped
+            for prev, row, e_i in zip(rows, rows[1 : len(block)], e_sq):
+                np.divide(e_i, prev, out=ratio)
+                np.subtract(row, ratio, out=row)
+        if not np.abs(block[:-1]).min() >= STURM_PIVMIN:  # also true on a NaN pivot
+            for j, (d_j, e_i) in enumerate(zip(diag[start:stop].tolist(), e_sq), 1):
+                p = block[j - 1]
+                clamp = np.where(p < 0, -STURM_PIVMIN, STURM_PIVMIN)
+                p = np.where(np.abs(p) < STURM_PIVMIN, clamp, p)
+                block[j] = d_j - x - e_i / p
+        count += (block[1:] < 0).sum(axis=0)
+        q = buf[0] = block[-1]
+        if check <= stop < n:
+            check = stop + STURM_BLOCK_ROWS
+            if np.all((count >= k) | ((reach < floor[stop]) & ((q < 0) | (q >= e[stop - 1])))):
+                break
+    return np.minimum(count, k)
 
 
 def _bisection_grid(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:

@@ -107,7 +107,6 @@ class GammaLn(NamedTuple):
 class KummerM(NamedTuple):
     value: complex
     est_error: float
-    terms: int
 
 
 class WhittakerM(NamedTuple):
@@ -176,10 +175,10 @@ def ln_gamma_complex(z: complex) -> GammaLn:
 
 def _kummer_series_scaled(
     a: complex, b: complex, x: float
-) -> tuple[complex, float, float, int]:
+) -> tuple[complex, float, float]:
     """Kahan-compensated Kummer series with power-of-ten rescaling.
 
-    Returns (mantissa, ln_scale, est_rel_error, terms) with the series sum
+    Returns (mantissa, ln_scale, est_rel_error) with the series sum
     equal to mantissa * exp(ln_scale).  Rescaling keeps the running sum
     representable when the true sum exceeds double range.
     """
@@ -221,7 +220,7 @@ def _kummer_series_scaled(
     else:
         raise _kummer_nonconvergence(a, b, x)
     est_rel = _TWO_EPS * (peak / max(abs(s), 1e-300)) + 4e-16
-    return s, ln_scale, est_rel, k
+    return s, ln_scale, est_rel
 
 
 def _kummer_nonconvergence(a: complex, b: complex, x: float) -> ConvergenceError:
@@ -352,23 +351,23 @@ def kummer_m(a: complex, b: complex, x: float) -> KummerM:
         raise DomainError("kummer_m requires finite x >= 0")
     a = complex(a)
     b = complex(b)
-    s, ln_scale, est, terms = _kummer_series_scaled(a, b, x)
+    s, ln_scale, est = _kummer_series_scaled(a, b, x)
     if a.real < 0.0 and x > 1.0 and est > 1e-12:
-        s2, ln2, est2, terms2 = _kummer_series_scaled(b - a, b, -x)
+        s2, ln2, est2 = _kummer_series_scaled(b - a, b, -x)
         if est2 < est:
-            s, ln_scale, est, terms = s2, ln2 + x, est2, terms2
+            s, ln_scale, est = s2, ln2 + x, est2
     try:
         value = s * cmath.exp(ln_scale)
     except OverflowError:
         raise ConvergenceError(f"kummer_m overflows double range (a={a}, b={b}, x={x})") from None
-    return KummerM(_require_finite(value, "kummer_m"), est, terms)
+    return KummerM(_require_finite(value, "kummer_m"), est)
 
 
 def _whittaker_m_log(kappa: float, mu_signed: float, x: float) -> tuple[complex, float]:
     """log of M_{kappa, i*mu_signed}(x) (any branch) and its relative error."""
     a = complex(0.5 - kappa, mu_signed)
     b = complex(1.0, 2.0 * mu_signed)
-    s, ln_scale, est, _ = _kummer_series_scaled(a, b, x)
+    s, ln_scale, est = _kummer_series_scaled(a, b, x)
     return _m_log_from_sum(mu_signed, x, s, ln_scale), est
 
 
@@ -512,7 +511,7 @@ def whittaker_w_scaled(
     if point is None:
         point = w_point(mu)
     gammas = _connection_gammas(point, kappa, mu)
-    s, ln_scale, em, _ = _kummer_series_scaled(complex(0.5 - kappa, -mu), point.b, x)
+    s, ln_scale, em = _kummer_series_scaled(complex(0.5 - kappa, -mu), point.b, x)
     return _connection_w(gammas, mu, x, s, ln_scale, em)
 
 

@@ -251,12 +251,12 @@ class RadialProfile:
 def radial_wavefunction(
     params: PhysicalParams,
     level: EnergyLevel,
-    r_max: float | None = None,
-    samples: int = 512,
+    r_max: float | None,
+    samples: int,
 ) -> RadialProfile:
     """Sample f(r) on a uniform grid in [R, r_max] and normalize to max|f| = 1.
 
-    r_max defaults to 3x the level's outer turning radius (model).
+    r_max None means 3x the level's outer turning radius (model).
 
     Evaluates W in scaled form on a shared exponent, so profiles of deeply
     bound levels (where W itself underflows) stay representable; all

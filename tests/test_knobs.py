@@ -2,7 +2,8 @@
 function is passed by that keyword somewhere in the package itself, so no
 option exists that only tests set; no such parameter is a constant in
 disguise, passed by every call in the package as one and the same literal;
-and no default of one exists that only calls from outside the package use."""
+and no default of it, or of a positional-or-keyword parameter, exists that
+only calls from outside the package use."""
 
 from __future__ import annotations
 
@@ -55,23 +56,33 @@ def constant_knobs(trees: dict[str, ast.Module]) -> set:
 
 
 def unused_defaults(trees: dict[str, ast.Module]) -> set:
-    """(function name, keyword) pairs of keyword-only parameters with a
-    default that no call in the package leaves out (a call with **kw may pass
-    any keyword, so it leaves none out)."""
-    defaulted = set()
+    """(function name, parameter) pairs of keyword-only and positional-or-keyword
+    parameters with a default that no call in the package leaves out.  A call
+    leaves a parameter out when it does not pass its keyword and, for one
+    that may be positional, passes no more positional arguments than the
+    parameter's index (a leading self or cls not counted).  A call with *args
+    or **kw may pass any parameter, so it leaves none out."""
+    defaulted = set()  # (function name, parameter, index or None if keyword-only)
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defaulted.update((node.name, a.arg) for a, d in
+                params = node.args.args
+                skip = 1 if params and params[0].arg in ("self", "cls") else 0
+                first = len(params) - len(node.args.defaults)
+                defaulted.update((node.name, a.arg, i - skip)
+                                 for i, a in enumerate(params) if i >= first)
+                defaulted.update((node.name, a.arg, None) for a, d in
                                  zip(node.args.kwonlyargs, node.args.kw_defaults) if d)
     relied = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and all(k.arg for k in node.keywords):
+            if (isinstance(node, ast.Call) and all(k.arg for k in node.keywords)
+                    and not any(isinstance(a, ast.Starred) for a in node.args)):
                 given = {k.arg for k in node.keywords}
                 relied.update(knob for knob in defaulted
-                              if knob[0] == _callee(node) and knob[1] not in given)
-    return defaulted - relied
+                              if knob[0] == _callee(node) and knob[1] not in given
+                              and (knob[2] is None or len(node.args) <= knob[2]))
+    return {knob[:2] for knob in defaulted - relied}
 
 
 def test_keyword_knobs_sees_declarations_and_calls():
@@ -92,6 +103,15 @@ def test_unused_defaults_sees_defaults_every_call_passes():
     tree = ast.parse("def f(a, *, tol=1.0, mode=None, k): pass\nf(1, tol=0.5, k=2)\n"
                      "m.f(3, tol=0.5, mode=2, k=3)\nf(4, **kw)\n")
     assert unused_defaults({"m": tree}) == {("f", "tol")}
+
+
+def test_unused_defaults_sees_positional_defaults():
+    # b is passed at every call, by position or keyword, c left out by f(1, 2);
+    # k.g(1) passes d and leaves out e; h(*xs) may pass x, h2() leaves y out
+    tree = ast.parse("def f(a, b=1, c=2): pass\nf(1, 2)\nm.f(0, b=2)\n"
+                     "class K:\n    def g(self, d=0, e=1): pass\nk.g(1)\n"
+                     "def h(x=0): pass\nh(*xs)\ndef h2(y=0): pass\nh2()\n")
+    assert unused_defaults({"m": tree}) == {("f", "b"), ("g", "d"), ("h", "x")}
 
 
 def _package_trees() -> dict[str, ast.Module]:

@@ -165,6 +165,20 @@ def test_sturm_count_pivot_clamp(diag, off, shifts, expect):
     assert got == expect == reference_sturm_count(diag, off_sq, shifts).tolist()
 
 
+def test_sturm_count_no_shifts():
+    diag, off = _random_tridiag(300, 7)
+    got = oracle.sturm_count(diag, off * off, np.array([]), k=3)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference_sturm_count(diag, off * off, np.array([])))
+
+
+@pytest.mark.parametrize("shifts", [[-1.0, 2.0, 2.5, 3.0], [2.0]])
+def test_sturm_count_one_by_one(shifts):
+    diag, off_sq, shifts = np.array([2.0]), np.array([]), np.array(shifts)
+    got = oracle.sturm_count(diag, off_sq, shifts, k=1)
+    assert np.array_equal(got, reference_sturm_count(diag, off_sq, shifts))
+
+
 # shifts per sweep that give blocks of _B rows in sturm_count
 _M = oracle.STURM_BLOCK_ELEMENTS // 4
 _B = oracle.STURM_BLOCK_ELEMENTS // _M
@@ -254,7 +268,7 @@ def test_deep_solve_sweep_count(monkeypatch):
     oracle.fd_eigensolve(p, oracle.default_grid(p, 2), 2)
     assert 0 < len(calls) <= 15
     swept, total = map(sum, zip(*calls))
-    assert total == 11 * 2000 + 4 * 4001 and swept <= 0.4 * total
+    assert total == 11 * 2000 + 4 * 4001 and swept <= 14343
 
 
 @st.composite
@@ -279,10 +293,10 @@ def test_multisection_bit_identical_property(case):
 
 
 # ---------------------------------------------------------------------------
-# Early stop: a sweep retires a shift once no later row can change its count
+# Early stop: a sweep ends once no later row can change any shift's count
 # ---------------------------------------------------------------------------
 
-# the first block end at which sturm_count may retire shifts, for up to 128 shifts
+# the first block end at which sturm_count may end a sweep, for up to 128 shifts
 _CHECK = oracle.STURM_BLOCK_ROWS + 1
 
 
@@ -311,7 +325,7 @@ def _tailed_tridiag(head, e_tail, c_tail, entering, seed, at_floor=False):
 
 @st.composite
 def tailed_tridiagonals(draw):
-    """_tailed_tridiag with the tail starting at a retirement check or a row
+    """_tailed_tridiag with the tail starting at an early-stop check or a row
     or two before it, some tail off-diagonals and margins c_i zero, entering
     pivots 0, +-STURM_PIVMIN, NaN, |e| and its neighbours, and a k."""
     e_tail = draw(st.lists(st.integers(0, 30).map(lambda i: i / 10), min_size=1, max_size=6))
@@ -331,7 +345,7 @@ def tailed_tridiagonals(draw):
 @given(tailed_tridiagonals())
 # the edges of the tail rule.  0.1 * 0.1 / 0.1 rounds one ulp above 0.1, so
 # the pivot |e| = 0.1 entering a last row at its floor leaves it a pivot of
-# -1 ulp there: only the margin keeps the shift one ulp below from retiring
+# -1 ulp there: only the margin keeps the shift one ulp below from settling
 @example(_tailed_tridiag(_CHECK, [0.1], [0.0], 0.1, 90))  # floor 0: the STURM_PIVMIN term
 @example(_tailed_tridiag(_CHECK, [0.1], [1e-3], 0.1, 90, at_floor=True))  # the ulps terms
 @example(_tailed_tridiag(_CHECK, [1.0, 1.0], [1.0, 1.0], 0.0, 90))  # clamped to +pivmin
@@ -349,7 +363,7 @@ def test_sturm_count_tail_rule_property(case):
 
 @pytest.mark.parametrize("which", ["coarse", "refined"])
 def test_sturm_count_stops_early_on_deep_grids(deep_matrices, which):
-    # shifts at the three lowest eigenvalues are the latest to retire: the
+    # shifts at the three lowest eigenvalues are the latest to settle: the
     # count at the third changes only at row 852 of the coarse grid's 2000
     diag, off = deep_matrices[which]
     eigs = oracle.sturm_tridiag_eigs(diag, off, 3)
@@ -628,6 +642,17 @@ def test_fd_grid_too_coarse():
     # 100 log points resolve the two deepest levels, not the ten lowest
     with pytest.raises(GridTooCoarse):
         oracle.fd_eigensolve(deep_params(), RadialGridSpec(0.1, 3.0, 100), 10)
+
+
+@pytest.mark.parametrize("points", [2000.0, 2000.5])
+def test_grid_rejects_non_integer_points(points):
+    # a float count once passed and failed in fd_eigensolve with numpy's TypeError
+    with pytest.raises(DomainError):
+        RadialGridSpec(0.1, 1.0, points)
+
+
+def test_grid_takes_numpy_integer_points():
+    assert RadialGridSpec(0.1, 1.0, np.int64(2000)).refined().points == 4001
 
 
 def test_fd_rejects_more_levels_than_grid_points():

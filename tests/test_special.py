@@ -491,7 +491,7 @@ def test_whittaker_w_array_rescaled_sums():
     kappa, mu, xs = 0.5 - 1.5e5, 2.5, [0.7, 5.0, 29.9]
     for m in (-mu, mu):
         a, b = complex(0.5 - kappa, m), complex(1.0, 2.0 * m)
-        expect = [special._kummer_series_scaled(a, b, x)[:3] for x in xs]
+        expect = [special._kummer_series_scaled(a, b, x) for x in xs]
         assert all(ln_scale > 0.0 for _, ln_scale, _ in expect)
         got = special._whittaker_series_array(kappa, m, np.array(xs))
         assert got.error is None

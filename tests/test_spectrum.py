@@ -533,7 +533,7 @@ def test_radial_wavefunction_w_bits_equal_the_scalar_w(deep_exact_levels, monkey
 
     monkeypatch.setattr(spectrum, "whittaker_w_scaled_array", recording)
     for lv in deep_exact_levels.values():
-        spectrum.radial_wavefunction(deep_params(), lv)
+        spectrum.radial_wavefunction(deep_params(), lv, None, 512)
     assert len(seen) == 3
     for kappa, mu, x, (mantissa, exponent) in seen:
         assert len(x) == 512
@@ -569,7 +569,7 @@ def test_radial_wavefunction_asymptotic_level_warns():
 def test_radial_wavefunction_domain_checks(deep_exact_levels):
     p = deep_params()
     with pytest.raises(DomainError):
-        spectrum.radial_wavefunction(p, deep_exact_levels[1], r_max=0.05)
+        spectrum.radial_wavefunction(p, deep_exact_levels[1], r_max=0.05, samples=512)
     with pytest.raises(DomainError):
         spectrum.radial_wavefunction(p, deep_exact_levels[1], r_max=0.7, samples=1)
     with pytest.raises(DomainError, match="r_max = 1e[+]160"):
