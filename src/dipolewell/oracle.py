@@ -19,10 +19,13 @@ also cancels the -1/(4 r^2) reduction term exactly when Lsq = 0.
 Eigenvalues come from Sturm bisection that reads its counts from a table
 local to each call, filled by multisection sweeps (two numpy calls per matrix
 row): the steps, and so the floats, are bisection's own whatever the table
-holds.  A half-step grid gives Richardson estimates.  Its bisection paths are
-predicted by the Rayleigh quotients of the coarse eigenvectors, carried to
-the half-step nodes by cubic interpolation in ln r, and all their midpoints
-are counted in its first sweep.
+holds.  A half-step grid gives Richardson estimates.  Both grids are the top
+of a ladder on one domain that starts at a base grid of an eighth of the
+points, the only grid solved cold.  Each grid up the ladder is warm-started
+from the one below: its eigenvectors, carried to the new nodes by linear
+interpolation in ln r and refined by one solve of inverse iteration on the
+new matrix, give Rayleigh quotients that predict the bisection paths, and all
+their midpoints are counted in the first sweep.
 A sweep ends at the first tested rows past which no shift's count can
 change what it decides: for each shift, either the count has reached the
 number of wanted eigenvalues, or the rows left are diagonally dominant below
@@ -111,12 +114,18 @@ def _u_potential(params: PhysicalParams, r: np.ndarray) -> np.ndarray:
 
 def build_tridiag(params: PhysicalParams, grid: RadialGridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric tridiagonal (diag, offdiag) whose eigenvalues are tau, with
-    the hard-wall Dirichlet condition u = 0 at both ends of the grid."""
+    the hard-wall Dirichlet condition u = 0 at both ends of the grid.
+
+    Raises DomainError when an entry leaves double range."""
     r = grid.nodes()
     h = grid.h
-    q = 0.25 + r * r * _u_potential(params, r)
-    diag = (2.0 / (h * h) + q) / (r * r)
-    off = -1.0 / (h * h) / (r[:-1] * r[1:])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        q = 0.25 + r * r * _u_potential(params, r)
+        diag = (2.0 / (h * h) + q) / (r * r)
+        off = -1.0 / (h * h) / (r[:-1] * r[1:])
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        raise DomainError(f"the finite-difference matrix leaves double range on the grid "
+                          f"from r_min = {grid.r_min:g} to r_max = {grid.r_max:g}")
     return diag, off
 
 
@@ -335,38 +344,38 @@ def _tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.nda
     return np.array(x)
 
 
-def _eigenvector(diag: np.ndarray, off: np.ndarray, tau: float) -> np.ndarray:
-    """Unit eigenvector at the eigenvalue tau: one solve of inverse iteration
-    from a fixed random start.  The shift lies 1e-10 |tau| off tau, so the
-    solve damps each other mode j against the wanted one by about
-    1e-10 |tau| / |tau_j - tau|."""
+def _eigenvector(diag: np.ndarray, off: np.ndarray, tau: float, start: np.ndarray) -> np.ndarray:
+    """Unit eigenvector near the eigenvalue tau: one solve of inverse iteration
+    from `start`.  The shift lies 1e-10 |tau| off tau, so the solve damps each
+    mode j of `start` against the mode of the eigenvalue tau_w nearest the
+    shift by about |shift - tau_w| / |shift - tau_j|.  A solution without a
+    finite, nonzero norm gives NaN entries."""
     shifted = diag - (tau + 1e-10 * max(1.0, abs(tau)))
-    v = _tridiag_solve(shifted, off, np.random.default_rng(12345).standard_normal(len(diag)))
-    return v / np.linalg.norm(v)
+    v = _tridiag_solve(shifted, off, start)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return v / np.linalg.norm(v)
 
 
-def _rayleigh_guesses(grid: RadialGridSpec, vectors, diag: np.ndarray,
-                      off: np.ndarray) -> np.ndarray:
-    """Guesses for the eigenvalues of grid.refined(), whose matrix is (diag,
-    off): the Rayleigh quotients w^T T w / w^T w of the coarse eigenvectors
-    `vectors` of `grid`, carried to the refined nodes.
+def _carry(lower: RadialGridSpec, grid: RadialGridSpec, vectors) -> np.ndarray:
+    """The eigenvectors w = r v of `lower`, carried to the nodes of `grid` on
+    the same domain: v is smooth in s = ln(r / r_min) and zero at both walls,
+    so it is interpolated linearly in s."""
+    s_lower = np.arange(lower.points + 2) * lower.h  # both walls and the nodes between
+    s = (np.arange(grid.points) + 1.0) * grid.h
+    r_lower, r = lower.nodes(), grid.nodes()
+    v = np.zeros(lower.points + 2)
+    carried = np.empty((len(vectors), grid.points))
+    for row, w in zip(carried, vectors):
+        v[1:-1] = w / r_lower
+        row[:] = np.interp(s, s_lower, v) * r
+    return carried
 
-    The matrix eigenvector is w = r v, with v smooth in s = ln(r / r_min).
-    Each refined node is a coarse node or the midpoint of two, so v is
-    interpolated there by the 4-point cubic (-1, 9, 9, -1) / 16, with v odd
-    about both Dirichlet walls.  The quotient's error is quadratic in that
-    of w, O(h^4) against the O(h^2) gap between the two grids' eigenvalues.
-    A vector without a finite, nonzero norm gives a NaN guess.
-    """
-    v = np.asarray(vectors, dtype=float) / grid.nodes()
-    pad = np.zeros((len(v), grid.points + 4))  # v at coarse nodes -1 .. N + 2
-    pad[:, 2:-2] = v
-    pad[:, 0], pad[:, -1] = -v[:, 0], -v[:, -1]
-    fine = np.empty((len(v), 2 * grid.points + 1))
-    fine[:, 1::2] = v
+
+def _rayleigh_quotients(vectors, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """w^T T w / w^T w of each vector w on the matrix T = (diag, off); NaN
+    for a vector without a finite, nonzero norm."""
+    w = np.asarray(vectors, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fine[:, 0::2] = (9.0 * (pad[:, 1:-2] + pad[:, 2:-1]) - pad[:, :-3] - pad[:, 3:]) / 16.0
-        w = fine * grid.refined().nodes()
         ww = w * w
         quad = (ww * diag).sum(axis=1) + 2.0 * (w[:, :-1] * w[:, 1:] * off).sum(axis=1)
         return quad / ww.sum(axis=1)
@@ -387,26 +396,41 @@ def default_grid(
 def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -> OracleResult:
     """k_levels lowest tau eigenvalues with half-step Richardson estimates.
 
-    The half-step solve starts from guesses (_rayleigh_guesses): the
-    Rayleigh quotients of the coarse eigenvectors, one solve of inverse
-    iteration each, which lie about 1e-9 (relative) from the half-step
-    eigenvalues where the coarse eigenvalues lie about 1e-5 off.  The floats
-    are those of plain bisection whatever the guesses.
+    The grid and its half-step refinement are the top of a ladder that
+    starts at a base grid on the same domain with max(100, k_levels + 1,
+    points // 8) points, left out when it is not smaller than the grid.  Only
+    the first grid is solved cold, and its eigenvectors come from one solve
+    of inverse iteration each.  Each later grid starts from the eigenvectors
+    of the grid below: each is carried to the new nodes (_carry), refined by
+    one solve of inverse iteration on the new matrix at the lower grid's
+    eigenvalue, and its Rayleigh quotient is the guess for the new
+    eigenvalue.  On deep.cfg the guesses lie within about 1e-10 (relative) of
+    the eigenvalues of both grids.  The floats are those of plain bisection
+    whatever the guesses.
 
     Raises GridTooCoarse when a Richardson estimate exceeds 1% of the local
     level spacing, and DomainError when the topmost requested eigenfunction
-    (one solve of inverse iteration on the half-step matrix) leaks more than
-    1e-6 of its mass into the outer 5% of the domain (r_max too small).
+    (the half-step grid's refined vector of that level) leaks more than 1e-6
+    of its mass into the outer 5% of the domain (r_max too small).
     """
     if not 1 <= k_levels <= grid.points:
         raise DomainError("need 1 <= k_levels <= grid.points")
     k_work = min(k_levels + 1, grid.points)  # one spare level to gauge the spacing
-    diag, off = build_tridiag(params, grid)
-    coarse = sturm_tridiag_eigs(diag, off, k_work)
-    vectors = [_eigenvector(diag, off, tau) for tau in coarse]
-    diag, off = build_tridiag(params, grid.refined())
-    guesses = _rayleigh_guesses(grid, vectors, diag, off)
-    fine = sturm_tridiag_eigs(diag, off, k_work, guesses=guesses)
+    base = RadialGridSpec(grid.r_min, grid.r_max, max(100, k_work, grid.points // 8))
+    ladder = ([base] if base.points < grid.points else []) + [grid, grid.refined()]
+    fine = None
+    for lower, upper in zip([None, *ladder], ladder):
+        diag, off = build_tridiag(params, upper)
+        if lower is None:
+            taus = sturm_tridiag_eigs(diag, off, k_work)
+            start = np.random.default_rng(12345).standard_normal(upper.points)
+            vectors = [_eigenvector(diag, off, tau, start) for tau in taus]
+        else:
+            vectors = [_eigenvector(diag, off, tau, w)
+                       for tau, w in zip(taus, _carry(lower, upper, vectors))]
+            taus = sturm_tridiag_eigs(diag, off, k_work,
+                                      guesses=_rayleigh_quotients(vectors, diag, off))
+        coarse, fine = fine, taus
     estimates = [abs(f - c) / 3.0 for f, c in zip(fine, coarse)]
 
     taus = fine[:k_levels]
@@ -421,7 +445,7 @@ def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -
                 f"level spacing {spacing:.3e}; refine the grid"
             )
 
-    v = _eigenvector(diag, off, taus[-1])
+    v = vectors[k_levels - 1]
     tail = max(1, int(0.05 * len(v)))
     boundary_mass = float(np.sum(v[-tail:] ** 2))
     if boundary_mass > BOUNDARY_MASS_LIMIT:

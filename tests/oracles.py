@@ -4,10 +4,11 @@ Extended-precision references (mpmath, 40+ digits) exist only inside the
 tests: the package itself is pure double precision.  Every [frozen] constant
 in the test modules was produced by one of these functions.  The dedicated
 s-wave closed form is a second double-precision arithmetic path for the
-ell = 0 reduction identity, the one-midpoint-per-sweep Sturm bisection is
-the reference that the multisection kernel must reproduce bit for bit, the
-numpy-scalar Thomas loop the one the oracle's Python-float solve must, and
-the two-series connection-formula W the one that W = 2|T| cos(arg T) must.
+ell = 0 reduction identity, the one-midpoint-per-sweep Sturm bisection
+(its counts run on Python floats, one shift at a time) is the reference that
+the multisection kernel must reproduce bit for bit, the numpy-scalar Thomas
+loop the one the oracle's Python-float solve must, and the two-series
+connection-formula W the one that W = 2|T| cos(arg T) must.
 """
 
 from __future__ import annotations
@@ -43,16 +44,24 @@ def s_wave_energies(params: PhysicalParams, n_max: int) -> list[float]:
 
 
 def reference_sturm_count(diag, offdiag_sq, shifts) -> np.ndarray:
-    """Number of eigenvalues strictly below each shift, one np.where clamp per row."""
-    x = np.atleast_1d(np.asarray(shifts, dtype=float))
+    """Number of eigenvalues strictly below each shift: the Sturm recurrence
+    on Python floats (IEEE double, as numpy's float64), one shift at a time,
+    each pivot of magnitude below 1e-290 clamped to -1e-290 if negative and
+    to +1e-290 otherwise (so -0.0 to +1e-290)."""
     pivmin = 1e-290
-    q = diag[0] - x
-    count = (q < 0).astype(np.int64)
-    for i in range(1, len(diag)):
-        q = np.where(np.abs(q) < pivmin, np.where(q < 0, -pivmin, pivmin), q)
-        q = diag[i] - x - offdiag_sq[i - 1] / q
-        count += q < 0
-    return count
+    diag = np.asarray(diag, dtype=float).tolist()
+    offdiag_sq = np.asarray(offdiag_sq, dtype=float).tolist()
+    counts = []
+    for x in np.atleast_1d(np.asarray(shifts, dtype=float)).tolist():
+        q = diag[0] - x
+        count = int(q < 0)
+        for d_i, e_sq in zip(diag[1:], offdiag_sq):
+            if abs(q) < pivmin:
+                q = -pivmin if q < 0 else pivmin
+            q = d_i - x - e_sq / q
+            count += q < 0
+        counts.append(count)
+    return np.array(counts, dtype=np.int64)
 
 
 def reference_sturm_eigs(diag, offdiag, k: int) -> list[float]:
@@ -109,8 +118,9 @@ def reference_tridiag_solve(diag, off, rhs) -> np.ndarray:
 
 def reference_eigenvector(diag, off, tau: float) -> np.ndarray:
     """Three solves of inverse iteration at the shift of oracle._eigenvector,
-    from its random start, normalized after each: the converged vector that
-    the one-solve eigenvector of the leak check is held against."""
+    from the random start of the oracle's cold grid, normalized after each:
+    the converged vector that the leak check's one-solve eigenvector is held
+    against."""
     shifted = diag - (tau + 1e-10 * max(1.0, abs(tau)))
     v = np.random.default_rng(12345).standard_normal(len(diag))
     v /= np.linalg.norm(v)

@@ -333,6 +333,18 @@ def test_huge_kappa_overflow_is_numerical_failure(capsys):
         assert "numerical failure: ConvergenceError" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rmax", ["1e80", "1e308"])
+def test_oracle_matrix_overflow_names_r_max(rmax, capsys):
+    # the oracle's matrix leaves double range: once numpy's overflow and
+    # invalid-value warnings, then "matrix entries must be finite"
+    argv = ["spectrum", *DEEP, "--route", "oracle", "--grid-rmax", rmax]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert "numerical failure: DomainError" in err
+    assert f"r_max = {float(rmax):g}" in err and "double range" in err
+
+
 def _ns_reads(name: str, defs: dict, seen: set) -> set:
     """The ns.<attr> names read by cli function `name` and by every cli
     function it passes ns to."""

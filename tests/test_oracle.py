@@ -252,8 +252,10 @@ class _RowsRead(np.ndarray):
 def test_deep_solve_sweep_count(monkeypatch):
     # six bisection steps per sweep: 129 sweeps at one midpoint per sweep, 22
     # without a warm start, 18 with the coarse eigenvalues as the fine grid's
-    # guesses, 15 (11 coarse, 4 fine) with their Rayleigh quotients; each
-    # sweep stops where only rows past the turning points are left
+    # guesses, 15 (11 coarse, 4 fine) with the Rayleigh quotients of the coarse
+    # eigenvectors cubically interpolated, 16 (10 on the 250-point base grid,
+    # 3 coarse, 3 fine) with the ladder; each sweep stops where only rows past
+    # the turning points are left.  Rows read: 14343 before the ladder, 9408
     calls = []
     count = oracle.sturm_count
 
@@ -266,9 +268,11 @@ def test_deep_solve_sweep_count(monkeypatch):
     monkeypatch.setattr(oracle, "sturm_count", counting)
     p = deep_params()
     oracle.fd_eigensolve(p, oracle.default_grid(p, 2), 2)
-    assert 0 < len(calls) <= 15
+    sizes = [n for _, n in calls]
+    assert sizes == sorted(sizes) and set(sizes) == {250, 2000, 4001}
+    assert sizes.count(2000) <= 3 and sizes.count(4001) <= 3 and len(calls) <= 16
     swept, total = map(sum, zip(*calls))
-    assert total == 11 * 2000 + 4 * 4001 and swept <= 14343
+    assert total == 20503 and swept <= 9408
 
 
 @st.composite
@@ -346,7 +350,7 @@ def tailed_tridiagonals(draw):
 # the edges of the tail rule.  0.1 * 0.1 / 0.1 rounds one ulp above 0.1, so
 # the pivot |e| = 0.1 entering a last row at its floor leaves it a pivot of
 # -1 ulp there: only the margin keeps the shift one ulp below from settling
-@example(_tailed_tridiag(_CHECK, [0.1], [0.0], 0.1, 90))  # floor 0: the STURM_PIVMIN term
+@example(_tailed_tridiag(_CHECK, [0.1], [0.0], 0.1, 90))  # floor 0: the ulps of |d| + rad
 @example(_tailed_tridiag(_CHECK, [0.1], [1e-3], 0.1, 90, at_floor=True))  # the ulps terms
 @example(_tailed_tridiag(_CHECK, [1.0, 1.0], [1.0, 1.0], 0.0, 90))  # clamped to +pivmin
 @example(_tailed_tridiag(_CHECK, [1.0, 1.0], [1.0, 1.0], oracle.STURM_PIVMIN, 90))
@@ -359,6 +363,24 @@ def test_sturm_count_tail_rule_property(case):
     assert np.array_equal(got, np.minimum(reference_sturm_count(diag, off_sq, shifts), k))
     if np.all(np.isfinite(diag)):
         assert oracle.sturm_tridiag_eigs(diag, off, k) == reference_sturm_eigs(diag, off, k)
+
+
+def test_sturm_count_tail_rule_pivmin_term():
+    # couplings of 1e-300 square to 0, and the tail's diagonal of 1e-300 puts
+    # its floor 1e-300 above the shift 0, where the relative margin, 8 ulps of
+    # 1e-300, is subnormal: only the STURM_PIVMIN term keeps the shift
+    # unsettled, so the sweep reads every row.  Without the term the sweep
+    # ends at the first check with the same count: at these scales the rows'
+    # arithmetic is exact, so the term decides where a sweep may end, not a
+    # count
+    n = _CHECK + 50
+    diag, _ = _random_tridiag(n, 91)
+    diag[_CHECK:] = 1e-300
+    off_sq = np.full(n - 1, 1e-300) ** 2
+    seen = diag.view(_RowsRead)
+    got = oracle.sturm_count(seen, off_sq, np.array([0.0]), k=n)
+    assert np.array_equal(got, reference_sturm_count(diag, off_sq, [0.0]))
+    assert seen.rows_read == n
 
 
 @pytest.mark.parametrize("which", ["coarse", "refined"])
@@ -385,23 +407,34 @@ def _gershgorin(diag, off):
     return float(np.min(diag - rad)), float(np.max(diag + rad))
 
 
-def _rayleigh_guesses(deep_matrices):
-    """The fine guesses of fd_eigensolve on deep.cfg's default grid."""
-    coarse = deep_matrices["coarse"]
-    vectors = [oracle._eigenvector(*coarse, tau) for tau in oracle.sturm_tridiag_eigs(*coarse, 3)]
-    return oracle._rayleigh_guesses(deep_matrices["grid"], vectors, *deep_matrices["refined"])
+@pytest.fixture(scope="module")
+def deep_guesses():
+    """The guesses fd_eigensolve passes on deep.cfg's default grid, by matrix size."""
+    p = deep_params()
+    passed = {}
+    eigs = oracle.sturm_tridiag_eigs
+
+    def recording(diag, off, k, *, guesses=None):
+        passed[len(diag)] = guesses
+        return eigs(diag, off, k, guesses=guesses)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "sturm_tridiag_eigs", recording)
+        oracle.fd_eigensolve(p, oracle.default_grid(p, 2), 2)
+    return passed
 
 
 @pytest.mark.parametrize("kind", ["exact", "coarse", "rq", "far", "unsorted", "outside",
                                   "midpoint", "nan"])
-def test_warm_start_bit_identical(deep_matrices, deep_references, kind, monkeypatch):
+def test_warm_start_bit_identical(deep_matrices, deep_references, deep_guesses, kind,
+                                  monkeypatch):
     diag, off = deep_matrices["refined"]
     ref = deep_references["refined"]
     lo, hi = _gershgorin(diag, off)
     guesses = {
         "exact": ref,
         "coarse": oracle.sturm_tridiag_eigs(*deep_matrices["coarse"], 3),
-        "rq": _rayleigh_guesses(deep_matrices),
+        "rq": deep_guesses[len(diag)],
         "far": [r + 0.1 * abs(r) for r in ref],
         "unsorted": ref[::-1],
         "outside": [lo - 1.0, ref[1], 2.0 * hi],
@@ -425,33 +458,46 @@ def test_warm_start_bit_identical(deep_matrices, deep_references, kind, monkeypa
         assert len(shifts) <= 12 and sum(shifts) <= 1014 and max(shifts[1:-1]) <= 63
 
 
-def test_rayleigh_guesses_are_close(deep_matrices, deep_references):
-    # interpolated cubically, the coarse eigenvectors give Rayleigh quotients
-    # 2.1e-10, 7.8e-10 and 1.7e-9 from the fine eigenvalues, where the coarse
-    # eigenvalues are 8.2e-6 to 3.7e-5 off; linear interpolation is no closer
-    # than the coarse eigenvalues
-    for guess, tau in zip(_rayleigh_guesses(deep_matrices), deep_references["refined"],
-                          strict=True):
-        assert abs(guess - tau) <= 1e-8 * abs(tau)
+def test_rayleigh_guesses_are_close(deep_matrices, deep_references, deep_guesses):
+    # each eigenvector of the grid below, carried linearly in ln r and refined
+    # by one solve of inverse iteration, gives a Rayleigh quotient 4.0e-13 to
+    # 7.4e-11 from the coarse eigenvalues and 6.5e-15 to 1.2e-11 from the fine
+    # ones.  The cubic carry without the solve gave 2.1e-10 to 1.7e-9 on the
+    # fine grid, where the coarse eigenvalues are 8.2e-6 to 3.7e-5 off; the
+    # base grid is solved cold
+    assert deep_guesses[250] is None
+    for which in ("coarse", "refined"):
+        guesses = deep_guesses[len(deep_matrices[which][0])]
+        for guess, tau in zip(guesses, deep_references[which], strict=True):
+            assert abs(guess - tau) <= 1e-10 * abs(tau)
 
 
 @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
 def test_degenerate_coarse_vectors_give_nan_guesses(deep_matrices, deep_references, bad,
                                                     monkeypatch):
-    # no RuntimeWarning (pytest turns them into errors), and bisection's floats
-    grid, coarse = deep_matrices["grid"], deep_matrices["coarse"]
-    taus = oracle.sturm_tridiag_eigs(*coarse, 3)
-    vectors = [np.full(grid.points, bad), *[oracle._eigenvector(*coarse, tau) for tau in taus[1:]]]
-    guesses = oracle._rayleigh_guesses(grid, vectors, *deep_matrices["refined"])
-    assert math.isnan(guesses[0]) and np.all(np.isfinite(guesses[1:]))
-    eigenvector = oracle._eigenvector
+    # a carried vector without a finite, nonzero norm gives a NaN guess, no
+    # RuntimeWarning (pytest turns them into errors), and bisection's floats
+    carry, eigs = oracle._carry, oracle.sturm_tridiag_eigs
+    passed = []
 
-    def degenerate(diag, off, tau):  # the coarse vectors only: the leak check stays real
-        return np.full(len(diag), bad) if len(diag) == grid.points else eigenvector(diag, off, tau)
+    def degenerate(lower, grid, vectors):  # level 1 only: the leak check reads level 2
+        carried = carry(lower, grid, vectors)
+        carried[0] = bad
+        return carried
 
-    monkeypatch.setattr(oracle, "_eigenvector", degenerate)
-    res = oracle.fd_eigensolve(deep_params(), grid, 2)
-    assert res.eigenvalues_tau == deep_references["refined"][:2]
+    def recording(diag, off, k, *, guesses=None):
+        passed.append(guesses)
+        return eigs(diag, off, k, guesses=guesses)
+
+    monkeypatch.setattr(oracle, "_carry", degenerate)
+    monkeypatch.setattr(oracle, "sturm_tridiag_eigs", recording)
+    res = oracle.fd_eigensolve(deep_params(), deep_matrices["grid"], 2)
+    coarse, fine = deep_references["coarse"], deep_references["refined"]
+    assert res.eigenvalues_tau == fine[:2]
+    assert res.richardson_error_estimate == [abs(f - c) / 3.0 for f, c in zip(fine, coarse)][:2]
+    assert len(passed) == 3 and passed[0] is None
+    for guesses in passed[1:]:
+        assert math.isnan(guesses[0]) and np.all(np.isfinite(guesses[1:]))
 
 
 def _outer_mass(v: np.ndarray) -> float:
@@ -460,16 +506,83 @@ def _outer_mass(v: np.ndarray) -> float:
 
 
 @pytest.mark.parametrize("grid", [None, RadialGridSpec(0.1, 0.32, 1200)], ids=["deep", "leaky"])
-def test_leak_check_one_solve_matches_three(grid):
-    # one solve of inverse iteration against three: deep.cfg's default grid
-    # gives 7.7e-18 against 6.1e-58, the leaky grid 8.890886e-3 both ways
+def test_leak_check_one_solve_matches_three(grid, monkeypatch):
+    # the leak check reads the fine grid's vector of the top level, one solve
+    # of inverse iteration at the coarse eigenvalue from the carried coarse
+    # vector, against three solves at the fine eigenvalue from a random
+    # start: deep.cfg's default grid gives 2.2e-33 against 6.1e-58, the leaky
+    # grid 8.890886e-3 both ways
     p = deep_params()
-    diag, off = oracle.build_tridiag(p, (grid or oracle.default_grid(p, 2)).refined())
+    coarse_grid = grid or oracle.default_grid(p, 2)
+    fine_grid = coarse_grid.refined()
+    solved = []
+    eigenvector = oracle._eigenvector
+
+    def recording(diag, off, tau, start):
+        v = eigenvector(diag, off, tau, start)
+        if len(diag) == fine_grid.points:
+            solved.append(v)
+        return v
+
+    monkeypatch.setattr(oracle, "_eigenvector", recording)
+    if grid is None:
+        oracle.fd_eigensolve(p, coarse_grid, 2)
+    else:
+        with pytest.raises(DomainError, match="increase r_max"):
+            oracle.fd_eigensolve(p, coarse_grid, 2)
+    diag, off = oracle.build_tridiag(p, fine_grid)
     tau = oracle.sturm_tridiag_eigs(diag, off, 2)[-1]
-    one = _outer_mass(oracle._eigenvector(diag, off, tau))
+    one = _outer_mass(solved[1])
     three = _outer_mass(reference_eigenvector(diag, off, tau))
     assert abs(one - three) <= 1e-12
     assert (one > oracle.BOUNDARY_MASS_LIMIT) == (grid is not None)
+
+
+def _reference_fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k: int):
+    """fd_eigensolve's result from reference_sturm_eigs on the coarse and
+    half-step matrices, or the type of the error its checks raise: the
+    spacing rule on those floats, and the leak check on reference_eigenvector."""
+    k_work = min(k + 1, grid.points)
+    coarse = reference_sturm_eigs(*oracle.build_tridiag(params, grid), k_work)
+    diag, off = oracle.build_tridiag(params, grid.refined())
+    fine = reference_sturm_eigs(diag, off, k_work)
+    ests = [abs(f - c) / 3.0 for f, c in zip(fine, coarse)][:k]
+    for i, est in enumerate(ests):
+        spacing = min(abs(fine[j] - fine[i]) for j in (i - 1, i + 1) if 0 <= j < k_work)
+        if est > oracle.RICHARDSON_SPACING_FRACTION * spacing:
+            return GridTooCoarse
+    if _outer_mass(reference_eigenvector(diag, off, fine[k - 1])) > oracle.BOUNDARY_MASS_LIMIT:
+        return DomainError
+    return fine[:k], ests
+
+
+@st.composite
+def ladder_problems(draw):
+    """Parameters of deep.cfg's scale at a drawn Lambda, x0 = m omega R^2 and
+    ell, a default grid of N points (N = 100: no base grid) and nmax."""
+    lam = draw(st.floats(0.5, 12.0))
+    x0 = 10.0 ** draw(st.floats(-9.0, -2.0))
+    ell = draw(st.sampled_from([0, 1, 3]))
+    points = draw(st.sampled_from([100, 101, 150, 700, 1000, 2001]))
+    nmax = draw(st.integers(1, 6))
+    p = deep_params(polarizability_alpha=(lam * lam + ell * ell) / 2.0,
+                    cutoff_R=math.sqrt(x0 / 1e-3), ell=ell)
+    return p, oracle.default_grid(p, nmax, points=points), nmax
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(ladder_problems())
+def test_ladder_gives_bisection_floats_property(problem):
+    # every grid of the ladder is warm-started from the one below, and the
+    # floats are still plain bisection's on the coarse and half-step matrices
+    p, grid, k = problem
+    want = _reference_fd_eigensolve(p, grid, k)
+    try:
+        res = oracle.fd_eigensolve(p, grid, k)
+    except (GridTooCoarse, DomainError) as exc:
+        assert type(exc) is want
+    else:
+        assert (res.eigenvalues_tau, res.richardson_error_estimate) == want
 
 
 @st.composite
