@@ -21,11 +21,14 @@ local to each call, filled by multisection sweeps (two numpy calls per matrix
 row): the steps, and so the floats, are bisection's own whatever the table
 holds.  A half-step grid gives Richardson estimates.  Both grids are the top
 of a ladder on one domain that starts at a base grid of an eighth of the
-points, the only grid solved cold.  Each grid up the ladder is warm-started
-from the one below: its eigenvectors, carried to the new nodes by linear
-interpolation in ln r and refined by one solve of inverse iteration on the
-new matrix, give Rayleigh quotients that predict the bisection paths, and all
-their midpoints are counted in the first sweep.
+points, at most BASE_GRID_POINTS.  No grid is bisected cold: the first grid
+of the ladder takes LAPACK's eigenvalues of its dense matrix, which a base
+grid (never output) uses only as the shifts of its eigenvectors, and an
+output grid only as the guesses of its bisection.  Each grid up the ladder is
+warm-started from the one below: its eigenvectors, carried to the new nodes
+by linear interpolation in ln r and refined by one solve of inverse iteration
+on the new matrix, give Rayleigh quotients that predict the bisection paths,
+and all their midpoints are counted in the first sweep.
 A sweep ends at the first tested rows past which no shift's count can
 change what it decides: for each shift, either the count has reached the
 number of wanted eigenvalues, or the rows left are diagonally dominant below
@@ -61,6 +64,8 @@ STURM_BLOCK_ELEMENTS = 16384
 STURM_BLOCK_ROWS = 128
 # margin of sturm_count's tail rule, in machine epsilons of each magnitude
 STURM_TAIL_ULPS = 8
+# most points of a ladder's base grid, solved densely, unless k_levels + 1 needs more
+BASE_GRID_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -185,6 +190,7 @@ def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray, *,
     buf[0] = q
     rows = list(buf)
     ratio = np.empty_like(x)
+    divide, subtract = np.divide, np.subtract  # the row loop's ufuncs, out passed by position
     check = 1 + STURM_BLOCK_ROWS
     for start in range(1, n, block_rows):
         stop = min(start + block_rows, n)
@@ -193,15 +199,15 @@ def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray, *,
         e_sq = off_sq[start - 1 : stop - 1]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # redone if clamped
             for prev, row, e_i in zip(rows, rows[1 : len(block)], e_sq):
-                np.divide(e_i, prev, out=ratio)
-                np.subtract(row, ratio, out=row)
+                divide(e_i, prev, ratio)
+                subtract(row, ratio, row)
         if not np.abs(block[:-1]).min() >= STURM_PIVMIN:  # also true on a NaN pivot
             for j, (d_j, e_i) in enumerate(zip(diag[start:stop].tolist(), e_sq), 1):
                 p = block[j - 1]
                 clamp = np.where(p < 0, -STURM_PIVMIN, STURM_PIVMIN)
                 p = np.where(np.abs(p) < STURM_PIVMIN, clamp, p)
                 block[j] = d_j - x - e_i / p
-        count += (block[1:] < 0).sum(axis=0)
+        count += (block[1:] < 0).sum(axis=0, dtype=np.uint8)  # at most STURM_BLOCK_ROWS < 256
         q = buf[0] = block[-1]
         if check <= stop < n:
             check = stop + STURM_BLOCK_ROWS
@@ -249,7 +255,7 @@ def _count_into(table: dict, diag, off_sq, k: int, shifts) -> None:
         table.update(zip(fresh, sturm_count(diag, off_sq, np.array(fresh), k=k).tolist()))
 
 
-def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses=None) -> list[float]:
+def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
     """k smallest eigenvalues of a symmetric tridiagonal matrix.
 
     Sturm-sequence bisection from Gershgorin bounds: before each step every
@@ -263,8 +269,8 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses=None) -> list[float]:
     2**MULTISECTION_DEPTH - 1 midpoints of its next MULTISECTION_DEPTH steps
     from there (_bisection_grid).  A sweep counts each shift not yet in the
     table once, and the table keeps only the counts that some walk reached,
-    so it stays small.  Optional `guesses` (one per eigenvalue, any values, NaN
-    too) make the first sweep count every midpoint of the path toward each
+    so it stays small.  `guesses` (None, or one per eigenvalue, any values,
+    NaN too) make the first sweep count every midpoint of the path toward each
     guess until the predicted brackets converge.  Whatever the table holds,
     the steps are bisection's own, so the floats are too.
     """
@@ -381,6 +387,16 @@ def _rayleigh_quotients(vectors, diag: np.ndarray, off: np.ndarray) -> np.ndarra
         return quad / ww.sum(axis=1)
 
 
+def _dense_eigvals(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """All eigenvalues (ascending) of the symmetric tridiagonal (diag, off),
+    by LAPACK on its dense matrix."""
+    n = len(diag)
+    dense = np.diag(diag)
+    dense.flat[1 :: n + 1] = off
+    dense.flat[n :: n + 1] = off
+    return np.linalg.eigvalsh(dense)
+
+
 def default_grid(
     params: PhysicalParams, k_levels: int, *, points: int = 2000
 ) -> RadialGridSpec:
@@ -398,9 +414,13 @@ def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -
 
     The grid and its half-step refinement are the top of a ladder that
     starts at a base grid on the same domain with max(100, k_levels + 1,
-    points // 8) points, left out when it is not smaller than the grid.  Only
-    the first grid is solved cold, and its eigenvectors come from one solve
-    of inverse iteration each.  Each later grid starts from the eigenvectors
+    min(points // 8, BASE_GRID_POINTS)) points, left out when it is not
+    smaller than the grid.  The first grid of the ladder takes its estimates
+    from one dense LAPACK solve (_dense_eigvals).  A base grid is never
+    bisected: its estimates serve only as the shifts of its eigenvectors.
+    Without a base they are only the guesses of the grid's bisection.  The
+    first grid's eigenvectors come from one solve of inverse iteration each,
+    from a seeded random start.  Each later grid starts from the eigenvectors
     of the grid below: each is carried to the new nodes (_carry), refined by
     one solve of inverse iteration on the new matrix at the lower grid's
     eigenvalue, and its Rayleigh quotient is the guess for the new
@@ -411,26 +431,27 @@ def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -
     Raises GridTooCoarse when a Richardson estimate exceeds 1% of the local
     level spacing, and DomainError when the topmost requested eigenfunction
     (the half-step grid's refined vector of that level) leaks more than 1e-6
-    of its mass into the outer 5% of the domain (r_max too small).
+    of its mass into the outer 5% of the domain (r_max too small), or is not
+    a finite vector.
     """
     if not 1 <= k_levels <= grid.points:
         raise DomainError("need 1 <= k_levels <= grid.points")
     k_work = min(k_levels + 1, grid.points)  # one spare level to gauge the spacing
-    base = RadialGridSpec(grid.r_min, grid.r_max, max(100, k_work, grid.points // 8))
+    base = RadialGridSpec(grid.r_min, grid.r_max,
+                          max(100, k_work, min(grid.points // 8, BASE_GRID_POINTS)))
     ladder = ([base] if base.points < grid.points else []) + [grid, grid.refined()]
-    fine = None
-    for lower, upper in zip([None, *ladder], ladder):
+    diag, off = build_tridiag(params, ladder[0])
+    fine = _dense_eigvals(diag, off)[:k_work].tolist()
+    if ladder[0] is grid:  # no base grid: LAPACK's values are only guesses
+        fine = sturm_tridiag_eigs(diag, off, k_work, guesses=fine)
+    start = np.random.default_rng(12345).standard_normal(len(diag))
+    vectors = [_eigenvector(diag, off, tau, start) for tau in fine]
+    for lower, upper in zip(ladder, ladder[1:]):
         diag, off = build_tridiag(params, upper)
-        if lower is None:
-            taus = sturm_tridiag_eigs(diag, off, k_work)
-            start = np.random.default_rng(12345).standard_normal(upper.points)
-            vectors = [_eigenvector(diag, off, tau, start) for tau in taus]
-        else:
-            vectors = [_eigenvector(diag, off, tau, w)
-                       for tau, w in zip(taus, _carry(lower, upper, vectors))]
-            taus = sturm_tridiag_eigs(diag, off, k_work,
-                                      guesses=_rayleigh_quotients(vectors, diag, off))
-        coarse, fine = fine, taus
+        vectors = [_eigenvector(diag, off, tau, w)
+                   for tau, w in zip(fine, _carry(lower, upper, vectors))]
+        coarse, fine = fine, sturm_tridiag_eigs(
+            diag, off, k_work, guesses=_rayleigh_quotients(vectors, diag, off))
     estimates = [abs(f - c) / 3.0 for f, c in zip(fine, coarse)]
 
     taus = fine[:k_levels]
@@ -448,7 +469,10 @@ def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -
     v = vectors[k_levels - 1]
     tail = max(1, int(0.05 * len(v)))
     boundary_mass = float(np.sum(v[-tail:] ** 2))
-    if boundary_mass > BOUNDARY_MASS_LIMIT:
+    if not boundary_mass <= BOUNDARY_MASS_LIMIT:  # a NaN mass fails too
+        if math.isnan(boundary_mass):
+            raise DomainError("the eigenfunction of the leak check is not a finite vector, "
+                              "so its mass within the outer 5% of the domain is unknown")
         raise DomainError(
             f"eigenfunction mass {boundary_mass:.2e} within the outer 5% of the "
             f"domain exceeds {BOUNDARY_MASS_LIMIT:.0e}; increase r_max"

@@ -118,7 +118,7 @@ def reference_tridiag_solve(diag, off, rhs) -> np.ndarray:
 
 def reference_eigenvector(diag, off, tau: float) -> np.ndarray:
     """Three solves of inverse iteration at the shift of oracle._eigenvector,
-    from the random start of the oracle's cold grid, normalized after each:
+    from the random start of the oracle's first grid, normalized after each:
     the converged vector that the leak check's one-solve eigenvector is held
     against."""
     shifted = diag - (tau + 1e-10 * max(1.0, abs(tau)))

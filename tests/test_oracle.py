@@ -62,7 +62,7 @@ def test_sturm_discrete_laplacian_closed_form():
     n = 120
     diag = np.full(n, 2.0)
     off = np.full(n - 1, -1.0)
-    got = oracle.sturm_tridiag_eigs(diag, off, 6)
+    got = oracle.sturm_tridiag_eigs(diag, off, 6, guesses=None)
     expect = [2.0 - 2.0 * math.cos((j + 1) * math.pi / (n + 1)) for j in range(6)]
     assert max(abs(g - e) for g, e in zip(got, expect)) <= 1e-12
 
@@ -71,26 +71,26 @@ def test_sturm_matches_dense_reference():
     rng = np.random.default_rng(77)
     diag = rng.uniform(-3, 3, size=50)
     off = rng.uniform(-2, 2, size=49)
-    got = oracle.sturm_tridiag_eigs(diag, off, 12)
+    got = oracle.sturm_tridiag_eigs(diag, off, 12, guesses=None)
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     expect = np.sort(np.linalg.eigvalsh(dense))[:12]
     assert np.max(np.abs(np.array(got) - expect)) <= 1e-10
 
 
 def test_sturm_one_by_one():
-    assert oracle.sturm_tridiag_eigs([5.0], [], 1) == [5.0]
+    assert oracle.sturm_tridiag_eigs([5.0], [], 1, guesses=None) == [5.0]
 
 
 def test_sturm_validates_input():
     with pytest.raises(DomainError):
-        oracle.sturm_tridiag_eigs([1.0, 2.0], [0.5, 0.5], 1)
+        oracle.sturm_tridiag_eigs([1.0, 2.0], [0.5, 0.5], 1, guesses=None)
     with pytest.raises(DomainError):
-        oracle.sturm_tridiag_eigs([1.0, 2.0], [0.5], 3)
+        oracle.sturm_tridiag_eigs([1.0, 2.0], [0.5], 3, guesses=None)
     # non-finite entries once came back as NaN eigenvalues
     with pytest.raises(DomainError):
-        oracle.sturm_tridiag_eigs([math.nan, 1.0], [0.5], 1)
+        oracle.sturm_tridiag_eigs([math.nan, 1.0], [0.5], 1, guesses=None)
     with pytest.raises(DomainError):
-        oracle.sturm_tridiag_eigs([1.0, 2.0], [math.inf], 2)
+        oracle.sturm_tridiag_eigs([1.0, 2.0], [math.inf], 2, guesses=None)
     # one guess per eigenvalue: four for k = 3 once raised numpy's broadcast
     # ValueError, and one was broadcast to every eigenvalue
     for guesses in ([0.0, 1.0, 2.0, 3.0], [1.0], [], 1.0):
@@ -102,7 +102,7 @@ def test_sturm_ascending():
     rng = np.random.default_rng(5)
     diag = rng.uniform(-1, 1, size=30)
     off = rng.uniform(-1, 1, size=29)
-    got = oracle.sturm_tridiag_eigs(diag, off, 8)
+    got = oracle.sturm_tridiag_eigs(diag, off, 8, guesses=None)
     assert all(a <= b + 1e-13 for a, b in zip(got, got[1:]))
 
 
@@ -129,7 +129,7 @@ def deep_references(deep_matrices):
 @pytest.mark.parametrize("which", ["coarse", "refined"])
 def test_multisection_bit_identical_on_deep_grids(deep_matrices, deep_references, which):
     diag, off = deep_matrices[which]
-    assert oracle.sturm_tridiag_eigs(diag, off, 3) == deep_references[which]
+    assert oracle.sturm_tridiag_eigs(diag, off, 3, guesses=None) == deep_references[which]
 
 
 def _random_tridiag(n: int, seed: int):
@@ -148,7 +148,8 @@ def _random_tridiag(n: int, seed: int):
     ids=["laplacian", "k1", "k_eq_n", "n2"],
 )
 def test_multisection_bit_identical_small(diag, off, k):
-    assert oracle.sturm_tridiag_eigs(diag, off, k) == reference_sturm_eigs(diag, off, k)
+    assert oracle.sturm_tridiag_eigs(diag, off, k, guesses=None) == (
+        reference_sturm_eigs(diag, off, k))
 
 
 @pytest.mark.parametrize(
@@ -237,7 +238,8 @@ def test_signed_zero_midpoints_bit_identical(diag, off, guess):
 def test_multisection_many_levels_bit_identical():
     # k = 200: 12600 shifts per sweep
     diag, off = _random_tridiag(400, 79)
-    assert oracle.sturm_tridiag_eigs(diag, off, 200) == reference_sturm_eigs(diag, off, 200)
+    assert oracle.sturm_tridiag_eigs(diag, off, 200, guesses=None) == (
+        reference_sturm_eigs(diag, off, 200))
 
 
 class _RowsRead(np.ndarray):
@@ -254,8 +256,10 @@ def test_deep_solve_sweep_count(monkeypatch):
     # without a warm start, 18 with the coarse eigenvalues as the fine grid's
     # guesses, 15 (11 coarse, 4 fine) with the Rayleigh quotients of the coarse
     # eigenvectors cubically interpolated, 16 (10 on the 250-point base grid,
-    # 3 coarse, 3 fine) with the ladder; each sweep stops where only rows past
-    # the turning points are left.  Rows read: 14343 before the ladder, 9408
+    # 3 coarse, 3 fine) with the ladder, and 6 (3 coarse, 3 fine) now that the
+    # base grid's eigenvalues come from LAPACK and it is never swept; each
+    # sweep stops where only rows past the turning points are left.  Rows
+    # read: 14343 before the ladder, 9408 with a bisected base, 7766
     calls = []
     count = oracle.sturm_count
 
@@ -269,10 +273,10 @@ def test_deep_solve_sweep_count(monkeypatch):
     p = deep_params()
     oracle.fd_eigensolve(p, oracle.default_grid(p, 2), 2)
     sizes = [n for _, n in calls]
-    assert sizes == sorted(sizes) and set(sizes) == {250, 2000, 4001}
-    assert sizes.count(2000) <= 3 and sizes.count(4001) <= 3 and len(calls) <= 16
+    assert sizes == sorted(sizes) and set(sizes) == {2000, 4001}
+    assert sizes.count(2000) <= 3 and sizes.count(4001) <= 3
     swept, total = map(sum, zip(*calls))
-    assert total == 20503 and swept <= 9408
+    assert total == 18003 and swept <= 7766
 
 
 @st.composite
@@ -293,7 +297,8 @@ def tridiagonals(draw):
 @given(tridiagonals())
 def test_multisection_bit_identical_property(case):
     diag, off, k = case
-    assert oracle.sturm_tridiag_eigs(diag, off, k) == reference_sturm_eigs(diag, off, k)
+    assert oracle.sturm_tridiag_eigs(diag, off, k, guesses=None) == (
+        reference_sturm_eigs(diag, off, k))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +367,8 @@ def test_sturm_count_tail_rule_property(case):
     got = oracle.sturm_count(diag, off_sq, shifts, k=k)
     assert np.array_equal(got, np.minimum(reference_sturm_count(diag, off_sq, shifts), k))
     if np.all(np.isfinite(diag)):
-        assert oracle.sturm_tridiag_eigs(diag, off, k) == reference_sturm_eigs(diag, off, k)
+        assert oracle.sturm_tridiag_eigs(diag, off, k, guesses=None) == (
+            reference_sturm_eigs(diag, off, k))
 
 
 def test_sturm_count_tail_rule_pivmin_term():
@@ -388,7 +394,7 @@ def test_sturm_count_stops_early_on_deep_grids(deep_matrices, which):
     # shifts at the three lowest eigenvalues are the latest to settle: the
     # count at the third changes only at row 852 of the coarse grid's 2000
     diag, off = deep_matrices[which]
-    eigs = oracle.sturm_tridiag_eigs(diag, off, 3)
+    eigs = oracle.sturm_tridiag_eigs(diag, off, 3, guesses=None)
     seen = diag.view(_RowsRead)
     got = oracle.sturm_count(seen, off * off, np.array(eigs), k=3)
     assert np.array_equal(got, reference_sturm_count(diag, off * off, np.array(eigs)))
@@ -433,7 +439,7 @@ def test_warm_start_bit_identical(deep_matrices, deep_references, deep_guesses, 
     lo, hi = _gershgorin(diag, off)
     guesses = {
         "exact": ref,
-        "coarse": oracle.sturm_tridiag_eigs(*deep_matrices["coarse"], 3),
+        "coarse": oracle.sturm_tridiag_eigs(*deep_matrices["coarse"], 3, guesses=None),
         "rq": deep_guesses[len(diag)],
         "far": [r + 0.1 * abs(r) for r in ref],
         "unsorted": ref[::-1],
@@ -463,9 +469,10 @@ def test_rayleigh_guesses_are_close(deep_matrices, deep_references, deep_guesses
     # by one solve of inverse iteration, gives a Rayleigh quotient 4.0e-13 to
     # 7.4e-11 from the coarse eigenvalues and 6.5e-15 to 1.2e-11 from the fine
     # ones.  The cubic carry without the solve gave 2.1e-10 to 1.7e-9 on the
-    # fine grid, where the coarse eigenvalues are 8.2e-6 to 3.7e-5 off; the
-    # base grid is solved cold
-    assert deep_guesses[250] is None
+    # fine grid, where the coarse eigenvalues are 8.2e-6 to 3.7e-5 off.  The
+    # base grid is never bisected: LAPACK's eigenvalues of its dense matrix
+    # only give the shifts of its eigenvectors
+    assert set(deep_guesses) == {2000, 4001}
     for which in ("coarse", "refined"):
         guesses = deep_guesses[len(deep_matrices[which][0])]
         for guess, tau in zip(guesses, deep_references[which], strict=True):
@@ -495,8 +502,8 @@ def test_degenerate_coarse_vectors_give_nan_guesses(deep_matrices, deep_referenc
     coarse, fine = deep_references["coarse"], deep_references["refined"]
     assert res.eigenvalues_tau == fine[:2]
     assert res.richardson_error_estimate == [abs(f - c) / 3.0 for f, c in zip(fine, coarse)][:2]
-    assert len(passed) == 3 and passed[0] is None
-    for guesses in passed[1:]:
+    assert len(passed) == 2
+    for guesses in passed:
         assert math.isnan(guesses[0]) and np.all(np.isfinite(guesses[1:]))
 
 
@@ -531,7 +538,7 @@ def test_leak_check_one_solve_matches_three(grid, monkeypatch):
         with pytest.raises(DomainError, match="increase r_max"):
             oracle.fd_eigensolve(p, coarse_grid, 2)
     diag, off = oracle.build_tridiag(p, fine_grid)
-    tau = oracle.sturm_tridiag_eigs(diag, off, 2)[-1]
+    tau = oracle.sturm_tridiag_eigs(diag, off, 2, guesses=None)[-1]
     one = _outer_mass(solved[1])
     three = _outer_mass(reference_eigenvector(diag, off, tau))
     assert abs(one - three) <= 1e-12
@@ -540,8 +547,9 @@ def test_leak_check_one_solve_matches_three(grid, monkeypatch):
 
 def _reference_fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k: int):
     """fd_eigensolve's result from reference_sturm_eigs on the coarse and
-    half-step matrices, or the type of the error its checks raise: the
-    spacing rule on those floats, and the leak check on reference_eigenvector."""
+    half-step matrices, or the error its checks raise: the spacing rule on
+    those floats, and the leak check on reference_eigenvector (whose mass, in
+    the message, may differ in its last digits from the oracle's)."""
     k_work = min(k + 1, grid.points)
     coarse = reference_sturm_eigs(*oracle.build_tridiag(params, grid), k_work)
     diag, off = oracle.build_tridiag(params, grid.refined())
@@ -550,9 +558,12 @@ def _reference_fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k: in
     for i, est in enumerate(ests):
         spacing = min(abs(fine[j] - fine[i]) for j in (i - 1, i + 1) if 0 <= j < k_work)
         if est > oracle.RICHARDSON_SPACING_FRACTION * spacing:
-            return GridTooCoarse
-    if _outer_mass(reference_eigenvector(diag, off, fine[k - 1])) > oracle.BOUNDARY_MASS_LIMIT:
-        return DomainError
+            return GridTooCoarse(f"Richardson estimate {est:.3e} for tau_{i + 1} exceeds 1% of "
+                                 f"the level spacing {spacing:.3e}; refine the grid")
+    mass = _outer_mass(reference_eigenvector(diag, off, fine[k - 1]))
+    if mass > oracle.BOUNDARY_MASS_LIMIT:
+        return DomainError(f"eigenfunction mass {mass:.2e} within the outer 5% of the domain "
+                           f"exceeds 1e-06; increase r_max")
     return fine[:k], ests
 
 
@@ -580,9 +591,101 @@ def test_ladder_gives_bisection_floats_property(problem):
     try:
         res = oracle.fd_eigensolve(p, grid, k)
     except (GridTooCoarse, DomainError) as exc:
-        assert type(exc) is want
+        assert type(exc) is type(want)
     else:
         assert (res.eigenvalues_tau, res.richardson_error_estimate) == want
+
+
+def _hexes(result) -> tuple:
+    """fd_eigensolve's floats as hex strings, or its error's type and message."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    return tuple([x.hex() for x in floats] for floats in result)
+
+
+# deep.cfg, problems whose first grid is the output grid (no base), and one
+# with a base grid of k_levels + 1 points; the spacing rule raises on the last two
+_DEEP = deep_params()
+_DENSE_PROBLEMS = {
+    "deep": (_DEEP, oracle.default_grid(_DEEP, 2), 2),
+    "no_base": (_DEEP, oracle.default_grid(_DEEP, 2, points=100), 2),
+    "no_base_oscillator": (oscillator_params(ell=1), RadialGridSpec(1e-6, 12.0, 100), 2),
+    "base_of_k_points": (_DEEP, oracle.default_grid(_DEEP, 2, points=120), 104),
+    "dense_output_grid": (_DEEP, oracle.default_grid(_DEEP, 2, points=100), 99),
+}
+
+
+@pytest.fixture(scope="module")
+def dense_references():
+    """_reference_fd_eigensolve of each of _DENSE_PROBLEMS."""
+    return {which: _reference_fd_eigensolve(*problem)
+            for which, problem in _DENSE_PROBLEMS.items()}
+
+
+@pytest.mark.parametrize("kind", ["lapack", "shifted", "far", "reversed", "nan", "all_nan"])
+@pytest.mark.parametrize("which", list(_DENSE_PROBLEMS))
+def test_dense_eigenvalues_are_only_guesses(dense_references, which, kind, monkeypatch):
+    # the first grid of the ladder takes its estimates from LAPACK: a base
+    # grid uses them as the shifts of its eigenvectors, an output grid as the
+    # guesses of its bisection.  Whatever they are, the floats are bisection's,
+    # and so is the spacing rule's message.  With every value NaN a base
+    # grid's eigenvectors are NaN, and so is the vector the leak check reads
+    p, grid, k = _DENSE_PROBLEMS[which]
+    eigvalsh = np.linalg.eigvalsh
+    perturb = {
+        "lapack": lambda w: w,
+        "shifted": lambda w: w + 1e-3 * np.abs(w),
+        "far": lambda w: w + 0.3 * np.abs(w),
+        "reversed": lambda w: w[::-1],
+        "nan": lambda w: np.where(np.arange(len(w)) == 0, np.nan, w),
+        "all_nan": lambda w: np.full_like(w, np.nan),
+    }[kind]
+    monkeypatch.setattr(oracle.np.linalg, "eigvalsh", lambda a: perturb(eigvalsh(a)))
+    want = dense_references[which]
+    if which == "deep" and kind == "all_nan":
+        want = DomainError("the eigenfunction of the leak check is not a finite vector, so "
+                           "its mass within the outer 5% of the domain is unknown")
+    try:
+        got = oracle.fd_eigensolve(p, grid, k)
+    except (GridTooCoarse, DomainError) as exc:
+        got = exc
+    else:
+        got = got.eigenvalues_tau, got.richardson_error_estimate
+    assert _hexes(got) == _hexes(want)
+
+
+class _Stop(Exception):
+    """Ends a solve at its dense eigenvalue solve."""
+
+
+@pytest.mark.parametrize(
+    "points,k,dense",
+    [
+        (100, 2, 100),  # no base: the output grid is the first grid
+        (100, 99, 100),
+        (800, 2, 100),
+        (2000, 2, 250),
+        (2056, 2, oracle.BASE_GRID_POINTS),
+        (10**6, 2, oracle.BASE_GRID_POINTS),
+        (300, 150, 151),  # k_levels + 1 points
+        (10**6, 999, 1000),
+    ],
+)
+def test_dense_solve_is_capped(points, k, dense, monkeypatch):
+    # the one dense eigenvalue solve of a ladder has max(100, k + 1,
+    # min(points // 8, BASE_GRID_POINTS)) points, or the grid's when that is
+    # not fewer: it never exceeds the cap unless k + 1 does
+    sizes = []
+
+    def stop(a):
+        sizes.append(len(a))
+        raise _Stop
+
+    monkeypatch.setattr(oracle.np.linalg, "eigvalsh", stop)
+    p = oscillator_params()
+    with pytest.raises(_Stop):
+        oracle.fd_eigensolve(p, RadialGridSpec(p.cutoff_R, 12.0, points), k)
+    assert sizes == [dense] and dense <= max(oracle.BASE_GRID_POINTS, k + 1)
 
 
 @st.composite
@@ -613,7 +716,7 @@ def test_warm_start_bit_identical_property(case):
 def test_tridiag_solve_matches_numpy_scalar_loop(deep_matrices):
     # the leak check's shifted fine-grid solve, and a random matrix
     diag, off = deep_matrices["refined"]
-    tau = oracle.sturm_tridiag_eigs(diag, off, 2)[-1]
+    tau = oracle.sturm_tridiag_eigs(diag, off, 2, guesses=None)[-1]
     shifted = diag - (tau + 1e-10 * abs(tau))
     rng = np.random.default_rng(81)
     rhs = rng.standard_normal(len(diag))
@@ -706,7 +809,7 @@ def test_fd_annulus_bessel_check():
     # apply: solve its fine grid directly
     grid = RadialGridSpec(r1, r2, 2000).refined()
     diag, off = oracle.build_tridiag(p, grid)
-    taus = oracle.sturm_tridiag_eigs(diag, off, 4)[:3]
+    taus = oracle.sturm_tridiag_eigs(diag, off, 4, guesses=None)[:3]
     for tau, ref in zip(taus, expect):
         assert abs(tau - ref) <= 1e-5 * ref
 
@@ -717,7 +820,7 @@ def test_fd_grid_convergence_is_second_order():
     for n in (400, 801, 1603):  # successive halvings of the step
         grid = RadialGridSpec(0.1, 3.0, n)
         diag, off = oracle.build_tridiag(p, grid)
-        taus.append(oracle.sturm_tridiag_eigs(diag, off, 1)[0])
+        taus.append(oracle.sturm_tridiag_eigs(diag, off, 1, guesses=None)[0])
     d1 = abs(taus[1] - taus[0])
     d2 = abs(taus[2] - taus[1])
     assert 3.2 <= d1 / d2 <= 4.8
@@ -733,7 +836,7 @@ def test_fd_variational_monotonicity_nested_domains():
     for n in (399, 571, 744):  # r_max ~ 0.5, 1, 2 at fixed h
         grid = RadialGridSpec(0.1, 0.1 * math.exp((n + 1) * h), n)
         diag, off = oracle.build_tridiag(p, grid)
-        taus = oracle.sturm_tridiag_eigs(diag, off, 3)
+        taus = oracle.sturm_tridiag_eigs(diag, off, 3, guesses=None)
         if prev is not None:
             assert all(t <= s for t, s in zip(taus, prev))
             assert any(t < s for t, s in zip(taus, prev))
@@ -775,9 +878,24 @@ def test_fd_rejects_more_levels_than_grid_points():
 
 def test_fd_rmax_too_small():
     # r_max below the turning point of level 2 leaks mass into the boundary
-    with pytest.raises(DomainError):
-        grid = RadialGridSpec(0.1, 0.32, 1200)
-        oracle.fd_eigensolve(deep_params(), grid, 2)
+    with pytest.raises(DomainError) as err:
+        oracle.fd_eigensolve(deep_params(), RadialGridSpec(0.1, 0.32, 1200), 2)
+    assert str(err.value) == ("eigenfunction mass 8.89e-03 within the outer 5% of the domain "
+                              "exceeds 1e-06; increase r_max")
+
+
+def test_leak_check_fails_closed_on_a_nan_vector(monkeypatch):
+    # a NaN mass once passed the test mass > limit, and the solve returned
+    carry = oracle._carry
+
+    def nan_level_2(lower, grid, vectors):
+        carried = carry(lower, grid, vectors)
+        carried[1] = math.nan
+        return carried
+
+    monkeypatch.setattr(oracle, "_carry", nan_level_2)
+    with pytest.raises(DomainError, match="not a finite vector"):
+        oracle.fd_eigensolve(deep_params(), RadialGridSpec(0.1, 0.32, 1200), 2)
 
 
 def test_fd_non_whittaker_regime_still_solves():
