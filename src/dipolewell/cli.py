@@ -176,10 +176,6 @@ def _parser(commands) -> _Parser:
     return p
 
 
-def build_parser() -> _Parser:
-    return _parser(_COMMANDS)
-
-
 def _build_params(ns: argparse.Namespace) -> PhysicalParams:
     values: dict[str, float] = {}
     try:

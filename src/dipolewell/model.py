@@ -152,7 +152,7 @@ def outer_turning_radius(params: PhysicalParams, energy: float) -> float:
         e = energy - params.energy_shift
         c = math.sqrt(2.0 * mw2 * al2)
         r_sq = c * c / (mw2 * (math.hypot(e, c) - e)) if e < 0 else (e + math.hypot(e, c)) / mw2
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # m omega^2 overflows, or underflows to 0
         r_sq = math.inf
     if not math.isfinite(r_sq):
         raise DomainError(f"outer turning radius at E = {energy:.6g} leaves double range")

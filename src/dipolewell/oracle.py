@@ -17,26 +17,26 @@ uniformly in ln r, so this grid carries constant phase density there; it
 also cancels the -1/(4 r^2) reduction term exactly when Lsq = 0.
 
 Eigenvalues come from Sturm bisection that reads its counts from a table
-local to each call, filled by multisection sweeps (two numpy calls per matrix
-row): the steps, and so the floats, are bisection's own whatever the table
-holds.  A half-step grid gives Richardson estimates.  Both grids are the top
-of a ladder on one domain that starts at a base grid of an eighth of the
-points, at most BASE_GRID_POINTS.  No grid is bisected cold: the first grid
-of the ladder takes LAPACK's eigenvalues of its dense matrix, which a base
-grid (never output) uses only as the shifts of its eigenvectors, and an
-output grid only as the guesses of its bisection.  Each grid up the ladder is
-warm-started from the one below: its eigenvectors, carried to the new nodes
-by linear interpolation in ln r and refined by one solve of inverse iteration
-on the new matrix, give Rayleigh quotients that predict the bisection paths,
-and all their midpoints are counted in the first sweep.
-A sweep ends at the first tested rows past which no shift's count can
-change what it decides: for each shift, either the count has reached the
-number of wanted eigenvalues, or the rows left are diagonally dominant below
-the shift (by a margin of STURM_TAIL_ULPS epsilons per magnitude plus
-STURM_PIVMIN) and the entering pivot is negative or at least the coupling,
-so that no later pivot can turn negative.  The floats do not move; on the
-default grids most rows lie in the classically forbidden region past the
-outer turning points, never swept.
+local to each call, which keeps every count that its multisection sweeps
+(two numpy calls per matrix row) take: the steps, and so the floats, are
+bisection's own whatever the table holds.  A half-step grid gives Richardson
+estimates.  Both grids are the top of a ladder on one domain that starts at a
+base grid of an eighth of the points, at most BASE_GRID_POINTS.  No grid is
+bisected cold: the first grid of the ladder takes LAPACK's eigenvalues of
+its dense matrix, which a base grid (never output) uses only as the shifts
+of its eigenvectors, and an output grid only as the guesses of its
+bisection.  Each grid up the ladder is warm-started from the one below: its
+eigenvectors, carried to the new nodes by linear interpolation in ln r and
+refined by one solve of inverse iteration on the new matrix, give Rayleigh
+quotients that predict the bisection paths, and all their midpoints are
+counted in the first sweep.  A sweep ends at the first tested rows past which
+no shift's count can change what it decides: for each shift, either the
+count has reached the number of wanted eigenvalues, or the rows left are
+diagonally dominant below the shift (by a margin of STURM_TAIL_ULPS epsilons
+per magnitude plus STURM_PIVMIN) and the entering pivot is negative or at
+least the coupling, so that no later pivot can turn negative.  The floats do
+not move; on the default grids most rows lie in the classically forbidden
+region past the outer turning points, never swept.
 """
 
 from __future__ import annotations
@@ -216,23 +216,13 @@ def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray, *,
     return np.minimum(count, k)
 
 
-def _bisection_grid(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-    """The next MULTISECTION_DEPTH bisection steps of each bracket, as the
-    ascending ends of their 2**MULTISECTION_DEPTH leaves.
-
-    Row j runs from lows[j] to highs[j].  A node of level L spans
-    2**(MULTISECTION_DEPTH - L) leaves, and its midpoint, the column halfway
-    along it, is 0.5 * (lo + hi) of its two end columns: bisection's own
-    arithmetic.  The columns 1 .. 2**MULTISECTION_DEPTH - 1 are the midpoints.
-    """
-    width = 1 << MULTISECTION_DEPTH
-    ends = np.empty((len(lows), width + 1))
-    ends[:, 0] = lows
-    ends[:, width] = highs
-    while width > 1:
-        ends[:, width // 2 :: width] = 0.5 * (ends[:, :-1:width] + ends[:, width::width])
-        width //= 2
-    return ends
+def _midpoints(lo: float, hi: float, depth: int) -> list[float]:
+    """The midpoints of the next `depth` bisection steps from [lo, hi] on every
+    path, ascending: each is 0.5 * (lo + hi) of its bracket, as in bisection."""
+    if depth == 0:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [*_midpoints(lo, mid, depth - 1), mid, *_midpoints(mid, hi, depth - 1)]
 
 
 def _converged(lows, highs) -> bool:
@@ -267,10 +257,10 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
     sweep fills it as multisection: each bracket walks ahead through the
     table, and each whose walk ends within MULTISECTION_DEPTH steps adds the
     2**MULTISECTION_DEPTH - 1 midpoints of its next MULTISECTION_DEPTH steps
-    from there (_bisection_grid).  A sweep counts each shift not yet in the
-    table once, and the table keeps only the counts that some walk reached,
-    so it stays small.  `guesses` (None, or one per eigenvalue, any values,
-    NaN too) make the first sweep count every midpoint of the path toward each
+    from there (_midpoints); a bracket whose walk runs further waits.  A
+    sweep counts each shift not yet in the table once, and the table keeps
+    every count.  `guesses` (None, or one per eigenvalue, any values, NaN
+    too) make the first sweep count every midpoint of the path toward each
     guess until the predicted brackets converge.  Whatever the table holds,
     the steps are bisection's own, so the floats are too.
     """
@@ -310,33 +300,31 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
             break
         mids = [0.5 * (a + b) for a, b in zip(lows, highs)]
         if not all(m in table for m in mids):
-            reached, heads = {}, []
+            shifts = []
             for i in range(k):  # walk bracket i through the table, at most to the last step
                 lo, hi = lows[i], highs[i]
                 for ahead in range(BISECTION_MAX_STEPS - step):
                     mid = 0.5 * (lo + hi)
                     if mid not in table:
+                        # brackets known further ahead wait: 214 of 7980 rows on deep.cfg
                         if ahead < MULTISECTION_DEPTH:
-                            heads.append((lo, hi))
+                            shifts += _midpoints(lo, hi, MULTISECTION_DEPTH)
                         break
-                    reached[mid] = table[mid]
-                    lo, hi = (lo, mid) if reached[mid] > i else (mid, hi)
-            table = reached
-            ends = _bisection_grid(*np.array(heads).T)
-            _count_into(table, diag, off_sq, k, ends[:, 1:-1].ravel().tolist())
+                    lo, hi = (lo, mid) if table[mid] > i else (mid, hi)
+            _count_into(table, diag, off_sq, k, shifts)
         lows, highs = _halves(lows, highs, mids, [table[m] > i for i, m in enumerate(mids)])
     return [0.5 * (a + b) for a, b in zip(lows, highs)]
 
 
 def _tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Thomas solve of (tridiag) x = rhs on Python floats (numpy's float64
-    arithmetic without its per-scalar cost); a zero pivot becomes 1e-290."""
+    arithmetic without its per-scalar cost); a zero pivot becomes STURM_PIVMIN."""
     cs, ds = [], []
     c = d = e_prev = 0.0  # a coupling-free row before row 0
     for a_i, e_i, b_i in zip(diag.tolist(), off.tolist() + [0.0], rhs.tolist()):
         denom = a_i - e_prev * c
         if denom == 0.0:
-            denom = 1e-290
+            denom = STURM_PIVMIN
         c = e_i / denom
         d = (b_i - e_prev * d) / denom
         cs.append(c)

@@ -11,7 +11,6 @@ module attributes at call time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -66,12 +65,16 @@ class Solution:
         return flags
 
     def rel_gap(self, n: int, a: Route, b: Route) -> float | None:
-        """|E_a - E_b| relative to the binding omega + shift - E_a of level n."""
+        """|E_a - E_b| relative to the binding omega + shift - E_a of level n;
+        DomainError where that binding rounds to 0 in the p_z shift."""
         lv_a, lv_b = self.level(a, n), self.level(b, n)
         if lv_a is None or lv_b is None:
             return None
         denom = abs(self.params.omega + self.params.energy_shift - lv_a.energy)
-        return abs(lv_a.energy - lv_b.energy) / denom if denom > 0 else math.inf
+        if not denom > 0:
+            raise DomainError(f"the binding omega + p_z^2/(2m) - E of level {n} rounds to 0 "
+                              f"(p_z shift p_z^2/(2m) = {self.params.energy_shift:.6g})")
+        return abs(lv_a.energy - lv_b.energy) / denom
 
     def max_gap(self, a: Route, b: Route) -> float:
         """Largest rel_gap over the levels both routes produced (0 if none)."""

@@ -220,7 +220,10 @@ def _itp(f, a: float, b: float, fa: float, fb: float, tol: float) -> tuple[float
         mid = 0.5 * (a + b)
         radius = 0.5 * (limit - (b - a))
         limit *= 0.5
-        delta = max(k1 * (b - a) ** 2, 0.25 * tol)
+        try:
+            delta = max(k1 * (b - a) ** 2, 0.25 * tol)
+        except OverflowError:  # a bracket over 1e154 wide: no truncation, a bisection step
+            delta = math.inf
         x_f = (fb * a - fa * b) / (fb - fa)
         sigma = math.copysign(1.0, mid - x_f)
         x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid

@@ -169,6 +169,11 @@ EXTREME = [
 ]
 
 
+def _printed_words(out: str, err: str) -> set:
+    """The CSV cells of stdout and the words and values of stderr's summary."""
+    return set(out.replace("\n", ",").split(",")) | set(err.replace("=", " ").split())
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [
@@ -202,19 +207,42 @@ EXTREME = [
         # levels 1..3 round to one double: exp(-2 pi n / Lambda) is 1 at Lambda ~ 1e110
         (["spectrum", "--mass", "1", "--alpha", "1e200", "--lambda", "1e10", "--omega", "0",
           "--radius", "1e10"], 3),
+        # tiny omega: a beta window past 1e154 wide (ITP takes bisection steps), and
+        # m omega^2 underflowing to 0 in the outer turning radius
+        (["spectrum", *DEEP, "--omega", "1e-160", "--route", "exact"], 0),
+        (["spectrum", *DEEP, "--omega", "1e-200", "--route", "exact"], 0),
+        (["spectrum", *DEEP, "--omega", "1e-300", "--route", "exact"], 0),
+        (["sweep-cutoff", *DEEP, "--omega", "1e-160", "--radii", "0.2,0.1"], 0),
+        (["sweep-cutoff", *DEEP, "--omega", "1e-300", "--radii", "0.2,0.1"], 0),
+        (["wavefunction", *DEEP, "--omega", "1e-160"], 0),
+        (["wavefunction", *DEEP, "--omega", "1e-300"], 3),
+        (["validate", *DEEP, "--omega", "1e-160", "--nmax", "1", "--grid-points", "100"], 0),
+        (["validate", *DEEP, "--omega", "1e-200", "--nmax", "1", "--grid-points", "100"], 3),
+        (["spectrum", *DEEP, "--omega", "1e-200", "--route", "oracle", "--nmax", "1",
+          "--grid-points", "100"], 3),
+        (["spectrum", *DEEP, "--omega", "1e-300", "--route", "all", "--nmax", "1",
+          "--grid-points", "100"], 3),
+        # the binding omega + shift - E rounds to 0 in p_z^2/(2m) = 5e19: no relative gap
+        (["validate", *DEEP, "--pz", "1e10", "--nmax", "1", "--grid-points", "100"], 3),
     ],
     ids=["lambda", "radius", "pz", "ell_config", "ell_flag", "coupling", "potential",
          "weak", "weak_exact", "validate_omega", "spectrum_all_omega", "wavefunction_omega",
          "energy_shift", "binding_radius", "sweep_binding_radius", "binding_prefactor",
-         "sweep_binding_prefactor", "kappa", "sweep_scaled_binding", "level_order"],
+         "sweep_binding_prefactor", "kappa", "sweep_scaled_binding", "level_order",
+         "tiny_omega_exact", "tiny_omega_exact_1e-200", "tiny_omega_exact_1e-300",
+         "tiny_omega_sweep", "tiny_omega_sweep_1e-300", "tiny_omega_wavefunction",
+         "tiny_omega_wavefunction_1e-300", "tiny_omega_validate", "tiny_omega_validate_1e-200",
+         "tiny_omega_oracle_1e-200", "tiny_omega_all_1e-300", "validate_pz_binding"],
 )
-def test_parameter_extremes_exit_with_documented_code(argv, code, tmp_path, capsys):
+def test_parameter_extremes_exit_with_documented_code(argv, code, tmp_path, capsys, request):
     cfg = tmp_path / "ell.cfg"
     cfg.write_text("mass = 1\nalpha = 12.5\nlambda = 1\nomega = 1e-3\nradius = 0.1\nell = 1e200\n")
     got, out, err = run_cli([a.replace("{ell_cfg}", str(cfg)) for a in argv], capsys)
     assert got == code
-    if code == 0:
+    if request.node.callspec.id == "weak":
         assert (out, err) == ("n,ell,route,energy,kappa,estimated_error\n1,0,asymptotic,1,0.5,0\n", "")
+    elif code == 0:
+        assert not _printed_words(out, err) & {"inf", "-inf", "nan"}
     else:
         assert out == "" and err.count("\n") == 1
         assert err.startswith("usage error: " if code == 1 else "numerical failure: ")
@@ -280,6 +308,36 @@ def test_wavefunction_exits_with_a_documented_code_property(route, n, rmax, samp
         lines = out.getvalue().split("\n")
         assert lines[0] == "r,f" and lines[-1] == "" and len(lines) == samples + 2, argv
         assert not set(",".join(lines[1:]).split(",")) & {"inf", "-inf", "nan"}, argv
+
+
+SOLVING_COMMANDS = {
+    "exact": ["spectrum", "--route", "exact"],
+    "oracle": ["spectrum", "--route", "oracle"],
+    "all": ["spectrum", "--route", "all"],
+    "validate": ["validate"],
+}
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(SOLVING_COMMANDS)),
+    st.sampled_from(PARAM_NAMES),
+    st.sampled_from(EXTREME_VALUES),
+)
+@example("exact", "omega", "1e-200")  # ITP's (b - a)^2 overflowed on a ~1e201-wide window
+@example("validate", "omega", "1e-300")  # m omega^2 underflowed: a division by zero
+@example("validate", "pz", "1e10")  # the binding rounds to 0 in the p_z shift: gaps of inf
+def test_solving_commands_exit_with_a_documented_code_property(command, name, value):
+    # deep.cfg on a 100-point grid with one parameter at an extreme: exit 0-3 and no
+    # exception; exit 0 prints no inf or nan
+    argv = [*SOLVING_COMMANDS[command], *DEEP, "--nmax", "1", "--grid-points", "100",
+            f"--{name}={value}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code == 0:
+        assert not _printed_words(out.getvalue(), err.getvalue()) & {"inf", "-inf", "nan"}, argv
 
 
 # either sign: a large negative kappa reaches the small-x form (beta >= 10), and a
@@ -366,7 +424,7 @@ def test_every_flag_is_read_by_its_command():
     # a flag that its command never reads changes nothing it prints
     tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
     defs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
-    parser = cli.build_parser()
+    parser = cli._parser(cli._COMMANDS)
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert list(sub.choices) == list(cli._COMMANDS)
     for name, command in cli._COMMANDS.items():
@@ -379,7 +437,7 @@ def test_every_flag_is_read_by_its_command():
 
 
 def _full_parse(argv) -> None:
-    cli.build_parser().parse_args(argv)
+    cli._parser(cli._COMMANDS).parse_args(argv)
 
 
 def _outcome(parse, argv):

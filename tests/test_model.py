@@ -159,6 +159,13 @@ def test_outer_turning_radius_rejects_zero_omega():
         model.outer_turning_radius(make_params(omega=0.0), -1.0)
 
 
+@pytest.mark.parametrize("omega", [1e-200, 1e-300, 1e200])
+def test_outer_turning_radius_past_double_range(omega):
+    # m omega^2 underflows to 0 (a division by zero) or overflows: a typed error
+    with pytest.raises(DomainError, match="leaves double range"):
+        model.outer_turning_radius(make_params(omega=omega), -1.0)
+
+
 def test_kappa_map_basics():
     p = make_params(omega=0.5)
     assert kappa_of_energy(p, 0.0) == 0.0

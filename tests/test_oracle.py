@@ -235,6 +235,37 @@ def test_signed_zero_midpoints_bit_identical(diag, off, guess):
     assert [x.hex() for x in got] == [x.hex() for x in reference_sturm_eigs(diag, off, k)]
 
 
+def _bisection_path_midpoints(lo: float, hi: float, depth: int) -> list[float]:
+    """The midpoints of every path of `depth` plain bisection steps from [lo, hi],
+    each path walked on its own: each node once, at the first path through it."""
+    mids = {}
+    for path in range(1 << depth):
+        a, b, node = lo, hi, 1
+        for step in range(depth):
+            m = 0.5 * (a + b)
+            mids.setdefault(node, m)
+            down = not path >> (depth - 1 - step) & 1
+            a, b, node = (a, m, 2 * node) if down else (m, b, 2 * node + 1)
+    return list(mids.values())
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 6])
+@pytest.mark.parametrize(
+    "lo,hi",
+    [(-1.0, 3.0), (-2.5, -2.5), (5e-324, 5e-324), (0.0, 5e-324), (-5e-324, 1e-320),
+     (-1.7e308, 1.7e308), (1.6e308, 1.7e308), (-1.7e308, -1.6e308), (-0.0, 0.0),
+     (-293.91313092804558, -293.9131309280456), (1.0, 1.0 + 2.0**-52)],
+)
+def test_midpoints_are_those_of_bisection_paths(lo, hi, depth):
+    # bit for bit the midpoints that plain bisection meets on its 2**depth paths,
+    # ascending; an overflowing sum gives inf, as bisection's own does
+    got = oracle._midpoints(lo, hi, depth)
+    want = _bisection_path_midpoints(lo, hi, depth)
+    assert len(got) == (1 << depth) - 1
+    assert sorted(x.hex() for x in got) == sorted(x.hex() for x in want)
+    assert got == sorted(got)
+
+
 def test_multisection_many_levels_bit_identical():
     # k = 200: 12600 shifts per sweep
     diag, off = _random_tridiag(400, 79)
@@ -260,23 +291,24 @@ def test_deep_solve_sweep_count(monkeypatch):
     # base grid's eigenvalues come from LAPACK and it is never swept; each
     # sweep stops where only rows past the turning points are left.  Rows
     # read: 14343 before the ladder, 9408 with a bisected base, 7766
+    # in 18003, and 989 shifts, none counted twice (the table keeps every count)
     calls = []
     count = oracle.sturm_count
 
-    def counting(diag, *args, **kwargs):
+    def counting(diag, offdiag_sq, shifts, **kwargs):
         seen = diag.view(_RowsRead)
-        result = count(seen, *args, **kwargs)
-        calls.append((seen.rows_read, len(diag)))
+        result = count(seen, offdiag_sq, shifts, **kwargs)
+        calls.append((seen.rows_read, len(diag), len(shifts)))
         return result
 
     monkeypatch.setattr(oracle, "sturm_count", counting)
     p = deep_params()
     oracle.fd_eigensolve(p, oracle.default_grid(p, 2), 2)
-    sizes = [n for _, n in calls]
+    sizes = [n for _, n, _ in calls]
     assert sizes == sorted(sizes) and set(sizes) == {2000, 4001}
     assert sizes.count(2000) <= 3 and sizes.count(4001) <= 3
-    swept, total = map(sum, zip(*calls))
-    assert total == 18003 and swept <= 7766
+    swept, total, shifts = map(sum, zip(*calls))
+    assert total == 18003 and swept <= 7766 and shifts <= 989
 
 
 @st.composite

@@ -52,6 +52,15 @@ def test_solve_binding_relative_gaps():
     assert sol.max_gap(Route.EXACT, Route.ORACLE) == 0.0
 
 
+def test_rel_gap_of_a_binding_lost_in_the_pz_shift():
+    # p_z^2/(2m) = 5e19: omega + shift - E rounds to 0, which gave a gap of inf
+    sol = solve(deep_params(p_z=1e10), 1, (Route.ASYMPTOTIC, Route.EXACT), no_grid)
+    with pytest.raises(DomainError, match="p_z shift"):
+        sol.rel_gap(1, Route.ASYMPTOTIC, Route.EXACT)
+    with pytest.raises(DomainError, match="p_z shift"):
+        sol.max_gap(Route.ASYMPTOTIC, Route.EXACT)
+
+
 def test_solve_records_failures_per_route():
     # omega = 0: the closed form still works, the exact route and the default
     # oracle grid both need omega > 0

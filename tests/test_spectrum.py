@@ -479,6 +479,15 @@ def test_quantize_exact_requires_positive_omega():
         spectrum.quantize_exact(deep_params(omega=0.0), 1)
 
 
+@pytest.mark.parametrize("omega", [1e-160, 1e-200, 1e-300])
+def test_quantize_exact_at_tiny_omega(omega):
+    # a beta window ~1e161 wide and more: ITP's (b - a)^2 overflows, and it takes
+    # a bisection step; the level is the small-omega limit within its error
+    ref = spectrum.quantize_exact(deep_params(omega=1e-9), 1)
+    lv = spectrum.quantize_exact(deep_params(omega=omega), 1)
+    assert abs(lv.energy - ref.energy) <= lv.est_error + ref.est_error
+
+
 # ---------------------------------------------------------------------------
 # radial wavefunction
 # ---------------------------------------------------------------------------
