@@ -12,6 +12,7 @@ inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError, ForbiddenRegion, NoBoundStateRegime
@@ -177,6 +178,11 @@ def kappa_of_energy(params: PhysicalParams, energy: float) -> float:
 def energy_of_kappa(params: PhysicalParams, kappa: float) -> float:
     """Inverse of kappa_of_energy: E = 2 omega kappa + shift."""
     return 2.0 * params.omega * kappa + params.energy_shift
+
+
+def is_count(n) -> bool:
+    """The one rule for a level or point count: an integer (numpy's too), not a bool."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
 def parse_config_text(text: str) -> dict[str, float]:

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import model
 from .errors import DomainError, GridTooCoarse
-from .model import PhysicalParams
+from .model import PhysicalParams, is_count
 
 RICHARDSON_SPACING_FRACTION = 0.01
 BOUNDARY_MASS_LIMIT = 1e-6
@@ -79,7 +79,7 @@ class RadialGridSpec:
     def __post_init__(self) -> None:
         if not self.r_min < self.r_max:
             raise DomainError("grid requires r_min < r_max")
-        if not isinstance(self.points, (int, np.integer)):
+        if not is_count(self.points):
             raise DomainError("grid requires an integer number of points")
         if self.points < 100:
             raise DomainError("grid requires at least 100 points")
@@ -269,7 +269,7 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
     n = len(diag)
     if len(offdiag) != max(n - 1, 0):
         raise DomainError("offdiag must have length len(diag) - 1")
-    if not 1 <= k <= n:
+    if not (is_count(k) and 1 <= k <= n):
         raise DomainError("need 1 <= k <= matrix dimension")
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag))):
         raise DomainError("matrix entries must be finite")
@@ -392,6 +392,8 @@ def default_grid(
     k-th level (estimated from the oscillator ladder as a fallback height)."""
     if params.omega <= 0:
         raise DomainError("default_grid needs omega > 0; supply an explicit grid")
+    if not is_count(k_levels):
+        raise DomainError("default_grid needs an integer k_levels")
     e_top = params.omega * (2.0 * k_levels + 1.0) + params.energy_shift
     r_turn = model.outer_turning_radius(params, e_top)
     return RadialGridSpec(params.cutoff_R, 3.0 * r_turn, points)
@@ -422,7 +424,7 @@ def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -
     of its mass into the outer 5% of the domain (r_max too small), or is not
     a finite vector.
     """
-    if not 1 <= k_levels <= grid.points:
+    if not (is_count(k_levels) and 1 <= k_levels <= grid.points):
         raise DomainError("need 1 <= k_levels <= grid.points")
     k_work = min(k_levels + 1, grid.points)  # one spare level to gauge the spacing
     base = RadialGridSpec(grid.r_min, grid.r_max,

@@ -16,7 +16,7 @@ from typing import Callable, Union
 
 from . import oracle, spectrum
 from .errors import DipoleWellError, DomainError, NoBoundStateRegime
-from .model import PhysicalParams, derive, kappa_of_energy
+from .model import PhysicalParams, derive, is_count, kappa_of_energy
 from .oracle import RadialGridSpec
 from .spectrum import EnergyLevel, Route
 
@@ -118,7 +118,7 @@ def solve(
     It is called only when the oracle route runs, so a failure to build the
     grid is recorded as the oracle's.
     """
-    if n_max < 1:
+    if not (is_count(n_max) and n_max >= 1):
         raise DomainError("n_max must be >= 1")
     runs = {
         Route.ASYMPTOTIC: lambda: spectrum.energy_levels_asymptotic(params, n_max),

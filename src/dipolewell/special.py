@@ -32,12 +32,13 @@ so one root search computes one lnGamma(2 i mu) and the same floats.
 ascending array of x, as a wavefunction profile needs: the two log-Gammas
 once, and the Kummer series of all samples up to LARGE_X_SWITCH together
 on numpy arrays that replay CPython's complex arithmetic operation by
-operation.  It returns the mantissas and exponents, which equal the scalar
-``whittaker_w_scaled`` calls' fields bit for bit, and it raises the
-exception a loop over those calls would raise first.  The rule that keeps
-the bits: numpy for the IEEE arithmetic (+, -, *, / and libm's hypot),
-cmath/math per element for the transcendentals (log, cos), whose numpy
-versions need not round alike.
+operation.  Every sample that this prefix does not finish is a scalar
+``whittaker_w_scaled`` call, so the mantissas and exponents equal the
+scalar calls' fields bit for bit, and any exception is the one a loop over
+those calls would raise first.  The rule that keeps the prefix's bits:
+numpy for the IEEE arithmetic (+, -, *, / and libm's hypot), cmath/math
+per element for the transcendentals (log, cos), whose numpy versions need
+not round alike.
 """
 
 from __future__ import annotations
@@ -203,7 +204,8 @@ def _kummer_series_scaled(
         try:
             mag, tmag = abs(s), abs(t)
         except OverflowError:  # the modulus of a finite complex exceeds double range
-            raise _kummer_overflow(a, b, x) from None
+            raise ConvergenceError(
+                f"Kummer series magnitude overflows (a={a}, b={b}, x={x})") from None
         peak = max(peak, mag, tmag)
         if tmag <= 1e-16 * max(mag, 1e-300):
             small_streak += 1
@@ -218,32 +220,25 @@ def _kummer_series_scaled(
             peak *= 1e-250
             ln_scale += _LN_1E250
     else:
-        raise _kummer_nonconvergence(a, b, x)
+        raise ConvergenceError(
+            f"Kummer series failed truncation test after {KUMMER_MAX_TERMS} terms "
+            f"(a={a}, b={b}, x={x})"
+        )
     est_rel = _TWO_EPS * (peak / max(abs(s), 1e-300)) + 4e-16
     return s, ln_scale, est_rel
 
 
-def _kummer_nonconvergence(a: complex, b: complex, x: float) -> ConvergenceError:
-    return ConvergenceError(
-        f"Kummer series failed truncation test after {KUMMER_MAX_TERMS} terms "
-        f"(a={a}, b={b}, x={x})"
-    )
-
-
-def _kummer_overflow(a: complex, b: complex, x: float) -> ConvergenceError:
-    return ConvergenceError(f"Kummer series magnitude overflows (a={a}, b={b}, x={x})")
-
-
 class _SeriesArray(NamedTuple):
-    """Kummer sums of _whittaker_series_array, unset from a failing sample on."""
+    """Kummer sums of _whittaker_series_array."""
 
     sums: np.ndarray  # complex
     ln_scale: np.ndarray
     est_rel: np.ndarray
-    error: Exception | None  # what the scalar series raises at its first failing sample
 
 
-def _whittaker_series_array(kappa: float, mu_signed: float, x: np.ndarray) -> _SeriesArray:
+def _whittaker_series_array(
+    kappa: float, mu_signed: float, x: np.ndarray
+) -> _SeriesArray | None:
     """_kummer_series_scaled of M_{kappa, i*mu_signed} at every x, bit for bit.
 
     a = 1/2 - kappa + i*mu_signed and b = 1 + 2i*mu_signed, which is never a
@@ -251,8 +246,9 @@ def _whittaker_series_array(kappa: float, mu_signed: float, x: np.ndarray) -> _S
     float64 pairs: complex products as CPython's _Py_c_prod, the quotient as
     its _Py_c_quot (Smith's ratio/denom, dividing by denom; numpy's complex
     division rounds differently), a float promoted to complex(x, 0.0), and
-    magnitudes as hypot.  A sample leaves the active set once it stops; on a
-    failure the later samples are dropped, since only the first is raised.
+    magnitudes as hypot.  A sample leaves the active set once it stops.
+    None where the scalar loop may raise: a magnitude is infinite, or a
+    sample is still live after KUMMER_MAX_TERMS terms.
     """
     n = len(x)
     a = complex(0.5 - kappa, mu_signed)
@@ -265,7 +261,6 @@ def _whittaker_series_array(kappa: float, mu_signed: float, x: np.ndarray) -> _S
     tr, ti = np.ones(n), np.zeros(n)
     ln_scale, peak = np.zeros(n), np.ones(n)
     prev = np.zeros(n, dtype=bool)  # the previous term was small
-    error = None
     k = 0
     with np.errstate(all="ignore"):
         while k < KUMMER_MAX_TERMS and len(live):
@@ -295,19 +290,8 @@ def _whittaker_series_array(kappa: float, mu_signed: float, x: np.ndarray) -> _S
             top = np.fmax(mag, tmag)  # fmax skips one NaN: top > 1e250 iff mag or tmag is
             big = top > 1e250
             any_big = big.any()
-            if any_big:
-                # the scalar abs() of a finite complex overflows where hypot does
-                over = (np.isinf(mag) & np.isfinite(sr) & np.isfinite(si)) | (
-                    np.isinf(tmag) & np.isfinite(tr) & np.isfinite(ti)
-                )
-                if over.any():
-                    j = int(np.argmax(over))
-                    error = _kummer_overflow(a, b, float(xs[j]))
-                    keep = slice(0, j)
-                    live, xs, sr, si, cr, ci, tr, ti = (
-                        v[keep] for v in (live, xs, sr, si, cr, ci, tr, ti))
-                    ln_scale, peak, prev, mag, tmag, top, big = (
-                        v[keep] for v in (ln_scale, peak, prev, mag, tmag, top, big))
+            if any_big and np.isinf(top).any():
+                return None
             # peak is never NaN, so fmax keeps max(peak, mag, tmag)'s choice
             peak = np.fmax(peak, top)
             small = tmag <= 1e-16 * np.maximum(mag, 1e-300)
@@ -330,11 +314,11 @@ def _whittaker_series_array(kappa: float, mu_signed: float, x: np.ndarray) -> _S
                     v[keep] for v in (live, xs, sr, si, cr, ci, tr, ti))
                 ln_scale, peak, prev = (v[keep] for v in (ln_scale, peak, prev))
         if len(live):
-            error = _kummer_nonconvergence(a, b, float(xs[0]))
+            return None
         sums = np.empty(n, dtype=complex)
         sums.real, sums.imag = res[0], res[1]
         est_rel = _TWO_EPS * (res[3] / np.maximum(np.hypot(res[0], res[1]), 1e-300)) + 4e-16
-    return _SeriesArray(sums, res[2], est_rel, error)
+    return _SeriesArray(sums, res[2], est_rel)
 
 
 def kummer_m(a: complex, b: complex, x: float) -> KummerM:
@@ -519,32 +503,32 @@ def whittaker_w_scaled_array(kappa: float, mu: float, x) -> tuple[np.ndarray, np
     """(mantissa, exponent) of whittaker_w_scaled(kappa, mu, xi) at every xi of
     the ascending array x, as two float arrays.
 
-    x must be finite, > 0 and ascending (DomainError otherwise).  Both arrays
-    equal the scalar calls' fields bit for bit, and the exception raised is
-    the one the scalar loop over x would raise first, with the same type and
-    message.  x splits once at LARGE_X_SWITCH: the prefix shares one pair of
-    log-Gammas and runs the Kummer series of M_{kappa,-i mu} of all its
-    samples as float64 arrays (see _whittaker_series_array); the suffix
-    takes the large-x route sample by sample.  The prefix's tail replays
-    _connection_w's log T in CPython's operation order: numpy does the
-    IEEE-exact float arithmetic, while cmath.log and math.cos run per
-    element, because numpy's log rounds differently (and its cos need not
-    be libm's).  Root finding keeps the scalar function.
+    x must be ascending (DomainError otherwise).  Both arrays equal the
+    scalar calls' fields bit for bit, and the exception raised is the one
+    the scalar loop over x would raise first.  The prefix x <= LARGE_X_SWITCH
+    shares one pair of log-Gammas and runs the Kummer series of
+    M_{kappa,-i mu} of all its samples as float64 arrays (see
+    _whittaker_series_array); its tail replays _connection_w's log T in
+    CPython's operation order: numpy does the IEEE-exact float arithmetic,
+    while cmath.log and math.cos run per element, because numpy's log rounds
+    differently (and its cos need not be libm's).  Every other sample is a
+    whittaker_w_scaled call: the suffix past LARGE_X_SWITCH, and all of x
+    when mu <= 0, when some x is not finite and > 0, or when the array
+    series gives up.  Root finding keeps the scalar function.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all((x > 0.0) & (x < math.inf)):
-        raise DomainError("whittaker_w requires finite x > 0")
     if np.any(x[1:] < x[:-1]):
         raise DomainError("whittaker_w_scaled_array requires ascending x")
-    if mu <= 0:
-        raise DomainError("whittaker_w requires mu > 0")
-    split = int(np.searchsorted(x, LARGE_X_SWITCH, side="right"))
-    mantissa, exponent = np.empty(0), np.empty(0)
+    split, minus = 0, None
+    if mu > 0 and np.all((x > 0.0) & (x < math.inf)):
+        split = int(np.searchsorted(x, LARGE_X_SWITCH, side="right"))
     if split:
         lr, _ = _connection_gammas(w_point(mu), kappa, mu)
         minus = _whittaker_series_array(kappa, -mu, x[:split])
-        if minus.error is not None:
-            raise minus.error
+    mantissa, exponent = np.empty(0), np.empty(0)
+    if minus is None:
+        split = 0
+    else:
         xp, m = x[:split], -mu
         log_x = np.array(list(map(cmath.log, xp.tolist())))
         log_s = np.array(list(map(cmath.log, minus.sums.tolist())))
@@ -553,9 +537,9 @@ def whittaker_w_scaled_array(kappa: float, mu: float, x) -> tuple[np.ndarray, np
         im = 0.0 + (0.5 * log_x.imag + m * log_x.real) + 0.0 + log_s.imag
         exponent = lr.real + re
         mantissa = 2.0 * np.array(list(map(math.cos, (lr.imag + im).tolist())))
-    large = [_whittaker_w_asymptotic(kappa, mu, xi) for xi in x[split:].tolist()]
-    return (np.concatenate([mantissa, [w.mantissa for w in large]]),
-            np.concatenate([exponent, [w.exponent for w in large]]))
+    rest = [whittaker_w_scaled(kappa, mu, xi) for xi in x[split:].tolist()]
+    return (np.concatenate([mantissa, [w.mantissa for w in rest]]),
+            np.concatenate([exponent, [w.exponent for w in rest]]))
 
 
 def gamma_uniform_asymptotic(a: float, zeta: float, b: complex) -> GammaAsym:
@@ -595,14 +579,11 @@ class SmallXApprox:
         A = e^{beta - mu*pi} / (sqrt(2*mu) beta^{beta - 1/2})
 
     held as log_amplitude because e^beta overflows for beta > ~709 and A
-    itself underflows once log_amplitude < ~-745.  valid_below_x is the
-    heuristic x below which the neglected first series correction stays
-    under ~5%.
+    itself underflows once log_amplitude < ~-745.
     """
 
     log_amplitude: float
     phase_at_x1: float
-    valid_below_x: float
     beta: float
     mu: float
 
@@ -668,5 +649,4 @@ def whittaker_w_smallx_approx(kappa: float, mu: float) -> SmallXApprox:
         raise DomainError(f"whittaker_w_smallx_approx: beta/(4 mu^2) leaves double range "
                           f"(kappa={kappa}, mu={mu})")
     phase_at_x1 = 2.0 * mu + mu * math.log(ratio) + 0.25 * math.pi
-    valid = min(0.9, 0.05 * math.hypot(1.0, 2.0 * mu) / beta)
-    return SmallXApprox(log_amplitude, phase_at_x1, valid, beta, mu)
+    return SmallXApprox(log_amplitude, phase_at_x1, beta, mu)

@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import BracketError, DomainError
 from .model import (
-    DerivedParams, PhysicalParams, derive, energy_of_kappa, kappa_of_energy, outer_turning_radius
+    DerivedParams, PhysicalParams, derive, energy_of_kappa, is_count, kappa_of_energy,
+    outer_turning_radius,
 )
 from .special import WPoint, w_point, whittaker_w_scaled, whittaker_w_scaled_array
 
@@ -73,6 +74,8 @@ def binding_energy(params: PhysicalParams, n: int) -> float:
     special case reduces to the same arithmetic bit for bit.  DomainError
     where b_n leaves double range.
     """
+    if not is_count(n):
+        raise DomainError("level index n must be an integer")
     return _binding(params, derive(params), n)
 
 
@@ -127,7 +130,7 @@ def energy_levels_asymptotic(params: PhysicalParams, n_max: int) -> list[EnergyL
     omega = 0 limit is taken literally.  Levels outside the validity domain
     are returned too; solve.Solution.flags names their regime failures.
     """
-    if n_max < 1:
+    if not (is_count(n_max) and n_max >= 1):
         raise DomainError("n_max must be >= 1")
     d = derive(params)
     levels = []
@@ -160,7 +163,7 @@ def quantize_exact(params: PhysicalParams, n: int) -> EnergyLevel:
     """
     if params.omega <= 0:
         raise DomainError("quantize_exact requires omega > 0 (use the numeric oracle)")
-    if n < 1:
+    if not (is_count(n) and n >= 1):
         raise DomainError("level index n must be >= 1")
     d = derive(params)
     mu, x0, lam = d.mu, d.x0, d.Lambda
@@ -275,7 +278,7 @@ def radial_wavefunction(
         r_max = 3.0 * outer_turning_radius(params, level.energy)
     if r_max <= params.cutoff_R:
         raise DomainError("r_max must exceed the cut-off radius")
-    if samples < 2:
+    if not (is_count(samples) and samples >= 2):
         raise DomainError("need at least 2 samples")
     if level.kappa is None:
         raise DomainError("level carries no kappa (omega = 0 route?)")

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from dipolewell import spectrum
+from dipolewell import oracle, spectrum
 from dipolewell.errors import DomainError, NoBoundStateRegime
 from dipolewell.model import PhysicalParams
 from dipolewell.oracle import RadialGridSpec
@@ -91,3 +92,31 @@ def test_solve_regime_violation_propagates():
         solve(deep_params(ell=6), 1, ROUTES, no_grid)
     with pytest.raises(DomainError):
         solve(deep_params(), 0, ROUTES, no_grid)
+
+
+_TRIDIAG = (np.array([2.0, 1.0, 3.0, 0.5]), np.array([0.3, -0.7, 0.2]))
+
+# each library entry point that takes a count, and the floats it returns
+COUNTED = {
+    "binding_energy": lambda c: [spectrum.binding_energy(deep_params(), c)],
+    "energy_levels_asymptotic": lambda c: [
+        lv.energy for lv in spectrum.energy_levels_asymptotic(deep_params(), c)],
+    "quantize_exact": lambda c: [spectrum.quantize_exact(deep_params(), c).energy],
+    "radial_wavefunction": lambda c: spectrum.radial_wavefunction(
+        deep_params(), spectrum.quantize_exact(deep_params(), 1), None, c).f_values.tolist(),
+    "solve": lambda c: [lv.energy for route in ROUTES
+                        for lv in solve(deep_params(), c, ROUTES).outcomes[route]],
+    "default_grid": lambda c: [oracle.default_grid(deep_params(), c).r_max],
+    "fd_eigensolve": lambda c: oracle.fd_eigensolve(
+        deep_params(), oracle.default_grid(deep_params(), 2), c).energies(deep_params()),
+    "sturm_tridiag_eigs": lambda c: oracle.sturm_tridiag_eigs(*_TRIDIAG, c, guesses=None),
+}
+
+
+@pytest.mark.parametrize("entry", COUNTED)
+def test_counts_must_be_integers(entry):
+    # a float or bool count once failed with an untyped TypeError, or answered
+    for count in (2.5, 2.0, True):
+        with pytest.raises(DomainError):
+            COUNTED[entry](count)
+    assert COUNTED[entry](np.int64(2)) == COUNTED[entry](2)

@@ -449,16 +449,23 @@ DESCENDING = (DomainError, "whittaker_w_scaled_array requires ascending x")
         (-3.0, 2.5, [0.1, math.nan, 0.2], DomainError),  # non-finite x after a good sample
         (-3.0, 2.5, [-1.0, 0.1], DomainError),
         (-3.0, 0.0, [0.1], DomainError),  # mu <= 0
+        # a good-looking sample fails before a non-finite one is reached
+        (0.5 - 4e8, 3.5, [0.25, math.nan], ConvergenceError),
+        (-3.0, 0.0, [], None),  # no sample, so nothing to raise, whatever mu
     ],
     ids=["kummer_cap", "abs_overflow", "cap_before_overflow", "log_gamma", "descending_x",
-         "large_x", "large_x_first", "nan_x", "negative_x", "mu_zero"],
+         "large_x", "large_x_first", "nan_x", "negative_x", "mu_zero", "kummer_cap_before_nan",
+         "mu_zero_no_x"],
 )
 def test_whittaker_w_array_raises_the_first_scalar_error(kappa, mu, xs, error):
     if error is DESCENDING:
         expect = DESCENDING
     else:
         expect = _scalar_outcome(kappa, mu, xs)
-        assert isinstance(expect, tuple) and expect[0] is error
+        if error is None:
+            assert expect == []
+        else:
+            assert isinstance(expect, tuple) and expect[0] is error
     assert _array_outcome(kappa, mu, xs) == expect
 
 
@@ -494,7 +501,7 @@ def test_whittaker_w_array_rescaled_sums():
         expect = [special._kummer_series_scaled(a, b, x) for x in xs]
         assert all(ln_scale > 0.0 for _, ln_scale, _ in expect)
         got = special._whittaker_series_array(kappa, m, np.array(xs))
-        assert got.error is None
+        assert got is not None
         assert list(zip(got.sums, got.ln_scale, got.est_rel)) == expect
     expect = _scalar_outcome(kappa, mu, xs)
     assert len(expect) == len(xs)
@@ -515,6 +522,15 @@ def test_whittaker_w_array_rescaled_sums():
 def test_whittaker_w_array_split_boundaries(xs):
     expect = _scalar_outcome(-2.0, 1.5, xs)
     assert len(expect) == len(xs)
+    assert _array_outcome(-2.0, 1.5, xs) == expect
+
+
+def test_whittaker_w_array_scalar_fallback_values(monkeypatch):
+    # where the array series gives up, the scalar calls return every sample
+    xs = np.linspace(0.01, 45.0, 64).tolist()
+    expect = _scalar_outcome(-2.0, 1.5, xs)
+    assert len(expect) == len(xs)
+    monkeypatch.setattr(special, "_whittaker_series_array", lambda kappa, m, x: None)
     assert _array_outcome(-2.0, 1.5, xs) == expect
 
 
@@ -684,8 +700,3 @@ def test_smallx_agreement_with_connection_route():
     w_exact = special.whittaker_w_scaled(-50.0, 2.5, 1e-5).value
     approx = special.whittaker_w_smallx_approx(-50.0, 2.5)
     assert abs(approx.value(1e-5) - w_exact) <= 0.10 * abs(w_exact)
-
-
-def test_smallx_validity_bound_shape():
-    approx = special.whittaker_w_smallx_approx(0.5 - 200.0, 2.5)
-    assert 0.0 < approx.valid_below_x < 1.0
