@@ -54,7 +54,7 @@ class PhysicalParams:
                 raise DomainError(f"{name} must be strictly positive")
         if self.omega < 0:
             raise DomainError("omega must be >= 0")
-        if not isinstance(self.ell, int):
+        if not isinstance(self.ell, int) or isinstance(self.ell, bool):
             raise DomainError("ell must be an integer")
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):

@@ -32,13 +32,13 @@ so one root search computes one lnGamma(2 i mu) and the same floats.
 ascending array of x, as a wavefunction profile needs: the two log-Gammas
 once, and the Kummer series of all samples up to LARGE_X_SWITCH together
 on numpy arrays that replay CPython's complex arithmetic operation by
-operation.  Every sample that this prefix does not finish is a scalar
-``whittaker_w_scaled`` call, so the mantissas and exponents equal the
-scalar calls' fields bit for bit, and any exception is the one a loop over
-those calls would raise first.  The rule that keeps the prefix's bits:
-numpy for the IEEE arithmetic (+, -, *, / and libm's hypot), cmath/math
-per element for the transcendentals (log, cos), whose numpy versions need
-not round alike.
+operation, short of the scalar's 1e250 rescale (W = T + conj(T) is
+cancellation noise there).  Every sample that this prefix does not finish
+is a scalar ``whittaker_w_scaled`` call, so the mantissas and exponents
+equal the scalar calls' fields bit for bit, and any exception is the one a
+loop over those calls would raise first.  The prefix's bits: numpy for the
+IEEE arithmetic (+, -, *, / and libm's hypot), cmath/math per element for
+the transcendentals (log, cos), whose numpy versions need not round alike.
 """
 
 from __future__ import annotations
@@ -232,14 +232,14 @@ class _SeriesArray(NamedTuple):
     """Kummer sums of _whittaker_series_array."""
 
     sums: np.ndarray  # complex
-    ln_scale: np.ndarray
     est_rel: np.ndarray
 
 
 def _whittaker_series_array(
     kappa: float, mu_signed: float, x: np.ndarray
 ) -> _SeriesArray | None:
-    """_kummer_series_scaled of M_{kappa, i*mu_signed} at every x, bit for bit.
+    """_kummer_series_scaled of M_{kappa, i*mu_signed} at every x, bit for bit,
+    where its ln_scale is 0.
 
     a = 1/2 - kappa + i*mu_signed and b = 1 + 2i*mu_signed, which is never a
     pole.  Each sample runs the scalar loop's operations in the same order on
@@ -247,19 +247,19 @@ def _whittaker_series_array(
     its _Py_c_quot (Smith's ratio/denom, dividing by denom; numpy's complex
     division rounds differently), a float promoted to complex(x, 0.0), and
     magnitudes as hypot.  A sample leaves the active set once it stops.
-    None where the scalar loop may raise: a magnitude is infinite, or a
-    sample is still live after KUMMER_MAX_TERMS terms.
+    None where the scalar loop may rescale or raise: a live term or partial
+    sum passes 1e250, or a sample is still live after KUMMER_MAX_TERMS terms.
     """
     n = len(x)
     a = complex(0.5 - kappa, mu_signed)
     b = complex(1.0, 2.0 * mu_signed)
-    res = np.zeros((4, n))  # final sum (re, im), ln_scale and peak per sample
+    res = np.zeros((3, n))  # final sum (re, im) and peak per sample
     live = np.arange(n)
     xs = x
     sr, si = np.ones(n), np.zeros(n)
     cr, ci = np.zeros(n), np.zeros(n)
     tr, ti = np.ones(n), np.zeros(n)
-    ln_scale, peak = np.zeros(n), np.ones(n)
+    peak = np.ones(n)
     prev = np.zeros(n, dtype=bool)  # the previous term was small
     k = 0
     with np.errstate(all="ignore"):
@@ -288,37 +288,24 @@ def _whittaker_series_array(
             mag = np.hypot(sr, si)
             tmag = np.hypot(tr, ti)
             top = np.fmax(mag, tmag)  # fmax skips one NaN: top > 1e250 iff mag or tmag is
-            big = top > 1e250
-            any_big = big.any()
-            if any_big and np.isinf(top).any():
+            if (top > 1e250).any():  # the scalar loop may rescale here, or raise
                 return None
             # peak is never NaN, so fmax keeps max(peak, mag, tmag)'s choice
             peak = np.fmax(peak, top)
             small = tmag <= 1e-16 * np.maximum(mag, 1e-300)
             done = small & prev
             prev = small
-            if any_big and (rescale := big & ~done).any():
-                f = 1e-250
-                sr, si = (np.where(rescale, sr * f - si * 0.0, sr),
-                          np.where(rescale, sr * 0.0 + si * f, si))
-                cr, ci = (np.where(rescale, cr * f - ci * 0.0, cr),
-                          np.where(rescale, cr * 0.0 + ci * f, ci))
-                tr, ti = (np.where(rescale, tr * f - ti * 0.0, tr),
-                          np.where(rescale, tr * 0.0 + ti * f, ti))
-                peak = np.where(rescale, peak * f, peak)
-                ln_scale = np.where(rescale, ln_scale + _LN_1E250, ln_scale)
             if done.any():
-                res[:, live[done]] = sr[done], si[done], ln_scale[done], peak[done]
+                res[:, live[done]] = sr[done], si[done], peak[done]
                 keep = ~done
-                live, xs, sr, si, cr, ci, tr, ti = (
-                    v[keep] for v in (live, xs, sr, si, cr, ci, tr, ti))
-                ln_scale, peak, prev = (v[keep] for v in (ln_scale, peak, prev))
+                live, xs, sr, si, cr, ci, tr, ti, peak, prev = (
+                    v[keep] for v in (live, xs, sr, si, cr, ci, tr, ti, peak, prev))
         if len(live):
             return None
         sums = np.empty(n, dtype=complex)
         sums.real, sums.imag = res[0], res[1]
-        est_rel = _TWO_EPS * (res[3] / np.maximum(np.hypot(res[0], res[1]), 1e-300)) + 4e-16
-    return _SeriesArray(sums, res[2], est_rel)
+        est_rel = _TWO_EPS * (res[2] / np.maximum(np.hypot(res[0], res[1]), 1e-300)) + 4e-16
+    return _SeriesArray(sums, est_rel)
 
 
 def kummer_m(a: complex, b: complex, x: float) -> KummerM:
@@ -514,7 +501,8 @@ def whittaker_w_scaled_array(kappa: float, mu: float, x) -> tuple[np.ndarray, np
     differently (and its cos need not be libm's).  Every other sample is a
     whittaker_w_scaled call: the suffix past LARGE_X_SWITCH, and all of x
     when mu <= 0, when some x is not finite and > 0, or when the array
-    series gives up.  Root finding keeps the scalar function.
+    series gives up (a sum past 1e250, or the term cap).  Root finding keeps
+    the scalar function.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x[1:] < x[:-1]):
@@ -532,8 +520,8 @@ def whittaker_w_scaled_array(kappa: float, mu: float, x) -> tuple[np.ndarray, np
         xp, m = x[:split], -mu
         log_x = np.array(list(map(cmath.log, xp.tolist())))
         log_s = np.array(list(map(cmath.log, minus.sums.tolist())))
-        # lr + _m_log_from_sum(m, x, s, ln_scale): each complex + float adds 0.0 to imag
-        re = -0.5 * xp + (0.5 * log_x.real - m * log_x.imag) + minus.ln_scale + log_s.real
+        # lr + _m_log_from_sum(m, x, s, 0.0): each complex + float adds 0.0 to imag
+        re = -0.5 * xp + (0.5 * log_x.real - m * log_x.imag) + 0.0 + log_s.real
         im = 0.0 + (0.5 * log_x.imag + m * log_x.real) + 0.0 + log_s.imag
         exponent = lr.real + re
         mantissa = 2.0 * np.array(list(map(math.cos, (lr.imag + im).tolist())))

@@ -39,6 +39,9 @@ CASES = [
     ("sweep_cutoff_static", ["sweep-cutoff", "--config", CFG, "--omega", "0",
                              "--radii", "0.2,0.1,0.05"], 0),
     ("wavefunction", ["wavefunction", "--config", CFG, "--n", "1", "--rmax", "0.7"], 0),
+    # ~100x the turning radius: the Kummer sums of 13 of the 64 samples pass 1e250
+    ("wavefunction_rescaled", ["wavefunction", "--config", CFG, "--n", "1", "--rmax", "30",
+                               "--samples", "64"], 0),
     # the closed-form level misses f(R) = 0, which stderr warns about
     ("wavefunction_asymptotic", ["wavefunction", "--config", CFG, "--n", "2",
                                  "--route", "asymptotic", "--rmax", "0.7"], 0),

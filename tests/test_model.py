@@ -40,6 +40,14 @@ def test_params_validation():
         make_params(ell=1.5)  # type: ignore[arg-type]
 
 
+def test_params_reject_bool_ell():
+    for ell in (True, False):
+        with pytest.raises(DomainError, match="ell must be an integer"):
+            make_params(ell=ell)
+    d = model.derive(make_params(ell=1))
+    assert (d.Lambda, d.mu, d.x0) == (4.898979485566356, 2.449489742783178, 1.0000000000000003e-05)
+
+
 @pytest.mark.parametrize("field", ["mass_m", "polarizability_alpha", "field_coupling_lambda",
                                    "omega", "cutoff_R", "p_z"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

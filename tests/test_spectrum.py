@@ -551,6 +551,27 @@ def test_radial_wavefunction_w_bits_equal_the_scalar_w(deep_exact_levels, monkey
         assert [e.hex() for e in exponent.tolist()] == [w.exponent.hex() for w in ws]
 
 
+@pytest.mark.parametrize("lam", [2.5, 5.0, 7.0])
+def test_radial_wavefunction_sums_stay_below_the_rescale(lam, monkeypatch):
+    # the profile workload's range at the default r_max, 3x the turning radius:
+    # beta x stays below ~9 Lambda^2 / 4, far from the ~8e4 at which a Kummer
+    # sum passes 1e250 and the array series hands its samples to the scalar W
+    sums = []
+    series = special._whittaker_series_array
+
+    def recording(kappa, m, x):
+        sums.append(series(kappa, m, x))
+        return sums[-1]
+
+    monkeypatch.setattr(special, "_whittaker_series_array", recording)
+    for x0 in (1e-6, 1e-3):
+        p = PhysicalParams(1.0, 0.5 * lam * lam, 1.0, x0 / 0.01, 0.1)
+        for n in (1, 2, 3):
+            spectrum.radial_wavefunction(p, spectrum.quantize_exact(p, n), None, 512)
+    assert len(sums) == 6
+    assert all(s is not None for s in sums)
+
+
 def test_radial_wavefunction_tail_decay(deep_exact_levels):
     p = deep_params()
     profile = spectrum.radial_wavefunction(p, deep_exact_levels[1], r_max=1.0, samples=800)
