@@ -42,9 +42,7 @@ from .solve import ROUTES, Solution, solve
 from .special import (
     SmallXApprox,
     gamma_uniform_asymptotic,
-    kummer_m,
     ln_gamma_complex,
-    whittaker_m_imag,
     whittaker_w_scaled,
     whittaker_w_smallx_approx,
 )
@@ -68,8 +66,8 @@ __all__ = [
     "energy_of_kappa", "kappa_of_energy",
     "OracleResult", "RadialGridSpec", "fd_eigensolve", "sturm_tridiag_eigs",
     "ROUTES", "Solution", "solve",
-    "SmallXApprox", "gamma_uniform_asymptotic", "kummer_m", "ln_gamma_complex",
-    "whittaker_m_imag", "whittaker_w_scaled", "whittaker_w_smallx_approx",
+    "SmallXApprox", "gamma_uniform_asymptotic", "ln_gamma_complex",
+    "whittaker_w_scaled", "whittaker_w_smallx_approx",
     "EnergyLevel", "RadialProfile", "Route", "binding_energy",
     "energy_levels_asymptotic", "quantize_exact", "radial_wavefunction",
     "__version__",

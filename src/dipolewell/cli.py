@@ -154,8 +154,7 @@ def _potential_flags(p: argparse.ArgumentParser) -> None:
 def _eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("kind", choices=list(_EVAL_ARGC))
     p.add_argument("args", type=float, nargs="*",
-                   help="GammaLn re im | KummerM a_re a_im b_re b_im x | "
-                        "WhittakerM kappa mu x | WhittakerW kappa mu x | WSmallX kappa mu x")
+                   help="GammaLn re im | WhittakerW kappa mu x | WSmallX kappa mu x")
 
 
 def _parser(commands) -> _Parser:
@@ -358,7 +357,7 @@ def cmd_potential(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_EVAL_ARGC = {"GammaLn": 2, "KummerM": 5, "WhittakerM": 3, "WhittakerW": 3, "WSmallX": 3}
+_EVAL_ARGC = {"GammaLn": 2, "WhittakerW": 3, "WSmallX": 3}
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
@@ -372,13 +371,6 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         raise _UsageError(f"{ns.kind} arguments must be finite")
     if ns.kind == "GammaLn":
         res = special.ln_gamma_complex(complex(a[0], a[1]))
-        print(f"{_fmt15(res.value.real)} {_fmt15(res.value.imag)} {_fmt15(res.est_error)}")
-    elif ns.kind == "KummerM":
-        res = special.kummer_m(complex(a[0], a[1]), complex(a[2], a[3]), a[4])
-        print(f"{_fmt15(res.value.real)} {_fmt15(res.value.imag)} "
-              f"{_fmt15(res.est_error * abs(res.value))}")
-    elif ns.kind == "WhittakerM":
-        res = special.whittaker_m_imag(a[0], a[1], a[2])
         print(f"{_fmt15(res.value.real)} {_fmt15(res.value.imag)} {_fmt15(res.est_error)}")
     elif ns.kind == "WhittakerW":
         res = special.whittaker_w_scaled(a[0], a[1], a[2])

@@ -1,12 +1,12 @@
 """Special functions of imaginary order used by the radial bound-state problem.
 
-The bound-state machinery needs four ingredients:
+The bound-state machinery needs three ingredients:
 
 * complex log-Gamma (Lanczos rational approximation),
-* the Kummer confluent hypergeometric series M(a; b; x),
-* Whittaker functions M_{k, i*mu}(x) and W_{k, i*mu}(x) of imaginary
-  second index, the latter through the Gamma-weighted connection formula
-  that adds a term in M_{k, -i*mu} to its complex conjugate,
+* the Whittaker function W_{k, i*mu}(x) of imaginary second index, through
+  the Gamma-weighted connection formula that adds a term in M_{k, -i*mu}
+  (a Kummer confluent hypergeometric series M(a; b; x)) to its complex
+  conjugate,
 * the large-argument approximation of Gamma and the resulting small-x
   cosine approximation of W with amplitude computed in log space.
 
@@ -94,23 +94,7 @@ _LN_1E250 = 250.0 * math.log(10.0)  # a Kummer sum's scale step
 LARGE_X_SWITCH = 30.0
 
 
-def _require_finite(z: complex, what: str) -> complex:
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ConvergenceError(f"{what} produced a non-finite value")
-    return z
-
-
 class GammaLn(NamedTuple):
-    value: complex
-    est_error: float
-
-
-class KummerM(NamedTuple):
-    value: complex
-    est_error: float
-
-
-class WhittakerM(NamedTuple):
     value: complex
     est_error: float
 
@@ -171,7 +155,9 @@ def ln_gamma_complex(z: complex) -> GammaLn:
     t = wm + _LANCZOS_G + 0.5
     val = _HALF_LOG_2PI + (wm + 0.5) * cmath.log(t) - t + cmath.log(s) - shift
     est = 5e-15 * (1.0 + abs(val)) * (1.0 + 0.1 * shifts)
-    return GammaLn(_require_finite(val, "ln_gamma_complex"), est)
+    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+        raise ConvergenceError("ln_gamma_complex produced a non-finite value")
+    return GammaLn(val, est)
 
 
 def _kummer_series_scaled(
@@ -308,72 +294,6 @@ def _whittaker_series_array(
     return _SeriesArray(sums, est_rel)
 
 
-def kummer_m(a: complex, b: complex, x: float) -> KummerM:
-    """Confluent hypergeometric M(a; b; x) = sum_k (a)_k/(b)_k x^k/k!.
-
-    Direct compensated summation for x >= 0.  When Re(a) < 0 the terms
-    alternate and the direct sum can cancel badly; in that case the Kummer
-    transform M(a,b,x) = e^x M(b-a, b, -x) is also summed and whichever
-    route reports the smaller cancellation estimate wins.  The returned
-    ``est_error`` is a *relative* bound; severe cancellation is not hidden,
-    it is reported.
-    """
-    if not 0.0 <= x < math.inf:
-        raise DomainError("kummer_m requires finite x >= 0")
-    a = complex(a)
-    b = complex(b)
-    s, ln_scale, est = _kummer_series_scaled(a, b, x)
-    if a.real < 0.0 and x > 1.0 and est > 1e-12:
-        s2, ln2, est2 = _kummer_series_scaled(b - a, b, -x)
-        if est2 < est:
-            s, ln_scale, est = s2, ln2 + x, est2
-    try:
-        value = s * cmath.exp(ln_scale)
-    except OverflowError:
-        raise ConvergenceError(f"kummer_m overflows double range (a={a}, b={b}, x={x})") from None
-    return KummerM(_require_finite(value, "kummer_m"), est)
-
-
-def _whittaker_m_log(kappa: float, mu_signed: float, x: float) -> tuple[complex, float]:
-    """log of M_{kappa, i*mu_signed}(x) (any branch) and its relative error."""
-    a = complex(0.5 - kappa, mu_signed)
-    b = complex(1.0, 2.0 * mu_signed)
-    s, ln_scale, est = _kummer_series_scaled(a, b, x)
-    return _m_log_from_sum(mu_signed, x, s, ln_scale), est
-
-
-def _m_log_from_sum(mu_signed: float, x: float, s: complex, ln_scale: float) -> complex:
-    """log M_{kappa, i*mu_signed}(x) from its Kummer sum s * exp(ln_scale)."""
-    return (
-        complex(-0.5 * x, 0.0)
-        + complex(0.5, mu_signed) * cmath.log(x)
-        + ln_scale
-        + cmath.log(s)
-    )
-
-
-def whittaker_m_imag(kappa: float, mu: float, x: float) -> WhittakerM:
-    """Whittaker M of imaginary order:
-
-        M_{kappa, i*mu}(x) = e^{-x/2} x^{1/2 + i*mu} M(1/2 + i*mu - kappa, 1 + 2*i*mu, x)
-
-    For x -> 0 the value divided by x^{1/2 + i*mu} tends to 1.  Either sign
-    of mu is accepted; the two signs give complex-conjugate values.
-    """
-    if not 0.0 < x < math.inf:
-        raise DomainError("whittaker_m_imag requires finite x > 0")
-    if mu == 0:
-        raise DomainError("whittaker_m_imag requires mu != 0")
-    log_val, est_rel = _whittaker_m_log(kappa, mu, x)
-    try:  # the modulus of a finite value may still exceed double range
-        value = cmath.exp(log_val)
-        est = est_rel * abs(value)
-    except OverflowError:
-        raise ConvergenceError(
-            f"whittaker_m_imag overflows double range (kappa={kappa}, mu={mu}, x={x})") from None
-    return WhittakerM(_require_finite(value, "whittaker_m_imag"), est)
-
-
 class WPoint(NamedTuple):
     """The kappa- and x-independent half of the connection formula at mu."""
 
@@ -409,7 +329,9 @@ def _connection_w(
     so with log T = exponent + i phi, W = 2 cos(phi) exp(exponent).
     """
     lr, eg = gammas
-    log_t = lr + _m_log_from_sum(-mu, x, s, ln_scale)
+    # log M_{kappa,-i mu}(x) = -x/2 + (1/2 - i mu) log x + log of the sum
+    log_t = lr + (complex(-0.5 * x, 0.0) + complex(0.5, -mu) * cmath.log(x)
+                  + ln_scale + cmath.log(s))
     exponent = log_t.real
     mantissa = 2.0 * math.cos(log_t.imag)
 
@@ -520,7 +442,7 @@ def whittaker_w_scaled_array(kappa: float, mu: float, x) -> tuple[np.ndarray, np
         xp, m = x[:split], -mu
         log_x = np.array(list(map(cmath.log, xp.tolist())))
         log_s = np.array(list(map(cmath.log, minus.sums.tolist())))
-        # lr + _m_log_from_sum(m, x, s, 0.0): each complex + float adds 0.0 to imag
+        # _connection_w's log_t at ln_scale = 0.0: each complex + float adds 0.0 to imag
         re = -0.5 * xp + (0.5 * log_x.real - m * log_x.imag) + 0.0 + log_s.real
         im = 0.0 + (0.5 * log_x.imag + m * log_x.real) + 0.0 + log_s.imag
         exponent = lr.real + re

@@ -130,6 +130,22 @@ def reference_eigenvector(diag, off, tau: float) -> np.ndarray:
     return v
 
 
+def reference_whittaker_m_log(kappa: float, mu_signed: float, x: float) -> tuple[complex, float]:
+    """log M_{kappa, i*mu_signed}(x) (any branch) and its relative error, from
+    the package's Kummer sum s * exp(ln_scale) of M(1/2 - kappa + i*mu_signed;
+    1 + 2i*mu_signed; x):
+
+        log M = -x/2 + (1/2 + i*mu_signed) log x + ln_scale + log s
+
+    summed left to right, the operation order in which W's connection formula
+    adds the same terms, so the two-series W below can be compared bit for bit."""
+    a = complex(0.5 - kappa, mu_signed)
+    b = complex(1.0, 2.0 * mu_signed)
+    s, ln_scale, est = special._kummer_series_scaled(a, b, x)
+    log_m = complex(-0.5 * x, 0.0) + complex(0.5, mu_signed) * cmath.log(x)
+    return log_m + ln_scale + cmath.log(s), est
+
+
 def reference_whittaker_w_connection(
     kappa: float, mu: float, x: float
 ) -> tuple[special.WhittakerW, float]:
@@ -143,8 +159,8 @@ def reference_whittaker_w_connection(
     lg_bp, eg3 = special.ln_gamma_complex(complex(beta, mu))
     lg_bm, eg4 = special.ln_gamma_complex(complex(beta, -mu))
     eg = eg1 + eg2 + eg3 + eg4
-    lm_minus, em1 = special._whittaker_m_log(kappa, -mu, x)
-    lm_plus, em2 = special._whittaker_m_log(kappa, mu, x)
+    lm_minus, em1 = reference_whittaker_m_log(kappa, -mu, x)
+    lm_plus, em2 = reference_whittaker_m_log(kappa, mu, x)
     log_t1 = lg_plus - lg_bp + lm_minus
     log_t2 = lg_minus - lg_bm + lm_plus
     exponent = max(log_t1.real, log_t2.real)

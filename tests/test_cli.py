@@ -102,12 +102,9 @@ def test_exit_code_numerical_failure(capsys):
     code, _, err = run_cli(["validate", *DEEP, "--grid-rmax", "0.05"], capsys)
     assert code == 3
     assert "numerical failure" in err
-    # M(1; 1; 1200) = e^1200 and M_{-1e6, i}(0.5) leave double range
-    # ... and so does W_{1000, 2.5i}(0.001), whose scaled fields stay finite, and the
-    # error of the small-x form far outside its range (inf * 0)
-    for argv in (["eval", "KummerM", "1", "0", "1", "0", "1200"],
-                 ["eval", "WhittakerM", "--", "-1e6", "1", "0.5"],
-                 ["eval", "WhittakerW", "1000", "2.5", "0.001"],
+    # W_{1000, 2.5i}(0.001) leaves double range, though its scaled fields stay finite,
+    # and so does the error of the small-x form far outside its range (inf * 0)
+    for argv in (["eval", "WhittakerW", "1000", "2.5", "0.001"],
                  ["eval", "WSmallX", "--", "-1e200", "1e10", "1e300"]):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (3, ""), argv
@@ -120,7 +117,6 @@ def test_non_finite_x_is_usage_error(capsys):
         ["eval", "WhittakerW", "-3", "2.5", "nan"],
         ["eval", "WhittakerW", "-3", "2.5", "inf"],
         ["eval", "WSmallX", "-50", "2.5", "nan"],
-        ["eval", "KummerM", "1", "0", "1", "0", "nan"],
         ["potential", *DEEP, "--r", "nan,0.5"],
     ):
         code, out, err = run_cli(argv, capsys)
@@ -706,12 +702,19 @@ def test_eval_gamma_ln_one(capsys):
     assert abs(re) < 1e-13 and im == 0.0 and est >= 0.0
 
 
-def test_eval_kummer_exponential(capsys):
-    code, out, _ = run_cli(["eval", "KummerM", "2", "0", "2", "0", "1.5"], capsys)
-    assert code == 0
-    re, im, _ = (float(tok) for tok in out.split())
-    assert math.isclose(re, math.exp(1.5), rel_tol=1e-12)
-    assert im == 0.0
+def test_eval_m_kinds_are_usage_errors(capsys):
+    # M(a; b; x) and Whittaker M are no eval kinds: W sums its Kummer series itself
+    for argv in (["eval", "KummerM", "2", "0", "2", "0", "1.5"],
+                 ["eval", "WhittakerM", "-3", "2.5", "0.001"]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("usage error: argument kind: invalid choice"), err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "-h"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    assert "{GammaLn,WhittakerW,WSmallX}" in help_text  # the kinds, in the usage line
+    assert "KummerM" not in help_text and "WhittakerM" not in help_text
 
 
 def test_eval_whittaker_w_residual(capsys):

@@ -48,8 +48,6 @@ CASES = [
     ("potential", ["potential", "--config", CFG, "--rmin", "0.1", "--rmax", "1",
                    "--samples", "200"], 0),
     ("eval_gamma_ln", ["eval", "GammaLn", "0.5", "3"], 0),
-    ("eval_kummer_m", ["eval", "KummerM", "0.5", "1", "1", "2", "0.3"], 0),
-    ("eval_whittaker_m", ["eval", "WhittakerM", "-3", "2.5", "0.001"], 0),
     ("eval_whittaker_w", ["eval", "WhittakerW", "-3", "2.5", "0.001"], 0),
     ("eval_w_small_x", ["eval", "WSmallX", "-50", "2.5", "1e-5"], 0),
     ("wavefunction_shallow", ["wavefunction", "--mass", "1", "--alpha", "4", "--lambda", "1",

@@ -3,14 +3,21 @@ function is passed by that keyword somewhere in the package itself, so no
 option exists that only tests set; no such parameter is a constant in
 disguise, passed by every call in the package as one and the same literal;
 and no default of it, or of a positional-or-keyword parameter, exists that
-only calls from outside the package use."""
+only calls from outside the package use.
+
+No test-only code either: every function and class of the package is named
+somewhere in the package outside its own body and ``__init__.py``, or by an
+acceptance criterion; and every ``special`` function that ``eval`` calls is
+one that a route, another command or a criterion names too."""
 
 from __future__ import annotations
 
 import ast
 import pathlib
+from collections import Counter
 
 PACKAGE = pathlib.Path(__file__).parents[1] / "src" / "dipolewell"
+ACCEPTANCE = pathlib.Path(__file__).parent / "test_acceptance.py"
 
 
 def _callee(node: ast.Call) -> str | None:
@@ -114,6 +121,72 @@ def test_unused_defaults_sees_positional_defaults():
     assert unused_defaults({"m": tree}) == {("f", "b"), ("g", "d"), ("h", "x")}
 
 
+def _names(tree: ast.AST) -> Counter:
+    """How often each bare name occurs in tree as a name or an attribute."""
+    return Counter(getattr(node, "id", None) or node.attr for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def _definitions(trees: dict[str, ast.Module]) -> list[tuple[str, ast.AST]]:
+    """(module, node) of every function and class outside __init__.py."""
+    return [(module, node) for module, tree in trees.items() if module != "__init__.py"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def _package_names(trees: dict[str, ast.Module]) -> Counter:
+    """_names of the package outside __init__.py."""
+    return sum((_names(tree) for module, tree in trees.items() if module != "__init__.py"),
+               Counter())
+
+
+def unreferenced_definitions(trees: dict[str, ast.Module], acceptance: ast.Module) -> set:
+    """(module, name) of functions and classes that no code in the package
+    outside their own body and __init__.py names, and no acceptance criterion
+    either.  Dunder methods are exempt: Python calls them."""
+    criteria, named = _names(acceptance), _package_names(trees)
+    return {(module, node.name) for module, node in _definitions(trees)
+            if not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in criteria and named[node.name] == _names(node)[node.name]}
+
+
+def eval_only_functions(trees: dict[str, ast.Module], acceptance: ast.Module) -> set:
+    """special.<name> that cli.cmd_eval calls and that nothing else names: no
+    code in the package outside cmd_eval, the name's own definition and
+    __init__.py, and no acceptance criterion."""
+    cmd_eval = next(node for node in ast.walk(trees["cli.py"])
+                    if isinstance(node, ast.FunctionDef) and node.name == "cmd_eval")
+    called = {node.func.attr for node in ast.walk(cmd_eval)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and getattr(node.func.value, "id", None) == "special"}
+    criteria, named = _names(acceptance), _package_names(trees) - _names(cmd_eval)
+    for _, node in _definitions(trees):
+        if node.name in called:
+            named -= Counter({node.name: _names(node)[node.name]})
+    return {name for name in called if name not in criteria and not named[name]}
+
+
+def test_unreferenced_definitions_sees_self_and_init_references_only():
+    # f names only itself and g nothing; h is named by g, K by a criterion, and
+    # __repr__ is Python's to call
+    trees = {"m.py": ast.parse("def f(): return f()\ndef g(): return h()\ndef h(): pass\n"
+                               "class K:\n    def __repr__(self): return 'K'\n"),
+             "__init__.py": ast.parse("from .m import f, g\n")}
+    acceptance = ast.parse("from m import K\nK()\n")
+    assert unreferenced_definitions(trees, acceptance) == {("m.py", "f"), ("m.py", "g")}
+
+
+def test_eval_only_functions_sees_what_eval_alone_names():
+    # eval calls f, g and k; h uses f, a criterion uses k, and g names only itself
+    trees = {"cli.py": ast.parse("def cmd_eval(ns):\n    special.f(1)\n    special.g(2)\n"
+                                 "    special.k(3)\n    other.x(4)\n"),
+             "special.py": ast.parse("def f(): pass\ndef g(): return g()\ndef h(): f()\n"
+                                     "def k(): pass\n"),
+             "__init__.py": ast.parse("from .special import g\n")}
+    acceptance = ast.parse("special.k(1)\n")
+    assert eval_only_functions(trees, acceptance) == {"g"}
+
+
 def _package_trees() -> dict[str, ast.Module]:
     return {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
@@ -134,3 +207,13 @@ def test_no_keyword_only_parameter_is_a_constant_in_the_package():
 def test_every_keyword_only_default_is_used_in_the_package():
     unused = unused_defaults(_package_trees())
     assert not unused, sorted(unused)
+
+
+def test_every_definition_is_named_outside_the_tests():
+    unused = unreferenced_definitions(_package_trees(), ast.parse(ACCEPTANCE.read_text()))
+    assert not unused, sorted(unused)
+
+
+def test_eval_exposes_only_what_a_route_or_criterion_uses():
+    only = eval_only_functions(_package_trees(), ast.parse(ACCEPTANCE.read_text()))
+    assert not only, sorted(only)
