@@ -276,10 +276,9 @@ def cmd_wavefunction(ns: argparse.Namespace) -> int:
     profile = spectrum.radial_wavefunction(params, level, ns.rmax, ns.samples)
     if profile.boundary_warning:
         print("warning: asymptotic level does not satisfy f(R) = 0 exactly", file=sys.stderr)
-    lines = ["r,f"]
-    for r, f in zip(profile.r_samples.tolist(), profile.f_values.tolist()):
-        lines.append(f"{_fmt(r)},{_fmt(f)}")
-    _write(ns.out, lines)
+    # "%.17g" formats as _fmt does, one call per row
+    rows = map("%.17g,%.17g".__mod__, zip(profile.r_samples.tolist(), profile.f_values.tolist()))
+    _write(ns.out, ["r,f", *rows])
     return EXIT_OK
 
 

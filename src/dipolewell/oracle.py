@@ -27,16 +27,17 @@ its dense matrix, which a base grid (never output) uses only as the shifts
 of its eigenvectors, and an output grid only as the guesses of its
 bisection.  Each grid up the ladder is warm-started from the one below: its
 eigenvectors, carried to the new nodes by linear interpolation in ln r and
-refined by one solve of inverse iteration on the new matrix, give Rayleigh
-quotients that predict the bisection paths, and all their midpoints are
-counted in the first sweep.  A sweep ends at the first tested rows past which
-no shift's count can change what it decides: for each shift, either the
-count has reached the number of wanted eigenvalues, or the rows left are
-diagonally dominant below the shift (by a margin of STURM_TAIL_ULPS epsilons
-per magnitude plus STURM_PIVMIN) and the entering pivot is negative or at
-least the coupling, so that no later pivot can turn negative.  The floats do
-not move; on the default grids most rows lie in the classically forbidden
-region past the outer turning points, never swept.
+refined by inverse iteration on the new matrix (one cyclic-reduction solve
+for all levels), give Rayleigh quotients that predict the bisection paths,
+and all their midpoints are counted in the first sweep.  A sweep ends at
+the first tested rows past which no shift's count can change what it
+decides: for each shift, either the count has reached the number of wanted
+eigenvalues, or the rows left are diagonally dominant below the shift (by a
+margin of STURM_TAIL_ULPS epsilons per magnitude plus STURM_PIVMIN) and the
+entering pivot is negative or at least the coupling, so that no later pivot
+can turn negative.  The floats do not move; on the default grids most rows
+lie in the classically forbidden region past the outer turning points,
+never swept.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ STURM_BLOCK_ROWS = 128
 STURM_TAIL_ULPS = 8
 # most points of a ladder's base grid, solved densely, unless k_levels + 1 needs more
 BASE_GRID_POINTS = 256
+# levels x padded rows per group of an inverse-iteration solve (512 KiB of float64)
+SOLVE_BLOCK_ELEMENTS = 65536
 
 
 @dataclass(frozen=True)
@@ -316,38 +319,50 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
     return [0.5 * (a + b) for a, b in zip(lows, highs)]
 
 
-def _tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Thomas solve of (tridiag) x = rhs on Python floats (numpy's float64
-    arithmetic without its per-scalar cost); a zero pivot becomes STURM_PIVMIN."""
-    cs, ds = [], []
-    c = d = e_prev = 0.0  # a coupling-free row before row 0
-    for a_i, e_i, b_i in zip(diag.tolist(), off.tolist() + [0.0], rhs.tolist()):
-        denom = a_i - e_prev * c
-        if denom == 0.0:
-            denom = STURM_PIVMIN
-        c = e_i / denom
-        d = (b_i - e_prev * d) / denom
-        cs.append(c)
-        ds.append(d)
-        e_prev = e_i
-    x = [d]
-    for c_i, d_i in zip(reversed(cs[:-1]), reversed(ds[:-1])):
-        d = d_i - c_i * d
-        x.append(d)
-    x.reverse()
-    return np.array(x)
-
-
-def _eigenvector(diag: np.ndarray, off: np.ndarray, tau: float, start: np.ndarray) -> np.ndarray:
-    """Unit eigenvector near the eigenvalue tau: one solve of inverse iteration
-    from `start`.  The shift lies 1e-10 |tau| off tau, so the solve damps each
-    mode j of `start` against the mode of the eigenvalue tau_w nearest the
-    shift by about |shift - tau_w| / |shift - tau_j|.  A solution without a
-    finite, nonzero norm gives NaN entries."""
-    shifted = diag - (tau + 1e-10 * max(1.0, abs(tau)))
-    v = _tridiag_solve(shifted, off, start)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return v / np.linalg.norm(v)
+def _eigenvectors(diag: np.ndarray, off: np.ndarray, taus, starts) -> np.ndarray:
+    """Unit eigenvectors near the eigenvalues taus, one row each: one solve of
+    inverse iteration per level from its entry of `starts`.  The shift lies
+    1e-10 |tau| off tau, so the solve damps each mode j of the start against
+    the mode of the eigenvalue tau_w nearest the shift by about
+    |shift - tau_w| / |shift - tau_j|.  The levels are solved at once, in
+    groups of at most SOLVE_BLOCK_ELEMENTS rows in all (one level at least),
+    by odd-even cyclic reduction (Hockney 1965; Buzbee, Golub & Nielson 1970)
+    on the matrix padded with uncoupled identity rows to 2**p - 1 rows: p
+    steps eliminate the even rows into the odd ones, then back-substitution.
+    An exact zero pivot becomes STURM_PIVMIN, and a solution without a
+    finite, nonzero norm a row of NaN."""
+    n = len(diag)
+    size = (1 << n.bit_length()) - 1
+    shifts = np.add(taus, 1e-10 * np.maximum(1.0, np.abs(taus)))
+    vectors = np.empty((len(shifts), n))
+    group = max(1, SOLVE_BLOCK_ELEMENTS // size)
+    for first in range(0, len(shifts), group):
+        rows = slice(first, first + group)
+        f = np.zeros((len(vectors[rows]), size))  # the right-hand sides, then the diagonals
+        b = f + 1.0
+        b[:, :n], f[:, :n] = diag - shifts[rows, None], starts[rows]
+        e = np.zeros((len(b), size + 1))  # e[:, i] couples rows i - 1 and i; none at both ends
+        e[:, 1:n] = off
+        steps = []
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # NaN rows below
+            while b.shape[1]:
+                piv = b[:, ::2]
+                piv[piv == 0.0] = STURM_PIVMIN
+                left, right, f_even = e[:, ::2], e[:, 1::2], f[:, ::2]
+                up, down = right / piv, left / piv  # each even row's couplings over its pivot
+                steps.append((piv, left, right, f_even))
+                b = b[:, 1::2] - up[:, :-1] * right[:, :-1] - down[:, 1:] * left[:, 1:]
+                f = f[:, 1::2] - up[:, :-1] * f_even[:, :-1] - down[:, 1:] * f_even[:, 1:]
+                e = -left * up
+            x = np.zeros((len(f), size + 2))  # row i of the solution at i + 1, zero past the ends
+            for piv, left, right, f_even in reversed(steps):
+                s = (size + 1) // (2 * len(piv[0]))  # the step's even rows: s - 1, 3 s - 1, ...
+                near = x[:, :: 2 * s]  # and the rows next to them
+                x[:, s :: 2 * s] = (f_even - left * near[:, :-1] - right * near[:, 1:]) / piv
+        for row, v in zip(vectors[rows], x[:, 1 : n + 1]):
+            norm = np.linalg.norm(v)
+            row[:] = v / norm if 0.0 < norm < math.inf else math.nan
+    return vectors
 
 
 def _carry(lower: RadialGridSpec, grid: RadialGridSpec, vectors) -> np.ndarray:
@@ -367,12 +382,14 @@ def _carry(lower: RadialGridSpec, grid: RadialGridSpec, vectors) -> np.ndarray:
 
 def _rayleigh_quotients(vectors, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """w^T T w / w^T w of each vector w on the matrix T = (diag, off); NaN
-    for a vector without a finite, nonzero norm."""
+    for a vector without a finite, nonzero norm.  w^T T w is summed as
+    sum s_i w_i^2 - sum e_i (w_i - w_{i+1})^2 with s the row sums of T: the
+    large entries cancel within each row, not in the total."""
     w = np.asarray(vectors, dtype=float)
+    row_sums = diag + np.concatenate(([0.0], off)) + np.concatenate((off, [0.0]))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ww = w * w
-        quad = (ww * diag).sum(axis=1) + 2.0 * (w[:, :-1] * w[:, 1:] * off).sum(axis=1)
-        return quad / ww.sum(axis=1)
+        return ((ww * row_sums).sum(axis=1) - (np.diff(w) ** 2 * off).sum(axis=1)) / ww.sum(axis=1)
 
 
 def _dense_eigvals(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -413,10 +430,10 @@ def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -
     from a seeded random start.  Each later grid starts from the eigenvectors
     of the grid below: each is carried to the new nodes (_carry), refined by
     one solve of inverse iteration on the new matrix at the lower grid's
-    eigenvalue, and its Rayleigh quotient is the guess for the new
-    eigenvalue.  On deep.cfg the guesses lie within about 1e-10 (relative) of
-    the eigenvalues of both grids.  The floats are those of plain bisection
-    whatever the guesses.
+    eigenvalue (all levels in one call, _eigenvectors), and its Rayleigh
+    quotient is the guess for the new eigenvalue.  On deep.cfg the guesses
+    lie within about 1e-10 (relative) of the eigenvalues of both grids.  The
+    floats are those of plain bisection whatever the guesses.
 
     Raises GridTooCoarse when a Richardson estimate exceeds 1% of the local
     level spacing, and DomainError when the topmost requested eigenfunction
@@ -435,11 +452,10 @@ def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -
     if ladder[0] is grid:  # no base grid: LAPACK's values are only guesses
         fine = sturm_tridiag_eigs(diag, off, k_work, guesses=fine)
     start = np.random.default_rng(12345).standard_normal(len(diag))
-    vectors = [_eigenvector(diag, off, tau, start) for tau in fine]
+    vectors = _eigenvectors(diag, off, fine, [start] * len(fine))
     for lower, upper in zip(ladder, ladder[1:]):
         diag, off = build_tridiag(params, upper)
-        vectors = [_eigenvector(diag, off, tau, w)
-                   for tau, w in zip(fine, _carry(lower, upper, vectors))]
+        vectors = _eigenvectors(diag, off, fine, _carry(lower, upper, vectors))
         coarse, fine = fine, sturm_tridiag_eigs(
             diag, off, k_work, guesses=_rayleigh_quotients(vectors, diag, off))
     estimates = [abs(f - c) / 3.0 for f, c in zip(fine, coarse)]

@@ -96,7 +96,9 @@ def reference_sturm_eigs(diag, offdiag, k: int) -> list[float]:
 
 def reference_tridiag_solve(diag, off, rhs) -> np.ndarray:
     """Thomas solve of (tridiag) x = rhs on numpy scalars, a zero pivot of rows
-    1.. replaced by 1e-290: the loop that oracle._tridiag_solve must reproduce."""
+    1.. replaced by 1e-290: the row-by-row solve that the leak check's
+    reference_eigenvector iterates, and that the oracle's cyclic-reduction
+    solve (oracle._eigenvectors) is compared with."""
     n = len(diag)
     c = np.empty(n - 1)
     d = np.empty(n)
@@ -117,7 +119,7 @@ def reference_tridiag_solve(diag, off, rhs) -> np.ndarray:
 
 
 def reference_eigenvector(diag, off, tau: float) -> np.ndarray:
-    """Three solves of inverse iteration at the shift of oracle._eigenvector,
+    """Three solves of inverse iteration at the shift of oracle._eigenvectors,
     from the random start of the oracle's first grid, normalized after each:
     the converged vector that the leak check's one-solve eigenvector is held
     against."""

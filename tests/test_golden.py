@@ -29,6 +29,11 @@ CASES = [
     ("spectrum_all", ["spectrum", "--config", CFG, "--nmax", "3", "--route", "all",
                       "--grid-points", "600"], 0),
     ("validate", ["validate", "--config", CFG, "--nmax", "2", "--grid-points", "600"], 0),
+    # the default 2000-point grid: the oracle's ladder of 250, 2000 and 4001 points
+    ("validate_default_grid", ["validate", "--config", CFG, "--nmax", "2"], 0),
+    # k = 21 eigenvectors per grid of the ladder, each refined by inverse iteration
+    ("spectrum_oracle_nmax20", ["spectrum", "--config", CFG, "--route", "oracle",
+                                "--nmax", "20"], 0),
     # thresholds that fail both regime flags, x0_admissible first
     ("validate_thresholds", ["validate", "--config", CFG, "--nmax", "2", "--grid-points", "600",
                              "--x0-threshold", "1e-6", "--beta-min", "1e5"], 0),

@@ -287,11 +287,13 @@ def test_deep_solve_sweep_count(monkeypatch):
     # without a warm start, 18 with the coarse eigenvalues as the fine grid's
     # guesses, 15 (11 coarse, 4 fine) with the Rayleigh quotients of the coarse
     # eigenvectors cubically interpolated, 16 (10 on the 250-point base grid,
-    # 3 coarse, 3 fine) with the ladder, and 6 (3 coarse, 3 fine) now that the
-    # base grid's eigenvalues come from LAPACK and it is never swept; each
-    # sweep stops where only rows past the turning points are left.  Rows
-    # read: 14343 before the ladder, 9408 with a bisected base, 7766
-    # in 18003, and 989 shifts, none counted twice (the table keeps every count)
+    # 3 coarse, 3 fine) with the ladder, 6 (3 coarse, 3 fine) once the base
+    # grid's eigenvalues came from LAPACK and it was never swept, and 5 (3
+    # coarse, 2 fine) now that the Rayleigh quotients sum their quadratic
+    # form by rows; each sweep stops where only rows past the turning points
+    # are left.  Rows read: 14343 before the ladder, 9408 with a bisected
+    # base, 7766 in 18003 with the total's quotients, and 6229 in 14002 now;
+    # 863 shifts (989 before), none counted twice (the table keeps every count)
     calls = []
     count = oracle.sturm_count
 
@@ -306,9 +308,9 @@ def test_deep_solve_sweep_count(monkeypatch):
     oracle.fd_eigensolve(p, oracle.default_grid(p, 2), 2)
     sizes = [n for _, n, _ in calls]
     assert sizes == sorted(sizes) and set(sizes) == {2000, 4001}
-    assert sizes.count(2000) <= 3 and sizes.count(4001) <= 3
+    assert sizes.count(2000) <= 3 and sizes.count(4001) <= 2
     swept, total, shifts = map(sum, zip(*calls))
-    assert total == 18003 and swept <= 7766 and shifts <= 989
+    assert total == 14002 and swept <= 6229 and shifts <= 863
 
 
 @st.composite
@@ -498,17 +500,45 @@ def test_warm_start_bit_identical(deep_matrices, deep_references, deep_guesses, 
 
 def test_rayleigh_guesses_are_close(deep_matrices, deep_references, deep_guesses):
     # each eigenvector of the grid below, carried linearly in ln r and refined
-    # by one solve of inverse iteration, gives a Rayleigh quotient 4.0e-13 to
-    # 7.4e-11 from the coarse eigenvalues and 6.5e-15 to 1.2e-11 from the fine
-    # ones.  The cubic carry without the solve gave 2.1e-10 to 1.7e-9 on the
-    # fine grid, where the coarse eigenvalues are 8.2e-6 to 3.7e-5 off.  The
-    # base grid is never bisected: LAPACK's eigenvalues of its dense matrix
-    # only give the shifts of its eigenvectors
+    # by one solve of inverse iteration, gives a Rayleigh quotient 9.7e-14 to
+    # 7.3e-11 from the coarse eigenvalues and 3.4e-14 to 5.3e-13 from the fine
+    # ones (4.0e-13 to 7.4e-11 and 6.5e-15 to 1.2e-11 with the quotient summed
+    # over the whole vector and the row-by-row Thomas solve).  The cubic
+    # carry without the solve gave 2.1e-10 to 1.7e-9 on the fine grid, where
+    # the coarse eigenvalues are 8.2e-6 to 3.7e-5 off.  The base grid is
+    # never bisected: LAPACK's eigenvalues of its dense matrix only give the
+    # shifts of its eigenvectors
     assert set(deep_guesses) == {2000, 4001}
     for which in ("coarse", "refined"):
         guesses = deep_guesses[len(deep_matrices[which][0])]
         for guess, tau in zip(guesses, deep_references[which], strict=True):
             assert abs(guess - tau) <= 1e-10 * abs(tau)
+
+
+@pytest.mark.parametrize("k,distances", [(2, (7.4e-11, 1.2e-11)), (3, (3.7e-10, 1.7e-11)),
+                                         (10, (5.1e-8, 1.8e-11)), (20, (4.6e-5, 2.9e-10))])
+def test_guess_distances_hold_on_deep(k, distances, monkeypatch):
+    # a worse eigenvector solve shows only as extra sweeps, so each output
+    # grid's (N, then 2N + 1) largest relative distance of a guess from its
+    # bisection float is held within 2x of what the row-by-row Thomas solve
+    # gave.  Those 2N + 1 distances at k <= 10 lay at the rounding floor of
+    # the Rayleigh quotient summed over the whole vector (a last-bit change
+    # of a vector's scale moved them between 3e-12 and 3.5e-11); summed by
+    # rows, they are 5.4e-13, 1.0e-12, 9.6e-13 and 2.9e-10 now
+    eigs = oracle.sturm_tridiag_eigs
+    worst = []
+
+    def recording(diag, off, k_work, *, guesses=None):
+        taus = eigs(diag, off, k_work, guesses=guesses)
+        worst.append(max(abs(g - t) / abs(t) for g, t in zip(guesses, taus, strict=True)))
+        return taus
+
+    monkeypatch.setattr(oracle, "sturm_tridiag_eigs", recording)
+    p = deep_params()
+    oracle.fd_eigensolve(p, oracle.default_grid(p, k), k)
+    assert len(worst) == 2
+    for got, today in zip(worst, distances):
+        assert got <= 2.0 * today
 
 
 @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
@@ -550,20 +580,20 @@ def test_leak_check_one_solve_matches_three(grid, monkeypatch):
     # of inverse iteration at the coarse eigenvalue from the carried coarse
     # vector, against three solves at the fine eigenvalue from a random
     # start: deep.cfg's default grid gives 2.2e-33 against 6.1e-58, the leaky
-    # grid 8.890886e-3 both ways
+    # grid 8.890886e-3 both ways (1.5e-13 apart)
     p = deep_params()
     coarse_grid = grid or oracle.default_grid(p, 2)
     fine_grid = coarse_grid.refined()
     solved = []
-    eigenvector = oracle._eigenvector
+    eigenvectors = oracle._eigenvectors
 
-    def recording(diag, off, tau, start):
-        v = eigenvector(diag, off, tau, start)
+    def recording(diag, off, taus, starts):
+        vectors = eigenvectors(diag, off, taus, starts)
         if len(diag) == fine_grid.points:
-            solved.append(v)
-        return v
+            solved.append(vectors)
+        return vectors
 
-    monkeypatch.setattr(oracle, "_eigenvector", recording)
+    monkeypatch.setattr(oracle, "_eigenvectors", recording)
     if grid is None:
         oracle.fd_eigensolve(p, coarse_grid, 2)
     else:
@@ -571,7 +601,8 @@ def test_leak_check_one_solve_matches_three(grid, monkeypatch):
             oracle.fd_eigensolve(p, coarse_grid, 2)
     diag, off = oracle.build_tridiag(p, fine_grid)
     tau = oracle.sturm_tridiag_eigs(diag, off, 2, guesses=None)[-1]
-    one = _outer_mass(solved[1])
+    [vectors] = solved
+    one = _outer_mass(vectors[1])
     three = _outer_mass(reference_eigenvector(diag, off, tau))
     assert abs(one - three) <= 1e-12
     assert (one > oracle.BOUNDARY_MASS_LIMIT) == (grid is not None)
@@ -745,19 +776,106 @@ def test_warm_start_bit_identical_property(case):
         reference_sturm_eigs(diag, off, k))
 
 
-def test_tridiag_solve_matches_numpy_scalar_loop(deep_matrices):
-    # the leak check's shifted fine-grid solve, and a random matrix
+def _backward_error(diag, off, tau, v, rhs) -> float:
+    """Normwise backward error |rhs - A x| / (|A|_F |x| + |rhs|) of x = c v
+    for the shifted system A = T - sigma I that _eigenvectors solves at the
+    eigenvalue tau, with the scale c of the unit vector v that fits rhs best."""
+    a = diag - (tau + 1e-10 * max(1.0, abs(tau)))
+    av = a * v
+    av[:-1] += off * v[1:]
+    av[1:] += off * v[:-1]
+    c = (av @ rhs) / (av @ av)
+    norm_a = math.sqrt(a @ a + 2.0 * (off @ off))
+    return float(np.linalg.norm(rhs - c * av) / (norm_a * abs(c) + np.linalg.norm(rhs)))
+
+
+def _dominant_tridiag(n: int, rng):
+    """Random symmetric tridiagonal matrix whose rows are diagonally dominant
+    by 0.5 to 2, with diagonal entries of both signs."""
+    off = rng.uniform(-2, 2, size=n - 1)
+    rad = np.zeros(n)
+    rad[:-1] += np.abs(off)
+    rad[1:] += np.abs(off)
+    return rng.choice([-1.0, 1.0], size=n) * (rad + rng.uniform(0.5, 2, size=n)), off
+
+
+@pytest.mark.parametrize("levels", [1, 4])
+@pytest.mark.parametrize("kind", ["dominant", "indefinite"])
+def test_eigenvectors_backward_error(kind, levels):
+    # cyclic reduction pivots without exchanges, so it is held to a small
+    # multiple of the backward error of LAPACK's pivoted dense solve: over
+    # these 40 matrices per kind (n <= 300; shifts that keep the dominant
+    # ones dominant, and at eigenvalues of the indefinite ones) it measured
+    # at most 0.35 eps (dominant) and 4.6 eps (indefinite), against 0.19 and
+    # 0.12 eps for numpy.linalg.solve
+    eps = np.finfo(float).eps
+    bound = {"dominant": 1.0, "indefinite": 8.0}[kind] * eps
+    for seed in range(20):
+        rng = np.random.default_rng([seed, levels, kind == "dominant"])
+        n = int(rng.integers(1, 301))
+        if kind == "dominant":
+            diag, off = _dominant_tridiag(n, rng)
+            taus = rng.uniform(-0.4, 0.4, size=levels)
+        else:
+            diag, off = _random_tridiag(n, seed)
+            taus = rng.choice(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
+                                                 + np.diag(off, -1)), size=levels)
+        starts = rng.standard_normal((levels, n))
+        vectors = oracle._eigenvectors(diag, off, taus, starts)
+        assert vectors.shape == (levels, n)
+        for tau, v, rhs in zip(taus, vectors, starts):
+            a = (np.diag(diag - (tau + 1e-10 * max(1.0, abs(tau))))
+                 + np.diag(off, 1) + np.diag(off, -1))
+            dense = np.linalg.solve(a, rhs)
+            assert _backward_error(diag, off, tau, dense / np.linalg.norm(dense), rhs) <= bound
+            assert _backward_error(diag, off, tau, v, rhs) <= bound
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 100, 255, 256, 257])
+def test_eigenvectors_pad_to_two_to_the_p_minus_one(n):
+    # every size pads to 2**p - 1 rows with uncoupled identity rows, which
+    # leave the solution of the n rows alone: the unit vectors are those of
+    # numpy.linalg.solve on dominant matrices, where both are accurate
+    # (2.7e-16 apart at most)
+    rng = np.random.default_rng(n)
+    diag, off = _dominant_tridiag(n, rng)
+    taus = [0.25, -0.3]
+    start = rng.standard_normal(n)
+    for tau, v in zip(taus, oracle._eigenvectors(diag, off, taus, [start] * 2), strict=True):
+        a = (np.diag(diag - (tau + 1e-10 * max(1.0, abs(tau))))
+             + np.diag(off, 1) + np.diag(off, -1))
+        x = np.linalg.solve(a, start)
+        assert np.linalg.norm(v - x / np.linalg.norm(x)) <= 1e-15
+
+
+@pytest.mark.parametrize("n,row", [(n, row) for n in (6, 7) for row in range(n)])
+def test_eigenvectors_exact_zero_pivot_takes_pivmin(n, row):
+    # row `row` is uncoupled and its diagonal is the shift of tau = 0 (1e-10):
+    # its pivot is exactly zero at the first step (even rows), at a later one
+    # or at the last 1 x 1 system (row 3), and STURM_PIVMIN in its place
+    # makes the solution the eigenvector of the eigenvalue at the shift
+    diag = np.full(n, 2.0)
+    off = np.full(n - 1, -0.5)
+    diag[row] = 1e-10
+    off[max(row - 1, 0) : row + 1] = 0.0
+    start = 1e-150 * np.random.default_rng(row).standard_normal(n)  # entries 1e-150 / 1e-290
+    [v] = oracle._eigenvectors(diag, off, [0.0], [start])
+    assert abs(v[row]) == 1.0
+    assert np.max(np.abs(np.delete(v, row))) <= 1e-250
+
+
+def test_eigenvectors_on_the_deep_half_step_matrix(deep_matrices):
+    # the leak check's shifted matrix of 4001 rows, near-singular at each of
+    # the three eigenvalues: the unit vectors lie 6.3e-12, 2.0e-12 and 6.2e-13
+    # from the row-by-row Thomas solve's, with backward errors of 0.017 eps at
+    # most (0.011 eps for the Thomas solve)
     diag, off = deep_matrices["refined"]
-    tau = oracle.sturm_tridiag_eigs(diag, off, 2, guesses=None)[-1]
-    shifted = diag - (tau + 1e-10 * abs(tau))
-    rng = np.random.default_rng(81)
-    rhs = rng.standard_normal(len(diag))
-    assert np.array_equal(oracle._tridiag_solve(shifted, off, rhs),
-                          reference_tridiag_solve(shifted, off, rhs))
-    diag, off = _random_tridiag(300, 82)
-    rhs = rng.standard_normal(300)
-    assert np.array_equal(oracle._tridiag_solve(diag, off, rhs),
-                          reference_tridiag_solve(diag, off, rhs))
+    taus = oracle.sturm_tridiag_eigs(diag, off, 3, guesses=None)
+    rhs = np.random.default_rng(81).standard_normal(len(diag))
+    for tau, v in zip(taus, oracle._eigenvectors(diag, off, taus, [rhs] * 3), strict=True):
+        x = reference_tridiag_solve(diag - (tau + 1e-10 * abs(tau)), off, rhs)
+        assert np.linalg.norm(v - x / np.linalg.norm(x)) <= 2e-11
+        assert _backward_error(diag, off, tau, v, rhs) <= 0.1 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
