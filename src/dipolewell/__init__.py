@@ -20,7 +20,6 @@ from .errors import (
     ForbiddenRegion,
     GridTooCoarse,
     NoBoundStateRegime,
-    ParameterPole,
     PoleError,
     RegimeError,
 )
@@ -60,8 +59,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BracketError", "ConvergenceError", "DipoleWellError", "DomainError",
-    "ForbiddenRegion", "GridTooCoarse", "NoBoundStateRegime", "ParameterPole",
-    "PoleError", "RegimeError",
+    "ForbiddenRegion", "GridTooCoarse", "NoBoundStateRegime", "PoleError",
+    "RegimeError",
     "DerivedParams", "PhysicalParams", "derive", "effective_potential",
     "energy_of_kappa", "kappa_of_energy",
     "OracleResult", "RadialGridSpec", "fd_eigensolve", "sturm_tridiag_eigs",

@@ -282,13 +282,22 @@ def cmd_wavefunction(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _float_list(text: str, flag: str) -> list[float]:
+    """The floats of a comma-separated list; a usage error naming flag if a
+    token is not a float or the list is empty."""
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise _UsageError(f"bad {flag} list: {exc}") from exc
+    if not values:
+        raise _UsageError(f"{flag} needs a non-empty list")
+    return values
+
+
 def cmd_sweep_cutoff(ns: argparse.Namespace) -> int:
     params = _build_params(ns)
-    try:
-        radii = [float(tok) for tok in ns.radii.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"bad --radii list: {exc}") from exc
-    if not radii or not all(0 < r < math.inf for r in radii):
+    radii = _float_list(ns.radii, "--radii")
+    if not all(0 < r < math.inf for r in radii):
         raise _UsageError("--radii must be finite and positive")
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise _UsageError("--radii must be strictly descending")
@@ -315,10 +324,7 @@ def cmd_sweep_cutoff(ns: argparse.Namespace) -> int:
 def cmd_potential(ns: argparse.Namespace) -> int:
     params = _build_params(ns)
     if ns.r is not None:
-        try:
-            radii = [float(tok) for tok in ns.r.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise _UsageError(f"bad --r list: {exc}") from exc
+        radii = _float_list(ns.r, "--r")
         if not all(math.isfinite(r) for r in radii):
             raise _UsageError("--r values must be finite")
     else:

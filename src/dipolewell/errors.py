@@ -19,10 +19,6 @@ class PoleError(DomainError):
     """Gamma function evaluated at (or within machine epsilon of) a pole."""
 
 
-class ParameterPole(DomainError):
-    """Kummer series parameter b at a non-positive integer."""
-
-
 class ConvergenceError(DipoleWellError):
     """A series or iteration failed its truncation/convergence test."""
 

@@ -16,9 +16,9 @@ W is evaluated in *scaled* form ``mantissa * exp(exponent)``.  Sign changes
 of the mantissa are the quantization condition; the plain value is the
 product and may legitimately underflow to zero.
 
-Every operation returns an estimated error next to its value so callers
-can tell a true sign change from numerical noise.  All functions are pure;
-there is no caching or shared state.
+Every scalar operation returns an estimated error next to its value so
+callers can tell a true sign change from numerical noise.  All functions are
+pure; there is no caching or shared state.
 
 W computes only the -i*mu term T of the connection formula (two
 log-Gammas, one Kummer series).  The +i*mu term is its complex conjugate, so
@@ -53,7 +53,6 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DomainError,
-    ParameterPole,
     PoleError,
     RegimeError,
 )
@@ -163,16 +162,13 @@ def ln_gamma_complex(z: complex) -> GammaLn:
 def _kummer_series_scaled(
     a: complex, b: complex, x: float
 ) -> tuple[complex, float, float]:
-    """Kahan-compensated Kummer series with power-of-ten rescaling.
+    """Kahan-compensated Kummer series M(a; b; x) with power-of-ten rescaling.
 
     Returns (mantissa, ln_scale, est_rel_error) with the series sum
     equal to mantissa * exp(ln_scale).  Rescaling keeps the running sum
-    representable when the true sum exceeds double range.
+    representable when the true sum exceeds double range.  W's est_error
+    comes from est_rel_error, and its b = 1 - 2i mu (mu > 0) is never a pole.
     """
-    nb = round(b.real)
-    if nb <= 0 and abs(b - nb) < 1e-12 * max(1.0, abs(nb)):
-        raise ParameterPole(f"Kummer parameter b = {b} at a non-positive integer")
-
     s = 1.0 + 0.0j
     comp = 0.0 + 0.0j
     t = 1.0 + 0.0j
@@ -214,18 +210,11 @@ def _kummer_series_scaled(
     return s, ln_scale, est_rel
 
 
-class _SeriesArray(NamedTuple):
-    """Kummer sums of _whittaker_series_array."""
-
-    sums: np.ndarray  # complex
-    est_rel: np.ndarray
-
-
 def _whittaker_series_array(
     kappa: float, mu_signed: float, x: np.ndarray
-) -> _SeriesArray | None:
-    """_kummer_series_scaled of M_{kappa, i*mu_signed} at every x, bit for bit,
-    where its ln_scale is 0.
+) -> np.ndarray | None:
+    """The sums of _kummer_series_scaled of M_{kappa, i*mu_signed} at every x,
+    bit for bit, as a complex array, where its ln_scale is 0.
 
     a = 1/2 - kappa + i*mu_signed and b = 1 + 2i*mu_signed, which is never a
     pole.  Each sample runs the scalar loop's operations in the same order on
@@ -239,13 +228,11 @@ def _whittaker_series_array(
     n = len(x)
     a = complex(0.5 - kappa, mu_signed)
     b = complex(1.0, 2.0 * mu_signed)
-    res = np.zeros((3, n))  # final sum (re, im) and peak per sample
-    live = np.arange(n)
-    xs = x
+    sums = np.empty(n, dtype=complex)
+    live, xs = np.arange(n), x
     sr, si = np.ones(n), np.zeros(n)
     cr, ci = np.zeros(n), np.zeros(n)
     tr, ti = np.ones(n), np.zeros(n)
-    peak = np.ones(n)
     prev = np.zeros(n, dtype=bool)  # the previous term was small
     k = 0
     with np.errstate(all="ignore"):
@@ -273,25 +260,18 @@ def _whittaker_series_array(
             k += 1
             mag = np.hypot(sr, si)
             tmag = np.hypot(tr, ti)
-            top = np.fmax(mag, tmag)  # fmax skips one NaN: top > 1e250 iff mag or tmag is
-            if (top > 1e250).any():  # the scalar loop may rescale here, or raise
+            # fmax skips one NaN: mag or tmag past 1e250, where the scalar may rescale or raise
+            if (np.fmax(mag, tmag) > 1e250).any():
                 return None
-            # peak is never NaN, so fmax keeps max(peak, mag, tmag)'s choice
-            peak = np.fmax(peak, top)
             small = tmag <= 1e-16 * np.maximum(mag, 1e-300)
             done = small & prev
             prev = small
             if done.any():
-                res[:, live[done]] = sr[done], si[done], peak[done]
+                sums.real[live[done]], sums.imag[live[done]] = sr[done], si[done]
                 keep = ~done
-                live, xs, sr, si, cr, ci, tr, ti, peak, prev = (
-                    v[keep] for v in (live, xs, sr, si, cr, ci, tr, ti, peak, prev))
-        if len(live):
-            return None
-        sums = np.empty(n, dtype=complex)
-        sums.real, sums.imag = res[0], res[1]
-        est_rel = _TWO_EPS * (res[2] / np.maximum(np.hypot(res[0], res[1]), 1e-300)) + 4e-16
-    return _SeriesArray(sums, est_rel)
+                live, xs, sr, si, cr, ci, tr, ti, prev = (
+                    v[keep] for v in (live, xs, sr, si, cr, ci, tr, ti, prev))
+    return None if len(live) else sums
 
 
 class WPoint(NamedTuple):
@@ -441,7 +421,7 @@ def whittaker_w_scaled_array(kappa: float, mu: float, x) -> tuple[np.ndarray, np
     else:
         xp, m = x[:split], -mu
         log_x = np.array(list(map(cmath.log, xp.tolist())))
-        log_s = np.array(list(map(cmath.log, minus.sums.tolist())))
+        log_s = np.array(list(map(cmath.log, minus.tolist())))
         # _connection_w's log_t at ln_scale = 0.0: each complex + float adds 0.0 to imag
         re = -0.5 * xp + (0.5 * log_x.real - m * log_x.imag) + 0.0 + log_s.real
         im = 0.0 + (0.5 * log_x.imag + m * log_x.real) + 0.0 + log_s.imag

@@ -619,6 +619,18 @@ def test_sweep_cutoff_validates_radii(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command,flag", [("sweep-cutoff", "--radii"), ("potential", "--r")])
+def test_comma_lists_must_be_non_empty(command, flag, capsys):
+    # a list of no floats is named as empty; a bad token keeps its own message
+    for value in (",", "", " , ,"):
+        code, out, err = run_cli([command, *DEEP, f"{flag}={value}"], capsys)
+        assert (code, out) == (1, ""), value
+        assert f"usage error: {flag} needs a non-empty list" in err
+    code, out, err = run_cli([command, *DEEP, flag, "0.1,x"], capsys)
+    assert (code, out) == (1, "")
+    assert f"bad {flag} list: could not convert string to float: 'x'" in err
+
+
 # ---------------------------------------------------------------------------
 # potential command
 # ---------------------------------------------------------------------------

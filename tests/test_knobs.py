@@ -8,7 +8,11 @@ only calls from outside the package use.
 No test-only code either: every function and class of the package is named
 somewhere in the package outside its own body and ``__init__.py``, or by an
 acceptance criterion; and every ``special`` function that ``eval`` calls is
-one that a route, another command or a criterion names too."""
+one that a route, another command or a criterion names too.
+
+No unread fields: every field of a NamedTuple or dataclass of the package is
+read as an attribute somewhere other than its declaration, by the package
+(its own methods too), an acceptance criterion or the benchmark."""
 
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ from collections import Counter
 
 PACKAGE = pathlib.Path(__file__).parents[1] / "src" / "dipolewell"
 ACCEPTANCE = pathlib.Path(__file__).parent / "test_acceptance.py"
+PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
 
 
 def _callee(node: ast.Call) -> str | None:
@@ -187,6 +192,46 @@ def test_eval_only_functions_sees_what_eval_alone_names():
     assert eval_only_functions(trees, acceptance) == {"g"}
 
 
+def _reads(tree: ast.AST) -> Counter:
+    """How often each bare name is read in tree as an attribute."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A NamedTuple subclass or a dataclass, by its base's or decorator's name."""
+    marks = [*node.bases, *(d.func if isinstance(d, ast.Call) else d
+                            for d in node.decorator_list)]
+    return any((getattr(m, "id", None) or getattr(m, "attr", None)) in ("NamedTuple", "dataclass")
+               for m in marks)
+
+
+def unread_fields(trees: dict[str, ast.Module], readers: list[ast.Module]) -> set:
+    """(module, class, field) of the annotated fields of NamedTuples and
+    dataclasses in the package that no package code and no reader reads as
+    an attribute.  A read by the class's own methods counts: the definitions
+    rule above makes every method named outside its body."""
+    read = sum((_reads(tree) for tree in (*trees.values(), *readers)), Counter())
+    return {(module, node.name, stmt.target.id) for module, node in _definitions(trees)
+            if isinstance(node, ast.ClassDef) and _is_record(node)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and not read[stmt.target.id]}
+
+
+def test_unread_fields_sees_attribute_reads_only():
+    # f reads D.a, D's own method D.c and a reader N.b; D.z is never read, N.d
+    # only written, and Plain.e is not a NamedTuple's or a dataclass's field
+    trees = {"m.py": ast.parse(
+        "@dataclass(frozen=True)\nclass D:\n    a: int\n    c: int\n    z: int = 0\n"
+        "    def g(self): return self.c\n"
+        "class N(typing.NamedTuple):\n    b: int\n    d: int\n"
+        "class Plain:\n    e: int\n"
+        "def f(x): return x.a\ndef h(n): n.d = 1\n")}
+    readers = [ast.parse("print(n.b)\n")]
+    assert unread_fields(trees, readers) == {("m.py", "D", "z"), ("m.py", "N", "d")}
+
+
 def _package_trees() -> dict[str, ast.Module]:
     return {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
@@ -217,3 +262,10 @@ def test_every_definition_is_named_outside_the_tests():
 def test_eval_exposes_only_what_a_route_or_criterion_uses():
     only = eval_only_functions(_package_trees(), ast.parse(ACCEPTANCE.read_text()))
     assert not only, sorted(only)
+
+
+def test_every_record_field_is_read():
+    readers = [ast.parse(path.read_text(encoding="utf-8"))
+               for path in (ACCEPTANCE, *sorted(PERFBENCH.glob("*.py")))]
+    unread = unread_fields(_package_trees(), readers)
+    assert not unread, sorted(unread)

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dipolewell import special
+from dipolewell import special, spectrum
 from dipolewell.errors import (
     ConvergenceError,
     DomainError,
-    ParameterPole,
     PoleError,
     RegimeError,
 )
+from dipolewell.model import PhysicalParams
 
 from oracles import (
     mp_kummer,
@@ -153,12 +153,6 @@ def test_kummer_contiguous_relation():
         resid = (b - a) * m_dn + (2 * a - b + x) * m_md - a * m_up
         scale = max(abs(m_dn), abs(m_md), abs(m_up))
         assert abs(resid) <= 1e-8 * scale
-
-
-def test_kummer_parameter_pole():
-    for b in (0 + 0j, -2 + 0j):
-        with pytest.raises(ParameterPole):
-            _kummer(1.0, b, 1.0)
 
 
 def test_kummer_cancellation_is_reported():
@@ -475,6 +469,59 @@ def test_whittaker_w_array_log1p_branch_of_log_x(kappa, mu):
     expect = _scalar_outcome(kappa, mu, xs)
     assert len(expect) == len(xs)
     assert _array_outcome(kappa, mu, xs) == expect
+
+
+def _series_outcome(kappa, mu_signed, xs):
+    """(real, imag) hex of the array series' sums at xs, or None."""
+    sums = special._whittaker_series_array(kappa, mu_signed, np.array(xs))
+    return None if sums is None else [(s.real.hex(), s.imag.hex()) for s in sums.tolist()]
+
+
+def _scalar_series_outcome(kappa, mu_signed, xs):
+    """(real, imag) hex of the scalar series' mantissas at xs, or None where
+    the scalar series rescales some sum (its ln_scale is not 0)."""
+    a, b = complex(0.5 - kappa, mu_signed), complex(1.0, 2.0 * mu_signed)
+    series = [special._kummer_series_scaled(a, b, x) for x in xs]
+    if any(ln_scale != 0.0 for _, ln_scale, _ in series):
+        return None
+    return [(s.real.hex(), s.imag.hex()) for s, _, _ in series]
+
+
+@pytest.mark.parametrize("lam", [2.5, 7.0])
+@pytest.mark.parametrize("x0", [1e-6, 1e-3])
+def test_whittaker_series_array_sums_equal_the_scalar_series(lam, x0, monkeypatch):
+    # the wavefunction profiles n = 1..3 at the ends of the profile workload's
+    # Lambda and x0 ranges: the array sums are the scalar mantissas, both signs
+    # of mu, with no scalar rescale anywhere
+    seen = []
+    series = special._whittaker_series_array
+
+    def recording(kappa, m, x):
+        seen.append((kappa, -m, x.tolist()))
+        return series(kappa, m, x)
+
+    monkeypatch.setattr(special, "_whittaker_series_array", recording)
+    p = PhysicalParams(1.0, 0.5 * lam * lam, 1.0, x0 / 0.01, 0.1)
+    for n in (1, 2, 3):
+        spectrum.radial_wavefunction(p, spectrum.quantize_exact(p, n), None, 512)
+    monkeypatch.undo()
+    assert len(seen) == 3
+    for kappa, mu, xs in seen:
+        for m in (-mu, mu):
+            expect = _scalar_series_outcome(kappa, m, xs)
+            assert expect is not None and len(expect) == len(xs)
+            assert _series_outcome(kappa, m, xs) == expect
+
+
+@pytest.mark.parametrize("kappa,mu", [(1.3, 0.3), (-0.2, 0.7), (-3.0, 2.5), (0.5 - 1.5e5, 2.5)])
+def test_whittaker_series_array_sums_in_the_log1p_band(kappa, mu):
+    # the band where cmath.log(x) takes its log1p branch: the sums themselves
+    # are pinned here, not only through cmath.log; at beta ~ 1.5e5 the scalar
+    # series rescales and the array series gives up
+    xs = np.linspace(0.71, 1.73, 97).tolist()
+    for m in (-mu, mu):
+        assert _series_outcome(kappa, m, xs) == _scalar_series_outcome(kappa, m, xs)
+    assert (_scalar_series_outcome(kappa, mu, xs) is None) == (kappa < -1e4)
 
 
 def test_whittaker_w_array_rescaled_sums():
