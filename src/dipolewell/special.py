@@ -81,6 +81,7 @@ _LANCZOS_C = (
     -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
 )
+_LANCZOS_TERMS = tuple(enumerate(_LANCZOS_C))[1:]  # (i, c_i) for i >= 1
 
 KUMMER_MAX_TERMS = 10_000
 # ln_gamma_complex shifts Re z up by one per step of its recurrence; past this
@@ -149,8 +150,8 @@ def ln_gamma_complex(z: complex) -> GammaLn:
 
     wm = w - 1.0
     s = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[i] / (wm + i)
+    for i, c in _LANCZOS_TERMS:
+        s += c / (wm + i)
     t = wm + _LANCZOS_G + 0.5
     val = _HALF_LOG_2PI + (wm + 0.5) * cmath.log(t) - t + cmath.log(s) - shift
     est = 5e-15 * (1.0 + abs(val)) * (1.0 + 0.1 * shifts)
@@ -188,8 +189,13 @@ def _kummer_series_scaled(
         except OverflowError:  # the modulus of a finite complex exceeds double range
             raise ConvergenceError(
                 f"Kummer series magnitude overflows (a={a}, b={b}, x={x})") from None
-        peak = max(peak, mag, tmag)
-        if tmag <= 1e-16 * max(mag, 1e-300):
+        # peak and the floor as max() keeps them, NaN too: a later value
+        # replaces an earlier one only if it compares greater
+        if mag > peak:
+            peak = mag
+        if tmag > peak:
+            peak = tmag
+        if tmag <= 1e-16 * (1e-300 if 1e-300 > mag else mag):
             small_streak += 1
             if small_streak >= 2:
                 break
@@ -319,8 +325,9 @@ def _connection_w(
     # cancellation of the connection formula enters through 1/|mantissa|
     phase_noise = 2.0 * _TWO_EPS * abs(log_t) + 4.0 * em
     mantissa_err = 2.0 * phase_noise + 4.0 * _TWO_EPS
-    value = mantissa * math.exp(exponent) if exponent < 709.0 else math.inf * mantissa
-    est = mantissa_err * math.exp(min(exponent, 709.0))
+    scale = math.exp(min(exponent, 709.0))  # exp(exponent) wherever exponent < 709
+    value = mantissa * scale if exponent < 709.0 else math.inf * mantissa
+    est = mantissa_err * scale
     est += eg * abs(value)
     return WhittakerW(value, est, mantissa, exponent)
 

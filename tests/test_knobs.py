@@ -12,7 +12,11 @@ one that a route, another command or a criterion names too.
 
 No unread fields: every field of a NamedTuple or dataclass of the package is
 read as an attribute somewhere other than its declaration, by the package
-(its own methods too), an acceptance criterion or the benchmark."""
+(its own methods too), an acceptance criterion or the benchmark.
+
+No shared mutable state or caching, as the README promises: no ``global`` or
+``nonlocal`` statement and no ``cache``, ``lru_cache`` or ``cached_property``
+decorator anywhere in the package."""
 
 from __future__ import annotations
 
@@ -232,6 +236,43 @@ def test_unread_fields_sees_attribute_reads_only():
     assert unread_fields(trees, readers) == {("m.py", "D", "z"), ("m.py", "N", "d")}
 
 
+CACHE_DECORATORS = ("cache", "lru_cache", "cached_property")
+
+
+def shared_state(trees: dict[str, ast.Module]) -> set:
+    """(module, line, what) of every global or nonlocal statement and every
+    decorator named in CACHE_DECORATORS, bare, called or as an attribute
+    (functools.lru_cache(maxsize=None) too)."""
+    found = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                found.add((module, node.lineno, type(node).__name__.lower()))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for mark in node.decorator_list:
+                    mark = mark.func if isinstance(mark, ast.Call) else mark
+                    name = getattr(mark, "id", None) or getattr(mark, "attr", None)
+                    if name in CACHE_DECORATORS:
+                        found.add((module, mark.lineno, name))
+    return found
+
+
+def test_shared_state_sees_globals_nonlocals_and_cache_decorators():
+    # property and a frozen dataclass are not caches; a variable named cache
+    # is not a decorator
+    tree = ast.parse(
+        "def f():\n    global G\n    n = 0\n    def g():\n        nonlocal n\n"
+        "@functools.lru_cache(maxsize=None)\ndef h(): pass\n"
+        "@cache\ndef k(): pass\n"
+        "class C:\n    @functools.cached_property\n    def p(self): pass\n"
+        "    @property\n    def q(self): pass\n"
+        "@dataclass(frozen=True)\nclass D: pass\n"
+        "cache = {}\n")
+    assert shared_state({"m.py": tree}) == {
+        ("m.py", 2, "global"), ("m.py", 5, "nonlocal"), ("m.py", 6, "lru_cache"),
+        ("m.py", 8, "cache"), ("m.py", 11, "cached_property")}
+
+
 def _package_trees() -> dict[str, ast.Module]:
     return {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
@@ -269,3 +310,8 @@ def test_every_record_field_is_read():
                for path in (ACCEPTANCE, *sorted(PERFBENCH.glob("*.py")))]
     unread = unread_fields(_package_trees(), readers)
     assert not unread, sorted(unread)
+
+
+def test_no_shared_mutable_state_or_caching():
+    found = shared_state(_package_trees())
+    assert not found, sorted(found)

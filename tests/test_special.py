@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import pathlib
+import random
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from dipolewell import special, spectrum
 from dipolewell.errors import (
     ConvergenceError,
+    DipoleWellError,
     DomainError,
     PoleError,
     RegimeError,
@@ -575,6 +578,78 @@ def test_whittaker_w_array_all_large_x_needs_no_log_gamma(monkeypatch):
 
     monkeypatch.setattr(special, "ln_gamma_complex", no_ln_gamma)
     assert _array_outcome(-2.0, 1.5, xs) == expect
+
+
+# ---------------------------------------------------------------------------
+# the scalar kernel's bits, frozen
+# ---------------------------------------------------------------------------
+
+FROZEN_KERNEL = pathlib.Path(__file__).parent / "special_kernel_frozen.txt"
+
+
+def _kernel_inputs() -> list[tuple[str, tuple[float, ...]]]:
+    """(kind, real arguments) of every row of the frozen kernel table, from a
+    seeded grid: exact-ladder's regime (beta 10..1e5, x 1e-8..1e-3, mu
+    1.25..3.5, W with and without its prepared point), lnGamma's recurrence
+    branch and poles, the series' 1e250 rescale, the large-x route and the
+    series' errors (the term cap, a modulus past double range)."""
+    rng = random.Random("special-kernel")
+    rows = []
+    for _ in range(40):
+        beta = 10.0 ** rng.uniform(1.0, 5.0)
+        x = 10.0 ** rng.uniform(-8.0, -3.0)
+        mu = rng.uniform(1.25, 3.5)
+        kappa = 0.5 - beta
+        rows += [("lngamma", (0.0, 2.0 * mu)), ("lngamma", (0.5 - kappa, mu)),
+                 ("series", (0.5 - kappa, -mu, 1.0, -2.0 * mu, x)),
+                 ("w", (kappa, mu, x)), ("w_point", (kappa, mu, x))]
+    for _ in range(24):
+        rows.append(("lngamma", (rng.uniform(-40.0, 0.5), rng.uniform(-15.0, 15.0))))
+    rows += [("lngamma", z) for z in ((-2.5, 0.0), (-3.0, 0.0), (0.0, 0.0), (-2.0e7, 1.0))]
+    kappa = 0.5 - 1.5e5
+    for x in (0.7, 5.0, 29.9):
+        rows += [("series", (0.5 - kappa, -2.5, 1.0, -5.0, x)), ("w", (kappa, 2.5, x))]
+    for _ in range(8):
+        rows.append(("w", (rng.uniform(-4.0, 5.0), rng.uniform(1.25, 3.5),
+                           rng.uniform(30.0, 200.0))))
+    rows += [("w", (-50.0, 2.5, 29.9)), ("w", (-50.0, 2.5, 40.0)),
+             ("series", (0.5, -1.0, 1.0, -2.0, math.nan)),
+             ("series", (1.5e308, 1.5e308, 1.0, 0.0, 1.0))]
+    return rows
+
+
+def _kernel_key(kind: str, args: tuple[float, ...]) -> str:
+    return " ".join([kind, *map(float.hex, args)])
+
+
+def _kernel_outcome(kind: str, args: tuple[float, ...]) -> str:
+    """float.hex of every returned field, or 'ErrorType: message'."""
+    try:
+        if kind == "lngamma":
+            lg = special.ln_gamma_complex(complex(*args))
+            fields = (lg.value.real, lg.value.imag, lg.est_error)
+        elif kind == "series":
+            s, ln_scale, est_rel = special._kummer_series_scaled(
+                complex(*args[:2]), complex(*args[2:4]), args[4])
+            fields = (s.real, s.imag, ln_scale, est_rel)
+        else:
+            kappa, mu, x = args
+            point = special.w_point(mu) if kind == "w_point" else None
+            fields = special.whittaker_w_scaled(kappa, mu, x, point=point)
+    except DipoleWellError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return " ".join(map(float.hex, fields))
+
+
+def test_special_kernel_frozen_table():
+    # lnGamma, the Kummer series and W to the last bit, or the same error, on
+    # the rows _kernel_inputs() lists
+    rows = [ln.split(" | ") for ln in FROZEN_KERNEL.read_text().splitlines()
+            if not ln.startswith("#")]
+    assert [key for key, _ in rows] == [_kernel_key(*row) for row in _kernel_inputs()]
+    for key, want in rows:
+        kind, *args = key.split()
+        assert _kernel_outcome(kind, tuple(map(float.fromhex, args))) == want, key
 
 
 # ---------------------------------------------------------------------------
