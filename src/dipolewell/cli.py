@@ -8,13 +8,15 @@ deterministic for a fixed configuration.
 
 Configuration precedence: built-in defaults < --config file < command-line
 flags.  The config file holds UTF-8 ``key = value`` lines with ``#``
-comments; keys are mass, alpha, lambda, omega, radius, ell, pz.
+comments, after an optional byte-order mark; keys are mass, alpha, lambda,
+omega, radius, ell, pz.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import replace
 from typing import Callable, NamedTuple
@@ -44,7 +46,16 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with exit code 1 on usage problems (default would be 2)."""
+    """argparse with exit code 1 on usage problems (default would be 2), and
+    with any float spelling after a '-' taken as a value, not an option:
+    argparse's own test (Python 3.11) misses -1e-3 and -inf, which made
+    `--pz -1e-3` a missing argument."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"-(?:(?:\d[\d_]*\.?[\d_]*|\.\d[\d_]*)(?:e[-+]?\d[\d_]*)?|inf(?:inity)?|nan)$",
+            re.IGNORECASE)
 
     def error(self, message):  # noqa: D102 - argparse hook
         raise _UsageError(message)
@@ -180,7 +191,7 @@ def _build_params(ns: argparse.Namespace) -> PhysicalParams:
     try:
         if ns.config:
             try:
-                with open(ns.config, encoding="utf-8") as fh:
+                with open(ns.config, encoding="utf-8-sig") as fh:  # skips a byte-order mark
                     values.update(model.parse_config_text(fh.read()))
             except OSError as exc:
                 raise _UsageError(f"cannot read config file: {exc}") from exc
@@ -206,8 +217,11 @@ def _write(out_path: str, lines: list[str]) -> None:
     if out_path == "-":
         sys.stdout.write(payload)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise _UsageError(f"cannot write output file: {exc}") from exc
 
 
 def _cell(x: float | None) -> str:

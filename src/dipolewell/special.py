@@ -7,7 +7,7 @@ The bound-state machinery needs three ingredients:
   the Gamma-weighted connection formula that adds a term in M_{k, -i*mu}
   (a Kummer confluent hypergeometric series M(a; b; x)) to its complex
   conjugate,
-* the large-argument approximation of Gamma and the resulting small-x
+* the large-argument approximation of log-Gamma and the resulting small-x
   cosine approximation of W with amplitude computed in log space.
 
 W decays double-exponentially in the large-|kappa| regime (its magnitude
@@ -110,12 +110,6 @@ class WhittakerW(NamedTuple):
     est_error: float
     mantissa: float
     exponent: float
-
-
-class GammaAsym(NamedTuple):
-    value: complex
-    est_error: float
-    log_value: complex
 
 
 def ln_gamma_complex(z: complex) -> GammaLn:
@@ -439,30 +433,19 @@ def whittaker_w_scaled_array(kappa: float, mu: float, x) -> tuple[np.ndarray, np
             np.concatenate([exponent, [w.exponent for w in rest]]))
 
 
-def gamma_uniform_asymptotic(a: float, zeta: float, b: complex) -> GammaAsym:
-    """Large-argument approximation
+def gamma_uniform_asymptotic(z: float, b: complex) -> complex:
+    """log Gamma(z + b) by the large-argument approximation (DLMF 5.11)
 
-        Gamma(a*zeta + b) ~ sqrt(2*pi) e^{-a*zeta} (a*zeta)^{a*zeta + b - 1/2}
+        Gamma(z + b) ~ sqrt(2*pi) e^{-z} z^{z + b - 1/2}
 
-    for fixed a > 0, complex b, and large |zeta| (restricted here to real
-    positive a*zeta; the power uses the principal branch).  ``est_error``
-    is the magnitude of the first neglected correction, |(6b^2-6b+1)| /
-    (12 a zeta) relative to the value.  For a*zeta beyond ~170 the value
-    overflows doubles (like Gamma itself); ``log_value`` stays finite and
-    is the field to compare against log-Gamma in that range.
+    for real z >= 1 and complex b; its first neglected correction is
+    |6b^2 - 6b + 1| / (12 z) relative to Gamma.  Returned as the log, which
+    stays finite where Gamma(z + b) itself overflows doubles (z past ~170).
+    DomainError unless 1 <= z < inf.
     """
-    if a <= 0:
-        raise DomainError("gamma_uniform_asymptotic requires a > 0")
-    if abs(zeta) < 1.0:
-        raise DomainError("gamma_uniform_asymptotic requires |zeta| >= 1")
-    az = a * zeta
-    if az <= 0:
-        raise DomainError("gamma_uniform_asymptotic requires a*zeta > 0")
-    b = complex(b)
-    log_value = _HALF_LOG_2PI - az + (az + b - 0.5) * math.log(az)
-    corr = abs(6.0 * b * b - 6.0 * b + 1.0) / (12.0 * az)
-    value = cmath.exp(log_value) if log_value.real < 709.0 else complex(math.inf, 0.0)
-    return GammaAsym(value, corr * abs(value), log_value)
+    if not 1.0 <= z < math.inf:
+        raise DomainError("gamma_uniform_asymptotic requires finite z >= 1")
+    return _HALF_LOG_2PI - z + (z + complex(b) - 0.5) * math.log(z)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BracketError, DomainError
 from .model import (
-    DerivedParams, PhysicalParams, derive, energy_of_kappa, is_count, kappa_of_energy,
+    PhysicalParams, derive, energy_of_kappa, is_count, kappa_of_energy,
     outer_turning_radius,
 )
 from .special import WPoint, w_point, whittaker_w_scaled, whittaker_w_scaled_array
@@ -76,11 +76,7 @@ def binding_energy(params: PhysicalParams, n: int) -> float:
     """
     if not is_count(n):
         raise DomainError("level index n must be an integer")
-    return _binding(params, derive(params), n)
-
-
-def _binding(params: PhysicalParams, d: DerivedParams, n: int) -> float:
-    lam = d.Lambda
+    lam = derive(params).Lambda
     lam_sq = params.coupling_strength - float(params.ell) ** 2
     m_r_sq = params.mass_m * params.cutoff_R**2
     coef = 2.0 * lam_sq / m_r_sq if m_r_sq > 0 else math.inf  # m R^2 may underflow to 0
@@ -132,10 +128,9 @@ def energy_levels_asymptotic(params: PhysicalParams, n_max: int) -> list[EnergyL
     """
     if not (is_count(n_max) and n_max >= 1):
         raise DomainError("n_max must be >= 1")
-    d = derive(params)
     levels = []
     for n in range(1, n_max + 1):
-        b = _binding(params, d, n)
+        b = binding_energy(params, n)
         energy = params.omega + params.energy_shift - b
         if levels and not energy > levels[-1].energy:
             raise DomainError(f"closed-form levels {n - 1} and {n} do not differ in double "

@@ -480,6 +480,41 @@ def test_main_without_a_command_uses_the_full_parser():
         assert _outcome(cli.main, argv) == full, argv
 
 
+@pytest.mark.parametrize("argv,same_as", [
+    (["spectrum", *DEEP, "--pz", "-1e-3"], ["spectrum", *DEEP, "--pz=-1e-3"]),
+    (["spectrum", *DEEP, "--pz", "-.5E2"], ["spectrum", *DEEP, "--pz", "-50"]),
+    (["eval", "GammaLn", "-1.5e1", "0.5"], ["eval", "GammaLn", "--", "-1.5e1", "0.5"]),
+    (["eval", "WhittakerW", "-3E0", "2.5", "1e-3"], ["eval", "WhittakerW", "-3", "2.5", "0.001"]),
+    (["potential", *DEEP, "--r", "-1e-3"], ["potential", *DEEP, "--r=-1e-3"]),
+    (["potential", *DEEP, "--rmin", "-1e-1", "--rmax", "1", "--samples", "3"],
+     ["potential", *DEEP, "--rmin", "-0.1", "--rmax", "1", "--samples", "3"]),
+], ids=["pz", "pz_leading_dot", "eval_gamma_ln", "eval_whittaker_w", "potential_r",
+        "potential_rmin"])
+def test_negative_numbers_in_exponent_form_are_values(argv, same_as, capsys):
+    # any float spelling after a '-' is a value, read as the '=' or '--' form reads it
+    result = run_cli(argv, capsys)
+    assert result == run_cli(same_as, capsys)
+    assert result[0] == 0, result
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["eval", "GammaLn", "-inf", "0"], "GammaLn arguments must be finite"),
+    (["eval", "GammaLn", "0", "-NaN"], "GammaLn arguments must be finite"),
+    (["spectrum", *DEEP, "--pz", "-inf"], "p_z must be finite"),
+    (["potential", *DEEP, "--rmin", "-Infinity"],
+     "argument --rmin: expected a finite float, got -Infinity"),
+    (["spectrum", *DEEP, "--pz", "-h"], "argument --pz: expected one argument"),
+    (["spectrum", *DEEP, "--pz", "--bogus"], "argument --pz: expected one argument"),
+    (["eval", "GammaLn", "-e1", "0"], "unrecognized arguments: -e1 0"),
+    (["spectrum", *DEEP, "--bogus"], "unrecognized arguments: --bogus"),
+], ids=["eval_minus_inf", "eval_minus_nan", "pz_minus_inf", "rmin_minus_infinity",
+        "pz_help_flag", "pz_unknown_flag", "eval_no_mantissa", "unknown_flag"])
+def test_non_numbers_after_a_dash_stay_usage_errors(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: {message}\n"
+
+
 def test_wavefunction_builds_only_its_own_subparser(monkeypatch, capsys):
     calls = []
     add_argument = argparse._ActionsContainer.add_argument
@@ -552,6 +587,26 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     b_file = 1e-3 - e_file
     b_flag = 1e-3 - e_flag
     assert math.isclose(b_flag, 0.25 * b_file, rel_tol=1e-12)
+
+
+def test_config_file_with_a_byte_order_mark(tmp_path, capsys):
+    text = "mass = 1\nalpha = 12.5\nlambda = 1\nomega = 1e-3\nradius = 0.1\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    result = run_cli(["spectrum", "--config", str(marked)], capsys)
+    assert result == run_cli(["spectrum", "--config", str(plain)], capsys)
+    assert result[0] == 0
+
+
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):  # no such directory; a directory
+        code, out, err = run_cli(["spectrum", *DEEP, "--out", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: cannot write output file: "), err
+        assert str(path) in err and "Traceback" not in err
+        assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

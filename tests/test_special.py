@@ -659,17 +659,17 @@ def test_special_kernel_frozen_table():
 
 def test_gamma_uniform_phase_is_mu_log_beta():
     beta, mu = 10.0, 1.0
-    res = special.gamma_uniform_asymptotic(1.0, beta, complex(0.0, mu))
-    assert res.log_value.imag == mu * math.log(beta)
+    res = special.gamma_uniform_asymptotic(beta, complex(0.0, mu))
+    assert res.imag == mu * math.log(beta)
 
 
 def test_gamma_uniform_ratio_convergence():
     # value-relative error vs exact Gamma; [frozen oracle band] 0.068 at
     # beta=50, mu=2.5, and monotone nonincreasing along doubling beta
     def rel_err(beta, mu):
-        asym = special.gamma_uniform_asymptotic(1.0, beta, complex(0.0, mu))
+        asym = special.gamma_uniform_asymptotic(beta, complex(0.0, mu))
         exact = special.ln_gamma_complex(complex(beta, mu)).value
-        return abs(cmath.exp(asym.log_value - exact) - 1.0)
+        return abs(cmath.exp(asym - exact) - 1.0)
 
     e50 = rel_err(50.0, 2.5)
     assert 0.05 < e50 < 0.09
@@ -680,19 +680,21 @@ def test_gamma_uniform_ratio_convergence():
     assert rel_err(4000.0, 2.5) <= 1e-3
 
 
-def test_gamma_uniform_est_error_tracks_first_correction():
-    beta, mu = 50.0, 2.5
-    res = special.gamma_uniform_asymptotic(1.0, beta, complex(0.0, mu))
-    exact = special.ln_gamma_complex(complex(beta, mu)).value
-    true_err = abs(cmath.exp(res.log_value - exact) - 1.0) * abs(res.value)
-    assert 0.3 * true_err <= res.est_error <= 3.0 * true_err
+def test_gamma_uniform_is_the_bare_form_in_log_space():
+    # sqrt(2 pi) e^{-z} z^{z + b - 1/2} in log space, finite where Gamma
+    # itself overflows doubles
+    z, b = 4000.0, complex(0.0, 2.5)
+    res = special.gamma_uniform_asymptotic(z, b)
+    assert isinstance(res, complex)
+    assert res == 0.5 * math.log(2.0 * math.pi) - z + (z + b - 0.5) * math.log(z)
+    assert math.isfinite(res.real) and res.real > 709.0
 
 
 def test_gamma_uniform_domain_errors():
-    with pytest.raises(DomainError):
-        special.gamma_uniform_asymptotic(-1.0, 10.0, 0j)
-    with pytest.raises(DomainError):
-        special.gamma_uniform_asymptotic(1.0, 0.5, 0j)
+    for z in (0.5, 0.0, -1.0, -10.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            special.gamma_uniform_asymptotic(z, 0j)
+    assert special.gamma_uniform_asymptotic(1.0, 0j) == 0.5 * math.log(2.0 * math.pi) - 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -245,10 +245,8 @@ def test_quantize_exact_gap_direction_across_lambda():
     # along Lambda in {4, 5, 6} (0.0061, 0.0233, 0.0404 by the 40-digit
     # oracle), because the quantization defect scales with
     # beta_n * x0 = Lambda^2 e^{pi/(2 Lambda) - 2 - 2 pi n/Lambda}, which
-    # grows with Lambda.  The regression below pins the measured values;
-    # a warning records the direction for the report.
-    import warnings
-
+    # grows with Lambda.  The regression below pins the measured values
+    # and that direction.
     measured = []
     for coupling in (16.0, 25.0, 36.0):  # Lambda = 4, 5, 6
         p = deep_params(polarizability_alpha=coupling / 2.0)
@@ -259,11 +257,7 @@ def test_quantize_exact_gap_direction_across_lambda():
     expected = (0.00605385, 0.023290, 0.0403792)  # [frozen oracle]
     for got, ref_v in zip(measured, expected):
         assert abs(got - ref_v) <= 1e-3 * max(ref_v, 1e-6)
-    if not all(a >= b for a, b in zip(measured, measured[1:])):
-        warnings.warn(
-            "exact-vs-closed-form gap grows with Lambda at fixed x0: "
-            + ", ".join(f"{v:.4f}" for v in measured)
-        )
+    assert measured[0] < measured[1] < measured[2]
 
 
 def test_quantize_exact_one_gamma_of_the_order_and_one_series_per_beta(monkeypatch):
