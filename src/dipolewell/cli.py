@@ -45,17 +45,20 @@ class _UsageError(Exception):
     pass
 
 
+_FLOAT_SPELLING = r"(?:(?:\d[\d_]*\.?[\d_]*|\.\d[\d_]*)(?:e[-+]?\d[\d_]*)?|inf(?:inity)?|nan)"
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with exit code 1 on usage problems (default would be 2), and
-    with any float spelling after a '-' taken as a value, not an option:
-    argparse's own test (Python 3.11) misses -1e-3 and -inf, which made
-    `--pz -1e-3` a missing argument."""
+    with any float spelling or comma list of them after a '-' taken as a
+    value, not an option: argparse's own test (Python 3.11) misses -1e-3,
+    -inf and -0.1,0.05, which made `--pz -1e-3` a missing argument."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        # list items may be empty, as _float_list skips them
         self._negative_number_matcher = re.compile(
-            r"-(?:(?:\d[\d_]*\.?[\d_]*|\.\d[\d_]*)(?:e[-+]?\d[\d_]*)?|inf(?:inity)?|nan)$",
-            re.IGNORECASE)
+            rf"-{_FLOAT_SPELLING}(?:,(?:[-+]?{_FLOAT_SPELLING})?)*$", re.IGNORECASE)
 
     def error(self, message):  # noqa: D102 - argparse hook
         raise _UsageError(message)
@@ -168,8 +171,8 @@ def _eval_flags(p: argparse.ArgumentParser) -> None:
                    help="GammaLn re im | WhittakerW kappa mu x | WSmallX kappa mu x")
 
 
-def _parser(commands) -> _Parser:
-    """The top-level parser with a subparser for each of the named commands."""
+def _parser() -> _Parser:
+    """The top-level parser with a subparser for each command."""
     p = _Parser(
         prog="dipolewell",
         description=(
@@ -180,8 +183,7 @@ def _parser(commands) -> _Parser:
         ),
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name in commands:
-        command = _COMMANDS[name]
+    for name, command in _COMMANDS.items():
         command.add_flags(sub.add_parser(name, help=command.help))
     return p
 
@@ -290,9 +292,11 @@ def cmd_wavefunction(ns: argparse.Namespace) -> int:
     profile = spectrum.radial_wavefunction(params, level, ns.rmax, ns.samples)
     if profile.boundary_warning:
         print("warning: asymptotic level does not satisfy f(R) = 0 exactly", file=sys.stderr)
-    # "%.17g" formats as _fmt does, one call per row
-    rows = map("%.17g,%.17g".__mod__, zip(profile.r_samples.tolist(), profile.f_values.tolist()))
-    _write(ns.out, ["r,f", *rows])
+    # "%.17g" formats as _fmt does; one % call on one template formats all rows
+    r = profile.r_samples.tolist()
+    pairs = [0.0] * (2 * len(r))
+    pairs[::2], pairs[1::2] = r, profile.f_values.tolist()
+    _write(ns.out, ["r,f", "\n".join(["%.17g,%.17g"] * len(r)) % tuple(pairs)])
     return EXIT_OK
 
 
@@ -427,12 +431,19 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    # a named command needs only its own subparser; -h, no command and an
-    # unknown command get the full parser and its messages
-    commands = args[:1] if args and args[0] in _COMMANDS else _COMMANDS
     try:
-        ns = _parser(commands).parse_args(args)
-        return _COMMANDS[ns.command].run(ns)
+        if args and args[0] in _COMMANDS:
+            # a named command builds only its own parser, as the full parser
+            # builds its subparser: the same prog, help and messages; -h, no
+            # command and an unknown command get the full parser
+            name = args[0]
+            p = _Parser(prog=f"dipolewell {name}")
+            _COMMANDS[name].add_flags(p)
+            ns = p.parse_args(args[1:])
+        else:
+            ns = _parser().parse_args(args)
+            name = ns.command
+        return _COMMANDS[name].run(ns)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -221,9 +221,13 @@ def _whittaker_series_array(
     float64 pairs: complex products as CPython's _Py_c_prod, the quotient as
     its _Py_c_quot (Smith's ratio/denom, dividing by denom; numpy's complex
     division rounds differently), a float promoted to complex(x, 0.0), and
-    magnitudes as hypot.  A sample leaves the active set once it stops.
-    None where the scalar loop may rescale or raise: a live term or partial
-    sum passes 1e250, or a sample is still live after KUMMER_MAX_TERMS terms.
+    magnitudes as hypot.  A sample leaves the live set, with its sum
+    recorded, at the term where the scalar loop stops.  Small x converge
+    first, so on ascending x the finished samples usually lead the live set;
+    they then leave by slicing, which copies nothing, and otherwise by a
+    boolean-mask compaction of every per-sample array.  None where the
+    scalar loop may rescale or raise: a live term or partial sum passes
+    1e250, or a sample is still live after KUMMER_MAX_TERMS terms.
     """
     n = len(x)
     a = complex(0.5 - kappa, mu_signed)
@@ -261,14 +265,16 @@ def _whittaker_series_array(
             mag = np.hypot(sr, si)
             tmag = np.hypot(tr, ti)
             # fmax skips one NaN: mag or tmag past 1e250, where the scalar may rescale or raise
-            if (np.fmax(mag, tmag) > 1e250).any():
+            if np.count_nonzero(np.fmax(mag, tmag) > 1e250):
                 return None
             small = tmag <= 1e-16 * np.maximum(mag, 1e-300)
             done = small & prev
             prev = small
-            if done.any():
-                sums.real[live[done]], sums.imag[live[done]] = sr[done], si[done]
-                keep = ~done
+            nd = np.count_nonzero(done)
+            if nd:
+                # a leading run leaves by slicing, which copies nothing
+                fin, keep = (slice(nd), slice(nd, None)) if done[:nd].all() else (done, ~done)
+                sums.real[live[fin]], sums.imag[live[fin]] = sr[fin], si[fin]
                 live, xs, sr, si, cr, ci, tr, ti, prev = (
                     v[keep] for v in (live, xs, sr, si, cr, ci, tr, ti, prev))
     return None if len(live) else sums
@@ -421,13 +427,13 @@ def whittaker_w_scaled_array(kappa: float, mu: float, x) -> tuple[np.ndarray, np
         split = 0
     else:
         xp, m = x[:split], -mu
-        log_x = np.array(list(map(cmath.log, xp.tolist())))
-        log_s = np.array(list(map(cmath.log, minus.tolist())))
+        log_x = np.fromiter(map(cmath.log, xp.tolist()), complex, split)
+        log_s = np.fromiter(map(cmath.log, minus.tolist()), complex, split)
         # _connection_w's log_t at ln_scale = 0.0: each complex + float adds 0.0 to imag
         re = -0.5 * xp + (0.5 * log_x.real - m * log_x.imag) + 0.0 + log_s.real
         im = 0.0 + (0.5 * log_x.imag + m * log_x.real) + 0.0 + log_s.imag
         exponent = lr.real + re
-        mantissa = 2.0 * np.array(list(map(math.cos, (lr.imag + im).tolist())))
+        mantissa = 2.0 * np.fromiter(map(math.cos, (lr.imag + im).tolist()), float, split)
     rest = [whittaker_w_scaled(kappa, mu, xi) for xi in x[split:].tolist()]
     return (np.concatenate([mantissa, [w.mantissa for w in rest]]),
             np.concatenate([exponent, [w.exponent for w in rest]]))

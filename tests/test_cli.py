@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dipolewell import cli
+from dipolewell import cli, spectrum
+from dipolewell.model import PhysicalParams
 
 DEEP = [
     "--mass", "1", "--alpha", "12.5", "--lambda", "1", "--omega", "1e-3", "--radius", "0.1",
@@ -151,7 +152,7 @@ def test_absurd_sizes_are_usage_errors(argv, flag, low, high, monkeypatch, capsy
         assert (code, out) == (1, "")
         assert err == (f"usage error: argument {flag}: expected a finite int >= {low} "
                        f"and <= {high}, got {value}\n")
-    ns = cli._parser(argv[:1]).parse_args([*argv, *DEEP, flag, str(high)])
+    ns = cli._parser().parse_args([*argv, *DEEP, flag, str(high)])
     assert getattr(ns, flag[2:].replace("-", "_")) == high
 
 
@@ -420,7 +421,7 @@ def test_every_flag_is_read_by_its_command():
     # a flag that its command never reads changes nothing it prints
     tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
     defs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
-    parser = cli._parser(cli._COMMANDS)
+    parser = cli._parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert list(sub.choices) == list(cli._COMMANDS)
     for name, command in cli._COMMANDS.items():
@@ -433,7 +434,7 @@ def test_every_flag_is_read_by_its_command():
 
 
 def _full_parse(argv) -> None:
-    cli._parser(cli._COMMANDS).parse_args(argv)
+    cli._parser().parse_args(argv)
 
 
 def _outcome(parse, argv):
@@ -488,8 +489,10 @@ def test_main_without_a_command_uses_the_full_parser():
     (["potential", *DEEP, "--r", "-1e-3"], ["potential", *DEEP, "--r=-1e-3"]),
     (["potential", *DEEP, "--rmin", "-1e-1", "--rmax", "1", "--samples", "3"],
      ["potential", *DEEP, "--rmin", "-0.1", "--rmax", "1", "--samples", "3"]),
+    (["potential", *DEEP, "--r", "-1e-3,2"], ["potential", *DEEP, "--r=-1e-3,2"]),
+    (["potential", *DEEP, "--r", "-1,,-2.5E-1"], ["potential", *DEEP, "--r=-1,,-0.25"]),
 ], ids=["pz", "pz_leading_dot", "eval_gamma_ln", "eval_whittaker_w", "potential_r",
-        "potential_rmin"])
+        "potential_rmin", "potential_r_list", "potential_r_list_empty_item"])
 def test_negative_numbers_in_exponent_form_are_values(argv, same_as, capsys):
     # any float spelling after a '-' is a value, read as the '=' or '--' form reads it
     result = run_cli(argv, capsys)
@@ -507,9 +510,17 @@ def test_negative_numbers_in_exponent_form_are_values(argv, same_as, capsys):
     (["spectrum", *DEEP, "--pz", "--bogus"], "argument --pz: expected one argument"),
     (["eval", "GammaLn", "-e1", "0"], "unrecognized arguments: -e1 0"),
     (["spectrum", *DEEP, "--bogus"], "unrecognized arguments: --bogus"),
+    (["potential", *DEEP, "--r", "-x,2"], "argument --r: expected one argument"),
+    (["potential", *DEEP, "--r", "-1e-3,x"], "argument --r: expected one argument"),
+    (["sweep-cutoff", *DEEP, "--radii", "-0.1,--bogus"],
+     "argument --radii: expected one argument"),
+    (["sweep-cutoff", *DEEP, "--radii", "-0.1,0.05"], "--radii must be finite and positive"),
 ], ids=["eval_minus_inf", "eval_minus_nan", "pz_minus_inf", "rmin_minus_infinity",
-        "pz_help_flag", "pz_unknown_flag", "eval_no_mantissa", "unknown_flag"])
+        "pz_help_flag", "pz_unknown_flag", "eval_no_mantissa", "unknown_flag",
+        "r_list_of_a_word", "r_list_ending_in_a_word", "radii_list_with_a_flag",
+        "radii_list_negative_first"])
 def test_non_numbers_after_a_dash_stay_usage_errors(argv, message, capsys):
+    # a comma list of floats that starts with '-' is a value, which its command checks
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
     assert err == f"usage error: {message}\n"
@@ -527,8 +538,30 @@ def test_wavefunction_builds_only_its_own_subparser(monkeypatch, capsys):
     argv = ["wavefunction", *DEEP, "--n", "1", "--rmax", "0.6", "--samples", "5"]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0 and out.startswith("r,f\n")
-    # two -h flags, the nine parameter flags and the command's own four
-    assert 0 < len(calls) <= 15
+    # one -h flag, the nine parameter flags and the command's own four
+    assert len(calls) == 14
+
+
+HELP_FROZEN = pathlib.Path(__file__).parent / "cli_help_frozen.txt"
+
+
+def _help_table(monkeypatch) -> str:
+    """stdout and stderr of `-h` and of an unknown flag for every command, at
+    80 columns (argparse wraps help to the terminal width)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    parts = []
+    for name in cli._COMMANDS:
+        for flag in ("-h", "--bogus"):
+            code, out, err = _outcome(cli.main, [name, flag])
+            parts.append(f"=== {name} {flag}: exit {code}\n--- stdout\n{out}--- stderr\n{err}")
+    return "".join(parts)
+
+
+def test_command_help_and_usage_errors_are_frozen(monkeypatch):
+    # the bytes main printed while it built the full parser for every command
+    # (Python 3.11's argparse layout); after a deliberate change of help or
+    # messages, write _help_table's text to the file
+    assert _help_table(monkeypatch) == HELP_FROZEN.read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -834,6 +867,23 @@ def test_wavefunction_rmax_past_double_range(capsys):
     assert (code, out) == (3, "")
     assert err == ("numerical failure: DomainError: r_max = 1e+160 puts "
                    "x = m omega r_max^2 past double range\n")
+
+
+@pytest.mark.parametrize("samples", [2, 3, 50, 512])
+def test_wavefunction_csv_is_the_per_row_format(samples, tmp_path, capsys):
+    # the rows, formatted in one pass, are _fmt of each r and f, to stdout and to a file
+    params = PhysicalParams(1.0, 12.5, 1.0, 1e-3, 0.1)  # DEEP
+    profile = spectrum.radial_wavefunction(params, spectrum.quantize_exact(params, 1), None,
+                                           samples)
+    expect = "r,f\n" + "".join(f"{cli._fmt(r)},{cli._fmt(f)}\n" for r, f in
+                               zip(profile.r_samples.tolist(), profile.f_values.tolist()))
+    argv = ["wavefunction", *DEEP, "--n", "1"]
+    if samples != 512:  # else the default
+        argv += ["--samples", str(samples)]
+    assert run_cli(argv, capsys) == (0, expect, "")
+    path = tmp_path / "profile.csv"
+    assert run_cli([*argv, "--out", str(path)], capsys) == (0, "", "")
+    assert path.read_bytes() == expect.encode("utf-8")
 
 
 def test_wavefunction_csv(capsys):

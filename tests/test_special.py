@@ -490,12 +490,9 @@ def _scalar_series_outcome(kappa, mu_signed, xs):
     return [(s.real.hex(), s.imag.hex()) for s, _, _ in series]
 
 
-@pytest.mark.parametrize("lam", [2.5, 7.0])
-@pytest.mark.parametrize("x0", [1e-6, 1e-3])
-def test_whittaker_series_array_sums_equal_the_scalar_series(lam, x0, monkeypatch):
-    # the wavefunction profiles n = 1..3 at the ends of the profile workload's
-    # Lambda and x0 ranges: the array sums are the scalar mantissas, both signs
-    # of mu, with no scalar rescale anywhere
+def _profile_series_args(p, levels, monkeypatch):
+    """(kappa, mu, xs) of the array series in the default 512-sample
+    wavefunction profile of each level n of p."""
     seen = []
     series = special._whittaker_series_array
 
@@ -503,17 +500,76 @@ def test_whittaker_series_array_sums_equal_the_scalar_series(lam, x0, monkeypatc
         seen.append((kappa, -m, x.tolist()))
         return series(kappa, m, x)
 
-    monkeypatch.setattr(special, "_whittaker_series_array", recording)
+    with monkeypatch.context() as patch:
+        patch.setattr(special, "_whittaker_series_array", recording)
+        for n in levels:
+            spectrum.radial_wavefunction(p, spectrum.quantize_exact(p, n), None, 512)
+    assert len(seen) == len(levels)
+    return seen
+
+
+@pytest.mark.parametrize("lam", [2.5, 7.0])
+@pytest.mark.parametrize("x0", [1e-6, 1e-3])
+def test_whittaker_series_array_sums_equal_the_scalar_series(lam, x0, monkeypatch):
+    # the wavefunction profiles n = 1..3 at the ends of the profile workload's
+    # Lambda and x0 ranges: the array sums are the scalar mantissas, both signs
+    # of mu, with no scalar rescale anywhere
     p = PhysicalParams(1.0, 0.5 * lam * lam, 1.0, x0 / 0.01, 0.1)
-    for n in (1, 2, 3):
-        spectrum.radial_wavefunction(p, spectrum.quantize_exact(p, n), None, 512)
-    monkeypatch.undo()
-    assert len(seen) == 3
-    for kappa, mu, xs in seen:
+    for kappa, mu, xs in _profile_series_args(p, (1, 2, 3), monkeypatch):
         for m in (-mu, mu):
             expect = _scalar_series_outcome(kappa, m, xs)
             assert expect is not None and len(expect) == len(xs)
             assert _series_outcome(kappa, m, xs) == expect
+
+
+class _TermCounter:
+    """Stands in for KUMMER_MAX_TERMS with the same cap: the scalar series
+    tests k < KUMMER_MAX_TERMS before each term, so after a call that
+    returns, last + 1 is the number of terms it summed."""
+
+    def __init__(self, cap):
+        self.cap, self.last = cap, -1
+
+    def __gt__(self, k):  # k < counter
+        self.last = k
+        return k < self.cap
+
+
+def _scalar_term_counts(kappa, mu_signed, xs, monkeypatch):
+    a, b = complex(0.5 - kappa, mu_signed), complex(1.0, 2.0 * mu_signed)
+    counter = _TermCounter(special.KUMMER_MAX_TERMS)
+    counts = []
+    with monkeypatch.context() as patch:
+        patch.setattr(special, "KUMMER_MAX_TERMS", counter)
+        for x in xs:
+            special._kummer_series_scaled(a, b, x)
+            counts.append(counter.last + 1)
+        # the count is tight: a cap one term lower stops the last sample
+        patch.setattr(special, "KUMMER_MAX_TERMS", counts[-1] - 1)
+        with pytest.raises(ConvergenceError, match="failed truncation test"):
+            special._kummer_series_scaled(a, b, xs[-1])
+    return counts
+
+
+@pytest.mark.parametrize("case", ["deep_profile", "later_x_first"])
+def test_whittaker_series_array_finished_samples_leave_either_way(case, monkeypatch):
+    # a sample leaves the live set at its scalar term count: by slicing when
+    # the finished samples lead the live set, by a boolean mask otherwise.
+    # The deep.cfg n = 1 profile takes only the first way (the counts never
+    # fall along ascending x); near a = -593 the series almost terminates and
+    # the counts fall, so some later x finishes while an earlier one is live
+    if case == "deep_profile":
+        p = PhysicalParams(1.0, 12.5, 1.0, 1e-3, 0.1)
+        [(kappa, mu, xs)] = _profile_series_args(p, (1,), monkeypatch)
+    else:
+        kappa, mu, xs = 593.5, 0.108, np.linspace(1e-8, 30.0, 300).tolist()
+    for m in (-mu, mu):
+        counts = _scalar_term_counts(kappa, m, xs, monkeypatch)
+        assert len(set(counts)) > 1  # more than one finish event
+        assert (counts == sorted(counts)) == (case == "deep_profile")
+        expect = _scalar_series_outcome(kappa, m, xs)
+        assert expect is not None and len(expect) == len(xs)
+        assert _series_outcome(kappa, m, xs) == expect
 
 
 @pytest.mark.parametrize("kappa,mu", [(1.3, 0.3), (-0.2, 0.7), (-3.0, 2.5), (0.5 - 1.5e5, 2.5)])
