@@ -269,13 +269,14 @@ def cmd_validate(ns: argparse.Namespace) -> int:
         ]
         lines.append(f"{n},{params.ell},{','.join(cells)},{';'.join(flags) or 'ok'}")
     _write(ns.out, lines)
-    # the closed form is asymptotic, so only the exact-oracle cross-check is held to the tolerance
+    # the closed form is asymptotic, so only the exact-oracle cross-check is held to the
+    # tolerance; a gap over no level with both routes is none, and fails that check
     gap_xo = solution.max_gap(Route.EXACT, Route.ORACLE)
-    max_gap = max(solution.max_gap(Route.ASYMPTOTIC, Route.EXACT), gap_xo)
-    ok = regime_ok and gap_xo <= ns.compare_tol
+    gaps = [g for g in (solution.max_gap(Route.ASYMPTOTIC, Route.EXACT), gap_xo) if g is not None]
+    ok = regime_ok and gap_xo is not None and gap_xo <= ns.compare_tol
     print(
-        f"validate: max_rel_gap={_fmt15(max_gap)} "
-        f"max_gap_exact_oracle={_fmt15(gap_xo)} "
+        f"validate: max_rel_gap={_fmt15(max(gaps)) if gaps else 'none'} "
+        f"max_gap_exact_oracle={'none' if gap_xo is None else _fmt15(gap_xo)} "
         f"regime_ok={str(regime_ok).lower()} "
         f"within_tol={str(ok).lower()}",
         file=sys.stderr,

@@ -16,28 +16,28 @@ diagonal congruence with 1/r.  Near the cut-off the wavefunction oscillates
 uniformly in ln r, so this grid carries constant phase density there; it
 also cancels the -1/(4 r^2) reduction term exactly when Lsq = 0.
 
-Eigenvalues come from Sturm bisection that reads its counts from a table
-local to each call, which keeps every count that its multisection sweeps
-(two numpy calls per matrix row) take: the steps, and so the floats, are
-bisection's own whatever the table holds.  A half-step grid gives Richardson
-estimates.  Both grids are the top of a ladder on one domain that starts at a
-base grid of an eighth of the points, at most BASE_GRID_POINTS.  No grid is
-bisected cold: the first grid of the ladder takes LAPACK's eigenvalues of
-its dense matrix, which a base grid (never output) uses only as the shifts
-of its eigenvectors, and an output grid only as the guesses of its
-bisection.  Each grid up the ladder is warm-started from the one below: its
-eigenvectors, carried to the new nodes by linear interpolation in ln r and
-refined by inverse iteration on the new matrix (one cyclic-reduction solve
-for all levels), give Rayleigh quotients that predict the bisection paths,
-and all their midpoints are counted in the first sweep.  A sweep ends at
-the first tested rows past which no shift's count can change what it
-decides: for each shift, either the count has reached the number of wanted
-eigenvalues, or the rows left are diagonally dominant below the shift (by a
-margin of STURM_TAIL_ULPS epsilons per magnitude plus STURM_PIVMIN) and the
-entering pivot is negative or at least the coupling, so that no later pivot
-can turn negative.  The floats do not move; on the default grids most rows
-lie in the classically forbidden region past the outer turning points,
-never swept.
+Each eigenvalue comes from its own Sturm bisection, which stops at its own
+convergence; all of them read their counts from one table local to each call,
+which keeps every count that the multisection sweeps (two numpy calls per
+matrix row) take: the steps, and so the floats, are bisection's own whatever
+the table holds.  A half-step grid gives Richardson estimates.  Both grids are
+the top of a ladder on one domain that starts at a base grid of an eighth of
+the points, at most BASE_GRID_POINTS.  No grid is bisected cold: the first
+grid of the ladder takes LAPACK's eigenvalues of its dense matrix, which a
+base grid (never output) uses only as the shifts of its eigenvectors, and an
+output grid only as the guesses of its bisection.  Each grid up the ladder is
+warm-started from the one below: its eigenvectors, carried to the new nodes
+by linear interpolation in ln r and refined by inverse iteration on the new
+matrix (one cyclic-reduction solve for all levels), give Rayleigh quotients
+that predict the bisection paths until each converges, and all their
+midpoints are counted in the first sweep.  A sweep ends at the first tested
+rows past which no shift's count can change what it decides: for each shift,
+either the count has reached the number of wanted eigenvalues, or the rows
+left are diagonally dominant below the shift (by a margin of STURM_TAIL_ULPS
+epsilons per magnitude plus STURM_PIVMIN) and the entering pivot is negative
+or at least the coupling, so that no later pivot can turn negative.  The
+floats do not move; on the default grids most rows lie in the classically
+forbidden region past the outer turning points, never swept.
 """
 
 from __future__ import annotations
@@ -228,16 +228,10 @@ def _midpoints(lo: float, hi: float, depth: int) -> list[float]:
     return [*_midpoints(lo, mid, depth - 1), mid, *_midpoints(mid, hi, depth - 1)]
 
 
-def _converged(lows, highs) -> bool:
-    """Whether every bracket has converged: its width is at most STURM_RTOL
-    times the larger magnitude of its ends."""
-    return all(h - lo <= STURM_RTOL * max(abs(lo), abs(h)) for lo, h in zip(lows, highs))
-
-
-def _halves(lows, highs, mids, down):
-    """The brackets after one bisection step: the lower half where down."""
-    return ([a if d else m for a, m, d in zip(lows, mids, down)],
-            [m if d else b for b, m, d in zip(highs, mids, down)])
+def _converged(lo: float, hi: float) -> bool:
+    """Whether a bracket has converged: its width is at most STURM_RTOL times
+    the larger magnitude of its ends."""
+    return hi - lo <= STURM_RTOL * max(abs(lo), abs(hi))
 
 
 def _count_into(table: dict, diag, off_sq, k: int, shifts) -> None:
@@ -251,21 +245,23 @@ def _count_into(table: dict, diag, off_sq, k: int, shifts) -> None:
 def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
     """k smallest eigenvalues of a symmetric tridiagonal matrix.
 
-    Sturm-sequence bisection from Gershgorin bounds: before each step every
-    bracket is tested for convergence (its width at most STURM_RTOL times the
-    larger magnitude of its ends), then eigenvalue i halves its bracket at the
-    midpoint 0.5 * (lo + hi), keeping the lower half when more than i
-    eigenvalues lie below it.  The counts come from a table local to the
-    call, shift -> count.  When a step's midpoint is missing, one sturm_count
-    sweep fills it as multisection: each bracket walks ahead through the
-    table, and each whose walk ends within MULTISECTION_DEPTH steps adds the
+    Each eigenvalue i is found by its own Sturm-sequence bisection from the
+    Gershgorin bounds (as LAPACK's dlaebz retires each interval once it has
+    converged): before each step, at most BISECTION_MAX_STEPS, its bracket is
+    tested for convergence (width at most STURM_RTOL times the larger
+    magnitude of its ends), then halved at the midpoint 0.5 * (lo + hi),
+    keeping the lower half when more than i eigenvalues lie below it.  The
+    counts come from a table local to the call, shift -> count, that keeps
+    every count.  On each pass every eigenvalue walks its bisection through
+    the table; one that meets a missing midpoint adds the
     2**MULTISECTION_DEPTH - 1 midpoints of its next MULTISECTION_DEPTH steps
-    from there (_midpoints); a bracket whose walk runs further waits.  A
-    sweep counts each shift not yet in the table once, and the table keeps
-    every count.  `guesses` (None, or one per eigenvalue, any values, NaN
-    too) make the first sweep count every midpoint of the path toward each
-    guess until the predicted brackets converge.  Whatever the table holds,
-    the steps are bisection's own, so the floats are too.
+    from there (_midpoints), and one sturm_count sweep counts them all as
+    multisection.  The first pass that misses nothing gives each eigenvalue
+    as the midpoint of its converged bracket.  `guesses` (None, or one per
+    eigenvalue, any values, NaN too) make the first sweep count every
+    midpoint of the path toward each guess until that bracket converges.
+    Whatever the table holds, the steps are bisection's own, so the floats
+    are too.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
@@ -285,38 +281,35 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
     rad = np.zeros(n)
     rad[:-1] += np.abs(offdiag)
     rad[1:] += np.abs(offdiag)
-    lows = [float(np.min(diag - rad))] * k
-    highs = [float(np.max(diag + rad))] * k
+    bounds = float(np.min(diag - rad)), float(np.max(diag + rad))
     table: dict[float, int] = {}
     if guesses is not None:
-        lo, hi, path = lows, highs, []
-        g = np.asarray(guesses, dtype=float).tolist()
-        for _ in range(BISECTION_MAX_STEPS):
-            if _converged(lo, hi):
-                break
-            mids = [0.5 * (a + b) for a, b in zip(lo, hi)]
-            path += mids
-            lo, hi = _halves(lo, hi, mids, [x < m for x, m in zip(g, mids)])
+        path = []
+        for g in np.asarray(guesses, dtype=float).tolist():
+            lo, hi = bounds
+            for _ in range(BISECTION_MAX_STEPS):
+                if _converged(lo, hi):
+                    break
+                mid = 0.5 * (lo + hi)
+                path.append(mid)
+                lo, hi = (lo, mid) if g < mid else (mid, hi)
         _count_into(table, diag, off_sq, k, path)
-    for step in range(BISECTION_MAX_STEPS):
-        if _converged(lows, highs):
-            break
-        mids = [0.5 * (a + b) for a, b in zip(lows, highs)]
-        if not all(m in table for m in mids):
-            shifts = []
-            for i in range(k):  # walk bracket i through the table, at most to the last step
-                lo, hi = lows[i], highs[i]
-                for ahead in range(BISECTION_MAX_STEPS - step):
-                    mid = 0.5 * (lo + hi)
-                    if mid not in table:
-                        # brackets known further ahead wait: 214 of 7980 rows on deep.cfg
-                        if ahead < MULTISECTION_DEPTH:
-                            shifts += _midpoints(lo, hi, MULTISECTION_DEPTH)
-                        break
-                    lo, hi = (lo, mid) if table[mid] > i else (mid, hi)
-            _count_into(table, diag, off_sq, k, shifts)
-        lows, highs = _halves(lows, highs, mids, [table[m] > i for i, m in enumerate(mids)])
-    return [0.5 * (a + b) for a, b in zip(lows, highs)]
+    while True:
+        eigs, shifts = [], []
+        for i in range(k):
+            lo, hi = bounds
+            for _ in range(BISECTION_MAX_STEPS):
+                if _converged(lo, hi):
+                    break
+                mid = 0.5 * (lo + hi)
+                if mid not in table:
+                    shifts += _midpoints(lo, hi, MULTISECTION_DEPTH)
+                    break
+                lo, hi = (lo, mid) if table[mid] > i else (mid, hi)
+            eigs.append(0.5 * (lo + hi))
+        if not shifts:
+            return eigs
+        _count_into(table, diag, off_sq, k, shifts)
 
 
 def _eigenvectors(diag: np.ndarray, off: np.ndarray, taus, starts) -> np.ndarray:

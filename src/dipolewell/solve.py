@@ -76,10 +76,11 @@ class Solution:
                               f"(p_z shift p_z^2/(2m) = {self.params.energy_shift:.6g})")
         return abs(lv_a.energy - lv_b.energy) / denom
 
-    def max_gap(self, a: Route, b: Route) -> float:
-        """Largest rel_gap over the levels both routes produced (0 if none)."""
+    def max_gap(self, a: Route, b: Route) -> float | None:
+        """Largest rel_gap over the levels both routes produced, or None when
+        no level has both."""
         gaps = (self.rel_gap(n, a, b) for n in range(1, self.n_max + 1))
-        return max([0.0] + [g for g in gaps if g is not None])
+        return max((g for g in gaps if g is not None), default=None)
 
 
 def _attempt(run: Callable[[], object]) -> object:

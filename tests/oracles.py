@@ -66,8 +66,10 @@ def reference_sturm_count(diag, offdiag_sq, shifts) -> np.ndarray:
 
 def reference_sturm_eigs(diag, offdiag, k: int) -> list[float]:
     """k smallest eigenvalues by bisection from Gershgorin bounds, one midpoint
-    per eigenvalue per Sturm sweep (the arithmetic of LAPACK dstebz's bisection),
-    until every bracket is at most 1e-13 of its larger end's magnitude wide."""
+    per eigenvalue per Sturm sweep (the arithmetic of LAPACK dstebz's bisection):
+    each bracket stops once it is at most 1e-13 of its larger end's magnitude
+    wide, tested before each of its at most 220 steps, as dlaebz retires each
+    converged interval."""
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
     n = len(diag)
@@ -84,13 +86,14 @@ def reference_sturm_eigs(diag, offdiag, k: int) -> list[float]:
     highs = np.full(k, hi_bound)
     idx = np.arange(k)
     for _ in range(220):
-        if np.all(highs - lows <= 1e-13 * np.maximum(np.abs(lows), np.abs(highs))):
+        active = ~(highs - lows <= 1e-13 * np.maximum(np.abs(lows), np.abs(highs)))
+        if not active.any():
             break
         mids = 0.5 * (lows + highs)
         counts = reference_sturm_count(diag, off_sq, mids)
         go_down = counts > idx
-        highs = np.where(go_down, mids, highs)
-        lows = np.where(go_down, lows, mids)
+        highs = np.where(active & go_down, mids, highs)
+        lows = np.where(active & ~go_down, mids, lows)
     return [float(v) for v in 0.5 * (lows + highs)]
 
 

@@ -678,6 +678,18 @@ def test_validate_shallow_regime_flags(capsys):
     assert "regime_ok=false" in err
 
 
+def test_validate_without_route_pairs_prints_no_gap(capsys):
+    # Lambda = 120: the exact route raises BracketError, so no level has two
+    # routes that a gap could compare; the summary used to print gaps of 0
+    argv = ["validate", "--mass", "1", "--alpha", "7200", "--lambda", "1", "--omega", "1e-3",
+            "--radius", "0.1", "--nmax", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0
+    assert out.strip().split("\n")[1].endswith(",,,absent:exact:BracketError")
+    assert err == ("validate: max_rel_gap=none max_gap_exact_oracle=none "
+                   "regime_ok=false within_tol=false\n")
+
+
 # ---------------------------------------------------------------------------
 # sweep-cutoff command
 # ---------------------------------------------------------------------------

@@ -282,18 +282,9 @@ class _RowsRead(np.ndarray):
         return np.asarray(self)[key]
 
 
-def test_deep_solve_sweep_count(monkeypatch):
-    # six bisection steps per sweep: 129 sweeps at one midpoint per sweep, 22
-    # without a warm start, 18 with the coarse eigenvalues as the fine grid's
-    # guesses, 15 (11 coarse, 4 fine) with the Rayleigh quotients of the coarse
-    # eigenvectors cubically interpolated, 16 (10 on the 250-point base grid,
-    # 3 coarse, 3 fine) with the ladder, 6 (3 coarse, 3 fine) once the base
-    # grid's eigenvalues came from LAPACK and it was never swept, and 5 (3
-    # coarse, 2 fine) now that the Rayleigh quotients sum their quadratic
-    # form by rows; each sweep stops where only rows past the turning points
-    # are left.  Rows read: 14343 before the ladder, 9408 with a bisected
-    # base, 7766 in 18003 with the total's quotients, and 6229 in 14002 now;
-    # 863 shifts (989 before), none counted twice (the table keeps every count)
+def _count_sweeps(monkeypatch, k: int):
+    """(rows read, matrix size, shifts) of each sturm_count sweep of the
+    fd_eigensolve of k levels on deep.cfg's default grid."""
     calls = []
     count = oracle.sturm_count
 
@@ -305,12 +296,42 @@ def test_deep_solve_sweep_count(monkeypatch):
 
     monkeypatch.setattr(oracle, "sturm_count", counting)
     p = deep_params()
-    oracle.fd_eigensolve(p, oracle.default_grid(p, 2), 2)
+    oracle.fd_eigensolve(p, oracle.default_grid(p, k), k)
+    return calls
+
+
+def test_deep_solve_sweep_count(monkeypatch):
+    # six bisection steps per sweep: 129 sweeps at one midpoint per sweep, 22
+    # without a warm start, 18 with the coarse eigenvalues as the fine grid's
+    # guesses, 15 (11 coarse, 4 fine) with the Rayleigh quotients of the coarse
+    # eigenvectors cubically interpolated, 16 (10 on the 250-point base grid,
+    # 3 coarse, 3 fine) with the ladder, 6 (3 coarse, 3 fine) once the base
+    # grid's eigenvalues came from LAPACK and it was never swept, and 5 (3
+    # coarse, 2 fine) now that the Rayleigh quotients sum their quadratic
+    # form by rows; each sweep stops where only rows past the turning points
+    # are left.  Rows read: 14343 before the ladder, 9408 with a bisected
+    # base, 7766 in 18003 with the total's quotients, 6229 in 14002 while
+    # every bracket was halved until the last one converged, and 6137 now
+    # that each stops at its own convergence; 680 shifts (863 before), none
+    # counted twice (the table keeps every count)
+    calls = _count_sweeps(monkeypatch, 2)
     sizes = [n for _, n, _ in calls]
     assert sizes == sorted(sizes) and set(sizes) == {2000, 4001}
     assert sizes.count(2000) <= 3 and sizes.count(4001) <= 2
     swept, total, shifts = map(sum, zip(*calls))
-    assert total == 14002 and swept <= 6229 and shifts <= 863
+    assert total == 14002 and swept <= 6137 and shifts <= 680
+
+
+def test_deep_solve_sweep_count_many_levels(monkeypatch):
+    # k = 21 levels per grid: 9 sweeps (6 coarse, 3 fine) of 21775 rows and
+    # 7929 shifts, since each bracket stops at its own convergence; halving
+    # every bracket until the last one converged took 12 (7 coarse, 5 fine)
+    calls = _count_sweeps(monkeypatch, 20)
+    sizes = [n for _, n, _ in calls]
+    assert sizes == sorted(sizes) and set(sizes) == {2000, 4001}
+    assert sizes.count(2000) <= 6 and sizes.count(4001) <= 3
+    swept, _, shifts = map(sum, zip(*calls))
+    assert swept <= 21775 and shifts <= 7929
 
 
 @st.composite
@@ -489,12 +510,13 @@ def test_warm_start_bit_identical(deep_matrices, deep_references, deep_guesses, 
     if kind == "exact":  # one sweep checks the whole path
         assert len(shifts) == 1
     if kind == "nan":
-        # brackets 0 and 2 follow their guessed paths; the NaN guess leaves
-        # bracket 1 behind, and each sweep until it catches up counts the 63
-        # midpoints of its next six steps alone.  A per-bracket step history
-        # made 12 sweeps of 1014 shifts; the count table, whose first sweep
-        # also serves bracket 1's early steps from the other paths, makes 9 of
-        # 753.  Sweeping the brackets ahead too would give the second sweep 148.
+        # the first sweep counts the guessed paths of brackets 0 and 2 until
+        # they converge; the NaN guess leaves bracket 1 behind, and each later
+        # sweep counts the 63 midpoints of its next six steps alone.  A
+        # per-bracket step history made 12 sweeps of 1014 shifts; the count
+        # table, whose first sweep also serves bracket 1's early steps from
+        # the other paths, made 9 of 753 while brackets 0 and 2 were halved
+        # until bracket 1 converged, and makes 9 of 656 now.
         assert len(shifts) <= 12 and sum(shifts) <= 1014 and max(shifts[1:-1]) <= 63
 
 

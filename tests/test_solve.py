@@ -50,7 +50,7 @@ def test_solve_binding_relative_gaps():
     assert 0.10 < gap < 0.13  # the closed form's regime error at Lambda = 5
     assert sol.max_gap(Route.ASYMPTOTIC, Route.EXACT) == gap
     assert sol.rel_gap(1, Route.EXACT, Route.ORACLE) is None
-    assert sol.max_gap(Route.EXACT, Route.ORACLE) == 0.0
+    assert sol.max_gap(Route.EXACT, Route.ORACLE) is None
 
 
 def test_rel_gap_of_a_binding_lost_in_the_pz_shift():
@@ -72,7 +72,32 @@ def test_solve_records_failures_per_route():
     assert all(isinstance(e, DomainError) for e in errors)
     assert sol.first_error() is errors[0]
     assert sol.flags(1, **DEFAULTS) == ["absent:exact:DomainError", "absent:oracle:DomainError"]
-    assert sol.max_gap(Route.ASYMPTOTIC, Route.EXACT) == 0.0
+    assert sol.max_gap(Route.ASYMPTOTIC, Route.EXACT) is None
+
+
+@pytest.mark.parametrize(
+    "alpha,omega,p_z",
+    [(12.5, 1e-3, 0.0), (12.5, 1e-3, 0.3), (32.0, 1.0, 0.0), (4.5, 1.0, 0.3)],
+    ids=["deep", "deep_pz", "lambda8", "lambda3_pz"],
+)
+def test_every_route_scales_with_the_cutoff(alpha, omega, p_z):
+    # R -> s R and omega -> omega / s^2 keep x0 = m omega R^2 and Lambda, so
+    # E - p_z^2/(2m) scales by 1/s^2: s^2 (E_s - shift) lies within
+    # est + s^2 est_s of E - shift.  Powers of two would scale exactly.  Worst
+    # |difference| / (est + s^2 est_s): 0.16 closed form, 1.7e-3 exact, 1e-7 oracle
+    def routes(p):
+        return solve(p, 2, ROUTES, lambda: oracle.default_grid(p, 2, points=600))
+
+    p = deep_params(polarizability_alpha=alpha, omega=omega, p_z=p_z)
+    base, shift = routes(p), p.energy_shift
+    for s in (0.37, 1.7, 3.0):
+        scaled = routes(deep_params(polarizability_alpha=alpha, omega=omega / s**2,
+                                    cutoff_R=s * p.cutoff_R, p_z=p_z))
+        for route in ROUTES:
+            for n in (1, 2):
+                a, b = base.level(route, n), scaled.level(route, n)
+                gap = abs(s * s * (b.energy - shift) - (a.energy - shift))
+                assert gap <= a.est_error + s * s * b.est_error, (route, n, s)
 
 
 def test_solve_flags_regime_failures_before_absent_routes():
