@@ -29,15 +29,16 @@ output grid only as the guesses of its bisection.  Each grid up the ladder is
 warm-started from the one below: its eigenvectors, carried to the new nodes
 by linear interpolation in ln r and refined by inverse iteration on the new
 matrix (one cyclic-reduction solve for all levels), give Rayleigh quotients
-that predict the bisection paths until each converges, and all their
-midpoints are counted in the first sweep.  A sweep ends at the first tested
-rows past which no shift's count can change what it decides: for each shift,
-either the count has reached the number of wanted eigenvalues, or the rows
-left are diagonally dominant below the shift (by a margin of STURM_TAIL_ULPS
-epsilons per magnitude plus STURM_PIVMIN) and the entering pivot is negative
-or at least the coupling, so that no later pivot can turn negative.  The
-floats do not move; on the default grids most rows lie in the classically
-forbidden region past the outer turning points, never swept.
+that steer the first pass of the bisection walks until each converges, and
+all their midpoints are counted in the first sweep.  A sweep ends at the
+first tested rows past which no shift's count can change what it decides:
+for each shift, either the count has reached the number of wanted
+eigenvalues, or the rows left are diagonally dominant below the shift (by a
+margin of STURM_TAIL_ULPS epsilons per magnitude plus STURM_PIVMIN) and the
+entering pivot is negative or at least the coupling, so that no later pivot
+can turn negative.  The floats do not move; on the default grids most rows
+lie in the classically forbidden region past the outer turning points,
+never swept.
 """
 
 from __future__ import annotations
@@ -228,20 +229,6 @@ def _midpoints(lo: float, hi: float, depth: int) -> list[float]:
     return [*_midpoints(lo, mid, depth - 1), mid, *_midpoints(mid, hi, depth - 1)]
 
 
-def _converged(lo: float, hi: float) -> bool:
-    """Whether a bracket has converged: its width is at most STURM_RTOL times
-    the larger magnitude of its ends."""
-    return hi - lo <= STURM_RTOL * max(abs(lo), abs(hi))
-
-
-def _count_into(table: dict, diag, off_sq, k: int, shifts) -> None:
-    """One sturm_count sweep over the shifts not yet in `table`, adding their
-    counts (capped at k) to it."""
-    fresh = [x for x in dict.fromkeys(shifts) if x not in table]
-    if fresh:
-        table.update(zip(fresh, sturm_count(diag, off_sq, np.array(fresh), k=k).tolist()))
-
-
 def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
     """k smallest eigenvalues of a symmetric tridiagonal matrix.
 
@@ -258,10 +245,14 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
     from there (_midpoints), and one sturm_count sweep counts them all as
     multisection.  The first pass that misses nothing gives each eigenvalue
     as the midpoint of its converged bracket.  `guesses` (None, or one per
-    eigenvalue, any values, NaN too) make the first sweep count every
-    midpoint of the path toward each guess until that bracket converges.
-    Whatever the table holds, the steps are bisection's own, so the floats
-    are too.
+    eigenvalue, any values, NaN too) steer the first pass: there a missing
+    midpoint is added and the walk steps toward its guess (down when the
+    guess lies below the midpoint) until its bracket converges, so the
+    first sweep counts each guess's whole path.  Whatever the table holds,
+    the steps are bisection's own, so the floats are too.
+
+    Raises DomainError when a squared coupling, or twice a Gershgorin bound,
+    leaves double range (so that lo + hi of every bracket stays finite).
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
@@ -277,39 +268,39 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
     if n == 1:
         return [float(diag[0])]
 
-    off_sq = offdiag * offdiag
-    rad = np.zeros(n)
-    rad[:-1] += np.abs(offdiag)
-    rad[1:] += np.abs(offdiag)
-    bounds = float(np.min(diag - rad)), float(np.max(diag + rad))
+    with np.errstate(over="ignore"):  # checked below
+        off_sq = offdiag * offdiag
+        rad = np.zeros(n)
+        rad[:-1] += np.abs(offdiag)
+        rad[1:] += np.abs(offdiag)
+        bounds = float(np.min(diag - rad)), float(np.max(diag + rad))
+    if not (np.all(np.isfinite(off_sq)) and math.isfinite(2.0 * max(map(abs, bounds)))):
+        raise DomainError("the matrix's squared couplings or Gershgorin bounds leave double range")
     table: dict[float, int] = {}
-    if guesses is not None:
-        path = []
-        for g in np.asarray(guesses, dtype=float).tolist():
-            lo, hi = bounds
-            for _ in range(BISECTION_MAX_STEPS):
-                if _converged(lo, hi):
-                    break
-                mid = 0.5 * (lo + hi)
-                path.append(mid)
-                lo, hi = (lo, mid) if g < mid else (mid, hi)
-        _count_into(table, diag, off_sq, k, path)
+    steer = None if guesses is None else np.asarray(guesses, dtype=float).tolist()
     while True:
         eigs, shifts = [], []
         for i in range(k):
             lo, hi = bounds
             for _ in range(BISECTION_MAX_STEPS):
-                if _converged(lo, hi):
+                if hi - lo <= STURM_RTOL * max(abs(lo), abs(hi)):
                     break
                 mid = 0.5 * (lo + hi)
-                if mid not in table:
+                if mid in table:
+                    below = table[mid] > i
+                elif steer:
+                    shifts.append(mid)
+                    below = steer[i] < mid
+                else:
                     shifts += _midpoints(lo, hi, MULTISECTION_DEPTH)
                     break
-                lo, hi = (lo, mid) if table[mid] > i else (mid, hi)
+                lo, hi = (lo, mid) if below else (mid, hi)
             eigs.append(0.5 * (lo + hi))
         if not shifts:
             return eigs
-        _count_into(table, diag, off_sq, k, shifts)
+        fresh = list(dict.fromkeys(shifts))
+        table.update(zip(fresh, sturm_count(diag, off_sq, np.array(fresh), k=k).tolist()))
+        steer = None
 
 
 def _eigenvectors(diag: np.ndarray, off: np.ndarray, taus, starts) -> np.ndarray:

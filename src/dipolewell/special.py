@@ -24,7 +24,7 @@ W computes only the -i*mu term T of the connection formula (two
 log-Gammas, one Kummer series).  The +i*mu term is its complex conjugate, so
 W = T + conj(T) = 2|T| cos(arg T) is real: the exponent is Re log T and the
 mantissa 2 cos(Im log T).  Of the two log-Gammas, lnGamma(2 i mu) depends
-on neither kappa nor x: ``w_point(mu)`` computes it once, and a root search
+on neither kappa nor x: ``w_point(mu)`` is that GammaLn, and a root search
 over kappa at fixed (mu, x) passes it to every ``whittaker_w_scaled`` call,
 so one root search computes one lnGamma(2 i mu) and the same floats.
 
@@ -280,27 +280,20 @@ def _whittaker_series_array(
     return None if len(live) else sums
 
 
-class WPoint(NamedTuple):
-    """The kappa- and x-independent half of the connection formula at mu."""
-
-    ln_gamma: complex  # lnGamma(2 i mu)
-    err2: float  # its error, counted twice (the +i mu term is the conjugate)
-    b: complex  # the Kummer parameter 1 - 2 i mu of M_{kappa,-i mu}
-
-
-def w_point(mu: float) -> WPoint:
-    """What whittaker_w_scaled(kappa, mu, x, point=...) shares across kappa
-    and x; it raises what W's lnGamma(2 i mu) would raise."""
-    lg, eg = ln_gamma_complex(complex(0.0, 2.0 * mu))
-    return WPoint(lg, eg + eg, complex(1.0, -2.0 * mu))
+def w_point(mu: float) -> GammaLn:
+    """lnGamma(2 i mu), the kappa- and x-independent half of the connection
+    formula, which whittaker_w_scaled(kappa, mu, x, point=...) shares across
+    kappa and x."""
+    return ln_gamma_complex(complex(0.0, 2.0 * mu))
 
 
-def _connection_gammas(point: WPoint, kappa: float, mu: float) -> tuple[complex, float]:
+def _connection_gammas(point: GammaLn, kappa: float, mu: float) -> tuple[complex, float]:
     """The x-independent part of the connection formula: the log Gamma ratio
     of the M_{kappa,-i mu} term and the summed error of both terms' ratios
     (the +i mu ratio is its conjugate, so each error counts twice)."""
+    lg, eg = point
     lg_bp, eg3 = ln_gamma_complex(complex(0.5 - kappa, mu))
-    return point.ln_gamma - lg_bp, point.err2 + eg3 + eg3
+    return lg - lg_bp, eg + eg + eg3 + eg3
 
 
 def _connection_w(
@@ -369,7 +362,7 @@ def _whittaker_w_asymptotic(kappa: float, mu: float, x: float) -> WhittakerW:
 
 
 def whittaker_w_scaled(
-    kappa: float, mu: float, x: float, *, point: WPoint | None = None
+    kappa: float, mu: float, x: float, *, point: GammaLn | None = None
 ) -> WhittakerW:
     """W_{kappa, i*mu}(x) in scaled form (see WhittakerW).
 
@@ -391,7 +384,7 @@ def whittaker_w_scaled(
     if point is None:
         point = w_point(mu)
     gammas = _connection_gammas(point, kappa, mu)
-    s, ln_scale, em = _kummer_series_scaled(complex(0.5 - kappa, -mu), point.b, x)
+    s, ln_scale, em = _kummer_series_scaled(complex(0.5 - kappa, -mu), complex(1.0, -2.0 * mu), x)
     return _connection_w(gammas, mu, x, s, ln_scale, em)
 
 

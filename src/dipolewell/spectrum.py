@@ -30,7 +30,7 @@ from .model import (
     PhysicalParams, derive, energy_of_kappa, is_count, kappa_of_energy,
     outer_turning_radius,
 )
-from .special import WPoint, w_point, whittaker_w_scaled, whittaker_w_scaled_array
+from .special import GammaLn, w_point, whittaker_w_scaled, whittaker_w_scaled_array
 
 # scaled-W mantissas below this are rounding noise in radial_wavefunction
 NOISE_FLOOR = 1e-12
@@ -142,7 +142,7 @@ def energy_levels_asymptotic(params: PhysicalParams, n_max: int) -> list[EnergyL
     return levels
 
 
-def _mantissa_at_beta(beta: float, mu: float, x0: float, point: WPoint) -> float:
+def _mantissa_at_beta(beta: float, mu: float, x0: float, point: GammaLn) -> float:
     return whittaker_w_scaled(0.5 - beta, mu, x0, point=point).mantissa
 
 

@@ -400,6 +400,34 @@ def test_oracle_matrix_overflow_names_r_max(rmax, capsys):
     assert f"r_max = {float(rmax):g}" in err and "double range" in err
 
 
+# deep.cfg's parameters at a cut-off so small that the oracle's squared couplings
+# (about 1/r_min^4) leave double range at R = 1e-80 but not at 1e-75
+TINY_R = ["spectrum", "--mass", "1", "--alpha", "12.5", "--lambda", "1", "--omega", "1e-3",
+          "--route", "all", "--nmax", "2", "--radius"]
+
+
+def test_oracle_squared_coupling_overflow_is_domain_error(capsys):
+    # once numpy's overflow warnings, then GridTooCoarse at a level spacing of 0
+    code, out, err = run_cli([*TINY_R, "1e-80"], capsys)
+    assert (code, out) == (3, "")
+    assert err == ("numerical failure: DomainError: the matrix's squared couplings or "
+                   "Gershgorin bounds leave double range\n")
+
+
+def test_oracle_tiny_cutoff_inside_double_range(capsys):
+    code, out, err = run_cli([*TINY_R, "1e-75"], capsys)
+    assert (code, err) == (0, "")
+    assert out == """\
+n,ell,route,energy,kappa,estimated_error
+1,0,asymptotic,-2.636745019649661e+150,-1.3183725098248306e+153,4.6838000494092231e+135
+1,0,exact,-2.9391313092803892e+150,-1.4695656546401946e+153,1.4911834849537562e+138
+1,0,oracle,-2.9430306907496745e+150,-1.4715153453748372e+153,3.9318251942490965e+147
+2,0,asymptotic,-7.5044279593603969e+149,-3.7522139796801986e+152,1.3330541931396306e+135
+2,0,exact,-7.6791061504177753e+149,-3.8395530752088877e+152,3.8711840216921653e+137
+2,0,oracle,-7.7064419912740406e+149,-3.85322099563702e+152,2.7811341338295908e+147
+"""
+
+
 def _ns_reads(name: str, defs: dict, seen: set) -> set:
     """The ns.<attr> names read by cli function `name` and by every cli
     function it passes ns to."""

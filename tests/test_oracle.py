@@ -98,6 +98,23 @@ def test_sturm_validates_input():
             oracle.sturm_tridiag_eigs([1.0, 2.0, 3.0], [0.5, 0.5], 3, guesses=guesses)
 
 
+@pytest.mark.parametrize("diag,off", [
+    ([1e308, -1e308], [1e308]),  # the squared coupling overflows: once [nan, nan]
+    ([1.7e308, 1.7e308], [1e-300]),  # lo + hi overflows: once [inf, inf]
+    ([9e307, 9.5e307, 1e307], [1.0, 1.0]),  # once inf for the top two
+    ([0.0, 0.0, 0.0], [1e160, 1e160]),  # e^2 overflows too: once [-2e160, 2e160, 2e160]
+], ids=["coupling", "sum", "top_two", "wrong_values"])
+def test_sturm_rejects_matrices_past_double_range(diag, off):
+    with pytest.raises(DomainError, match="double range"):
+        oracle.sturm_tridiag_eigs(diag, off, len(diag), guesses=None)
+
+
+def test_sturm_near_double_range():
+    # twice the top Gershgorin bound is 1.6e308, still finite
+    got = oracle.sturm_tridiag_eigs([1e307, 8e307], [1.0], 2, guesses=None)
+    assert got == pytest.approx([1e307, 8e307], rel=1e-13)
+
+
 def test_sturm_ascending():
     rng = np.random.default_rng(5)
     diag = rng.uniform(-1, 1, size=30)
@@ -518,6 +535,36 @@ def test_warm_start_bit_identical(deep_matrices, deep_references, deep_guesses, 
         # the other paths, made 9 of 753 while brackets 0 and 2 were halved
         # until bracket 1 converged, and makes 9 of 656 now.
         assert len(shifts) <= 12 and sum(shifts) <= 1014 and max(shifts[1:-1]) <= 63
+
+
+@pytest.mark.parametrize("kind", ["rq", "nan", "none"])
+def test_first_sweep_counts_the_guessed_paths(deep_matrices, deep_references, deep_guesses,
+                                              kind, monkeypatch):
+    # the first sweep counts each guess's bisection path from the Gershgorin
+    # bracket until that bracket converges, each midpoint once, in path order;
+    # without guesses, the 63 midpoints of the bracket's first six steps
+    diag, off = deep_matrices["refined"]
+    ref = deep_references["refined"]
+    bounds = _gershgorin(diag, off)
+    guesses = {"rq": deep_guesses[len(diag)], "nan": [ref[0], math.nan, ref[2]],
+               "none": None}[kind]
+    path = []
+    for g in [] if guesses is None else list(guesses):
+        lo, hi = bounds
+        while hi - lo > 1e-13 * max(abs(lo), abs(hi)):
+            mid = 0.5 * (lo + hi)
+            path.append(mid)
+            lo, hi = (lo, mid) if g < mid else (mid, hi)
+    want = list(dict.fromkeys(path)) if path else sorted(_bisection_path_midpoints(*bounds, 6))
+    sweeps = []
+    count = oracle.sturm_count
+    monkeypatch.setattr(oracle, "sturm_count",
+                        lambda d, o, x, **kw: sweeps.append(x.tolist()) or count(d, o, x, **kw))
+    assert oracle.sturm_tridiag_eigs(diag, off, 3, guesses=guesses) == ref
+    assert [x.hex() for x in sweeps[0]] == [x.hex() for x in want]
+    # rq: paths of 61, 63 and 65 steps; nan: the NaN guess's path climbs to
+    # the top bound in 44
+    assert len(want) == {"rq": 152, "nan": 152, "none": 63}[kind]
 
 
 def test_rayleigh_guesses_are_close(deep_matrices, deep_references, deep_guesses):
