@@ -50,16 +50,17 @@ def reference_sturm_count(diag, offdiag_sq, shifts) -> np.ndarray:
     to +1e-290 otherwise (so -0.0 to +1e-290)."""
     pivmin = 1e-290
     diag = np.asarray(diag, dtype=float).tolist()
-    offdiag_sq = np.asarray(offdiag_sq, dtype=float).tolist()
+    rows = list(zip(diag[1:], np.asarray(offdiag_sq, dtype=float).tolist()))
     counts = []
     for x in np.atleast_1d(np.asarray(shifts, dtype=float)).tolist():
         q = diag[0] - x
         count = int(q < 0)
-        for d_i, e_sq in zip(diag[1:], offdiag_sq):
-            if abs(q) < pivmin:
+        for d_i, e_sq in rows:
+            if -pivmin < q < pivmin:  # abs(q) < pivmin
                 q = -pivmin if q < 0 else pivmin
             q = d_i - x - e_sq / q
-            count += q < 0
+            if q < 0:
+                count += 1
         counts.append(count)
     return np.array(counts, dtype=np.int64)
 
@@ -90,7 +91,9 @@ def reference_sturm_eigs(diag, offdiag, k: int) -> list[float]:
         if not active.any():
             break
         mids = 0.5 * (lows + highs)
-        counts = reference_sturm_count(diag, off_sq, mids)
+        # each distinct midpoint counted once (0.0 and -0.0 count alike)
+        distinct, where = np.unique(mids, return_inverse=True)
+        counts = reference_sturm_count(diag, off_sq, distinct)[where]
         go_down = counts > idx
         highs = np.where(active & go_down, mids, highs)
         lows = np.where(active & ~go_down, mids, lows)

@@ -115,6 +115,13 @@ def test_sturm_near_double_range():
     assert got == pytest.approx([1e307, 8e307], rel=1e-13)
 
 
+def test_sturm_clamped_pivot_overflows_quietly():
+    # a squared coupling over the clamped pivot overflows to inf in the row
+    # recompute; once that raised RuntimeWarning (an error under this suite)
+    got = oracle.sturm_tridiag_eigs([0.0, 0.0, 0.0], [1e150, 1e150], 3, guesses=None)
+    assert got == reference_sturm_eigs([0.0, 0.0, 0.0], [1e150, 1e150], 3)
+
+
 def test_sturm_ascending():
     rng = np.random.default_rng(5)
     diag = rng.uniform(-1, 1, size=30)
@@ -323,32 +330,57 @@ def test_deep_solve_sweep_count(monkeypatch):
     # guesses, 15 (11 coarse, 4 fine) with the Rayleigh quotients of the coarse
     # eigenvectors cubically interpolated, 16 (10 on the 250-point base grid,
     # 3 coarse, 3 fine) with the ladder, 6 (3 coarse, 3 fine) once the base
-    # grid's eigenvalues came from LAPACK and it was never swept, and 5 (3
-    # coarse, 2 fine) now that the Rayleigh quotients sum their quadratic
-    # form by rows; each sweep stops where only rows past the turning points
-    # are left.  Rows read: 14343 before the ladder, 9408 with a bisected
-    # base, 7766 in 18003 with the total's quotients, 6229 in 14002 while
-    # every bracket was halved until the last one converged, and 6137 now
-    # that each stops at its own convergence; 680 shifts (863 before), none
-    # counted twice (the table keeps every count)
+    # grid's eigenvalues came from LAPACK and it was never swept, 5 (3 coarse,
+    # 2 fine) once the Rayleigh quotients summed their quadratic form by rows,
+    # and 2 (one per grid) now that each grid takes a second inverse-iteration
+    # solve at the first solve's Rayleigh quotients and the first sweep counts
+    # each guess's last six levels whole; each sweep stops where only rows past
+    # the turning points are left.  Rows read: 14343 before the ladder, 9408
+    # with a bisected base, 7766 in 18003 with the total's quotients, 6229 in
+    # 14002 while every bracket was halved until the last one converged, 6137
+    # once each stopped at its own convergence, and 2720 in 6001 now; 644
+    # shifts (680 before), none counted twice (the table keeps every count)
     calls = _count_sweeps(monkeypatch, 2)
-    sizes = [n for _, n, _ in calls]
-    assert sizes == sorted(sizes) and set(sizes) == {2000, 4001}
-    assert sizes.count(2000) <= 3 and sizes.count(4001) <= 2
+    assert [n for _, n, _ in calls] == [2000, 4001]
     swept, total, shifts = map(sum, zip(*calls))
-    assert total == 14002 and swept <= 6137 and shifts <= 680
+    assert total == 6001 and swept <= 2720 and shifts <= 644
 
 
 def test_deep_solve_sweep_count_many_levels(monkeypatch):
-    # k = 21 levels per grid: 9 sweeps (6 coarse, 3 fine) of 21775 rows and
-    # 7929 shifts, since each bracket stops at its own convergence; halving
-    # every bracket until the last one converged took 12 (7 coarse, 5 fine)
+    # k = 21 levels per grid: 4 sweeps (3 coarse, 1 fine) of 9041 rows and
+    # 4464 shifts with the second inverse-iteration solve and the first
+    # sweep's subtrees; 9 sweeps (6 coarse, 3 fine) of 21775 rows and 7929
+    # shifts with one solve and the guessed paths alone, and 12 (7 coarse, 5
+    # fine) while every bracket was halved until the last one converged
     calls = _count_sweeps(monkeypatch, 20)
     sizes = [n for _, n, _ in calls]
     assert sizes == sorted(sizes) and set(sizes) == {2000, 4001}
-    assert sizes.count(2000) <= 6 and sizes.count(4001) <= 3
+    assert len(sizes) <= 4 and sizes.count(4001) == 1
     swept, _, shifts = map(sum, zip(*calls))
-    assert swept <= 21775 and shifts <= 7929
+    assert swept <= 9041 and shifts <= 4464
+
+
+@pytest.mark.parametrize("k", [10, 20])
+def test_deep_solve_many_levels_gives_bisection_floats(k, monkeypatch):
+    # the second inverse-iteration solve and the subtrees of the first sweep
+    # take k = 20 from 9 sweeps to 4; both output grids keep plain
+    # bisection's floats, hex for hex
+    eigs = oracle.sturm_tridiag_eigs
+    solved = []
+
+    def recording(diag, off, k_work, *, guesses=None):
+        taus = eigs(diag, off, k_work, guesses=guesses)
+        solved.append((diag, off, k_work, taus))
+        return taus
+
+    monkeypatch.setattr(oracle, "sturm_tridiag_eigs", recording)
+    p = deep_params()
+    res = oracle.fd_eigensolve(p, oracle.default_grid(p, k), k)
+    assert [len(diag) for diag, *_ in solved] == [2000, 4001]
+    for diag, off, k_work, taus in solved:
+        want = reference_sturm_eigs(diag, off, k_work)
+        assert [t.hex() for t in taus] == [t.hex() for t in want]
+    assert res.eigenvalues_tau == taus[:k]  # the half-step grid's
 
 
 @st.composite
@@ -527,13 +559,15 @@ def test_warm_start_bit_identical(deep_matrices, deep_references, deep_guesses, 
     if kind == "exact":  # one sweep checks the whole path
         assert len(shifts) == 1
     if kind == "nan":
-        # the first sweep counts the guessed paths of brackets 0 and 2 until
-        # they converge; the NaN guess leaves bracket 1 behind, and each later
+        # the first sweep counts the guessed paths of brackets 0 and 2 to
+        # their convergence; the NaN guess leaves bracket 1 behind, and each later
         # sweep counts the 63 midpoints of its next six steps alone.  A
         # per-bracket step history made 12 sweeps of 1014 shifts; the count
         # table, whose first sweep also serves bracket 1's early steps from
         # the other paths, made 9 of 753 while brackets 0 and 2 were halved
-        # until bracket 1 converged, and makes 9 of 656 now.
+        # until bracket 1 converged, 9 of 656 while the first sweep followed
+        # each guess until its bracket converged, and 9 of 827 now that it
+        # counts each guessed path's last six levels whole.
         assert len(shifts) <= 12 and sum(shifts) <= 1014 and max(shifts[1:-1]) <= 63
 
 
@@ -541,20 +575,25 @@ def test_warm_start_bit_identical(deep_matrices, deep_references, deep_guesses, 
 def test_first_sweep_counts_the_guessed_paths(deep_matrices, deep_references, deep_guesses,
                                               kind, monkeypatch):
     # the first sweep counts each guess's bisection path from the Gershgorin
-    # bracket until that bracket converges, each midpoint once, in path order;
-    # without guesses, the 63 midpoints of the bracket's first six steps
+    # bracket while that bracket is wider than 2**6 times its convergence
+    # width, then the 63 midpoints of the next six steps from there, ascending;
+    # each midpoint once, in that order.  Without guesses, the 63 midpoints of
+    # the bracket's first six steps
     diag, off = deep_matrices["refined"]
     ref = deep_references["refined"]
     bounds = _gershgorin(diag, off)
     guesses = {"rq": deep_guesses[len(diag)], "nan": [ref[0], math.nan, ref[2]],
                "none": None}[kind]
-    path = []
+    path, steps = [], []
     for g in [] if guesses is None else list(guesses):
         lo, hi = bounds
-        while hi - lo > 1e-13 * max(abs(lo), abs(hi)):
+        steps.append(0)
+        while hi - lo > 64 * 1e-13 * max(abs(lo), abs(hi)):
             mid = 0.5 * (lo + hi)
             path.append(mid)
             lo, hi = (lo, mid) if g < mid else (mid, hi)
+            steps[-1] += 1
+        path += sorted(_bisection_path_midpoints(lo, hi, 6))
     want = list(dict.fromkeys(path)) if path else sorted(_bisection_path_midpoints(*bounds, 6))
     sweeps = []
     count = oracle.sturm_count
@@ -562,17 +601,23 @@ def test_first_sweep_counts_the_guessed_paths(deep_matrices, deep_references, de
                         lambda d, o, x, **kw: sweeps.append(x.tolist()) or count(d, o, x, **kw))
     assert oracle.sturm_tridiag_eigs(diag, off, 3, guesses=guesses) == ref
     assert [x.hex() for x in sweeps[0]] == [x.hex() for x in want]
-    # rq: paths of 61, 63 and 65 steps; nan: the NaN guess's path climbs to
-    # the top bound in 44
-    assert len(want) == {"rq": 152, "nan": 152, "none": 63}[kind]
+    # rq: path prefixes of 55, 57 and 59 steps (whole paths of 61, 63 and 65),
+    # shared down to 323 midpoints; nan: the NaN guess's prefix climbs toward
+    # the top bound in 38
+    assert steps == {"rq": [55, 57, 59], "nan": [55, 38, 59], "none": []}[kind]
+    assert len(want) == {"rq": 323, "nan": 323, "none": 63}[kind]
+    if kind == "rq":  # the first sweep holds every path to convergence
+        assert len(sweeps) == 1
 
 
 def test_rayleigh_guesses_are_close(deep_matrices, deep_references, deep_guesses):
     # each eigenvector of the grid below, carried linearly in ln r and refined
-    # by one solve of inverse iteration, gives a Rayleigh quotient 9.7e-14 to
-    # 7.3e-11 from the coarse eigenvalues and 3.4e-14 to 5.3e-13 from the fine
-    # ones (4.0e-13 to 7.4e-11 and 6.5e-15 to 1.2e-11 with the quotient summed
-    # over the whole vector and the row-by-row Thomas solve).  The cubic
+    # by two solves of inverse iteration (the second at the first's Rayleigh
+    # quotient), gives a Rayleigh quotient 3.2e-14 to 3.3e-13 from the coarse
+    # eigenvalues and 4.2e-14 to 5.3e-13 from the fine ones (one solve gave
+    # 9.7e-14 to 7.3e-11 and 3.4e-14 to 5.3e-13; 4.0e-13 to 7.4e-11 and
+    # 6.5e-15 to 1.2e-11 with the quotient summed over the whole vector and
+    # the row-by-row Thomas solve).  The cubic
     # carry without the solve gave 2.1e-10 to 1.7e-9 on the fine grid, where
     # the coarse eigenvalues are 8.2e-6 to 3.7e-5 off.  The base grid is
     # never bisected: LAPACK's eigenvalues of its dense matrix only give the
@@ -581,19 +626,20 @@ def test_rayleigh_guesses_are_close(deep_matrices, deep_references, deep_guesses
     for which in ("coarse", "refined"):
         guesses = deep_guesses[len(deep_matrices[which][0])]
         for guess, tau in zip(guesses, deep_references[which], strict=True):
-            assert abs(guess - tau) <= 1e-10 * abs(tau)
+            assert abs(guess - tau) <= 1e-12 * abs(tau)
 
 
-@pytest.mark.parametrize("k,distances", [(2, (7.4e-11, 1.2e-11)), (3, (3.7e-10, 1.7e-11)),
-                                         (10, (5.1e-8, 1.8e-11)), (20, (4.6e-5, 2.9e-10))])
+@pytest.mark.parametrize("k,distances", [(2, (3.3e-13, 5.3e-13)), (3, (9.9e-14, 1.0e-12)),
+                                         (10, (3.9e-13, 9.4e-13)), (20, (1.2e-11, 1.6e-12))])
 def test_guess_distances_hold_on_deep(k, distances, monkeypatch):
     # a worse eigenvector solve shows only as extra sweeps, so each output
     # grid's (N, then 2N + 1) largest relative distance of a guess from its
-    # bisection float is held within 2x of what the row-by-row Thomas solve
-    # gave.  Those 2N + 1 distances at k <= 10 lay at the rounding floor of
-    # the Rayleigh quotient summed over the whole vector (a last-bit change
-    # of a vector's scale moved them between 3e-12 and 3.5e-11); summed by
-    # rows, they are 5.4e-13, 1.0e-12, 9.6e-13 and 2.9e-10 now
+    # bisection float is held within 2x of what the two inverse-iteration
+    # solves give.  One solve gave 7.3e-11, 3.7e-10, 5.1e-8 and 4.6e-5 on the
+    # N-point grid (the second solve, at the first's Rayleigh quotients,
+    # takes k = 20 to 1.2e-11), and 5.3e-13, 1.0e-12, 9.4e-13 and 2.9e-10 on
+    # the 2N + 1-point grid; with the row-by-row Thomas solve and the quotient
+    # summed over the whole vector, those lay between 3e-12 and 3.5e-11
     eigs = oracle.sturm_tridiag_eigs
     worst = []
 
@@ -645,11 +691,13 @@ def _outer_mass(v: np.ndarray) -> float:
 
 @pytest.mark.parametrize("grid", [None, RadialGridSpec(0.1, 0.32, 1200)], ids=["deep", "leaky"])
 def test_leak_check_one_solve_matches_three(grid, monkeypatch):
-    # the leak check reads the fine grid's vector of the top level, one solve
-    # of inverse iteration at the coarse eigenvalue from the carried coarse
-    # vector, against three solves at the fine eigenvalue from a random
-    # start: deep.cfg's default grid gives 2.2e-33 against 6.1e-58, the leaky
-    # grid 8.890886e-3 both ways (1.5e-13 apart)
+    # the leak check reads the fine grid's vector of the top level from the
+    # last of its two solves of inverse iteration (the first at the coarse
+    # eigenvalue from the carried coarse vector, the second at the first's
+    # Rayleigh quotient from its vector), against three solves at the fine
+    # eigenvalue from a random start: deep.cfg's default grid gives 2.4e-73
+    # against 6.1e-58 (2.2e-33 after the first solve alone), the leaky grid
+    # 8.890886e-3 both ways (7.6e-15 apart; 1.5e-13 after the first solve)
     p = deep_params()
     coarse_grid = grid or oracle.default_grid(p, 2)
     fine_grid = coarse_grid.refined()
@@ -670,8 +718,8 @@ def test_leak_check_one_solve_matches_three(grid, monkeypatch):
             oracle.fd_eigensolve(p, coarse_grid, 2)
     diag, off = oracle.build_tridiag(p, fine_grid)
     tau = oracle.sturm_tridiag_eigs(diag, off, 2, guesses=None)[-1]
-    [vectors] = solved
-    one = _outer_mass(vectors[1])
+    assert len(solved) == 2
+    one = _outer_mass(solved[-1][1])
     three = _outer_mass(reference_eigenvector(diag, off, tau))
     assert abs(one - three) <= 1e-12
     assert (one > oracle.BOUNDARY_MASS_LIMIT) == (grid is not None)
