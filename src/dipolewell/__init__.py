@@ -37,7 +37,7 @@ from .oracle import (
     fd_eigensolve,
     sturm_tridiag_eigs,
 )
-from .solve import ROUTES, Solution, solve
+from .solve import ROUTES, Solution, Verdict, solve, validate
 from .special import (
     SmallXApprox,
     gamma_uniform_asymptotic,
@@ -64,7 +64,7 @@ __all__ = [
     "DerivedParams", "PhysicalParams", "derive", "effective_potential",
     "energy_of_kappa", "kappa_of_energy",
     "OracleResult", "RadialGridSpec", "fd_eigensolve", "sturm_tridiag_eigs",
-    "ROUTES", "Solution", "solve",
+    "ROUTES", "Solution", "Verdict", "solve", "validate",
     "SmallXApprox", "gamma_uniform_asymptotic", "ln_gamma_complex",
     "whittaker_w_scaled", "whittaker_w_smallx_approx",
     "EnergyLevel", "RadialProfile", "Route", "binding_energy",

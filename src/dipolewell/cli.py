@@ -22,11 +22,11 @@ from dataclasses import replace
 from typing import Callable, NamedTuple
 
 from . import model, oracle, spectrum
-from .errors import (ConvergenceError, DipoleWellError, DomainError, ForbiddenRegion,
-                     NoBoundStateRegime)
+from .errors import DipoleWellError, DomainError, ForbiddenRegion, NoBoundStateRegime
 from .model import PhysicalParams
 from .oracle import RadialGridSpec
-from .solve import BETA_MIN_DEFAULT, ROUTES, X0_ADMISSIBLE_DEFAULT, solve
+from .solve import (BETA_MIN_DEFAULT, COMPARE_TOL_DEFAULT, ROUTES, X0_ADMISSIBLE_DEFAULT, solve,
+                    validate)
 from .spectrum import EnergyLevel, Route
 
 EXIT_OK = 0
@@ -134,7 +134,7 @@ def _validate_flags(p: argparse.ArgumentParser) -> None:
                    help="x0 smallness threshold for regime flags (default %(default)s)")
     p.add_argument("--beta-min", type=_POSITIVE, default=BETA_MIN_DEFAULT,
                    help="minimum beta for the deep regime flag (default %(default)s)")
-    p.add_argument("--compare-tol", type=_POSITIVE, default=0.05,
+    p.add_argument("--compare-tol", type=_POSITIVE, default=COMPARE_TOL_DEFAULT,
                    help="exact-oracle agreement tolerance (default %(default)s)")
 
 
@@ -253,34 +253,20 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
 
 def cmd_validate(ns: argparse.Namespace) -> int:
     params = _build_params(ns)
-    if params.omega <= 0:
-        raise DomainError("validate requires omega > 0 (all three routes defined)")
-    grid = _grid_from_flags(ns, params, ns.nmax)  # bad grid flags fail before any route runs
-    solution = solve(params, ns.nmax, ROUTES, lambda: grid)
+    solution, verdict = validate(
+        params, ns.nmax, lambda: _grid_from_flags(ns, params, ns.nmax),
+        x0_admissible=ns.x0_threshold, beta_min=ns.beta_min, compare_tol=ns.compare_tol)
     lines = [VALIDATE_HEADER]
-    regime_ok = True
-    for n in range(1, ns.nmax + 1):
-        flags = solution.flags(n, x0_admissible=ns.x0_threshold, beta_min=ns.beta_min)
-        regime_ok = regime_ok and not flags
+    for n, (flags, *gaps) in enumerate(verdict.levels, start=1):
         levels = [solution.level(route, n) for route in ROUTES]
-        cells = [_cell(None if lv is None else lv.energy) for lv in levels] + [
-            _cell(solution.rel_gap(n, Route.ASYMPTOTIC, Route.EXACT)),
-            _cell(solution.rel_gap(n, Route.EXACT, Route.ORACLE)),
-        ]
+        cells = [_cell(None if lv is None else lv.energy) for lv in levels] + [*map(_cell, gaps)]
         lines.append(f"{n},{params.ell},{','.join(cells)},{';'.join(flags) or 'ok'}")
     _write(ns.out, lines)
-    # the closed form is asymptotic, so only the exact-oracle cross-check is held to the
-    # tolerance; a gap over no level with both routes is none, and fails that check
-    gap_xo = solution.max_gap(Route.EXACT, Route.ORACLE)
-    gaps = [g for g in (solution.max_gap(Route.ASYMPTOTIC, Route.EXACT), gap_xo) if g is not None]
-    ok = regime_ok and gap_xo is not None and gap_xo <= ns.compare_tol
-    print(
-        f"validate: max_rel_gap={_fmt15(max(gaps)) if gaps else 'none'} "
-        f"max_gap_exact_oracle={'none' if gap_xo is None else _fmt15(gap_xo)} "
-        f"regime_ok={str(regime_ok).lower()} "
-        f"within_tol={str(ok).lower()}",
-        file=sys.stderr,
-    )
+    gaps = ["none" if g is None else _fmt15(g)
+            for g in (verdict.max_rel_gap, verdict.max_gap_exact_oracle)]
+    print(f"validate: max_rel_gap={gaps[0]} max_gap_exact_oracle={gaps[1]} "
+          f"regime_ok={str(verdict.regime_ok).lower()} "
+          f"within_tol={str(verdict.within_tol).lower()}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -320,22 +306,22 @@ def cmd_sweep_cutoff(ns: argparse.Namespace) -> int:
         raise _UsageError("--radii must be finite and positive")
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise _UsageError("--radii must be strictly descending")
+    try:  # a radius whose square leaves double range is a bad flag, as --radius is
+        sweep = [replace(params, cutoff_R=R) for R in radii]
+    except DomainError as exc:
+        raise _UsageError(str(exc)) from exc
 
     routes = (Route.ASYMPTOTIC,) if ns.no_exact else (Route.ASYMPTOTIC, Route.EXACT)
-    ref = params.omega + params.energy_shift
     lines = ["R,E1_asymptotic,E1_exact,R2_binding_asymptotic,status"]
-    for R in radii:
-        solution = solve(replace(params, cutoff_R=R), 1, routes)
+    for R, at_R in zip(radii, sweep):
+        solution = solve(at_R, 1, routes)
         error = solution.first_error()
         e1a, e1x = (solution.level(route, 1) for route in (Route.ASYMPTOTIC, Route.EXACT))
         if e1a is None:  # its error is the first in route order
             raise error
-        scaled = R * R * (ref - e1a.energy)
-        if not math.isfinite(scaled):
-            raise DomainError(f"R^2 times the binding at R = {R} leaves double range")
         status = "ok" if error is None else f"exact-failed:{type(error).__name__}"
         lines.append(f"{_fmt(R)},{_fmt(e1a.energy)},{_cell(e1x.energy if e1x else None)},"
-                     f"{_fmt(scaled)},{status}")
+                     f"{_fmt(solution.scaled_binding(1))},{status}")
     _write(ns.out, lines)
     return EXIT_OK
 
@@ -397,19 +383,12 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         res = special.ln_gamma_complex(complex(a[0], a[1]))
         print(f"{_fmt15(res.value.real)} {_fmt15(res.value.imag)} {_fmt15(res.est_error)}")
     elif ns.kind == "WhittakerW":
-        res = special.whittaker_w_scaled(a[0], a[1], a[2])
-        _print_w("whittaker_w", a, res.value, res.est_error)
-    else:  # WSmallX
+        value, est = special.whittaker_w_scaled(a[0], a[1], a[2]).finite(a[0], a[1], a[2])
+        print(f"{_fmt15(value)} {_fmt15(est)}")
+    else:  # WSmallX: its value stays finite, and est_error raises where it would not
         approx = special.whittaker_w_smallx_approx(a[0], a[1])
-        _print_w("whittaker_w_smallx", a, approx.value(a[2]), approx.est_error(a[2]))
+        print(f"{_fmt15(approx.value(a[2]))} {_fmt15(approx.est_error(a[2]))}")
     return EXIT_OK
-
-
-def _print_w(name: str, a: list[float], value: float, est: float) -> None:
-    if not (math.isfinite(value) and math.isfinite(est)):
-        raise ConvergenceError(
-            f"{name} overflows double range (kappa={a[0]}, mu={a[1]}, x={a[2]})")
-    print(f"{_fmt15(value)} {_fmt15(est)}")
 
 
 class _Command(NamedTuple):

@@ -6,13 +6,14 @@ route and level it records the EnergyLevel or the DipoleWellError the route
 raised, so one failing route does not hide the others.  NoBoundStateRegime
 propagates instead: it is a property of the parameters, which every
 analytic route meets before any other failure.  Routes are looked up as
-module attributes at call time.
+module attributes at call time.  validate() runs all three and judges them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from . import oracle, spectrum
 from .errors import DipoleWellError, DomainError, NoBoundStateRegime
@@ -25,6 +26,7 @@ ROUTES = (Route.ASYMPTOTIC, Route.EXACT, Route.ORACLE)
 # and beta_n = 1/2 - kappa_n >= BETA_MIN_DEFAULT
 X0_ADMISSIBLE_DEFAULT = 0.01
 BETA_MIN_DEFAULT = 10.0
+COMPARE_TOL_DEFAULT = 0.05  # validate's exact-oracle tolerance; the asymptotic form is exempt
 
 Outcome = Union[EnergyLevel, DipoleWellError]
 
@@ -34,7 +36,6 @@ class Solution:
     """Outcomes of levels 1..n_max for each requested route, in ROUTES order."""
 
     params: PhysicalParams
-    n_max: int
     outcomes: dict[Route, list[Outcome]]
 
     def level(self, route: Route, n: int) -> EnergyLevel | None:
@@ -76,11 +77,25 @@ class Solution:
                               f"(p_z shift p_z^2/(2m) = {self.params.energy_shift:.6g})")
         return abs(lv_a.energy - lv_b.energy) / denom
 
-    def max_gap(self, a: Route, b: Route) -> float | None:
-        """Largest rel_gap over the levels both routes produced, or None when
-        no level has both."""
-        gaps = (self.rel_gap(n, a, b) for n in range(1, self.n_max + 1))
-        return max((g for g in gaps if g is not None), default=None)
+    def scaled_binding(self, n: int) -> float:
+        """R^2 (omega + p_z^2/(2m) - E_n) of the solved closed-form level n."""
+        p, R = self.params, self.params.cutoff_R
+        scaled = R * R * (p.omega + p.energy_shift - self.level(Route.ASYMPTOTIC, n).energy)
+        if not math.isfinite(scaled):
+            raise DomainError(f"R^2 times the binding at R = {R} leaves double range")
+        return scaled
+
+
+class Verdict(NamedTuple):
+    """Per level n = 1..n_max its (flags, asymptotic-exact rel_gap, exact-oracle rel_gap);
+    the largest gaps that exist (else None); whether no level is flagged; and whether,
+    too, the exact-oracle gap exists and is within the tolerance of validate."""
+
+    levels: list[tuple[list[str], float | None, float | None]]
+    max_rel_gap: float | None
+    max_gap_exact_oracle: float | None
+    regime_ok: bool
+    within_tol: bool
 
 
 def _attempt(run: Callable[[], object]) -> object:
@@ -134,4 +149,23 @@ def solve(
             # a route that solves all levels at once fails them all at once
             out = _attempt(runs[route])
             outcomes[route] = [out] * n_max if isinstance(out, DipoleWellError) else out
-    return Solution(params, n_max, outcomes)
+    return Solution(params, outcomes)
+
+
+def validate(params: PhysicalParams, n_max: int, grid: Callable[[], RadialGridSpec], *,
+             x0_admissible: float, beta_min: float, compare_tol: float) -> tuple[Solution, Verdict]:
+    """All three routes for n = 1..n_max and their Verdict; DomainError for omega <= 0.
+    grid() runs next, before any route, so its failure is raised, not recorded."""
+    if params.omega <= 0:
+        raise DomainError("validate requires omega > 0 (all three routes defined)")
+    spec = grid()
+    solution = solve(params, n_max, ROUTES, lambda: spec)
+    levels = [(solution.flags(n, x0_admissible=x0_admissible, beta_min=beta_min),
+               solution.rel_gap(n, Route.ASYMPTOTIC, Route.EXACT),
+               solution.rel_gap(n, Route.EXACT, Route.ORACLE)) for n in range(1, n_max + 1)]
+    gap_ax, gap_xo = (max((lv[i] for lv in levels if lv[i] is not None), default=None)
+                      for i in (1, 2))
+    regime_ok = not any(flags for flags, _, _ in levels)
+    return solution, Verdict(
+        levels, max((g for g in (gap_ax, gap_xo) if g is not None), default=None), gap_xo,
+        regime_ok, regime_ok and gap_xo is not None and gap_xo <= compare_tol)

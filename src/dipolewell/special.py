@@ -111,6 +111,13 @@ class WhittakerW(NamedTuple):
     mantissa: float
     exponent: float
 
+    def finite(self, kappa: float, mu: float, x: float) -> tuple[float, float]:
+        """(value, est_error); ConvergenceError where either left double range."""
+        if not (math.isfinite(self.value) and math.isfinite(self.est_error)):
+            raise ConvergenceError(
+                f"whittaker_w overflows double range (kappa={kappa}, mu={mu}, x={x})")
+        return self.value, self.est_error
+
 
 def ln_gamma_complex(z: complex) -> GammaLn:
     """Principal-branch log-Gamma for complex z.

@@ -195,6 +195,8 @@ def _printed_words(out: str, err: str) -> set:
         # its prefactor 2 Lambda^2/(m R^2) overflows
         (["spectrum", *DEEP, "--radius", "1e-200", "--nmax", "1"], 3),
         (["sweep-cutoff", *DEEP, "--radii", "0.1,1e-200"], 3),
+        # ... but an entry whose square overflows is a usage error, as --radius is
+        (["sweep-cutoff", *DEEP, "--radii", "1e155,1e154"], 1),
         (["spectrum", *HEAVY, "--nmax", "1"], 3),
         (["sweep-cutoff", *HEAVY, "--radii", "1e-5"], 3),
         # kappa = (E - shift)/(2 omega) of a finite level leaves double range
@@ -224,8 +226,9 @@ def _printed_words(out: str, err: str) -> set:
     ],
     ids=["lambda", "radius", "pz", "ell_config", "ell_flag", "coupling", "potential",
          "weak", "weak_exact", "validate_omega", "spectrum_all_omega", "wavefunction_omega",
-         "energy_shift", "binding_radius", "sweep_binding_radius", "binding_prefactor",
-         "sweep_binding_prefactor", "kappa", "sweep_scaled_binding", "level_order",
+         "energy_shift", "binding_radius", "sweep_binding_radius", "sweep_radius",
+         "binding_prefactor", "sweep_binding_prefactor", "kappa", "sweep_scaled_binding",
+         "level_order",
          "tiny_omega_exact", "tiny_omega_exact_1e-200", "tiny_omega_exact_1e-300",
          "tiny_omega_sweep", "tiny_omega_sweep_1e-300", "tiny_omega_wavefunction",
          "tiny_omega_wavefunction_1e-300", "tiny_omega_validate", "tiny_omega_validate_1e-200",

@@ -2,10 +2,11 @@
 
 Each case runs ``cli.main`` in-process on ``tests/golden/deep.cfg`` and
 compares its stdout, byte for byte, with ``tests/golden/<name>.out``.  Cases
-marked in ``LOCK_STDERR`` (the failing ones and one warning) also compare
-stderr with ``tests/golden/<name>.err``, which pins the error's type, message
-and precedence; the ``validate`` summary on stderr is not locked.  After a
-deliberate change of output, rewrite the files with
+marked in ``LOCK_STDERR`` (the failing ones, one warning and the ``validate``
+summaries) compare stderr with ``tests/golden/<name>.err``, which pins the
+error's type, message and precedence and the summary's verdict; every other
+case must print nothing to stderr.  After a deliberate change of output,
+rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -77,7 +78,8 @@ CASES = [
                               "--omega", "1", "--radius", "0.1", "--nmax", "3",
                               "--route", "all"], 0),
 ]
-LOCK_STDERR = {"wavefunction_asymptotic", "wavefunction_large_x_error",
+LOCK_STDERR = {"validate", "validate_default_grid", "validate_thresholds",
+               "wavefunction_asymptotic", "wavefunction_large_x_error",
                "wavefunction_kummer_error", "eval_whittaker_w_kummer_error"}
 
 
@@ -94,8 +96,7 @@ def test_golden_output(name, argv, code):
     got_code, got, got_err = _run(argv)
     assert got_code == code
     assert got == (GOLDEN / f"{name}.out").read_bytes()
-    if name in LOCK_STDERR:
-        assert got_err == (GOLDEN / f"{name}.err").read_bytes()
+    assert got_err == ((GOLDEN / f"{name}.err").read_bytes() if name in LOCK_STDERR else b"")
 
 
 if __name__ == "__main__":
@@ -103,6 +104,8 @@ if __name__ == "__main__":
         got_code, got, got_err = _run(argv)
         if got_code != code:
             sys.exit(f"{name}: exit code {got_code}, expected {code}")
+        if got_err and name not in LOCK_STDERR:
+            sys.exit(f"{name}: unexpected stderr {got_err!r}")
         (GOLDEN / f"{name}.out").write_bytes(got)
         print(f"wrote {name}.out ({len(got)} bytes)")
         if name in LOCK_STDERR:

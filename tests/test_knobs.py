@@ -16,7 +16,11 @@ read as an attribute somewhere other than its declaration, by the package
 
 No shared mutable state or caching, as the README promises: no ``global`` or
 ``nonlocal`` statement and no ``cache``, ``lru_cache`` or ``cached_property``
-decorator anywhere in the package."""
+decorator anywhere in the package.
+
+No verdicts in the CLI: ``cli.py`` constructs no exception class of
+``errors.py``, so every check that fails with a package error is the
+library's; re-raising an error a route recorded stays allowed."""
 
 from __future__ import annotations
 
@@ -273,6 +277,23 @@ def test_shared_state_sees_globals_nonlocals_and_cache_decorators():
         ("m.py", 8, "cache"), ("m.py", 11, "cached_property")}
 
 
+def constructed_errors(tree: ast.Module, errors: ast.Module) -> set:
+    """(line, name) of every call in tree to a class that errors defines, the
+    callee named by its bare or attribute name."""
+    classes = {node.name for node in ast.walk(errors) if isinstance(node, ast.ClassDef)}
+    return {(node.lineno, _callee(node)) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _callee(node) in classes}
+
+
+def test_constructed_errors_sees_calls_not_raises_or_catches():
+    # Base(...) and errors.Sub() construct; catching Sub, re-raising a recorded
+    # error, isinstance and a builtin ValueError do not
+    errors = ast.parse("class Base(Exception): pass\nclass Sub(Base): pass\n")
+    tree = ast.parse("try:\n    f()\nexcept Sub as exc:\n    raise Base('x') from exc\n"
+                     "raise errors.Sub()\nraise error\nisinstance(e, Base)\nValueError('y')\n")
+    assert constructed_errors(tree, errors) == {(4, "Base"), (5, "Sub")}
+
+
 def _package_trees() -> dict[str, ast.Module]:
     return {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
@@ -314,4 +335,10 @@ def test_every_record_field_is_read():
 
 def test_no_shared_mutable_state_or_caching():
     found = shared_state(_package_trees())
+    assert not found, sorted(found)
+
+
+def test_cli_constructs_no_package_error():
+    trees = _package_trees()
+    found = constructed_errors(trees["cli.py"], trees["errors.py"])
     assert not found, sorted(found)

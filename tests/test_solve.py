@@ -1,20 +1,31 @@
-"""Tests for the route runner: recorded failures, ordering and gaps."""
+"""Tests for the route runner: recorded failures, ordering and gaps, and
+validate's verdict on them."""
 
 from __future__ import annotations
+
+import pathlib
 
 import numpy as np
 import pytest
 
-from dipolewell import oracle, spectrum
+from dipolewell import model, oracle, spectrum
 from dipolewell.errors import DomainError, NoBoundStateRegime
 from dipolewell.model import PhysicalParams
 from dipolewell.oracle import RadialGridSpec
-from dipolewell.solve import BETA_MIN_DEFAULT, ROUTES, X0_ADMISSIBLE_DEFAULT, solve
+from dipolewell.solve import (BETA_MIN_DEFAULT, COMPARE_TOL_DEFAULT, ROUTES,
+                              X0_ADMISSIBLE_DEFAULT, solve, validate)
 from dipolewell.spectrum import Route
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 # the thresholds of `validate` when no flag sets them
 DEFAULTS = dict(x0_admissible=X0_ADMISSIBLE_DEFAULT, beta_min=BETA_MIN_DEFAULT)
+VALIDATE_DEFAULTS = dict(DEFAULTS, compare_tol=COMPARE_TOL_DEFAULT)
+
+
+def short_grid():
+    # on [R, 2R] the oracle's leak check fails for deep_params(), so the oracle is absent
+    return RadialGridSpec(0.1, 0.2, 100)
 
 
 def no_grid():
@@ -48,9 +59,12 @@ def test_solve_binding_relative_gaps():
     gap = sol.rel_gap(1, Route.ASYMPTOTIC, Route.EXACT)
     assert gap == abs(e_a - e_x) / abs(p.omega + p.energy_shift - e_a)
     assert 0.10 < gap < 0.13  # the closed form's regime error at Lambda = 5
-    assert sol.max_gap(Route.ASYMPTOTIC, Route.EXACT) == gap
     assert sol.rel_gap(1, Route.EXACT, Route.ORACLE) is None
-    assert sol.max_gap(Route.EXACT, Route.ORACLE) is None
+    # validate without an oracle: level 1's gap is the largest, and no exact-oracle gap exists
+    _, verdict = validate(p, 2, short_grid, **VALIDATE_DEFAULTS)
+    assert verdict.levels[0][1] == gap
+    assert verdict.max_rel_gap == gap
+    assert verdict.max_gap_exact_oracle is None
 
 
 def test_rel_gap_of_a_binding_lost_in_the_pz_shift():
@@ -59,7 +73,7 @@ def test_rel_gap_of_a_binding_lost_in_the_pz_shift():
     with pytest.raises(DomainError, match="p_z shift"):
         sol.rel_gap(1, Route.ASYMPTOTIC, Route.EXACT)
     with pytest.raises(DomainError, match="p_z shift"):
-        sol.max_gap(Route.ASYMPTOTIC, Route.EXACT)
+        validate(deep_params(p_z=1e10), 1, short_grid, **VALIDATE_DEFAULTS)
 
 
 def test_solve_records_failures_per_route():
@@ -72,7 +86,36 @@ def test_solve_records_failures_per_route():
     assert all(isinstance(e, DomainError) for e in errors)
     assert sol.first_error() is errors[0]
     assert sol.flags(1, **DEFAULTS) == ["absent:exact:DomainError", "absent:oracle:DomainError"]
-    assert sol.max_gap(Route.ASYMPTOTIC, Route.EXACT) is None
+    assert [sol.rel_gap(n, Route.ASYMPTOTIC, Route.EXACT) for n in (1, 2)] == [None, None]
+
+
+def test_validate_refuses_omega_zero_before_building_its_grid():
+    with pytest.raises(DomainError, match=r"validate requires omega > 0 \(all three routes"):
+        validate(deep_params(omega=0.0), 2, no_grid, **VALIDATE_DEFAULTS)
+
+
+def test_validate_verdict_is_the_printed_summary():
+    # deep.cfg on the `validate` golden's grid: the verdict's gaps are the CSV's
+    # cells and its summary the golden's stderr
+    values = model.parse_config_text((GOLDEN / "deep.cfg").read_text(encoding="utf-8"))
+    p = model.params_from_mapping(values)
+    _, verdict = validate(p, 2, lambda: oracle.default_grid(p, 2, points=600),
+                          **VALIDATE_DEFAULTS)
+    rows = [row.split(",") for row in (GOLDEN / "validate.out").read_text().split("\n")[1:-1]]
+    assert verdict.levels == [([], float(row[5]), float(row[6])) for row in rows]
+    summary = dict(word.split("=") for word in (GOLDEN / "validate.err").read_text().split()[1:])
+    assert summary == {"max_rel_gap": f"{verdict.max_rel_gap:.14e}",
+                       "max_gap_exact_oracle": f"{verdict.max_gap_exact_oracle:.14e}",
+                       "regime_ok": "true", "within_tol": "true"}
+    assert verdict.regime_ok is True and verdict.within_tol is True
+
+
+def test_validate_verdict_without_route_pairs():
+    # Lambda = 120: the exact route raises BracketError, so no gap exists
+    p = deep_params(polarizability_alpha=7200.0)
+    _, verdict = validate(p, 1, lambda: oracle.default_grid(p, 1), **VALIDATE_DEFAULTS)
+    assert verdict == (
+        [(["absent:exact:BracketError"], None, None)], None, None, False, False)
 
 
 @pytest.mark.parametrize(

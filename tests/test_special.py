@@ -231,6 +231,18 @@ def test_whittaker_w_frozen_values():
         assert abs(res.value - ref) <= max(3.0 * res.est_error, 1e-12 * abs(ref))
 
 
+def test_whittaker_w_finite_checks_for_overflow():
+    # beta = -999.5: value and error overflow, while the scaled fields stay finite
+    res = special.whittaker_w_scaled(1000.0, 2.5, 0.001)
+    assert math.isfinite(res.mantissa) and math.isfinite(res.exponent)
+    with pytest.raises(ConvergenceError, match=r"^whittaker_w overflows double range "
+                       r"\(kappa=1000.0, mu=2.5, x=0.001\)$"):
+        res.finite(1000.0, 2.5, 0.001)
+    res = special.whittaker_w_scaled(-3.0, 2.5, 0.001)
+    value, est = res.finite(-3.0, 2.5, 0.001)
+    assert value is res.value and est is res.est_error
+
+
 def test_whittaker_w_realness_residual_structure():
     # the two connection-formula terms sum to a real W
     _, residual = reference_whittaker_w_connection(-3.0, 2.5, 1e-3)
