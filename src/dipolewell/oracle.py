@@ -16,31 +16,10 @@ diagonal congruence with 1/r.  Near the cut-off the wavefunction oscillates
 uniformly in ln r, so this grid carries constant phase density there; it
 also cancels the -1/(4 r^2) reduction term exactly when Lsq = 0.
 
-Each eigenvalue comes from its own Sturm bisection, which stops at its own
-convergence; all of them read their counts from one table local to each call,
-which keeps every count that the multisection sweeps (two numpy calls per
-matrix row) take: the steps, and so the floats, are bisection's own whatever
-the table holds.  A half-step grid gives Richardson estimates.  Both grids are
-the top of a ladder on one domain that starts at a base grid of an eighth of
-the points, at most BASE_GRID_POINTS.  No grid is bisected cold: the first
-grid of the ladder takes LAPACK's eigenvalues of its dense matrix, which a
-base grid (never output) uses only as the shifts of its eigenvectors, and an
-output grid only as the guesses of its bisection.  Each grid up the ladder is
-warm-started from the one below: its eigenvectors, carried to the new nodes
-by linear interpolation in ln r and refined by two inverse-iteration solves
-on the new matrix (one cyclic-reduction solve for all levels each, the
-second at the first's Rayleigh quotients), give Rayleigh quotients that
-steer the first pass of the bisection walks to within MULTISECTION_DEPTH
-levels of convergence; the first sweep counts those paths and every midpoint
-of their last MULTISECTION_DEPTH levels, which on deep.cfg ends each grid's
-solve in one sweep.  A sweep ends at the first tested rows past which no
-shift's count can change what it decides: for each shift, either the count
-has reached the number of wanted eigenvalues, or the rows left are
-diagonally dominant below the shift (by a margin of STURM_TAIL_ULPS epsilons
-per magnitude plus STURM_PIVMIN) and the entering pivot is negative or at
-least the coupling, so that no later pivot can turn negative.  The floats do
-not move; on the default grids most rows lie in the classically forbidden
-region past the outer turning points, never swept.
+The lowest eigenvalues come from Sturm bisection (sturm_tridiag_eigs,
+counting with sturm_count sweeps) on a ladder of grids over one domain, each
+warm-started from the grid below; the top grid and its half-step refinement
+give Richardson estimates (fd_eigensolve).
 """
 
 from __future__ import annotations
@@ -172,7 +151,8 @@ def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray, *,
     values.  So the rows left would add nothing to the count of a shift
     settled by (b), and would only raise past k that of a shift settled by
     (a): the capped counts, and the bisection steps taken from them, are
-    those of the full sweep.
+    those of the full sweep.  On the default grids most rows lie in the
+    classically forbidden region past the outer turning points, never swept.
     """
     x = np.atleast_1d(np.asarray(shifts, dtype=float))
     n = len(diag)

@@ -20,25 +20,12 @@ Every scalar operation returns an estimated error next to its value so
 callers can tell a true sign change from numerical noise.  All functions are
 pure; there is no caching or shared state.
 
-W computes only the -i*mu term T of the connection formula (two
-log-Gammas, one Kummer series).  The +i*mu term is its complex conjugate, so
-W = T + conj(T) = 2|T| cos(arg T) is real: the exponent is Re log T and the
-mantissa 2 cos(Im log T).  Of the two log-Gammas, lnGamma(2 i mu) depends
-on neither kappa nor x: ``w_point(mu)`` is that GammaLn, and a root search
-over kappa at fixed (mu, x) passes it to every ``whittaker_w_scaled`` call,
-so one root search computes one lnGamma(2 i mu) and the same floats.
-
-``whittaker_w_scaled_array`` evaluates W at one (kappa, mu) over an
-ascending array of x, as a wavefunction profile needs: the two log-Gammas
-once, and the Kummer series of all samples up to LARGE_X_SWITCH together
-on numpy arrays that replay CPython's complex arithmetic operation by
-operation, short of the scalar's 1e250 rescale (W = T + conj(T) is
-cancellation noise there).  Every sample that this prefix does not finish
-is a scalar ``whittaker_w_scaled`` call, so the mantissas and exponents
-equal the scalar calls' fields bit for bit, and any exception is the one a
-loop over those calls would raise first.  The prefix's bits: numpy for the
-IEEE arithmetic (+, -, *, / and libm's hypot), cmath/math per element for
-the transcendentals (log, cos), whose numpy versions need not round alike.
+W computes only the -i*mu term of the connection formula and doubles its
+real part (_connection_w); ``w_point`` shares its lnGamma(2 i mu) across a
+root search.  ``whittaker_w_scaled_array`` evaluates a wavefunction profile
+with the scalar W's bits: its array Kummer series retires samples in
+ascending order, or gives the whole profile to the scalar W
+(_whittaker_series_array).
 """
 
 from __future__ import annotations
@@ -221,33 +208,34 @@ def _whittaker_series_array(
     kappa: float, mu_signed: float, x: np.ndarray
 ) -> np.ndarray | None:
     """The sums of _kummer_series_scaled of M_{kappa, i*mu_signed} at every x,
-    bit for bit, as a complex array, where its ln_scale is 0.
+    bit for bit, as a complex array, or None.
 
     a = 1/2 - kappa + i*mu_signed and b = 1 + 2i*mu_signed, which is never a
     pole.  Each sample runs the scalar loop's operations in the same order on
     float64 pairs: complex products as CPython's _Py_c_prod, the quotient as
     its _Py_c_quot (Smith's ratio/denom, dividing by denom; numpy's complex
     division rounds differently), a float promoted to complex(x, 0.0), and
-    magnitudes as hypot.  A sample leaves the live set, with its sum
-    recorded, at the term where the scalar loop stops.  Small x converge
-    first, so on ascending x the finished samples usually lead the live set;
-    they then leave by slicing, which copies nothing, and otherwise by a
-    boolean-mask compaction of every per-sample array.  None where the
-    scalar loop may rescale or raise: a live term or partial sum passes
-    1e250, or a sample is still live after KUMMER_MAX_TERMS terms.
+    magnitudes as hypot.  A sample finishes, with its sum recorded, at the
+    term where the scalar loop stops.  Small x converge first, so on
+    ascending x the finished samples lead the live set and leave it by
+    slicing.  None, and the caller takes every sample from the scalar loop,
+    when a later x finishes while an earlier one is live, when a live term
+    or partial sum passes 1e250 (where the scalar loop may rescale or raise,
+    and W = T + conj(T) is cancellation noise), or when a sample is still
+    live after KUMMER_MAX_TERMS terms.
     """
     n = len(x)
     a = complex(0.5 - kappa, mu_signed)
     b = complex(1.0, 2.0 * mu_signed)
     sums = np.empty(n, dtype=complex)
-    live, xs = np.arange(n), x
+    head, xs = 0, x  # sums[:head] are recorded, xs = x[head:] are live
     sr, si = np.ones(n), np.zeros(n)
     cr, ci = np.zeros(n), np.zeros(n)
     tr, ti = np.ones(n), np.zeros(n)
     prev = np.zeros(n, dtype=bool)  # the previous term was small
     k = 0
     with np.errstate(all="ignore"):
-        while k < KUMMER_MAX_TERMS and len(live):
+        while k < KUMMER_MAX_TERMS and head < n:
             ak = a + k
             bk = (b + k) * (k + 1.0)
             # (a + k) * x, then the quotient by (b + k) * (k + 1.0)
@@ -279,12 +267,13 @@ def _whittaker_series_array(
             prev = small
             nd = np.count_nonzero(done)
             if nd:
-                # a leading run leaves by slicing, which copies nothing
-                fin, keep = (slice(nd), slice(nd, None)) if done[:nd].all() else (done, ~done)
-                sums.real[live[fin]], sums.imag[live[fin]] = sr[fin], si[fin]
-                live, xs, sr, si, cr, ci, tr, ti, prev = (
-                    v[keep] for v in (live, xs, sr, si, cr, ci, tr, ti, prev))
-    return None if len(live) else sums
+                if not done[:nd].all():  # a later x finished while an earlier one is live
+                    return None
+                sums.real[head:head + nd], sums.imag[head:head + nd] = sr[:nd], si[:nd]
+                head += nd
+                xs, sr, si, cr, ci, tr, ti, prev = (
+                    v[nd:] for v in (xs, sr, si, cr, ci, tr, ti, prev))
+    return None if head < n else sums
 
 
 def w_point(mu: float) -> GammaLn:
@@ -410,8 +399,8 @@ def whittaker_w_scaled_array(kappa: float, mu: float, x) -> tuple[np.ndarray, np
     differently (and its cos need not be libm's).  Every other sample is a
     whittaker_w_scaled call: the suffix past LARGE_X_SWITCH, and all of x
     when mu <= 0, when some x is not finite and > 0, or when the array
-    series gives up (a sum past 1e250, or the term cap).  Root finding keeps
-    the scalar function.
+    series gives up (a later x finished first, a sum past 1e250, or the term
+    cap).  Root finding keeps the scalar function.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x[1:] < x[:-1]):

@@ -20,6 +20,7 @@ from dipolewell.model import PhysicalParams
 DEEP = [
     "--mass", "1", "--alpha", "12.5", "--lambda", "1", "--omega", "1e-3", "--radius", "0.1",
 ]
+GOLDEN_CFG = pathlib.Path(__file__).parent / "golden" / "deep.cfg"
 # small, fast oracle grid for the deep regime
 FAST_GRID = ["--grid-points", "800", "--grid-rmax", "1.5"]
 
@@ -111,6 +112,20 @@ def test_exit_code_numerical_failure(capsys):
         assert (code, out) == (3, ""), argv
         assert "numerical failure: ConvergenceError" in err
         assert "overflows double range" in err
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["wavefunction", "--config", str(GOLDEN_CFG), "--route", "asymptotic", "--omega", "0"], 3,
+     "numerical failure: DomainError: radial_wavefunction requires omega > 0\n"),
+    (["eval", "WSmallX", "1", "2.5", "0.001"], 3, "numerical failure: DomainError: "
+     "whittaker_w_smallx_approx requires beta = 1/2 - kappa > 0\n"),
+    # the errno text after the prefix depends on the platform
+    (["spectrum", "--config", str(GOLDEN_CFG.parent)], 1, "usage error: cannot read config file"),
+], ids=["wavefunction_static", "smallx_beta", "config_directory"])
+def test_domain_errors_reach_the_exit_code(argv, code, message, capsys):
+    got, out, err = run_cli(argv, capsys)
+    assert (got, out) == (code, "")
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_non_finite_x_is_usage_error(capsys):

@@ -115,6 +115,13 @@ def test_sturm_near_double_range():
     assert got == pytest.approx([1e307, 8e307], rel=1e-13)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the bracket of the eigenvalue near 5 "
+                   "reaches BISECTION_MAX_STEPS unconverged and returns 2.967e240")
+def test_sturm_small_eigenvalue_beside_a_huge_one():
+    got = oracle.sturm_tridiag_eigs([5.0, 1e307], [1.0], 2, guesses=None)
+    assert got[0] == pytest.approx(5.0, rel=1e-12)
+
+
 def test_sturm_clamped_pivot_overflows_quietly():
     # a squared coupling over the clamped pivot overflows to inf in the row
     # recompute; once that raised RuntimeWarning (an error under this suite)
@@ -1132,6 +1139,15 @@ def test_grid_rejects_non_integer_points(points):
     # a float count once passed and failed in fd_eigensolve with numpy's TypeError
     with pytest.raises(DomainError):
         RadialGridSpec(0.1, 1.0, points)
+
+
+@pytest.mark.parametrize("args,message", [
+    ((0.1, 1.0, 99), "at least 100 points"),
+    ((0.0, 1.0, 100), "r_min > 0"),
+])
+def test_grid_rejects_too_few_points_and_a_wall_at_zero(args, message):
+    with pytest.raises(DomainError, match=message):
+        RadialGridSpec(*args)
 
 
 def test_grid_takes_numpy_integer_points():

@@ -3,13 +3,15 @@ validate's verdict on them."""
 
 from __future__ import annotations
 
+import dataclasses
 import pathlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from dipolewell import model, oracle, spectrum
-from dipolewell.errors import DomainError, NoBoundStateRegime
+from dipolewell.errors import DipoleWellError, DomainError, NoBoundStateRegime
 from dipolewell.model import PhysicalParams
 from dipolewell.oracle import RadialGridSpec
 from dipolewell.solve import (BETA_MIN_DEFAULT, COMPARE_TOL_DEFAULT, ROUTES,
@@ -188,3 +190,44 @@ def test_counts_must_be_integers(entry):
         with pytest.raises(DomainError):
             COUNTED[entry](count)
     assert COUNTED[entry](np.int64(2)) == COUNTED[entry](2)
+
+
+def _bits(params, grid):
+    """Every float of solve(params, 3, ROUTES, grid) and of the exact n = 1
+    profile as float.hex, and each recorded error's type and message."""
+    solution = solve(params, 3, ROUTES, grid)
+    cells = []
+    for outs in solution.outcomes.values():
+        for out in outs:
+            if isinstance(out, DipoleWellError):
+                cells.append((type(out).__name__, str(out)))
+            else:
+                cells.append(tuple(v.hex() if isinstance(v, float) else v
+                                   for v in dataclasses.astuple(out)))
+    profile = spectrum.radial_wavefunction(params, solution.level(Route.EXACT, 1), None, 512)
+    for values in (profile.r_samples, profile.f_values):
+        cells.append(tuple(v.hex() for v in values.tolist()))
+    return cells
+
+
+def test_concurrent_calls_return_the_sequential_floats():
+    # the package keeps no shared mutable state, so calls from a thread pool
+    # return what the same calls return one after another
+    cases = [
+        (deep_params(), None),
+        (deep_params(ell=1), None),
+        (deep_params(p_z=0.5), None),
+        (deep_params(), lambda: RadialGridSpec(0.1, 3.0, 500)),  # as --grid-rmax builds it
+    ]
+    sequential = [_bits(*case) for case in cases]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        concurrent = list(pool.map(lambda case: _bits(*case), cases + cases))
+    assert concurrent == sequential + sequential
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: R^2 (omega + p_z^2/2m - E_1) rounds "
+                   "to 0 when p_z^2/2m dwarfs the binding")
+def test_scaled_binding_survives_a_large_energy_shift():
+    p = deep_params(p_z=1e10)
+    got = solve(p, 1, [Route.ASYMPTOTIC]).scaled_binding(1)
+    assert got == pytest.approx(p.cutoff_R ** 2 * spectrum.binding_energy(p, 1), rel=1e-12)

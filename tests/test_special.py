@@ -95,6 +95,11 @@ def test_lngamma_pole_rejection():
             special.ln_gamma_complex(bad)
 
 
+def test_lngamma_rejects_non_finite_z():
+    with pytest.raises(DomainError, match="requires finite z"):
+        special.ln_gamma_complex(complex(math.nan, 0.0))
+
+
 def test_lngamma_bounds_the_recurrence(monkeypatch):
     # each step adds 1 to Re z, which past 2^53 no longer moves: refuse instead of looping
     for z in (-1e10 + 1j, -1e300 + 1e300j):
@@ -565,11 +570,12 @@ def _scalar_term_counts(kappa, mu_signed, xs, monkeypatch):
 
 @pytest.mark.parametrize("case", ["deep_profile", "later_x_first"])
 def test_whittaker_series_array_finished_samples_leave_either_way(case, monkeypatch):
-    # a sample leaves the live set at its scalar term count: by slicing when
-    # the finished samples lead the live set, by a boolean mask otherwise.
-    # The deep.cfg n = 1 profile takes only the first way (the counts never
-    # fall along ascending x); near a = -593 the series almost terminates and
-    # the counts fall, so some later x finishes while an earlier one is live
+    # a sample leaves the live set at its scalar term count, by slicing: the
+    # deep.cfg n = 1 profile's counts never fall along ascending x, so its
+    # finished samples lead the live set.  Near a = -593 the series almost
+    # terminates and the counts fall, so some later x finishes while an
+    # earlier one is live: the series gives up, and the array W takes every
+    # sample from the scalar W
     if case == "deep_profile":
         p = PhysicalParams(1.0, 12.5, 1.0, 1e-3, 0.1)
         [(kappa, mu, xs)] = _profile_series_args(p, (1,), monkeypatch)
@@ -581,7 +587,10 @@ def test_whittaker_series_array_finished_samples_leave_either_way(case, monkeypa
         assert (counts == sorted(counts)) == (case == "deep_profile")
         expect = _scalar_series_outcome(kappa, m, xs)
         assert expect is not None and len(expect) == len(xs)
-        assert _series_outcome(kappa, m, xs) == expect
+        assert _series_outcome(kappa, m, xs) == (expect if case == "deep_profile" else None)
+    expect = _scalar_outcome(kappa, mu, xs)
+    assert len(expect) == len(xs)
+    assert _array_outcome(kappa, mu, xs) == expect
 
 
 @pytest.mark.parametrize("kappa,mu", [(1.3, 0.3), (-0.2, 0.7), (-3.0, 2.5), (0.5 - 1.5e5, 2.5)])

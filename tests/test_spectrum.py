@@ -9,6 +9,7 @@ hence x0 = 1e-5.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import math
 import pathlib
 
@@ -598,3 +599,7 @@ def test_radial_wavefunction_domain_checks(deep_exact_levels):
         spectrum.radial_wavefunction(p, deep_exact_levels[1], r_max=0.7, samples=1)
     with pytest.raises(DomainError, match="r_max = 1e[+]160"):
         spectrum.radial_wavefunction(p, deep_exact_levels[1], r_max=1e160, samples=3)
+    # an omega = 0 level has no kappa, even when the profile's omega is positive
+    no_kappa = dataclasses.replace(deep_exact_levels[1], kappa=None)
+    with pytest.raises(DomainError, match="level carries no kappa"):
+        spectrum.radial_wavefunction(p, no_kappa, r_max=0.7, samples=3)
