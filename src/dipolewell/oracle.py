@@ -18,8 +18,10 @@ also cancels the -1/(4 r^2) reduction term exactly when Lsq = 0.
 
 The lowest eigenvalues come from Sturm bisection (sturm_tridiag_eigs,
 counting with sturm_count sweeps) on a ladder of grids over one domain, each
-warm-started from the grid below; the top grid and its half-step refinement
-give Richardson estimates (fd_eigensolve).
+warm-started from the grid below: the first sweep counts only the two ends
+of the bracket each guess picks, and the steps above it follow from the
+monotone count.  The top grid and its half-step refinement give Richardson
+estimates (fd_eigensolve).
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ STURM_BLOCK_ROWS = 128
 # margin of sturm_count's tail rule, in machine epsilons of each magnitude
 STURM_TAIL_ULPS = 8
 # most points of a ladder's base grid, solved densely, unless k_levels + 1 needs more
-BASE_GRID_POINTS = 256
+BASE_GRID_POINTS = 512
+# base grid points per level solved, below BASE_GRID_POINTS and N // 8
+BASE_POINTS_PER_LEVEL = 12
 # levels x padded rows per group of an inverse-iteration solve (512 KiB of float64)
 SOLVE_BLOCK_ELEMENTS = 65536
 
@@ -212,6 +216,24 @@ def _midpoints(lo: float, hi: float, depth: int) -> list[float]:
     return [*_midpoints(lo, mid, depth - 1), mid, *_midpoints(mid, hi, depth - 1)]
 
 
+def _wide(lo: float, hi: float) -> bool:
+    """Whether [lo, hi] is wider than 2**MULTISECTION_DEPTH times its
+    convergence width, where a guessed walk keeps stepping alone."""
+    return hi - lo > (1 << MULTISECTION_DEPTH) * STURM_RTOL * max(abs(lo), abs(hi))
+
+
+def _descend(lo: float, hi: float, down) -> tuple[float, float, int]:
+    """The bracket, and the steps to it, of the bisection path from [lo, hi]
+    that steps down wherever down(mid) holds, while _wide and for at most
+    BISECTION_MAX_STEPS steps: each midpoint is 0.5 * (lo + hi), no count."""
+    steps = 0
+    while steps < BISECTION_MAX_STEPS and _wide(lo, hi):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if down(mid) else (mid, hi)
+        steps += 1
+    return lo, hi, steps
+
+
 def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
     """k smallest eigenvalues of a symmetric tridiagonal matrix.
 
@@ -225,17 +247,31 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
     every count.  On each pass every eigenvalue walks its bisection through
     the table; one that meets a missing midpoint adds the
     2**MULTISECTION_DEPTH - 1 midpoints of its next MULTISECTION_DEPTH steps
-    from there (_midpoints), and one sturm_count sweep counts them all as
-    multisection.  The first pass that misses nothing gives each eigenvalue
-    as the midpoint of its converged bracket.  `guesses` (None, or one per
-    eigenvalue, any values, NaN too) steer the first pass: there a missing
-    midpoint is added and the walk steps toward its guess (down when the
-    guess lies below the midpoint) while its bracket is wider than
-    2**MULTISECTION_DEPTH times its convergence width, then adds the
-    midpoints of its next MULTISECTION_DEPTH steps as on a miss, so the
-    first sweep counts each guess's path to convergence, the last
-    MULTISECTION_DEPTH levels whole.  Whatever the table holds,
-    the steps are bisection's own, so the floats are too.
+    from there (_midpoints), and one sturm_count sweep counts them all,
+    ascending, as multisection.  The first pass that misses nothing gives
+    each eigenvalue as the midpoint of its converged bracket.
+
+    `guesses` (None, or one per eigenvalue, any values, NaN too) spare the
+    first sweep the steps above an eigenvalue's last MULTISECTION_DEPTH
+    levels.  A guess g within the Gershgorin bounds walks bisection's path
+    toward itself (down where g < mid) with no count, while the bracket is
+    wider than 2**MULTISECTION_DEPTH times its convergence width (_descend),
+    and the first sweep counts the two ends L, H of the bracket it stops at
+    and the midpoints below it.  A floating-point Sturm count never
+    decreases as the shift grows (Kahan, Stanford CS41, 1966; Demmel,
+    Dhillon & Ren, ETNA 3, 1995), so if count(L) <= i < count(H) every step
+    above [L, H] is the one bisection takes (a step down was at a midpoint
+    >= H, whose count exceeds i, a step up at one <= L), and the walk
+    resumes from [L, H] with those steps taken.  Otherwise the next sweep
+    checks, the same way, the bracket at which the walk toward the floats
+    just below L (or just above H) stops.  After a second miss the walk
+    starts again from the Gershgorin bounds, steered by its guess: a
+    missing midpoint is added and the walk steps toward the guess while the
+    bracket is that wide, then adds the midpoints of its next
+    MULTISECTION_DEPTH steps as on a miss, all counted by the next sweep.  A
+    NaN guess, or one outside the Gershgorin bounds, steers the first pass
+    so, with no check.  Whatever the table holds, the steps are bisection's
+    own, so the floats are too.
 
     Raises DomainError when a squared coupling, or twice a Gershgorin bound,
     leaves double range (so that lo + hi of every bracket stays finite).
@@ -263,19 +299,30 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
     if not (np.all(np.isfinite(off_sq)) and math.isfinite(2.0 * max(map(abs, bounds)))):
         raise DomainError("the matrix's squared couplings or Gershgorin bounds leave double range")
     table: dict[float, int] = {}
-    steer = None if guesses is None else np.asarray(guesses, dtype=float).tolist()
+    start = [(*bounds, 0)] * k  # the bracket each walk resumes from, and the steps to it
+    checks: dict[int, tuple[float, float, int, bool]] = {}  # bracket, steps, a neighbour's?
+    steer: dict[int, float] = {}  # the guesses that steer this pass's walks
+    guessed = [] if guesses is None else np.asarray(guesses, dtype=float).tolist()
+    for i, g in enumerate(guessed):
+        if bounds[0] <= g <= bounds[1]:
+            checks[i] = (*_descend(*bounds, lambda mid, g=g: g < mid), False)
+        else:  # NaN, or outside the Gershgorin bounds
+            steer[i] = g
     while True:
         eigs, shifts = [], []
         for i in range(k):
-            lo, hi = bounds
-            for _ in range(BISECTION_MAX_STEPS):
+            if i in checks:
+                lo, hi = checks[i][:2]
+                shifts += [lo, *_midpoints(lo, hi, MULTISECTION_DEPTH), hi]
+                continue
+            lo, hi, taken = start[i]
+            for _ in range(taken, BISECTION_MAX_STEPS):
                 if hi - lo <= STURM_RTOL * max(abs(lo), abs(hi)):
                     break
                 mid = 0.5 * (lo + hi)
                 if mid in table:
                     below = table[mid] > i
-                elif steer and hi - lo > ((1 << MULTISECTION_DEPTH) * STURM_RTOL
-                                          * max(abs(lo), abs(hi))):
+                elif i in steer and _wide(lo, hi):
                     shifts.append(mid)
                     below = steer[i] < mid
                 else:
@@ -285,9 +332,20 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
             eigs.append(0.5 * (lo + hi))
         if not shifts:
             return eigs
-        fresh = list(dict.fromkeys(shifts))
-        table.update(zip(fresh, sturm_count(diag, off_sq, np.array(fresh), k=k).tolist()))
-        steer = None
+        fresh = sorted(set(shifts) - table.keys())
+        if fresh:
+            table.update(zip(fresh, sturm_count(diag, off_sq, np.array(fresh), k=k).tolist()))
+        steer, counted, checks = {}, checks, {}
+        for i, (lo, hi, steps, neighbour) in counted.items():
+            below = table[lo] > i
+            if not below and i < table[hi]:
+                start[i] = lo, hi, steps
+            elif not neighbour and (lo > bounds[0] if below else hi < bounds[1]):
+                # the bracket next below lo, or next above hi, at the same width rule
+                down = (lambda mid, lo=lo: lo <= mid) if below else (lambda mid, hi=hi: hi < mid)
+                checks[i] = (*_descend(*bounds, down), True)
+            else:
+                steer[i] = guessed[i]
 
 
 def _eigenvectors(diag: np.ndarray, off: np.ndarray, taus, starts) -> np.ndarray:
@@ -392,11 +450,14 @@ def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -
 
     The grid and its half-step refinement are the top of a ladder that
     starts at a base grid on the same domain with max(100, k_levels + 1,
-    min(points // 8, BASE_GRID_POINTS)) points, left out when it is not
-    smaller than the grid.  The first grid of the ladder takes its estimates
-    from one dense LAPACK solve (_dense_eigvals).  A base grid is never
-    bisected: its estimates serve only as the shifts of its eigenvectors.
-    Without a base they are only the guesses of the grid's bisection.  The
+    min(points // 8, BASE_GRID_POINTS, BASE_POINTS_PER_LEVEL (k_levels + 1)))
+    points, left out when it is not smaller than the grid: the dense solve
+    grows with the levels asked for, and on deep.cfg at k_levels <= 3 its
+    100 points lead to as few sweeps as 250 did.  The first grid of the
+    ladder takes its estimates from one dense LAPACK solve (_dense_eigvals).
+    A base grid is never bisected: its estimates serve only as the shifts of
+    its eigenvectors.  Without a base they are only the guesses of the
+    grid's bisection.  The
     first grid's eigenvectors come from one solve of inverse iteration each,
     from a seeded random start.  Each later grid starts from the eigenvectors
     of the grid below: each is carried to the new nodes (_carry) and refined
@@ -406,8 +467,9 @@ def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -
     iteration), whose Rayleigh quotient is the guess for the new eigenvalue.
     On deep.cfg the guesses lie within about 5e-13 (relative) of the
     eigenvalues of both grids, 1.2e-11 at k_levels = 20, and the solve takes
-    one Sturm sweep per grid, 4 in all at k_levels = 20.  The floats are
-    those of plain bisection whatever the guesses.
+    one Sturm sweep per grid, 4 in all at k_levels = 20: each guess's
+    bracket checked by the counts at its two ends (sturm_tridiag_eigs).  The
+    floats are those of plain bisection whatever the guesses.
 
     Raises GridTooCoarse when a Richardson estimate exceeds 1% of the local
     level spacing, and DomainError when the topmost requested eigenfunction
@@ -418,8 +480,8 @@ def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -
     if not (is_count(k_levels) and 1 <= k_levels <= grid.points):
         raise DomainError("need 1 <= k_levels <= grid.points")
     k_work = min(k_levels + 1, grid.points)  # one spare level to gauge the spacing
-    base = RadialGridSpec(grid.r_min, grid.r_max,
-                          max(100, k_work, min(grid.points // 8, BASE_GRID_POINTS)))
+    base = RadialGridSpec(grid.r_min, grid.r_max, max(100, k_work, min(
+        grid.points // 8, BASE_GRID_POINTS, BASE_POINTS_PER_LEVEL * k_work)))
     ladder = ([base] if base.points < grid.points else []) + [grid, grid.refined()]
     diag, off = build_tridiag(params, ladder[0])
     fine = _dense_eigvals(diag, off)[:k_work].tolist()

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import importlib.util
+import io
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import j0, y0
 
-from dipolewell import oracle
+from dipolewell import cli, oracle
 from dipolewell.errors import DomainError, GridTooCoarse
 from dipolewell.model import PhysicalParams
 from dipolewell.oracle import RadialGridSpec
@@ -345,26 +350,33 @@ def test_deep_solve_sweep_count(monkeypatch):
     # the turning points are left.  Rows read: 14343 before the ladder, 9408
     # with a bisected base, 7766 in 18003 with the total's quotients, 6229 in
     # 14002 while every bracket was halved until the last one converged, 6137
-    # once each stopped at its own convergence, and 2720 in 6001 now; 644
-    # shifts (680 before), none counted twice (the table keeps every count)
+    # once each stopped at its own convergence, 2720 in 6001 while the first
+    # sweep counted each guessed path, and 2858 now that it counts only each
+    # guess's bracket ends and subtree: 195 shifts per sweep make blocks of 84
+    # rows where 322 made blocks of 50, so a sweep ends at a later block end,
+    # while its row steps (rows x shifts) fall from 877k to 557k.  Shifts:
+    # 680, then 644 with the paths, and 390 now, none counted twice (the
+    # table keeps every count)
     calls = _count_sweeps(monkeypatch, 2)
     assert [n for _, n, _ in calls] == [2000, 4001]
     swept, total, shifts = map(sum, zip(*calls))
-    assert total == 6001 and swept <= 2720 and shifts <= 644
+    assert total == 6001 and swept <= 2858 and shifts <= 390
 
 
 def test_deep_solve_sweep_count_many_levels(monkeypatch):
-    # k = 21 levels per grid: 4 sweeps (3 coarse, 1 fine) of 9041 rows and
-    # 4464 shifts with the second inverse-iteration solve and the first
-    # sweep's subtrees; 9 sweeps (6 coarse, 3 fine) of 21775 rows and 7929
-    # shifts with one solve and the guessed paths alone, and 12 (7 coarse, 5
-    # fine) while every bracket was halved until the last one converged
+    # k = 21 levels per grid: 4 sweeps (3 coarse, 1 fine) of 9000 rows and
+    # 2985 shifts now that the first sweep counts each guess's bracket ends
+    # and subtree; 9041 rows and 4464 shifts while it counted the guessed
+    # paths too; 9 sweeps (6 coarse, 3 fine) of 21775 rows and 7929 shifts
+    # with one inverse-iteration solve and the guessed paths alone, and 12 (7
+    # coarse, 5 fine) while every bracket was halved until the last one
+    # converged
     calls = _count_sweeps(monkeypatch, 20)
     sizes = [n for _, n, _ in calls]
     assert sizes == sorted(sizes) and set(sizes) == {2000, 4001}
     assert len(sizes) <= 4 and sizes.count(4001) == 1
     swept, _, shifts = map(sum, zip(*calls))
-    assert swept <= 9041 and shifts <= 4464
+    assert swept <= 9041 and shifts <= 2985
 
 
 @pytest.mark.parametrize("k", [10, 20])
@@ -388,6 +400,36 @@ def test_deep_solve_many_levels_gives_bisection_floats(k, monkeypatch):
         want = reference_sturm_eigs(diag, off, k_work)
         assert [t.hex() for t in taus] == [t.hex() for t in want]
     assert res.eigenvalues_tau == taus[:k]  # the half-step grid's
+
+
+def _perfbench_workloads(monkeypatch):
+    """perfbench/workloads.py, which builds the benchmark's inputs."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed,most", [(1, [2, 2, 2, 5]), (2, [2, 2, 2, 3]), (3, [2, 2, 2, 4])])
+def test_oracle_validate_workload_sweeps(seed, most, monkeypatch):
+    # Sturm sweeps of each `validate` problem of the oracle-validate workload
+    # (deep.cfg, then grids of 500, 700 and 1000 points), at most those taken
+    # while the first sweep counted each guessed path.  With the guessed
+    # brackets and the base grid sized by the levels, the 1000-point
+    # problems of seeds 1 and 3 take one sweep fewer
+    sweeps = []
+    count = oracle.sturm_count
+    monkeypatch.setattr(oracle, "sturm_count",
+                        lambda d, o, x, **kw: sweeps.append(len(d)) or count(d, o, x, **kw))
+    taken = []
+    for problem in _perfbench_workloads(monkeypatch).oracle_validate(seed):
+        sweeps.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(list(problem.argv)) == 0
+        taken.append(len(sweeps))
+    assert all(t <= m for t, m in zip(taken, most, strict=True)), taken
 
 
 @st.composite
@@ -513,6 +555,90 @@ def test_sturm_count_stops_early_on_deep_grids(deep_matrices, which):
 
 
 # ---------------------------------------------------------------------------
+# Monotone counts: the premise on which a counted bracket settles every
+# bisection step above it.  The Sturm count of a symmetric tridiagonal in
+# IEEE arithmetic, each pivot (d_i - x) - e_{i-1}^2 / q clamped away from
+# zero, never decreases as the shift x grows (Kahan, "Accurate eigenvalues
+# of a symmetric tri-diagonal matrix", Stanford CS41, 1966; Demmel, Dhillon
+# & Ren, "On the correctness of some bisection-like parallel eigenvalue
+# algorithms in floating point arithmetic", ETNA 3, 1995)
+# ---------------------------------------------------------------------------
+
+
+def _assert_counts_ascend(diag, off, shifts, k):
+    """sturm_count's capped counts at the shifts, sorted, never decrease."""
+    shifts = np.sort(np.asarray(shifts, dtype=float))
+    got = oracle.sturm_count(np.asarray(diag, dtype=float), np.asarray(off, dtype=float) ** 2,
+                             shifts, k=k)
+    assert np.all(np.diff(got) >= 0), list(zip(shifts.tolist(), got.tolist()))
+
+
+def _around(values):
+    """Each value and its neighbouring floats, where a count changes."""
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(tridiagonals(), st.lists(st.floats(-1e5, 1e5), max_size=20))
+def test_sturm_counts_ascend_property(case, extra):
+    # entries over eight decades, shifts at and one ulp either side of each
+    # eigenvalue, and a k that caps the counts
+    diag, off, k = case
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    _assert_counts_ascend(diag, off, np.concatenate([_around(np.linalg.eigvalsh(dense)), extra]),
+                          k)
+
+
+@st.composite
+def clamped_tridiagonals(draw):
+    """Small integer entries, signed zeros and subnormals, at shifts of the
+    same kind: exact arithmetic makes pivots of 0.0, -0.0 and below
+    STURM_PIVMIN common, so the clamp and the row-by-row redo run often."""
+    n = draw(st.integers(2, 40))
+    values = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 5e-324, -5e-324, 1e-300]
+    diag = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    off = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1e-160]), min_size=n - 1,
+                        max_size=n - 1))
+    return np.array(diag), np.array(off), draw(st.integers(1, n))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(clamped_tridiagonals())
+def test_sturm_counts_ascend_at_the_clamp_property(case):
+    diag, off, k = case
+    shifts = _around([-3.0, -2.0, -1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 1e-300,
+                      -1e-300, oracle.STURM_PIVMIN])
+    _assert_counts_ascend(diag, off, shifts, k)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(tailed_tridiagonals())
+def test_sturm_counts_ascend_where_the_tail_rule_ends_sweeps_property(case):
+    # the shifts at and about the tail's Gershgorin floor, where a sweep ends
+    # at its first check, beside shifts above the floor that read every row
+    diag, off, shifts, k = case
+    if np.all(np.isfinite(diag)):
+        _assert_counts_ascend(diag, off, np.concatenate([shifts, shifts + 1.0, shifts + 4.0]), k)
+
+
+@pytest.mark.parametrize("which", ["coarse", "refined"])
+def test_sturm_counts_ascend_on_deep_first_sweeps(deep_matrices, deep_guesses, which,
+                                                  monkeypatch):
+    # the shifts of the first sweep fd_eigensolve makes on each deep.cfg
+    # grid, capped as the solve caps them (k = 3) and uncapped
+    diag, off = deep_matrices[which]
+    sweeps = []
+    count = oracle.sturm_count
+    monkeypatch.setattr(oracle, "sturm_count",
+                        lambda d, o, x, **kw: sweeps.append(x) or count(d, o, x, **kw))
+    oracle.sturm_tridiag_eigs(diag, off, 3, guesses=deep_guesses[len(diag)])
+    monkeypatch.undo()
+    for k in (3, len(diag)):
+        _assert_counts_ascend(diag, off, sweeps[0], k)
+
+
+# ---------------------------------------------------------------------------
 # Warm start: any guesses give the floats of plain bisection
 # ---------------------------------------------------------------------------
 
@@ -566,54 +692,59 @@ def test_warm_start_bit_identical(deep_matrices, deep_references, deep_guesses, 
     if kind == "exact":  # one sweep checks the whole path
         assert len(shifts) == 1
     if kind == "nan":
-        # the first sweep counts the guessed paths of brackets 0 and 2 to
-        # their convergence; the NaN guess leaves bracket 1 behind, and each later
-        # sweep counts the 63 midpoints of its next six steps alone.  A
-        # per-bracket step history made 12 sweeps of 1014 shifts; the count
-        # table, whose first sweep also serves bracket 1's early steps from
-        # the other paths, made 9 of 753 while brackets 0 and 2 were halved
-        # until bracket 1 converged, 9 of 656 while the first sweep followed
-        # each guess until its bracket converged, and 9 of 827 now that it
-        # counts each guessed path's last six levels whole.
+        # the first sweep checks the guessed brackets of eigenvalues 0 and 2
+        # and counts the NaN guess's path; that path leaves eigenvalue 1
+        # behind, and each later sweep counts the 63 midpoints of its next
+        # six steps alone.  A per-bracket step history made 12 sweeps of 1014
+        # shifts; the count table, whose first sweep also served eigenvalue
+        # 1's early steps from the other guessed paths, made 9 of 753 while
+        # brackets 0 and 2 were halved until bracket 1 converged, 9 of 656
+        # while the first sweep followed each guess until its bracket
+        # converged, and 9 of 827 while it counted each guessed path and its
+        # last six levels whole.  Now that it counts only the other guesses'
+        # brackets, none of eigenvalue 1's path: 12 of 924.  A NaN guess takes
+        # no check, which would cost one sweep more
         assert len(shifts) <= 12 and sum(shifts) <= 1014 and max(shifts[1:-1]) <= 63
 
 
 @pytest.mark.parametrize("kind", ["rq", "nan", "none"])
 def test_first_sweep_counts_the_guessed_paths(deep_matrices, deep_references, deep_guesses,
                                               kind, monkeypatch):
-    # the first sweep counts each guess's bisection path from the Gershgorin
-    # bracket while that bracket is wider than 2**6 times its convergence
-    # width, then the 63 midpoints of the next six steps from there, ascending;
-    # each midpoint once, in that order.  Without guesses, the 63 midpoints of
-    # the bracket's first six steps
+    # each guess walks its bisection path from the Gershgorin bracket, with no
+    # count, while that bracket is wider than 2**6 times its convergence
+    # width.  The first sweep counts the two ends of the bracket it stops at
+    # and the 63 midpoints of the next six steps below it; a NaN guess's walk
+    # is counted all the way, as it climbs toward the top bound, then its 63
+    # midpoints.  All ascending, each once.  Without guesses, the 63
+    # midpoints of the bracket's first six steps
     diag, off = deep_matrices["refined"]
     ref = deep_references["refined"]
     bounds = _gershgorin(diag, off)
     guesses = {"rq": deep_guesses[len(diag)], "nan": [ref[0], math.nan, ref[2]],
                "none": None}[kind]
-    path, steps = [], []
+    shifts, steps = set(), []
     for g in [] if guesses is None else list(guesses):
         lo, hi = bounds
-        steps.append(0)
+        path = []
         while hi - lo > 64 * 1e-13 * max(abs(lo), abs(hi)):
             mid = 0.5 * (lo + hi)
             path.append(mid)
             lo, hi = (lo, mid) if g < mid else (mid, hi)
-            steps[-1] += 1
-        path += sorted(_bisection_path_midpoints(lo, hi, 6))
-    want = list(dict.fromkeys(path)) if path else sorted(_bisection_path_midpoints(*bounds, 6))
+        steps.append(len(path))
+        shifts.update(path if math.isnan(g) else (lo, hi))
+        shifts.update(_bisection_path_midpoints(lo, hi, 6))
+    want = sorted(shifts) if shifts else sorted(_bisection_path_midpoints(*bounds, 6))
     sweeps = []
     count = oracle.sturm_count
     monkeypatch.setattr(oracle, "sturm_count",
                         lambda d, o, x, **kw: sweeps.append(x.tolist()) or count(d, o, x, **kw))
     assert oracle.sturm_tridiag_eigs(diag, off, 3, guesses=guesses) == ref
     assert [x.hex() for x in sweeps[0]] == [x.hex() for x in want]
-    # rq: path prefixes of 55, 57 and 59 steps (whole paths of 61, 63 and 65),
-    # shared down to 323 midpoints; nan: the NaN guess's prefix climbs toward
-    # the top bound in 38
+    # rq: brackets 55, 57 and 59 steps down (whole paths of 61, 63 and 65),
+    # 65 shifts each; nan: the NaN guess's path climbs toward the top bound in 38
     assert steps == {"rq": [55, 57, 59], "nan": [55, 38, 59], "none": []}[kind]
-    assert len(want) == {"rq": 323, "nan": 323, "none": 63}[kind]
-    if kind == "rq":  # the first sweep holds every path to convergence
+    assert len(want) == {"rq": 195, "nan": 231, "none": 63}[kind]
+    if kind == "rq":  # every bracket holds its eigenvalue: one sweep
         assert len(sweeps) == 1
 
 
@@ -851,17 +982,23 @@ class _Stop(Exception):
         (100, 2, 100),  # no base: the output grid is the first grid
         (100, 99, 100),
         (800, 2, 100),
-        (2000, 2, 250),
-        (2056, 2, oracle.BASE_GRID_POINTS),
-        (10**6, 2, oracle.BASE_GRID_POINTS),
+        (2000, 2, 100),  # 12 (k + 1) = 36 points
+        (10**6, 2, 100),
+        (2000, 10, 132),  # 12 (k + 1)
+        (800, 20, 100),  # points // 8
+        (2000, 20, 250),
+        (4000, 30, 372),
+        (4000, 40, 492),
+        (4112, 60, oracle.BASE_GRID_POINTS),  # points // 8 = 514
         (300, 150, 151),  # k_levels + 1 points
         (10**6, 999, 1000),
     ],
 )
 def test_dense_solve_is_capped(points, k, dense, monkeypatch):
     # the one dense eigenvalue solve of a ladder has max(100, k + 1,
-    # min(points // 8, BASE_GRID_POINTS)) points, or the grid's when that is
-    # not fewer: it never exceeds the cap unless k + 1 does
+    # min(points // 8, BASE_GRID_POINTS, BASE_POINTS_PER_LEVEL (k + 1)))
+    # points, or the grid's when that is not fewer: it never exceeds the cap
+    # unless k + 1 does
     sizes = []
 
     def stop(a):
