@@ -18,9 +18,9 @@ also cancels the -1/(4 r^2) reduction term exactly when Lsq = 0.
 
 The lowest eigenvalues come from Sturm bisection (sturm_tridiag_eigs,
 counting with sturm_count sweeps) on a ladder of grids over one domain, each
-warm-started from the grid below: the first sweep counts only the two ends
-of the bracket each guess picks, and the steps above it follow from the
-monotone count.  The top grid and its half-step refinement give Richardson
+warm-started from the grid below: each bisection reads its steps from the
+tightest bracket its counts give, and its guess picks what the first sweep
+counts.  The top grid and its half-step refinement give Richardson
 estimates (fd_eigensolve).
 """
 
@@ -216,24 +216,6 @@ def _midpoints(lo: float, hi: float, depth: int) -> list[float]:
     return [*_midpoints(lo, mid, depth - 1), mid, *_midpoints(mid, hi, depth - 1)]
 
 
-def _wide(lo: float, hi: float) -> bool:
-    """Whether [lo, hi] is wider than 2**MULTISECTION_DEPTH times its
-    convergence width, where a guessed walk keeps stepping alone."""
-    return hi - lo > (1 << MULTISECTION_DEPTH) * STURM_RTOL * max(abs(lo), abs(hi))
-
-
-def _descend(lo: float, hi: float, down) -> tuple[float, float, int]:
-    """The bracket, and the steps to it, of the bisection path from [lo, hi]
-    that steps down wherever down(mid) holds, while _wide and for at most
-    BISECTION_MAX_STEPS steps: each midpoint is 0.5 * (lo + hi), no count."""
-    steps = 0
-    while steps < BISECTION_MAX_STEPS and _wide(lo, hi):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if down(mid) else (mid, hi)
-        steps += 1
-    return lo, hi, steps
-
-
 def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
     """k smallest eigenvalues of a symmetric tridiagonal matrix.
 
@@ -242,36 +224,32 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
     converged): before each step, at most BISECTION_MAX_STEPS, its bracket is
     tested for convergence (width at most STURM_RTOL times the larger
     magnitude of its ends), then halved at the midpoint 0.5 * (lo + hi),
-    keeping the lower half when more than i eigenvalues lie below it.  The
-    counts come from a table local to the call, shift -> count, that keeps
-    every count.  On each pass every eigenvalue walks its bisection through
-    the table; one that meets a missing midpoint adds the
-    2**MULTISECTION_DEPTH - 1 midpoints of its next MULTISECTION_DEPTH steps
-    from there (_midpoints), and one sturm_count sweep counts them all,
-    ascending, as multisection.  The first pass that misses nothing gives
-    each eigenvalue as the midpoint of its converged bracket.
+    keeping the lower half when more than i eigenvalues lie below it.  A
+    floating-point Sturm count never decreases as the shift grows (Kahan,
+    Stanford CS41, 1966; Demmel, Dhillon & Ren, ETNA 3, 1995), so the walk
+    takes every step its tightest counted bracket (below, above) decides: up
+    at a midpoint <= below, the largest shift counted with at most i
+    eigenvalues below it, down at one >= above, the smallest with more.
 
-    `guesses` (None, or one per eigenvalue, any values, NaN too) spare the
-    first sweep the steps above an eigenvalue's last MULTISECTION_DEPTH
-    levels.  A guess g within the Gershgorin bounds walks bisection's path
-    toward itself (down where g < mid) with no count, while the bracket is
-    wider than 2**MULTISECTION_DEPTH times its convergence width (_descend),
-    and the first sweep counts the two ends L, H of the bracket it stops at
-    and the midpoints below it.  A floating-point Sturm count never
-    decreases as the shift grows (Kahan, Stanford CS41, 1966; Demmel,
-    Dhillon & Ren, ETNA 3, 1995), so if count(L) <= i < count(H) every step
-    above [L, H] is the one bisection takes (a step down was at a midpoint
-    >= H, whose count exceeds i, a step up at one <= L), and the walk
-    resumes from [L, H] with those steps taken.  Otherwise the next sweep
-    checks, the same way, the bracket at which the walk toward the floats
-    just below L (or just above H) stops.  After a second miss the walk
-    starts again from the Gershgorin bounds, steered by its guess: a
-    missing midpoint is added and the walk steps toward the guess while the
-    bracket is that wide, then adds the midpoints of its next
-    MULTISECTION_DEPTH steps as on a miss, all counted by the next sweep.  A
-    NaN guess, or one outside the Gershgorin bounds, steers the first pass
-    so, with no check.  Whatever the table holds, the steps are bisection's
-    own, so the floats are too.
+    Each pass walks every eigenvalue from the bracket it stopped at last
+    (from the Gershgorin bounds where the counts refute that bracket: lo >
+    below or hi < above) to the first midpoint strictly inside (below,
+    above).  There its stage picks what the next sturm_count sweep counts,
+    only shifts strictly inside (below, above), so no shift is counted
+    twice in a solve.  Stage 3, every eigenvalue's without `guesses`, counts
+    the midpoints of the next MULTISECTION_DEPTH steps (_midpoints), as
+    multisection.  Stages 0 to 2 first step toward the guess (down where
+    guess < mid) at each undecided midpoint while the bracket is wider than
+    2**MULTISECTION_DEPTH times its convergence width, then count the
+    midpoints of the bracket reached; stages 0 and 1 count its two ends
+    too, and stage 2 each midpoint it stepped at.  When both ends bound
+    eigenvalue i, the walk resumes from that bracket; when one fails, the
+    decided steps turn the next descent to the bracket beside it.  A guess
+    within the Gershgorin bounds starts at stage 0, any other (NaN too) at
+    stage 2, and each sweep advances every stage by one, up to 3.  The
+    first pass that meets no undecided midpoint gives each eigenvalue as
+    the midpoint of its converged bracket: its steps are bisection's own,
+    so the floats are too, whatever the guesses.
 
     Raises DomainError when a squared coupling, or twice a Gershgorin bound,
     leaves double range (so that lo + hi of every bracket stays finite).
@@ -298,54 +276,45 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
         bounds = float(np.min(diag - rad)), float(np.max(diag + rad))
     if not (np.all(np.isfinite(off_sq)) and math.isfinite(2.0 * max(map(abs, bounds)))):
         raise DomainError("the matrix's squared couplings or Gershgorin bounds leave double range")
-    table: dict[float, int] = {}
-    start = [(*bounds, 0)] * k  # the bracket each walk resumes from, and the steps to it
-    checks: dict[int, tuple[float, float, int, bool]] = {}  # bracket, steps, a neighbour's?
-    steer: dict[int, float] = {}  # the guesses that steer this pass's walks
-    guessed = [] if guesses is None else np.asarray(guesses, dtype=float).tolist()
-    for i, g in enumerate(guessed):
-        if bounds[0] <= g <= bounds[1]:
-            checks[i] = (*_descend(*bounds, lambda mid, g=g: g < mid), False)
-        else:  # NaN, or outside the Gershgorin bounds
-            steer[i] = g
+    guessed = [math.nan] * k if guesses is None else np.asarray(guesses, dtype=float).tolist()
+    stages = [3 if guesses is None else 0 if bounds[0] <= g <= bounds[1] else 2 for g in guessed]
+    known = [bounds] * k  # each eigenvalue's tightest counted bracket
+    walks = [(*bounds, 0)] * k  # the bracket each walk stopped at, and the steps to it
     while True:
         eigs, shifts = [], []
-        for i in range(k):
-            if i in checks:
-                lo, hi = checks[i][:2]
-                shifts += [lo, *_midpoints(lo, hi, MULTISECTION_DEPTH), hi]
-                continue
-            lo, hi, taken = start[i]
-            for _ in range(taken, BISECTION_MAX_STEPS):
-                if hi - lo <= STURM_RTOL * max(abs(lo), abs(hi)):
-                    break
+        for i, ((below, above), guess, stage) in enumerate(zip(known, guessed, stages)):
+            lo, hi, steps = walks[i]
+            if not (lo <= below and above <= hi):  # a guessed bracket its counts refute
+                lo, hi, steps = *bounds, 0
+            stepped = []  # the midpoints at which the walk stepped toward its guess
+            while (steps < BISECTION_MAX_STEPS
+                   and hi - lo > STURM_RTOL * (m := max(abs(lo), abs(hi)))):
                 mid = 0.5 * (lo + hi)
-                if mid in table:
-                    below = table[mid] > i
-                elif i in steer and _wide(lo, hi):
-                    shifts.append(mid)
-                    below = steer[i] < mid
+                if below < mid < above:  # undecided: guided while 2**6 convergence widths wide
+                    if stage == 3 or hi - lo <= (1 << MULTISECTION_DEPTH) * STURM_RTOL * m:
+                        break
+                    stepped.append(mid)
+                    down = guess < mid
                 else:
-                    shifts += _midpoints(lo, hi, MULTISECTION_DEPTH)
-                    break
-                lo, hi = (lo, mid) if below else (mid, hi)
-            eigs.append(0.5 * (lo + hi))
+                    down = mid >= above
+                lo, hi = (lo, mid) if down else (mid, hi)
+                steps += 1
+            else:
+                if not stepped:
+                    eigs.append(0.5 * (lo + hi))
+                    continue
+            walks[i] = lo, hi, steps
+            extra = [lo, hi] if stage < 2 else stepped
+            shifts += [x for x in [*extra, *_midpoints(lo, hi, MULTISECTION_DEPTH)]
+                       if below < x < above]
         if not shifts:
             return eigs
-        fresh = sorted(set(shifts) - table.keys())
-        if fresh:
-            table.update(zip(fresh, sturm_count(diag, off_sq, np.array(fresh), k=k).tolist()))
-        steer, counted, checks = {}, checks, {}
-        for i, (lo, hi, steps, neighbour) in counted.items():
-            below = table[lo] > i
-            if not below and i < table[hi]:
-                start[i] = lo, hi, steps
-            elif not neighbour and (lo > bounds[0] if below else hi < bounds[1]):
-                # the bracket next below lo, or next above hi, at the same width rule
-                down = (lambda mid, lo=lo: lo <= mid) if below else (lambda mid, hi=hi: hi < mid)
-                checks[i] = (*_descend(*bounds, down), True)
-            else:
-                steer[i] = guessed[i]
+        fresh = sorted(set(shifts))
+        counts = sturm_count(diag, off_sq, np.array(fresh), k=k)
+        lows, highs = [-math.inf, *fresh], [*fresh, math.inf]
+        known = [(max(below, lows[j]), min(above, highs[j])) for (below, above), j in
+                 zip(known, np.searchsorted(counts, np.arange(k), side="right").tolist())]
+        stages = [min(stage + 1, 3) for stage in stages]
 
 
 def _eigenvectors(diag: np.ndarray, off: np.ndarray, taus, starts) -> np.ndarray:
@@ -467,9 +436,10 @@ def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -
     iteration), whose Rayleigh quotient is the guess for the new eigenvalue.
     On deep.cfg the guesses lie within about 5e-13 (relative) of the
     eigenvalues of both grids, 1.2e-11 at k_levels = 20, and the solve takes
-    one Sturm sweep per grid, 4 in all at k_levels = 20: each guess's
-    bracket checked by the counts at its two ends (sturm_tridiag_eigs).  The
-    floats are those of plain bisection whatever the guesses.
+    one Sturm sweep per grid, 4 in all at k_levels = 20: each guess picks
+    the bracket whose two ends and midpoints that sweep counts
+    (sturm_tridiag_eigs).  The floats are those of plain bisection whatever
+    the guesses.
 
     Raises GridTooCoarse when a Richardson estimate exceeds 1% of the local
     level spacing, and DomainError when the topmost requested eigenfunction

@@ -265,7 +265,8 @@ def test_sturm_count_blocks_match_reference(n, zero_rows, m):
 @pytest.mark.parametrize("guess", [None, 0.0, -0.0], ids=["no_guess", "zero", "minus_zero"])
 def test_signed_zero_midpoints_bit_identical(diag, off, guess):
     # symmetric Gershgorin bounds make 0.0 the first midpoint; 0.0 and -0.0
-    # are one key of the count table, and give the same count
+    # compare equal, so a solve counts only one of them, and both give the
+    # same count
     k = len(diag)
     got = oracle.sturm_tridiag_eigs(diag, off, k, guesses=None if guess is None else [guess] * k)
     assert [x.hex() for x in got] == [x.hex() for x in reference_sturm_eigs(diag, off, k)]
@@ -337,26 +338,13 @@ def _count_sweeps(monkeypatch, k: int):
 
 
 def test_deep_solve_sweep_count(monkeypatch):
-    # six bisection steps per sweep: 129 sweeps at one midpoint per sweep, 22
-    # without a warm start, 18 with the coarse eigenvalues as the fine grid's
-    # guesses, 15 (11 coarse, 4 fine) with the Rayleigh quotients of the coarse
-    # eigenvectors cubically interpolated, 16 (10 on the 250-point base grid,
-    # 3 coarse, 3 fine) with the ladder, 6 (3 coarse, 3 fine) once the base
-    # grid's eigenvalues came from LAPACK and it was never swept, 5 (3 coarse,
-    # 2 fine) once the Rayleigh quotients summed their quadratic form by rows,
-    # and 2 (one per grid) now that each grid takes a second inverse-iteration
-    # solve at the first solve's Rayleigh quotients and the first sweep counts
-    # each guess's last six levels whole; each sweep stops where only rows past
-    # the turning points are left.  Rows read: 14343 before the ladder, 9408
-    # with a bisected base, 7766 in 18003 with the total's quotients, 6229 in
-    # 14002 while every bracket was halved until the last one converged, 6137
-    # once each stopped at its own convergence, 2720 in 6001 while the first
-    # sweep counted each guessed path, and 2858 now that it counts only each
-    # guess's bracket ends and subtree: 195 shifts per sweep make blocks of 84
-    # rows where 322 made blocks of 50, so a sweep ends at a later block end,
-    # while its row steps (rows x shifts) fall from 877k to 557k.  Shifts:
-    # 680, then 644 with the paths, and 390 now, none counted twice (the
-    # table keeps every count)
+    # one sweep per output grid: each grid's guesses come from two solves of
+    # inverse iteration, so the bracket each guess's descent stops at (2**6
+    # convergence widths wide) holds its eigenvalue; the sweep counts its two
+    # ends and its 63 midpoints, which carry the walk to convergence.  195
+    # shifts per sweep, none counted twice, make blocks of 84 rows, and each
+    # sweep stops at the first block end where only rows past the turning
+    # points are left: 2858 rows of 6001
     calls = _count_sweeps(monkeypatch, 2)
     assert [n for _, n, _ in calls] == [2000, 4001]
     swept, total, shifts = map(sum, zip(*calls))
@@ -365,18 +353,15 @@ def test_deep_solve_sweep_count(monkeypatch):
 
 def test_deep_solve_sweep_count_many_levels(monkeypatch):
     # k = 21 levels per grid: 4 sweeps (3 coarse, 1 fine) of 9000 rows and
-    # 2985 shifts now that the first sweep counts each guess's bracket ends
-    # and subtree; 9041 rows and 4464 shifts while it counted the guessed
-    # paths too; 9 sweeps (6 coarse, 3 fine) of 21775 rows and 7929 shifts
-    # with one inverse-iteration solve and the guessed paths alone, and 12 (7
-    # coarse, 5 fine) while every bracket was halved until the last one
-    # converged
+    # 2955 shifts.  On the coarse grid two guessed brackets fail their check;
+    # the second sweep counts the brackets beside them, and one eigenvalue
+    # then takes the guided walk that counts each midpoint of its descent
     calls = _count_sweeps(monkeypatch, 20)
     sizes = [n for _, n, _ in calls]
     assert sizes == sorted(sizes) and set(sizes) == {2000, 4001}
     assert len(sizes) <= 4 and sizes.count(4001) == 1
     swept, _, shifts = map(sum, zip(*calls))
-    assert swept <= 9041 and shifts <= 2985
+    assert swept <= 9000 and shifts <= 2955
 
 
 @pytest.mark.parametrize("k", [10, 20])
@@ -412,24 +397,28 @@ def _perfbench_workloads(monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("seed,most", [(1, [2, 2, 2, 5]), (2, [2, 2, 2, 3]), (3, [2, 2, 2, 4])])
+@pytest.mark.parametrize("seed,most", [
+    (1, [(2, 390), (2, 520), (2, 390), (4, 582)]),
+    (2, [(2, 390), (2, 520), (2, 390), (3, 454)]),
+    (3, [(2, 390), (2, 520), (2, 390), (3, 454)]),
+])
 def test_oracle_validate_workload_sweeps(seed, most, monkeypatch):
-    # Sturm sweeps of each `validate` problem of the oracle-validate workload
-    # (deep.cfg, then grids of 500, 700 and 1000 points), at most those taken
-    # while the first sweep counted each guessed path.  With the guessed
-    # brackets and the base grid sized by the levels, the 1000-point
-    # problems of seeds 1 and 3 take one sweep fewer
-    sweeps = []
+    # Sturm sweeps and shifts of each `validate` problem of the oracle-validate
+    # workload (deep.cfg, then grids of 500, 700 and 1000 points), at most
+    # those of today's walk: one sweep per output grid, but on the 1000-point
+    # problem, where the guessed brackets of 3, 1 and 1 eigenvalues (seeds
+    # 1-3) fail their check and the next sweep counts the bracket beside them
+    calls = []
     count = oracle.sturm_count
     monkeypatch.setattr(oracle, "sturm_count",
-                        lambda d, o, x, **kw: sweeps.append(len(d)) or count(d, o, x, **kw))
+                        lambda d, o, x, **kw: calls.append(len(x)) or count(d, o, x, **kw))
     taken = []
     for problem in _perfbench_workloads(monkeypatch).oracle_validate(seed):
-        sweeps.clear()
+        calls.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(list(problem.argv)) == 0
-        taken.append(len(sweeps))
-    assert all(t <= m for t, m in zip(taken, most, strict=True)), taken
+        taken.append((len(calls), sum(calls)))
+    assert all(t <= m and n <= s for (t, n), (m, s) in zip(taken, most, strict=True)), taken
 
 
 @st.composite
@@ -689,34 +678,28 @@ def test_warm_start_bit_identical(deep_matrices, deep_references, deep_guesses, 
     monkeypatch.setattr(oracle, "sturm_count",
                         lambda d, o, x, **kw: shifts.append(len(x)) or count(d, o, x, **kw))
     assert oracle.sturm_tridiag_eigs(diag, off, 3, guesses=guesses) == ref
-    if kind == "exact":  # one sweep checks the whole path
+    if kind in ("exact", "unsorted"):  # one sweep certifies every guessed bracket
         assert len(shifts) == 1
     if kind == "nan":
         # the first sweep checks the guessed brackets of eigenvalues 0 and 2
-        # and counts the NaN guess's path; that path leaves eigenvalue 1
-        # behind, and each later sweep counts the 63 midpoints of its next
-        # six steps alone.  A per-bracket step history made 12 sweeps of 1014
-        # shifts; the count table, whose first sweep also served eigenvalue
-        # 1's early steps from the other guessed paths, made 9 of 753 while
-        # brackets 0 and 2 were halved until bracket 1 converged, 9 of 656
-        # while the first sweep followed each guess until its bracket
-        # converged, and 9 of 827 while it counted each guessed path and its
-        # last six levels whole.  Now that it counts only the other guesses'
-        # brackets, none of eigenvalue 1's path: 12 of 924.  A NaN guess takes
-        # no check, which would cost one sweep more
-        assert len(shifts) <= 12 and sum(shifts) <= 1014 and max(shifts[1:-1]) <= 63
+        # and counts every midpoint of the NaN guess's descent, which climbs
+        # toward the top bound and leaves eigenvalue 1 behind; from the
+        # bracket those counts give it, each later sweep counts the 63
+        # midpoints of its next six steps, less those already decided
+        assert len(shifts) <= 9 and sum(shifts) <= 695 and max(shifts[1:-1]) <= 63
 
 
 @pytest.mark.parametrize("kind", ["rq", "nan", "none"])
 def test_first_sweep_counts_the_guessed_paths(deep_matrices, deep_references, deep_guesses,
                                               kind, monkeypatch):
-    # each guess walks its bisection path from the Gershgorin bracket, with no
-    # count, while that bracket is wider than 2**6 times its convergence
-    # width.  The first sweep counts the two ends of the bracket it stops at
-    # and the 63 midpoints of the next six steps below it; a NaN guess's walk
-    # is counted all the way, as it climbs toward the top bound, then its 63
-    # midpoints.  All ascending, each once.  Without guesses, the 63
-    # midpoints of the bracket's first six steps
+    # the first sweep of the walk from the Gershgorin bracket: a guess within
+    # the bounds steps toward itself, uncounted, while the bracket is wider
+    # than 2**6 times its convergence width, and the sweep counts the two
+    # ends of the bracket it stops at and its 63 midpoints.  A NaN guess
+    # counts every midpoint of its descent, which climbs toward the top
+    # bound, then the 63 midpoints of the bracket it stops at.  All
+    # ascending, each once.  Without guesses, the 63 midpoints of the
+    # Gershgorin bracket's first six steps
     diag, off = deep_matrices["refined"]
     ref = deep_references["refined"]
     bounds = _gershgorin(diag, off)
@@ -1032,9 +1015,20 @@ def guessed_tridiagonals(draw):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(guessed_tridiagonals())
 def test_warm_start_bit_identical_property(case):
+    # each sweep counts ascending shifts, each once, and no shift of one
+    # sweep recurs in a later one: a walk adds only shifts strictly inside
+    # its tightest counted bracket
     diag, off, k, guesses = case
-    assert oracle.sturm_tridiag_eigs(diag, off, k, guesses=guesses) == (
-        reference_sturm_eigs(diag, off, k))
+    sweeps = []
+    count = oracle.sturm_count
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "sturm_count",
+                   lambda d, o, x, **kw: sweeps.append(x.tolist()) or count(d, o, x, **kw))
+        got = oracle.sturm_tridiag_eigs(diag, off, k, guesses=guesses)
+    assert got == reference_sturm_eigs(diag, off, k)
+    assert all(np.all(np.diff(x) > 0) for x in sweeps)
+    shifts = [x for sweep in sweeps for x in sweep]
+    assert len(set(shifts)) == len(shifts)
 
 
 def _backward_error(diag, off, tau, v, rhs) -> float:
