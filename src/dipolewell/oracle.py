@@ -38,8 +38,7 @@ from .model import PhysicalParams, is_count
 RICHARDSON_SPACING_FRACTION = 0.01
 BOUNDARY_MASS_LIMIT = 1e-6
 STURM_PIVMIN = 1e-290
-BISECTION_MAX_STEPS = 220
-# relative width at which a bisection bracket has converged
+# relative width at which a bisection bracket has converged (absolute: STURM_PIVMIN)
 STURM_RTOL = 1e-13
 # bisection steps tested per Sturm sweep: 2**6 - 1 = 63 shifts per eigenvalue
 MULTISECTION_DEPTH = 6
@@ -123,6 +122,13 @@ def build_tridiag(params: PhysicalParams, grid: RadialGridSpec) -> tuple[np.ndar
     return diag, off
 
 
+def _gershgorin_radii(abs_off: np.ndarray) -> np.ndarray:
+    """|e_{i-1}| + |e_i| of each row i, from the couplings' magnitudes |e|."""
+    rad = np.concatenate((abs_off, [0.0]))  # |e_i|, none past the last row
+    rad[1:] += abs_off
+    return rad
+
+
 def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray, *,
                 k: int) -> np.ndarray:
     """Number of eigenvalues strictly below each shift (Sturm sequence),
@@ -162,9 +168,7 @@ def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray, *,
     n = len(diag)
     d = np.asarray(diag, dtype=float)
     e = np.sqrt(offdiag_sq)  # |e| of the pivots' arithmetic; e^2 = inf gives no tail
-    rad = np.zeros(n)
-    rad[:-1] += e
-    rad[1:] += e
+    rad = _gershgorin_radii(e)
     margin = STURM_TAIL_ULPS * np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN in a row: no tail before it
         lower = d - rad - margin * (np.abs(d) + rad) - STURM_PIVMIN
@@ -220,11 +224,10 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
     """k smallest eigenvalues of a symmetric tridiagonal matrix.
 
     Each eigenvalue i is found by its own Sturm-sequence bisection from the
-    Gershgorin bounds (as LAPACK's dlaebz retires each interval once it has
-    converged): before each step, at most BISECTION_MAX_STEPS, its bracket is
-    tested for convergence (width at most STURM_RTOL times the larger
-    magnitude of its ends), then halved at the midpoint 0.5 * (lo + hi),
-    keeping the lower half when more than i eigenvalues lie below it.  A
+    Gershgorin bounds, which halves its bracket at 0.5 * (lo + hi), keeping
+    the lower half when more than i eigenvalues lie below it, until it is at
+    most STURM_RTOL times its larger end's magnitude or STURM_PIVMIN (as
+    dstebz's abstol) wide, as LAPACK's dlaebz retires each interval.  A
     floating-point Sturm count never decreases as the shift grows (Kahan,
     Stanford CS41, 1966; Demmel, Dhillon & Ren, ETNA 3, 1995), so the walk
     takes every step its tightest counted bracket (below, above) decides: up
@@ -270,40 +273,36 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
 
     with np.errstate(over="ignore"):  # checked below
         off_sq = offdiag * offdiag
-        rad = np.zeros(n)
-        rad[:-1] += np.abs(offdiag)
-        rad[1:] += np.abs(offdiag)
+        rad = _gershgorin_radii(np.abs(offdiag))
         bounds = float(np.min(diag - rad)), float(np.max(diag + rad))
     if not (np.all(np.isfinite(off_sq)) and math.isfinite(2.0 * max(map(abs, bounds)))):
         raise DomainError("the matrix's squared couplings or Gershgorin bounds leave double range")
     guessed = [math.nan] * k if guesses is None else np.asarray(guesses, dtype=float).tolist()
     stages = [3 if guesses is None else 0 if bounds[0] <= g <= bounds[1] else 2 for g in guessed]
     known = [bounds] * k  # each eigenvalue's tightest counted bracket
-    walks = [(*bounds, 0)] * k  # the bracket each walk stopped at, and the steps to it
+    walks = [bounds] * k  # where each walk stopped: re-walking from bounds ran up to 6 % longer
     while True:
         eigs, shifts = [], []
         for i, ((below, above), guess, stage) in enumerate(zip(known, guessed, stages)):
-            lo, hi, steps = walks[i]
+            lo, hi = walks[i]
             if not (lo <= below and above <= hi):  # a guessed bracket its counts refute
-                lo, hi, steps = *bounds, 0
+                lo, hi = bounds
             stepped = []  # the midpoints at which the walk stepped toward its guess
-            while (steps < BISECTION_MAX_STEPS
-                   and hi - lo > STURM_RTOL * (m := max(abs(lo), abs(hi)))):
+            while STURM_PIVMIN < hi - lo > (tol := STURM_RTOL * max(abs(lo), abs(hi))):
                 mid = 0.5 * (lo + hi)
                 if below < mid < above:  # undecided: guided while 2**6 convergence widths wide
-                    if stage == 3 or hi - lo <= (1 << MULTISECTION_DEPTH) * STURM_RTOL * m:
+                    if stage == 3 or hi - lo <= (1 << MULTISECTION_DEPTH) * max(tol, STURM_PIVMIN):
                         break
                     stepped.append(mid)
                     down = guess < mid
                 else:
                     down = mid >= above
                 lo, hi = (lo, mid) if down else (mid, hi)
-                steps += 1
             else:
                 if not stepped:
                     eigs.append(0.5 * (lo + hi))
                     continue
-            walks[i] = lo, hi, steps
+            walks[i] = lo, hi
             extra = [lo, hi] if stage < 2 else stepped
             shifts += [x for x in [*extra, *_midpoints(lo, hi, MULTISECTION_DEPTH)]
                        if below < x < above]

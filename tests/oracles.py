@@ -69,7 +69,7 @@ def reference_sturm_eigs(diag, offdiag, k: int) -> list[float]:
     """k smallest eigenvalues by bisection from Gershgorin bounds, one midpoint
     per eigenvalue per Sturm sweep (the arithmetic of LAPACK dstebz's bisection):
     each bracket stops once it is at most 1e-13 of its larger end's magnitude
-    wide, tested before each of its at most 220 steps, as dlaebz retires each
+    or at most 1e-290 wide, tested before each step, as dlaebz retires each
     converged interval."""
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
@@ -86,8 +86,9 @@ def reference_sturm_eigs(diag, offdiag, k: int) -> list[float]:
     lows = np.full(k, lo_bound)
     highs = np.full(k, hi_bound)
     idx = np.arange(k)
-    for _ in range(220):
-        active = ~(highs - lows <= 1e-13 * np.maximum(np.abs(lows), np.abs(highs)))
+    while True:
+        widths = highs - lows
+        active = (widths > 1e-13 * np.maximum(np.abs(lows), np.abs(highs))) & (widths > 1e-290)
         if not active.any():
             break
         mids = 0.5 * (lows + highs)

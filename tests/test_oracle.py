@@ -120,11 +120,39 @@ def test_sturm_near_double_range():
     assert got == pytest.approx([1e307, 8e307], rel=1e-13)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the bracket of the eigenvalue near 5 "
-                   "reaches BISECTION_MAX_STEPS unconverged and returns 2.967e240")
 def test_sturm_small_eigenvalue_beside_a_huge_one():
+    # once 2.967e240: the bracket stopped unconverged at a cap of 220 steps
     got = oracle.sturm_tridiag_eigs([5.0, 1e307], [1.0], 2, guesses=None)
-    assert got[0] == pytest.approx(5.0, rel=1e-12)
+    assert abs(got[0] - 5.0) <= 1e-12
+
+
+_GRADED = 10.0 ** np.arange(300, -301, -50)  # 1e300 down to 1e-300
+_GRADED_OFF = 1e-2 * np.minimum(_GRADED[1:], 1e150)  # 1e-2 of the smaller row, at most 1e148
+
+
+@pytest.mark.parametrize("diag,off,sweeps", [
+    ([5.0, 1e307], [1.0], 177),
+    ([0.0, 0.0, 0.0], [1e150, 1e150], 244),  # a zero eigenvalue
+    ([3e-320, 1.0], [1e-200], 161),  # a subnormal one
+    (_GRADED, _GRADED_OFF, 327),
+], ids=["beside_a_huge_one", "zero", "subnormal", "graded"])
+def test_sturm_walks_end_by_the_width_rule(diag, off, sweeps, monkeypatch):
+    # each bracket ends at most 1e-13 (relative) or STURM_PIVMIN wide, after
+    # more than the 220 steps that once capped every walk
+    calls = []
+    count = oracle.sturm_count
+    monkeypatch.setattr(oracle, "sturm_count",
+                        lambda d, o, x, **kw: calls.append(len(x)) or count(d, o, x, **kw))
+    got = oracle.sturm_tridiag_eigs(diag, off, len(diag), guesses=None)
+    assert [x.hex() for x in got] == [x.hex() for x in reference_sturm_eigs(diag, off, len(diag))]
+    assert len(calls) <= sweeps
+
+
+def test_sturm_graded_eigenvalues_keep_relative_accuracy():
+    # the eigenvalues are the diagonal's to 1e-50 (relative): the width rule
+    # keeps 1e-13 of each down to 1e-250, and 1e-300 lies within STURM_PIVMIN
+    got = oracle.sturm_tridiag_eigs(_GRADED, _GRADED_OFF, len(_GRADED), guesses=None)
+    assert got == pytest.approx(sorted(_GRADED), rel=1e-12, abs=oracle.STURM_PIVMIN)
 
 
 def test_sturm_clamped_pivot_overflows_quietly():
@@ -255,9 +283,9 @@ def test_sturm_count_blocks_match_reference(n, zero_rows, m):
 @pytest.mark.parametrize(
     "diag,off",
     [
-        ([0.0, -0.0, 0.0, -0.0, 0.0], [1.0, 1.0, 1.0, 1.0]),  # eigenvalue 0: all 220 steps
+        ([0.0, -0.0, 0.0, -0.0, 0.0], [1.0, 1.0, 1.0, 1.0]),  # eigenvalue 0: STURM_PIVMIN wide
         ([-0.0, 0.0, -0.0, 0.0], [0.5, -2.0, 0.5]),
-        # subnormal: brackets a few ulps wide about 0 step at 0.0, then at -0.0
+        # subnormal: the Gershgorin bracket is already within STURM_PIVMIN
         ([-5e-324, -0.0, 0.0, 5e-324], [1e-322, 1e-322, 1e-322]),
     ],
     ids=["zero_eigenvalue", "symmetric", "subnormal"],
