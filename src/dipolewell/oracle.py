@@ -421,24 +421,24 @@ def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -
     min(points // 8, BASE_GRID_POINTS, BASE_POINTS_PER_LEVEL (k_levels + 1)))
     points, left out when it is not smaller than the grid: the dense solve
     grows with the levels asked for, and on deep.cfg at k_levels <= 3 its
-    100 points lead to as few sweeps as 250 did.  The first grid of the
-    ladder takes its estimates from one dense LAPACK solve (_dense_eigvals).
-    A base grid is never bisected: its estimates serve only as the shifts of
-    its eigenvectors.  Without a base they are only the guesses of the
-    grid's bisection.  The
-    first grid's eigenvectors come from one solve of inverse iteration each,
-    from a seeded random start.  Each later grid starts from the eigenvectors
-    of the grid below: each is carried to the new nodes (_carry) and refined
-    by two solves of inverse iteration on the new matrix (all levels in one
-    call each, _eigenvectors), the first at the lower grid's eigenvalue, the
-    second at the first's Rayleigh quotient (a step of Rayleigh-quotient
-    iteration), whose Rayleigh quotient is the guess for the new eigenvalue.
-    On deep.cfg the guesses lie within about 5e-13 (relative) of the
-    eigenvalues of both grids, 1.2e-11 at k_levels = 20, and the solve takes
-    one Sturm sweep per grid, 4 in all at k_levels = 20: each guess picks
-    the bracket whose two ends and midpoints that sweep counts
-    (sturm_tridiag_eigs).  The floats are those of plain bisection whatever
-    the guesses.
+    100 points lead to as few sweeps as 250 did.  Each output grid bisects
+    the levels it reports, and the half-step grid also the spare level above
+    them, whose spacing the guard reads.  The first grid takes its estimates
+    from one dense LAPACK solve (_dense_eigvals), never output: the shifts
+    of a base grid's eigenvectors, and without a base the guesses of the
+    grid's bisection and the spare's shift.  Its eigenvectors come from one
+    solve of inverse iteration each, from a seeded random start.  Each later
+    grid starts from the eigenvectors of the grid below, the spare's too:
+    each is carried to the new nodes (_carry) and refined by two solves of
+    inverse iteration on the new matrix (_eigenvectors), the first at the
+    lower grid's estimate, the second at the first's Rayleigh quotient (a
+    step of Rayleigh-quotient iteration), whose Rayleigh quotient is the
+    guess for the new eigenvalue and an unbisected spare's estimate.  On
+    deep.cfg the guesses lie within about 5e-13 (relative) of the
+    eigenvalues of both grids, 1.6e-12 at k_levels = 20, and the solve takes
+    one Sturm sweep per grid (130 and 195 shifts), 3 at k_levels = 20: each
+    guess picks the bracket whose ends and midpoints that sweep counts
+    (sturm_tridiag_eigs).  The floats are bisection's whatever the guesses.
 
     Raises GridTooCoarse when a Richardson estimate exceeds 1% of the local
     level spacing, and DomainError when the topmost requested eigenfunction
@@ -448,31 +448,31 @@ def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -
     """
     if not (is_count(k_levels) and 1 <= k_levels <= grid.points):
         raise DomainError("need 1 <= k_levels <= grid.points")
-    k_work = min(k_levels + 1, grid.points)  # one spare level to gauge the spacing
+    k_work = min(k_levels + 1, grid.points)  # one spare level, for the half-step grid's spacing
     base = RadialGridSpec(grid.r_min, grid.r_max, max(100, k_work, min(
         grid.points // 8, BASE_GRID_POINTS, BASE_POINTS_PER_LEVEL * k_work)))
     ladder = ([base] if base.points < grid.points else []) + [grid, grid.refined()]
     diag, off = build_tridiag(params, ladder[0])
     fine = _dense_eigvals(diag, off)[:k_work].tolist()
     if ladder[0] is grid:  # no base grid: LAPACK's values are only guesses
-        fine = sturm_tridiag_eigs(diag, off, k_work, guesses=fine)
+        fine[:k_levels] = sturm_tridiag_eigs(diag, off, k_levels, guesses=fine[:k_levels])
     start = np.random.default_rng(12345).standard_normal(len(diag))
     vectors = _eigenvectors(diag, off, fine, [start] * len(fine))
     for lower, upper in zip(ladder, ladder[1:]):
         diag, off = build_tridiag(params, upper)
         vectors = _eigenvectors(diag, off, fine, _carry(lower, upper, vectors))
         vectors = _eigenvectors(diag, off, _rayleigh_quotients(vectors, diag, off), vectors)
-        coarse, fine = fine, sturm_tridiag_eigs(
-            diag, off, k_work, guesses=_rayleigh_quotients(vectors, diag, off))
-    estimates = [abs(f - c) / 3.0 for f, c in zip(fine, coarse)]
+        coarse, fine = fine, _rayleigh_quotients(vectors, diag, off).tolist()
+        k = k_levels if upper is grid else k_work  # only the half-step grid bisects the spare
+        fine[:k] = sturm_tridiag_eigs(diag, off, k, guesses=fine[:k])
 
     taus = fine[:k_levels]
-    ests = estimates[:k_levels]
-    for i, est in enumerate(ests):
+    estimates = [abs(f - c) / 3.0 for f, c in zip(taus, coarse)]
+    for i, est in enumerate(estimates):
         below = abs(taus[i] - fine[i - 1]) if i > 0 else math.inf
         above = abs(fine[i + 1] - taus[i]) if i + 1 < len(fine) else math.inf
         spacing = min(below, above)
-        if math.isfinite(spacing) and est > RICHARDSON_SPACING_FRACTION * spacing:
+        if est > RICHARDSON_SPACING_FRACTION * spacing:  # never above an infinite spacing
             raise GridTooCoarse(
                 f"Richardson estimate {est:.3e} for tau_{i + 1} exceeds 1% of the "
                 f"level spacing {spacing:.3e}; refine the grid"
@@ -489,4 +489,4 @@ def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -
             f"eigenfunction mass {boundary_mass:.2e} within the outer 5% of the "
             f"domain exceeds {BOUNDARY_MASS_LIMIT:.0e}; increase r_max"
         )
-    return OracleResult(taus, ests)
+    return OracleResult(taus, estimates)

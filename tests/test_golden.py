@@ -30,9 +30,10 @@ CASES = [
     ("spectrum_all", ["spectrum", "--config", CFG, "--nmax", "3", "--route", "all",
                       "--grid-points", "600"], 0),
     ("validate", ["validate", "--config", CFG, "--nmax", "2", "--grid-points", "600"], 0),
-    # the default 2000-point grid: the oracle's ladder of 250, 2000 and 4001 points
+    # the default 2000-point grid: the oracle's ladder of 100, 2000 and 4001 points
     ("validate_default_grid", ["validate", "--config", CFG, "--nmax", "2"], 0),
-    # k = 21 eigenvectors per grid of the ladder, each refined by inverse iteration
+    # k = 21 eigenvectors per grid of the ladder, each refined by inverse iteration;
+    # 20 levels bisected on the 2000-point grid, 21 on the 4001-point one
     ("spectrum_oracle_nmax20", ["spectrum", "--config", CFG, "--route", "oracle",
                                 "--nmax", "20"], 0),
     # thresholds that fail both regime flags, x0_admissible first

@@ -369,34 +369,42 @@ def test_deep_solve_sweep_count(monkeypatch):
     # one sweep per output grid: each grid's guesses come from two solves of
     # inverse iteration, so the bracket each guess's descent stops at (2**6
     # convergence widths wide) holds its eigenvalue; the sweep counts its two
-    # ends and its 63 midpoints, which carry the walk to convergence.  195
-    # shifts per sweep, none counted twice, make blocks of 84 rows, and each
-    # sweep stops at the first block end where only rows past the turning
-    # points are left: 2858 rows of 6001
+    # ends and its 63 midpoints, which carry the walk to convergence.  The
+    # coarse grid bisects the 2 levels reported (130 shifts, none counted
+    # twice, in blocks of 126 rows), the half-step grid the spare level too
+    # (195 shifts, blocks of 84 rows), and each sweep stops at the first
+    # block end where only rows past the turning points are left: 757 and
+    # 1849 rows, 2606 of 6001
     calls = _count_sweeps(monkeypatch, 2)
     assert [n for _, n, _ in calls] == [2000, 4001]
     swept, total, shifts = map(sum, zip(*calls))
-    assert total == 6001 and swept <= 2858 and shifts <= 390
+    assert total == 6001 and swept <= 2606 and shifts <= 325
 
 
 def test_deep_solve_sweep_count_many_levels(monkeypatch):
-    # k = 21 levels per grid: 4 sweeps (3 coarse, 1 fine) of 9000 rows and
-    # 2955 shifts.  On the coarse grid two guessed brackets fail their check;
-    # the second sweep counts the brackets beside them, and one eigenvalue
-    # then takes the guided walk that counts each midpoint of its descent
+    # k = 20 levels on the coarse grid, 21 with the spare on the fine one: 3
+    # sweeps (2 coarse, 1 fine) of 5927 rows and 2729 shifts.  On the coarse
+    # grid the guessed bracket of the lowest level fails its check, and the
+    # second sweep counts the bracket beside it (64 shifts, 513 rows)
     calls = _count_sweeps(monkeypatch, 20)
     sizes = [n for _, n, _ in calls]
     assert sizes == sorted(sizes) and set(sizes) == {2000, 4001}
-    assert len(sizes) <= 4 and sizes.count(4001) == 1
+    assert len(sizes) <= 3 and sizes.count(4001) == 1
     swept, _, shifts = map(sum, zip(*calls))
-    assert swept <= 9000 and shifts <= 2955
+    assert swept <= 5927 and shifts <= 2729
 
 
-@pytest.mark.parametrize("k", [10, 20])
-def test_deep_solve_many_levels_gives_bisection_floats(k, monkeypatch):
+@pytest.mark.parametrize("points,k", [(2000, 10), (2000, 20), (100, 2), (100, 100)],
+                         ids=["10", "20", "no_base", "k_is_points"])
+def test_deep_solve_many_levels_gives_bisection_floats(points, k, monkeypatch):
     # the second inverse-iteration solve and the subtrees of the first sweep
-    # take k = 20 from 9 sweeps to 4; both output grids keep plain
-    # bisection's floats, hex for hex
+    # take k = 20 from 9 sweeps to 4, and bisecting the spare level on the
+    # half-step grid only to 3; both output grids keep plain bisection's
+    # floats, hex for hex.  The N-point grid bisects the k levels it reports,
+    # the half-step grid also the spare level whose spacing the guard reads
+    # (none at k = N).  At 100 points there is no base grid: the output grid
+    # is the first of the ladder, and at k = N = 100 the guard raises on the
+    # top levels of so coarse a grid
     eigs = oracle.sturm_tridiag_eigs
     solved = []
 
@@ -407,12 +415,16 @@ def test_deep_solve_many_levels_gives_bisection_floats(k, monkeypatch):
 
     monkeypatch.setattr(oracle, "sturm_tridiag_eigs", recording)
     p = deep_params()
-    res = oracle.fd_eigensolve(p, oracle.default_grid(p, k), k)
-    assert [len(diag) for diag, *_ in solved] == [2000, 4001]
+    grid = oracle.default_grid(p, k, points=points)
+    with pytest.raises(GridTooCoarse) if k == points else contextlib.nullcontext():
+        res = oracle.fd_eigensolve(p, grid, k)
+    assert [(len(diag), k_work) for diag, _, k_work, _ in solved] == [
+        (points, k), (2 * points + 1, min(k + 1, points))]
     for diag, off, k_work, taus in solved:
         want = reference_sturm_eigs(diag, off, k_work)
         assert [t.hex() for t in taus] == [t.hex() for t in want]
-    assert res.eigenvalues_tau == taus[:k]  # the half-step grid's
+    if k < points:
+        assert res.eigenvalues_tau == taus[:k]  # the half-step grid's
 
 
 def _perfbench_workloads(monkeypatch):
@@ -426,9 +438,9 @@ def _perfbench_workloads(monkeypatch):
 
 
 @pytest.mark.parametrize("seed,most", [
-    (1, [(2, 390), (2, 520), (2, 390), (4, 582)]),
-    (2, [(2, 390), (2, 520), (2, 390), (3, 454)]),
-    (3, [(2, 390), (2, 520), (2, 390), (3, 454)]),
+    (1, [(2, 325), (2, 455), (2, 325), (4, 517)]),
+    (2, [(2, 325), (2, 455), (2, 325), (3, 389)]),
+    (3, [(2, 325), (2, 455), (2, 325), (3, 389)]),
 ])
 def test_oracle_validate_workload_sweeps(seed, most, monkeypatch):
     # Sturm sweeps and shifts of each `validate` problem of the oracle-validate
@@ -643,15 +655,17 @@ def test_sturm_counts_ascend_where_the_tail_rule_ends_sweeps_property(case):
 def test_sturm_counts_ascend_on_deep_first_sweeps(deep_matrices, deep_guesses, which,
                                                   monkeypatch):
     # the shifts of the first sweep fd_eigensolve makes on each deep.cfg
-    # grid, capped as the solve caps them (k = 3) and uncapped
+    # grid, capped as the solve caps them (one count per guess: 2 on the
+    # coarse grid, 3 with the spare level on the refined one) and uncapped
     diag, off = deep_matrices[which]
+    guesses = deep_guesses[len(diag)]
     sweeps = []
     count = oracle.sturm_count
     monkeypatch.setattr(oracle, "sturm_count",
                         lambda d, o, x, **kw: sweeps.append(x) or count(d, o, x, **kw))
-    oracle.sturm_tridiag_eigs(diag, off, 3, guesses=deep_guesses[len(diag)])
+    oracle.sturm_tridiag_eigs(diag, off, len(guesses), guesses=guesses)
     monkeypatch.undo()
-    for k in (3, len(diag)):
+    for k in (len(guesses), len(diag)):
         _assert_counts_ascend(diag, off, sweeps[0], k)
 
 
@@ -762,7 +776,7 @@ def test_first_sweep_counts_the_guessed_paths(deep_matrices, deep_references, de
 def test_rayleigh_guesses_are_close(deep_matrices, deep_references, deep_guesses):
     # each eigenvector of the grid below, carried linearly in ln r and refined
     # by two solves of inverse iteration (the second at the first's Rayleigh
-    # quotient), gives a Rayleigh quotient 3.2e-14 to 3.3e-13 from the coarse
+    # quotient), gives a Rayleigh quotient 5.7e-14 to 3.3e-13 from the coarse
     # eigenvalues and 4.2e-14 to 5.3e-13 from the fine ones (one solve gave
     # 9.7e-14 to 7.3e-11 and 3.4e-14 to 5.3e-13; 4.0e-13 to 7.4e-11 and
     # 6.5e-15 to 1.2e-11 with the quotient summed over the whole vector and
@@ -770,25 +784,29 @@ def test_rayleigh_guesses_are_close(deep_matrices, deep_references, deep_guesses
     # carry without the solve gave 2.1e-10 to 1.7e-9 on the fine grid, where
     # the coarse eigenvalues are 8.2e-6 to 3.7e-5 off.  The base grid is
     # never bisected: LAPACK's eigenvalues of its dense matrix only give the
-    # shifts of its eigenvectors
-    assert set(deep_guesses) == {2000, 4001}
+    # shifts of its eigenvectors.  Each grid is guessed at the levels it
+    # bisects: the 2 reported on the coarse grid, and the spare level too on
+    # the refined one
+    assert {n: len(g) for n, g in deep_guesses.items()} == {2000: 2, 4001: 3}
     for which in ("coarse", "refined"):
         guesses = deep_guesses[len(deep_matrices[which][0])]
-        for guess, tau in zip(guesses, deep_references[which], strict=True):
+        for guess, tau in zip(guesses, deep_references[which][:len(guesses)], strict=True):
             assert abs(guess - tau) <= 1e-12 * abs(tau)
 
 
 @pytest.mark.parametrize("k,distances", [(2, (3.3e-13, 5.3e-13)), (3, (9.9e-14, 1.0e-12)),
-                                         (10, (3.9e-13, 9.4e-13)), (20, (1.2e-11, 1.6e-12))])
+                                         (10, (3.9e-13, 9.4e-13)), (20, (3.1e-13, 1.6e-12))])
 def test_guess_distances_hold_on_deep(k, distances, monkeypatch):
     # a worse eigenvector solve shows only as extra sweeps, so each output
     # grid's (N, then 2N + 1) largest relative distance of a guess from its
     # bisection float is held within 2x of what the two inverse-iteration
     # solves give.  One solve gave 7.3e-11, 3.7e-10, 5.1e-8 and 4.6e-5 on the
     # N-point grid (the second solve, at the first's Rayleigh quotients,
-    # takes k = 20 to 1.2e-11), and 5.3e-13, 1.0e-12, 9.4e-13 and 2.9e-10 on
-    # the 2N + 1-point grid; with the row-by-row Thomas solve and the quotient
-    # summed over the whole vector, those lay between 3e-12 and 3.5e-11
+    # takes k = 20 to 1.2e-11 over 21 levels, and to 3.1e-13 over the 20
+    # that grid bisects without the spare level), and 5.3e-13, 1.0e-12,
+    # 9.4e-13 and 2.9e-10 on the 2N + 1-point grid; with the row-by-row
+    # Thomas solve and the quotient summed over the whole vector, those lay
+    # between 3e-12 and 3.5e-11
     eigs = oracle.sturm_tridiag_eigs
     worst = []
 
