@@ -23,9 +23,10 @@ pure; there is no caching or shared state.
 W computes only the -i*mu term of the connection formula and doubles its
 real part (_connection_w); ``w_point`` shares its lnGamma(2 i mu) across a
 root search.  ``whittaker_w_scaled_array`` evaluates a wavefunction profile
-with the scalar W's bits: its array Kummer series retires samples in
-ascending order, or gives the whole profile to the scalar W
-(_whittaker_series_array).
+with the scalar W's bits: its array Kummer series (_kummer_series_array)
+replays on the float parts the two operations numpy rounds unlike CPython
+(each term's quotient and product), and retires samples in ascending order
+or gives the whole profile to the scalar W.
 """
 
 from __future__ import annotations
@@ -204,19 +205,17 @@ def _kummer_series_scaled(
     return s, ln_scale, est_rel
 
 
-def _whittaker_series_array(
-    kappa: float, mu_signed: float, x: np.ndarray
-) -> np.ndarray | None:
-    """The sums of _kummer_series_scaled of M_{kappa, i*mu_signed} at every x,
-    bit for bit, as a complex array, or None.
+def _kummer_series_array(a: complex, b: complex, x: np.ndarray) -> np.ndarray | None:
+    """The sums of _kummer_series_scaled(a, b, xi) at every xi of x, bit for
+    bit, as a complex array, or None.
 
-    a = 1/2 - kappa + i*mu_signed and b = 1 + 2i*mu_signed, which is never a
-    pole.  Each sample runs the scalar loop's operations in the same order on
-    float64 pairs: complex products as CPython's _Py_c_prod, the quotient as
-    its _Py_c_quot (Smith's ratio/denom, dividing by denom; numpy's complex
-    division rounds differently), a float promoted to complex(x, 0.0), and
-    magnitudes as hypot.  A sample finishes, with its sum recorded, at the
-    term where the scalar loop stops.  Small x converge first, so on
+    The scalar loop's operations run in the same order on complex arrays s,
+    comp and t, since numpy's complex + and - round each part as CPython's
+    do.  numpy's complex / and * do not, so each term's quotient is replayed
+    on the parts as CPython's _Py_c_quot (Smith's ratio/denom, x promoted to
+    complex(x, 0.0)) and its product as _Py_c_prod; magnitudes are hypot of
+    the parts, as CPython's abs is.  A sample finishes, with its sum recorded,
+    at the term where the scalar loop stops.  Small x converge first, so on
     ascending x the finished samples lead the live set and leave it by
     slicing.  None, and the caller takes every sample from the scalar loop,
     when a later x finishes while an earlier one is live, when a live term
@@ -225,13 +224,9 @@ def _whittaker_series_array(
     live after KUMMER_MAX_TERMS terms.
     """
     n = len(x)
-    a = complex(0.5 - kappa, mu_signed)
-    b = complex(1.0, 2.0 * mu_signed)
     sums = np.empty(n, dtype=complex)
     head, xs = 0, x  # sums[:head] are recorded, xs = x[head:] are live
-    sr, si = np.ones(n), np.zeros(n)
-    cr, ci = np.zeros(n), np.zeros(n)
-    tr, ti = np.ones(n), np.zeros(n)
+    s, comp, t = np.ones(n, complex), np.zeros(n, complex), np.ones(n, complex)
     prev = np.zeros(n, dtype=bool)  # the previous term was small
     k = 0
     with np.errstate(all="ignore"):
@@ -251,14 +246,16 @@ def _whittaker_series_array(
                 denom = bk.real * ratio + bk.imag
                 qr = (nr * ratio + ni) / denom
                 qi = (ni * ratio - nr) / denom
-            tr, ti = tr * qr - ti * qi, tr * qi + ti * qr
-            yr, yi = tr - cr, ti - ci
-            snr, sni = sr + yr, si + yi
-            cr, ci = (snr - sr) - yr, (sni - si) - yi
-            sr, si = snr, sni
+            tq = np.empty_like(t)
+            tq.real = t.real * qr - t.imag * qi
+            tq.imag = t.real * qi + t.imag * qr
+            t = tq
+            y = t - comp
+            snew = s + y
+            comp = (snew - s) - y
+            s = snew
             k += 1
-            mag = np.hypot(sr, si)
-            tmag = np.hypot(tr, ti)
+            mag, tmag = np.hypot(s.real, s.imag), np.hypot(t.real, t.imag)
             # fmax skips one NaN: mag or tmag past 1e250, where the scalar may rescale or raise
             if np.count_nonzero(np.fmax(mag, tmag) > 1e250):
                 return None
@@ -269,10 +266,9 @@ def _whittaker_series_array(
             if nd:
                 if not done[:nd].all():  # a later x finished while an earlier one is live
                     return None
-                sums.real[head:head + nd], sums.imag[head:head + nd] = sr[:nd], si[:nd]
+                sums[head:head + nd] = s[:nd]
                 head += nd
-                xs, sr, si, cr, ci, tr, ti, prev = (
-                    v[nd:] for v in (xs, sr, si, cr, ci, tr, ti, prev))
+                xs, s, comp, t, prev = (v[nd:] for v in (xs, s, comp, t, prev))
     return None if head < n else sums
 
 
@@ -391,16 +387,18 @@ def whittaker_w_scaled_array(kappa: float, mu: float, x) -> tuple[np.ndarray, np
     x must be ascending (DomainError otherwise).  Both arrays equal the
     scalar calls' fields bit for bit, and the exception raised is the one
     the scalar loop over x would raise first.  The prefix x <= LARGE_X_SWITCH
-    shares one pair of log-Gammas and runs the Kummer series of
-    M_{kappa,-i mu} of all its samples as float64 arrays (see
-    _whittaker_series_array); its tail replays _connection_w's log T in
-    CPython's operation order: numpy does the IEEE-exact float arithmetic,
-    while cmath.log and math.cos run per element, because numpy's log rounds
-    differently (and its cos need not be libm's).  Every other sample is a
-    whittaker_w_scaled call: the suffix past LARGE_X_SWITCH, and all of x
-    when mu <= 0, when some x is not finite and > 0, or when the array
-    series gives up (a later x finished first, a sum past 1e250, or the term
-    cap).  Root finding keeps the scalar function.
+    shares one pair of log-Gammas and runs whittaker_w_scaled's Kummer
+    series of all its samples on complex arrays (_kummer_series_array: each
+    term's quotient and product are replayed on the float parts, because
+    numpy's complex / and * round unlike CPython's); its tail replays
+    _connection_w's log T in CPython's operation order: numpy does the
+    IEEE-exact float arithmetic, while cmath.log and math.cos run per
+    element, because numpy's log rounds differently (and its cos need not be
+    libm's).  Every other sample is a whittaker_w_scaled call: the suffix
+    past LARGE_X_SWITCH, and all of x when mu <= 0, when some x is not
+    finite and > 0, or when the array series gives up (a later x finished
+    first, a sum past 1e250, or the term cap).  Root finding keeps the
+    scalar function.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x[1:] < x[:-1]):
@@ -410,7 +408,8 @@ def whittaker_w_scaled_array(kappa: float, mu: float, x) -> tuple[np.ndarray, np
         split = int(np.searchsorted(x, LARGE_X_SWITCH, side="right"))
     if split:
         lr, _ = _connection_gammas(w_point(mu), kappa, mu)
-        minus = _whittaker_series_array(kappa, -mu, x[:split])
+        minus = _kummer_series_array(complex(0.5 - kappa, -mu), complex(1.0, -2.0 * mu),
+                                     x[:split])
     mantissa, exponent = np.empty(0), np.empty(0)
     if minus is None:
         split = 0

@@ -20,7 +20,7 @@ from dipolewell.errors import (
     PoleError,
     RegimeError,
 )
-from dipolewell.model import PhysicalParams
+from dipolewell.model import PhysicalParams, derive
 
 from oracles import (
     mp_kummer,
@@ -491,16 +491,22 @@ def test_whittaker_w_array_log1p_branch_of_log_x(kappa, mu):
     assert _array_outcome(kappa, mu, xs) == expect
 
 
-def _series_outcome(kappa, mu_signed, xs):
+def _series_args(kappa, mu):
+    """(a, b) of the Kummer series of M_{kappa,-i mu}, as whittaker_w_scaled
+    passes them, and of M_{kappa,i mu}: the series at both signs of mu."""
+    a, b = complex(0.5 - kappa, -mu), complex(1.0, -2.0 * mu)
+    return (a, b), (a.conjugate(), b.conjugate())
+
+
+def _series_outcome(a, b, xs):
     """(real, imag) hex of the array series' sums at xs, or None."""
-    sums = special._whittaker_series_array(kappa, mu_signed, np.array(xs))
+    sums = special._kummer_series_array(a, b, np.array(xs))
     return None if sums is None else [(s.real.hex(), s.imag.hex()) for s in sums.tolist()]
 
 
-def _scalar_series_outcome(kappa, mu_signed, xs):
+def _scalar_series_outcome(a, b, xs):
     """(real, imag) hex of the scalar series' mantissas at xs, or None where
     the scalar series rescales some sum (its ln_scale is not 0)."""
-    a, b = complex(0.5 - kappa, mu_signed), complex(1.0, 2.0 * mu_signed)
     series = [special._kummer_series_scaled(a, b, x) for x in xs]
     if any(ln_scale != 0.0 for _, ln_scale, _ in series):
         return None
@@ -511,18 +517,21 @@ def _profile_series_args(p, levels, monkeypatch):
     """(kappa, mu, xs) of the array series in the default 512-sample
     wavefunction profile of each level n of p."""
     seen = []
-    series = special._whittaker_series_array
+    series = special._kummer_series_array
 
-    def recording(kappa, m, x):
-        seen.append((kappa, -m, x.tolist()))
-        return series(kappa, m, x)
+    def recording(a, b, x):
+        seen.append((a, b, x.tolist()))
+        return series(a, b, x)
 
+    levels = [spectrum.quantize_exact(p, n) for n in levels]
     with monkeypatch.context() as patch:
-        patch.setattr(special, "_whittaker_series_array", recording)
-        for n in levels:
-            spectrum.radial_wavefunction(p, spectrum.quantize_exact(p, n), None, 512)
+        patch.setattr(special, "_kummer_series_array", recording)
+        for level in levels:
+            spectrum.radial_wavefunction(p, level, None, 512)
     assert len(seen) == len(levels)
-    return seen
+    mu = derive(p).mu
+    assert [(a, b) for a, b, _ in seen] == [_series_args(lv.kappa, mu)[0] for lv in levels]
+    return [(lv.kappa, mu, xs) for lv, (_, _, xs) in zip(levels, seen)]
 
 
 @pytest.mark.parametrize("lam", [2.5, 7.0])
@@ -533,10 +542,10 @@ def test_whittaker_series_array_sums_equal_the_scalar_series(lam, x0, monkeypatc
     # of mu, with no scalar rescale anywhere
     p = PhysicalParams(1.0, 0.5 * lam * lam, 1.0, x0 / 0.01, 0.1)
     for kappa, mu, xs in _profile_series_args(p, (1, 2, 3), monkeypatch):
-        for m in (-mu, mu):
-            expect = _scalar_series_outcome(kappa, m, xs)
+        for a, b in _series_args(kappa, mu):
+            expect = _scalar_series_outcome(a, b, xs)
             assert expect is not None and len(expect) == len(xs)
-            assert _series_outcome(kappa, m, xs) == expect
+            assert _series_outcome(a, b, xs) == expect
 
 
 class _TermCounter:
@@ -552,8 +561,7 @@ class _TermCounter:
         return k < self.cap
 
 
-def _scalar_term_counts(kappa, mu_signed, xs, monkeypatch):
-    a, b = complex(0.5 - kappa, mu_signed), complex(1.0, 2.0 * mu_signed)
+def _scalar_term_counts(a, b, xs, monkeypatch):
     counter = _TermCounter(special.KUMMER_MAX_TERMS)
     counts = []
     with monkeypatch.context() as patch:
@@ -581,13 +589,13 @@ def test_whittaker_series_array_finished_samples_leave_either_way(case, monkeypa
         [(kappa, mu, xs)] = _profile_series_args(p, (1,), monkeypatch)
     else:
         kappa, mu, xs = 593.5, 0.108, np.linspace(1e-8, 30.0, 300).tolist()
-    for m in (-mu, mu):
-        counts = _scalar_term_counts(kappa, m, xs, monkeypatch)
+    for a, b in _series_args(kappa, mu):
+        counts = _scalar_term_counts(a, b, xs, monkeypatch)
         assert len(set(counts)) > 1  # more than one finish event
         assert (counts == sorted(counts)) == (case == "deep_profile")
-        expect = _scalar_series_outcome(kappa, m, xs)
+        expect = _scalar_series_outcome(a, b, xs)
         assert expect is not None and len(expect) == len(xs)
-        assert _series_outcome(kappa, m, xs) == (expect if case == "deep_profile" else None)
+        assert _series_outcome(a, b, xs) == (expect if case == "deep_profile" else None)
     expect = _scalar_outcome(kappa, mu, xs)
     assert len(expect) == len(xs)
     assert _array_outcome(kappa, mu, xs) == expect
@@ -599,9 +607,57 @@ def test_whittaker_series_array_sums_in_the_log1p_band(kappa, mu):
     # are pinned here, not only through cmath.log; at beta ~ 1.5e5 the scalar
     # series rescales and the array series gives up
     xs = np.linspace(0.71, 1.73, 97).tolist()
-    for m in (-mu, mu):
-        assert _series_outcome(kappa, m, xs) == _scalar_series_outcome(kappa, m, xs)
-    assert (_scalar_series_outcome(kappa, mu, xs) is None) == (kappa < -1e4)
+    for a, b in _series_args(kappa, mu):
+        expect = _scalar_series_outcome(a, b, xs)
+        assert _series_outcome(a, b, xs) == expect
+        assert (expect is None) == (kappa < -1e4)
+
+
+def _complex_draws(rng, n, log10_lo, log10_hi):
+    """n complex values whose parts have random signs and magnitudes
+    log-uniform in [10^log10_lo, 10^log10_hi]."""
+    parts = rng.choice([-1.0, 1.0], (n, 2)) * 10.0 ** rng.uniform(log10_lo, log10_hi, (n, 2))
+    return parts.view(complex)[:, 0]
+
+
+@pytest.mark.parametrize("log10_lo,log10_hi", [(-1.0, 1.0), (-300.0, 300.0)],
+                         ids=["order_one", "spread"])
+def test_numpy_complex_add_sub_and_hypot_round_as_cpython(log10_lo, log10_hi):
+    # the premises of _kummer_series_array's bit identity: numpy's complex + and -
+    # and np.hypot of the parts round as CPython's +, - and abs.  numpy's complex
+    # abs is no such premise: its SIMD loop differs from CPython's abs in about a
+    # third of O(1) values on an AVX-512 machine, so the series never calls it
+    rng = np.random.default_rng(20_000)
+    z, w = (_complex_draws(rng, 200_000, log10_lo, log10_hi) for _ in range(2))
+    zl, wl = z.tolist(), w.tolist()
+
+    def bits(values):
+        return np.array(values).view(np.uint64)
+
+    assert np.array_equal(bits(np.hypot(z.real, z.imag)), bits([abs(v) for v in zl]))
+    assert np.array_equal(bits(z + w), bits([u + v for u, v in zip(zl, wl)]))
+    assert np.array_equal(bits(z - w), bits([u - v for u, v in zip(zl, wl)]))
+
+
+def test_kummer_series_array_is_the_scalar_series_or_gives_up():
+    # seeded draws beyond the profile workload's shapes: beta = 1/2 - kappa of
+    # either sign up to 1e4, mu from 0.05 to 8, 64 ascending x up to 30.  The
+    # array sums are the scalar mantissas, which also fails wherever the scalar
+    # series rescales, or the array series gives up
+    rng = random.Random("kummer-series-array")
+    summed = rescaled = 0
+    for _ in range(40):
+        beta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.0, 4.0)
+        mu = rng.uniform(0.05, 8.0)
+        xs = sorted(10.0 ** rng.uniform(-6.0, math.log10(30.0)) for _ in range(64))
+        for a, b in _series_args(0.5 - beta, mu):
+            got = _series_outcome(a, b, xs)
+            if got is not None:
+                assert got == _scalar_series_outcome(a, b, xs)
+                summed += 1
+            elif special._kummer_series_scaled(a, b, xs[-1])[1] > 0.0:
+                rescaled += 1
+    assert summed >= 40 and rescaled > 0, (summed, rescaled)
 
 
 def test_whittaker_w_array_rescaled_sums():
@@ -609,11 +665,10 @@ def test_whittaker_w_array_rescaled_sums():
     # once at x = 0.7 and up to seven times at x = 29.9, before they converge.
     # The array series gives up there, and the scalar calls return every sample.
     kappa, mu, xs = 0.5 - 1.5e5, 2.5, [0.7, 5.0, 29.9]
-    for m in (-mu, mu):
-        a, b = complex(0.5 - kappa, m), complex(1.0, 2.0 * m)
+    for a, b in _series_args(kappa, mu):
         expect = [special._kummer_series_scaled(a, b, x) for x in xs]
         assert all(ln_scale > 0.0 for _, ln_scale, _ in expect)
-        assert special._whittaker_series_array(kappa, m, np.array(xs)) is None
+        assert special._kummer_series_array(a, b, np.array(xs)) is None
     expect = _scalar_outcome(kappa, mu, xs)
     assert len(expect) == len(xs)
     assert _array_outcome(kappa, mu, xs) == expect
@@ -641,7 +696,7 @@ def test_whittaker_w_array_scalar_fallback_values(monkeypatch):
     xs = np.linspace(0.01, 45.0, 64).tolist()
     expect = _scalar_outcome(-2.0, 1.5, xs)
     assert len(expect) == len(xs)
-    monkeypatch.setattr(special, "_whittaker_series_array", lambda kappa, m, x: None)
+    monkeypatch.setattr(special, "_kummer_series_array", lambda a, b, x: None)
     assert _array_outcome(-2.0, 1.5, xs) == expect
 
 

@@ -552,13 +552,13 @@ def test_radial_wavefunction_sums_stay_below_the_rescale(lam, monkeypatch):
     # beta x stays below ~9 Lambda^2 / 4, far from the ~8e4 at which a Kummer
     # sum passes 1e250 and the array series hands its samples to the scalar W
     sums = []
-    series = special._whittaker_series_array
+    series = special._kummer_series_array
 
-    def recording(kappa, m, x):
-        sums.append(series(kappa, m, x))
+    def recording(a, b, x):
+        sums.append(series(a, b, x))
         return sums[-1]
 
-    monkeypatch.setattr(special, "_whittaker_series_array", recording)
+    monkeypatch.setattr(special, "_kummer_series_array", recording)
     for x0 in (1e-6, 1e-3):
         p = PhysicalParams(1.0, 0.5 * lam * lam, 1.0, x0 / 0.01, 0.1)
         for n in (1, 2, 3):
