@@ -427,7 +427,7 @@ def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -
     from one dense LAPACK solve (_dense_eigvals), never output: the shifts
     of a base grid's eigenvectors, and without a base the guesses of the
     grid's bisection and the spare's shift.  Its eigenvectors come from one
-    solve of inverse iteration each, from a seeded random start.  Each later
+    solve of inverse iteration each, from a vector of ones.  Each later
     grid starts from the eigenvectors of the grid below, the spare's too:
     each is carried to the new nodes (_carry) and refined by two solves of
     inverse iteration on the new matrix (_eigenvectors), the first at the
@@ -456,8 +456,7 @@ def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -
     fine = _dense_eigvals(diag, off)[:k_work].tolist()
     if ladder[0] is grid:  # no base grid: LAPACK's values are only guesses
         fine[:k_levels] = sturm_tridiag_eigs(diag, off, k_levels, guesses=fine[:k_levels])
-    start = np.random.default_rng(12345).standard_normal(len(diag))
-    vectors = _eigenvectors(diag, off, fine, [start] * len(fine))
+    vectors = _eigenvectors(diag, off, fine, np.ones((len(fine), len(diag))))
     for lower, upper in zip(ladder, ladder[1:]):
         diag, off = build_tridiag(params, upper)
         vectors = _eigenvectors(diag, off, fine, _carry(lower, upper, vectors))

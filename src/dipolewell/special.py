@@ -212,16 +212,18 @@ def _kummer_series_array(a: complex, b: complex, x: np.ndarray) -> np.ndarray | 
     The scalar loop's operations run in the same order on complex arrays s,
     comp and t, since numpy's complex + and - round each part as CPython's
     do.  numpy's complex / and * do not, so each term's quotient is replayed
-    on the parts as CPython's _Py_c_quot (Smith's ratio/denom, x promoted to
-    complex(x, 0.0)) and its product as _Py_c_prod; magnitudes are hypot of
-    the parts, as CPython's abs is.  A sample finishes, with its sum recorded,
-    at the term where the scalar loop stops.  Small x converge first, so on
-    ascending x the finished samples lead the live set and leave it by
-    slicing.  None, and the caller takes every sample from the scalar loop,
-    when a later x finishes while an earlier one is live, when a live term
-    or partial sum passes 1e250 (where the scalar loop may rescale or raise,
-    and W = T + conj(T) is cancellation noise), or when a sample is still
-    live after KUMMER_MAX_TERMS terms.
+    on the parts as CPython's _Py_c_quot (Smith's ratio/denom) and its
+    product as _Py_c_prod; (a + k) * x is taken part by part, which for
+    x > 0 changes only the sign of a zero part that no sum reaches.
+    Magnitudes are hypot of the parts, as CPython's abs is.  A sample
+    finishes, with its sum recorded, at the term where the scalar loop
+    stops.  Small x converge first, so on ascending x the finished samples
+    lead the live set and leave it by slicing.  None, and the caller takes
+    every sample from the scalar loop, when a later x finishes while an
+    earlier one is live, when a live term or partial sum passes 1e250
+    (where the scalar loop may rescale or raise, and W = T + conj(T) is
+    cancellation noise), or when a sample is still live after
+    KUMMER_MAX_TERMS terms.
     """
     n = len(x)
     sums = np.empty(n, dtype=complex)
@@ -234,8 +236,7 @@ def _kummer_series_array(a: complex, b: complex, x: np.ndarray) -> np.ndarray | 
             ak = a + k
             bk = (b + k) * (k + 1.0)
             # (a + k) * x, then the quotient by (b + k) * (k + 1.0)
-            nr = ak.real * xs - ak.imag * 0.0
-            ni = ak.real * 0.0 + ak.imag * xs
+            nr, ni = ak.real * xs, ak.imag * xs
             if abs(bk.real) >= abs(bk.imag):
                 ratio = bk.imag / bk.real
                 denom = bk.real + bk.imag * ratio
@@ -391,14 +392,14 @@ def whittaker_w_scaled_array(kappa: float, mu: float, x) -> tuple[np.ndarray, np
     series of all its samples on complex arrays (_kummer_series_array: each
     term's quotient and product are replayed on the float parts, because
     numpy's complex / and * round unlike CPython's); its tail replays
-    _connection_w's log T in CPython's operation order: numpy does the
-    IEEE-exact float arithmetic, while cmath.log and math.cos run per
-    element, because numpy's log rounds differently (and its cos need not be
-    libm's).  Every other sample is a whittaker_w_scaled call: the suffix
-    past LARGE_X_SWITCH, and all of x when mu <= 0, when some x is not
-    finite and > 0, or when the array series gives up (a later x finished
-    first, a sum past 1e250, or the term cap).  Root finding keeps the
-    scalar function.
+    _connection_w's log T in CPython's operation order, less the zeros that
+    x > 0 adds: numpy does the IEEE-exact float arithmetic, while cmath.log
+    and math.cos run per element, because numpy's log rounds differently
+    (and its cos need not be libm's).  Every other sample is a
+    whittaker_w_scaled call: the suffix past LARGE_X_SWITCH, and all of x
+    when mu <= 0, when some x is not finite and > 0, or when the array
+    series gives up (a later x finished first, a sum past 1e250, or the term
+    cap).  Root finding keeps the scalar function.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x[1:] < x[:-1]):
@@ -417,9 +418,9 @@ def whittaker_w_scaled_array(kappa: float, mu: float, x) -> tuple[np.ndarray, np
         xp, m = x[:split], -mu
         log_x = np.fromiter(map(cmath.log, xp.tolist()), complex, split)
         log_s = np.fromiter(map(cmath.log, minus.tolist()), complex, split)
-        # _connection_w's log_t at ln_scale = 0.0: each complex + float adds 0.0 to imag
-        re = -0.5 * xp + (0.5 * log_x.real - m * log_x.imag) + 0.0 + log_s.real
-        im = 0.0 + (0.5 * log_x.imag + m * log_x.real) + 0.0 + log_s.imag
+        # _connection_w's log_t at ln_scale = 0.0, where log_x.imag is +0.0
+        re = -0.5 * xp + 0.5 * log_x.real + log_s.real
+        im = m * log_x.real + log_s.imag
         exponent = lr.real + re
         mantissa = 2.0 * np.fromiter(map(math.cos, (lr.imag + im).tolist()), float, split)
     rest = [whittaker_w_scaled(kappa, mu, xi) for xi in x[split:].tolist()]

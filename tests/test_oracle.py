@@ -862,8 +862,8 @@ def test_leak_check_one_solve_matches_three(grid, monkeypatch):
     # last of its two solves of inverse iteration (the first at the coarse
     # eigenvalue from the carried coarse vector, the second at the first's
     # Rayleigh quotient from its vector), against three solves at the fine
-    # eigenvalue from a random start: deep.cfg's default grid gives 2.4e-73
-    # against 6.1e-58 (2.2e-33 after the first solve alone), the leaky grid
+    # eigenvalue from a random start: deep.cfg's default grid gives 5.0e-70
+    # against 6.1e-58 (5.1e-50 after the first solve alone), the leaky grid
     # 8.890886e-3 both ways (7.6e-15 apart; 1.5e-13 after the first solve)
     p = deep_params()
     coarse_grid = grid or oracle.default_grid(p, 2)

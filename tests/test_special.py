@@ -613,6 +613,30 @@ def test_whittaker_series_array_sums_in_the_log1p_band(kappa, mu):
         assert (expect is None) == (kappa < -1e4)
 
 
+# subnormal x, where both parts of (a + k) * x can underflow to zero, the
+# log1p band of cmath.log(x) and x = 1 itself, where log x is 0
+ZERO_EDGE_XS = [5e-324, 1e-322, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-8, 0.5, 0.71, 1.0,
+                1.2, 1.73, 5.0, 29.9]
+
+
+@pytest.mark.parametrize("kappa,mu", [(0.5, 0.7), (2.5, 0.3), (2.5, 2.5), (3.7, 0.3), (3.7, 2.5),
+                                      (-0.2, 0.3)])
+def test_whittaker_w_array_zero_parts_are_the_scalar_bits(kappa, mu):
+    # the array W takes (a + k) * x part by part and log x by its real part,
+    # where CPython promotes x to complex(x, 0.0); the two can differ only in
+    # the sign of a zero part, where log x = 0 (x = 1) or a part of the
+    # product is zero: underflow at any sign of (a + k).real, or
+    # (a + k).real = 0 (kappa = 1/2 + k).  No sum, mantissa or exponent may
+    # show it
+    for a, b in _series_args(kappa, mu):
+        expect = _scalar_series_outcome(a, b, ZERO_EDGE_XS)
+        assert expect is not None and len(expect) == len(ZERO_EDGE_XS)
+        assert _series_outcome(a, b, ZERO_EDGE_XS) == expect
+    expect = _scalar_outcome(kappa, mu, ZERO_EDGE_XS)
+    assert len(expect) == len(ZERO_EDGE_XS)
+    assert _array_outcome(kappa, mu, ZERO_EDGE_XS) == expect
+
+
 def _complex_draws(rng, n, log10_lo, log10_hi):
     """n complex values whose parts have random signs and magnitudes
     log-uniform in [10^log10_lo, 10^log10_hi]."""
