@@ -129,11 +129,8 @@ def _gershgorin_radii(abs_off: np.ndarray) -> np.ndarray:
     return rad
 
 
-def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray, *,
-                k: int) -> np.ndarray:
-    """Number of eigenvalues strictly below each shift (Sturm sequence),
-    capped at k (bisection reads only count > i for i < k; k = len(diag)
-    caps nothing).
+def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues strictly below each shift (Sturm sequence).
 
     The pivot q of a row is clamped to +-STURM_PIVMIN (+ for q = -0.0) when
     |q| < STURM_PIVMIN.  Rows run in blocks of about STURM_BLOCK_ELEMENTS
@@ -144,11 +141,10 @@ def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray, *,
     counts do not depend on the blocking.
 
     Every shift runs in every block, and the sweep ends at the first block
-    end at which every shift is settled: no later row can change its capped
-    count.  This is tested at block ends at least STURM_BLOCK_ROWS rows
-    apart, and a shift is settled when (a) its count has reached k, or (b)
-    the pivot q entering the next row j is negative or >= |e_{j-1}|, and
-    every row i >= j is dominant by a margin:
+    end at which every shift is settled: no later row can change its count.
+    This is tested at block ends at least STURM_BLOCK_ROWS rows apart, and a
+    shift is settled when the pivot q entering the next row j is negative or
+    >= |e_{j-1}|, and every row i >= j is dominant by a margin:
 
         shift + m |shift| < d_i - rad_i - m (|d_i| + rad_i) - STURM_PIVMIN
 
@@ -158,11 +154,10 @@ def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray, *,
     |e_i|, and > 0, by induction: the margin is about four times the
     rounding of a row's subtraction, division and square root and of the
     test itself, and STURM_PIVMIN covers the absolute rounding of subnormal
-    values.  So the rows left would add nothing to the count of a shift
-    settled by (b), and would only raise past k that of a shift settled by
-    (a): the capped counts, and the bisection steps taken from them, are
-    those of the full sweep.  On the default grids most rows lie in the
-    classically forbidden region past the outer turning points, never swept.
+    values.  So the rows left would add nothing to the count of a settled
+    shift: the counts are those of the full sweep.  On the default grids
+    most rows lie in the classically forbidden region past the outer
+    turning points, never swept.
     """
     x = np.atleast_1d(np.asarray(shifts, dtype=float))
     n = len(diag)
@@ -206,9 +201,9 @@ def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray, *,
         q = buf[0] = block[-1]
         if check <= stop < n:
             check = stop + STURM_BLOCK_ROWS
-            if np.all((count >= k) | ((reach < floor[stop]) & ((q < 0) | (q >= e[stop - 1])))):
+            if np.all((reach < floor[stop]) & ((q < 0) | (q >= e[stop - 1]))):
                 break
-    return np.minimum(count, k)
+    return count
 
 
 def _midpoints(lo: float, hi: float, depth: int) -> list[float]:
@@ -309,7 +304,7 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
         if not shifts:
             return eigs
         fresh = sorted(set(shifts))
-        counts = sturm_count(diag, off_sq, np.array(fresh), k=k)
+        counts = sturm_count(diag, off_sq, np.array(fresh))
         lows, highs = [-math.inf, *fresh], [*fresh, math.inf]
         known = [(max(below, lows[j]), min(above, highs[j])) for (below, above), j in
                  zip(known, np.searchsorted(counts, np.arange(k), side="right").tolist())]

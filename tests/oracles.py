@@ -23,6 +23,14 @@ from dipolewell import special
 from dipolewell.model import PhysicalParams, derive
 
 
+def deep_params(**kw) -> PhysicalParams:
+    """The parameters of deep.cfg (Lambda = 5, x0 = 1e-5), with overrides."""
+    base = dict(mass_m=1.0, polarizability_alpha=12.5, field_coupling_lambda=1.0,
+                omega=1e-3, cutoff_R=0.1, ell=0, p_z=0.0)
+    base.update(kw)
+    return PhysicalParams(**base)
+
+
 def s_wave_energies(params: PhysicalParams, n_max: int) -> list[float]:
     """Closed-form ell = 0 levels with the prefactor 4 alpha lambda^2 / R^2.
 

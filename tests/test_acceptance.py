@@ -21,21 +21,7 @@ from dipolewell.model import PhysicalParams, derive
 from dipolewell.oracle import RadialGridSpec
 from dipolewell.special import whittaker_w_scaled
 
-from oracles import reference_whittaker_w_connection, s_wave_energies
-
-
-def deep_params(**kw) -> PhysicalParams:
-    base = dict(
-        mass_m=1.0,
-        polarizability_alpha=12.5,
-        field_coupling_lambda=1.0,
-        omega=1e-3,
-        cutoff_R=0.1,
-        ell=0,
-        p_z=0.0,
-    )
-    base.update(kw)
-    return PhysicalParams(**base)
+from oracles import deep_params, reference_whittaker_w_connection, s_wave_energies
 
 
 def verdict(num: int, name: str, ok: bool, detail: str) -> None:

@@ -21,26 +21,11 @@ from dipolewell.errors import DomainError, GridTooCoarse
 from dipolewell.model import PhysicalParams
 from dipolewell.oracle import RadialGridSpec
 
-from oracles import (reference_eigenvector, reference_sturm_count, reference_sturm_eigs,
-                     reference_tridiag_solve)
+from oracles import (deep_params, reference_eigenvector, reference_sturm_count,
+                     reference_sturm_eigs, reference_tridiag_solve)
 
 # deep regime: exact E_1, E_2 from the 40-digit quantization oracle
 DEEP_E = (-293.9131309116332609364, -76.79106144608003514938)
-
-
-def deep_params(**kw) -> PhysicalParams:
-    """The parameters of deep.cfg (Lambda = 5, x0 = 1e-5), with overrides."""
-    base = dict(
-        mass_m=1.0,
-        polarizability_alpha=12.5,
-        field_coupling_lambda=1.0,
-        omega=1e-3,
-        cutoff_R=0.1,
-        ell=0,
-        p_z=0.0,
-    )
-    base.update(kw)
-    return PhysicalParams(**base)
 
 
 def oscillator_params(**kw) -> PhysicalParams:
@@ -142,7 +127,7 @@ def test_sturm_walks_end_by_the_width_rule(diag, off, sweeps, monkeypatch):
     calls = []
     count = oracle.sturm_count
     monkeypatch.setattr(oracle, "sturm_count",
-                        lambda d, o, x, **kw: calls.append(len(x)) or count(d, o, x, **kw))
+                        lambda d, o, x: calls.append(len(x)) or count(d, o, x))
     got = oracle.sturm_tridiag_eigs(diag, off, len(diag), guesses=None)
     assert [x.hex() for x in got] == [x.hex() for x in reference_sturm_eigs(diag, off, len(diag))]
     assert len(calls) <= sweeps
@@ -226,13 +211,13 @@ def test_multisection_bit_identical_small(diag, off, k):
 )
 def test_sturm_count_pivot_clamp(diag, off, shifts, expect):
     diag, off_sq, shifts = np.array(diag), np.array(off) ** 2, np.array(shifts)
-    got = oracle.sturm_count(diag, off_sq, shifts, k=len(diag)).tolist()
+    got = oracle.sturm_count(diag, off_sq, shifts).tolist()
     assert got == expect == reference_sturm_count(diag, off_sq, shifts).tolist()
 
 
 def test_sturm_count_no_shifts():
     diag, off = _random_tridiag(300, 7)
-    got = oracle.sturm_count(diag, off * off, np.array([]), k=3)
+    got = oracle.sturm_count(diag, off * off, np.array([]))
     assert got.dtype == np.int64
     assert np.array_equal(got, reference_sturm_count(diag, off * off, np.array([])))
 
@@ -240,7 +225,7 @@ def test_sturm_count_no_shifts():
 @pytest.mark.parametrize("shifts", [[-1.0, 2.0, 2.5, 3.0], [2.0]])
 def test_sturm_count_one_by_one(shifts):
     diag, off_sq, shifts = np.array([2.0]), np.array([]), np.array(shifts)
-    got = oracle.sturm_count(diag, off_sq, shifts, k=1)
+    got = oracle.sturm_count(diag, off_sq, shifts)
     assert np.array_equal(got, reference_sturm_count(diag, off_sq, shifts))
 
 
@@ -276,7 +261,7 @@ def test_sturm_count_blocks_match_reference(n, zero_rows, m):
         diag[j] = -0.0
         off[j] = 1.0
     off_sq = off * off
-    got = oracle.sturm_count(diag, off_sq, shifts, k=n)
+    got = oracle.sturm_count(diag, off_sq, shifts)
     assert np.array_equal(got, reference_sturm_count(diag, off_sq, shifts))
 
 
@@ -353,9 +338,9 @@ def _count_sweeps(monkeypatch, k: int):
     calls = []
     count = oracle.sturm_count
 
-    def counting(diag, offdiag_sq, shifts, **kwargs):
+    def counting(diag, offdiag_sq, shifts):
         seen = diag.view(_RowsRead)
-        result = count(seen, offdiag_sq, shifts, **kwargs)
+        result = count(seen, offdiag_sq, shifts)
         calls.append((seen.rows_read, len(diag), len(shifts)))
         return result
 
@@ -451,7 +436,7 @@ def test_oracle_validate_workload_sweeps(seed, most, monkeypatch):
     calls = []
     count = oracle.sturm_count
     monkeypatch.setattr(oracle, "sturm_count",
-                        lambda d, o, x, **kw: calls.append(len(x)) or count(d, o, x, **kw))
+                        lambda d, o, x: calls.append(len(x)) or count(d, o, x))
     taken = []
     for problem in _perfbench_workloads(monkeypatch).oracle_validate(seed):
         calls.clear()
@@ -546,8 +531,8 @@ def tailed_tridiagonals(draw):
 def test_sturm_count_tail_rule_property(case):
     diag, off, shifts, k = case
     off_sq = off * off
-    got = oracle.sturm_count(diag, off_sq, shifts, k=k)
-    assert np.array_equal(got, np.minimum(reference_sturm_count(diag, off_sq, shifts), k))
+    got = oracle.sturm_count(diag, off_sq, shifts)
+    assert np.array_equal(got, reference_sturm_count(diag, off_sq, shifts))
     if np.all(np.isfinite(diag)):
         assert oracle.sturm_tridiag_eigs(diag, off, k, guesses=None) == (
             reference_sturm_eigs(diag, off, k))
@@ -566,21 +551,30 @@ def test_sturm_count_tail_rule_pivmin_term():
     diag[_CHECK:] = 1e-300
     off_sq = np.full(n - 1, 1e-300) ** 2
     seen = diag.view(_RowsRead)
-    got = oracle.sturm_count(seen, off_sq, np.array([0.0]), k=n)
+    got = oracle.sturm_count(seen, off_sq, np.array([0.0]))
     assert np.array_equal(got, reference_sturm_count(diag, off_sq, [0.0]))
     assert seen.rows_read == n
 
 
 @pytest.mark.parametrize("which", ["coarse", "refined"])
 def test_sturm_count_stops_early_on_deep_grids(deep_matrices, which):
-    # shifts at the three lowest eigenvalues are the latest to settle: the
-    # count at the third changes only at row 852 of the coarse grid's 2000
+    # shifts at the three lowest eigenvalues settle by the tail rule: the
+    # count at the third changes only at row 852 of the coarse grid's 2000.
+    # Shifts from one ulp above the third eigenvalue up to the Gershgorin top
+    # count every eigenvalue below them, not just the three: the top ones
+    # lie above every row's floor, so their sweep reads every row
     diag, off = deep_matrices[which]
     eigs = oracle.sturm_tridiag_eigs(diag, off, 3, guesses=None)
     seen = diag.view(_RowsRead)
-    got = oracle.sturm_count(seen, off * off, np.array(eigs), k=3)
+    got = oracle.sturm_count(seen, off * off, np.array(eigs))
     assert np.array_equal(got, reference_sturm_count(diag, off * off, np.array(eigs)))
     assert seen.rows_read <= 0.45 * len(diag)
+    above = np.linspace(eigs[2], _gershgorin(diag, off)[1], 9)
+    above[0] = np.nextafter(eigs[2], np.inf)
+    seen = diag.view(_RowsRead)
+    got = oracle.sturm_count(seen, off * off, above)
+    assert np.array_equal(got, reference_sturm_count(diag, off * off, above))
+    assert got[-1] == seen.rows_read == len(diag)
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +588,11 @@ def test_sturm_count_stops_early_on_deep_grids(deep_matrices, which):
 # ---------------------------------------------------------------------------
 
 
-def _assert_counts_ascend(diag, off, shifts, k):
-    """sturm_count's capped counts at the shifts, sorted, never decrease."""
+def _assert_counts_ascend(diag, off, shifts):
+    """sturm_count's counts at the shifts, sorted, never decrease."""
     shifts = np.sort(np.asarray(shifts, dtype=float))
     got = oracle.sturm_count(np.asarray(diag, dtype=float), np.asarray(off, dtype=float) ** 2,
-                             shifts, k=k)
+                             shifts)
     assert np.all(np.diff(got) >= 0), list(zip(shifts.tolist(), got.tolist()))
 
 
@@ -612,11 +606,10 @@ def _around(values):
 @given(tridiagonals(), st.lists(st.floats(-1e5, 1e5), max_size=20))
 def test_sturm_counts_ascend_property(case, extra):
     # entries over eight decades, shifts at and one ulp either side of each
-    # eigenvalue, and a k that caps the counts
-    diag, off, k = case
+    # eigenvalue
+    diag, off, _ = case
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    _assert_counts_ascend(diag, off, np.concatenate([_around(np.linalg.eigvalsh(dense)), extra]),
-                          k)
+    _assert_counts_ascend(diag, off, np.concatenate([_around(np.linalg.eigvalsh(dense)), extra]))
 
 
 @st.composite
@@ -629,16 +622,16 @@ def clamped_tridiagonals(draw):
     diag = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
     off = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1e-160]), min_size=n - 1,
                         max_size=n - 1))
-    return np.array(diag), np.array(off), draw(st.integers(1, n))
+    return np.array(diag), np.array(off)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(clamped_tridiagonals())
 def test_sturm_counts_ascend_at_the_clamp_property(case):
-    diag, off, k = case
+    diag, off = case
     shifts = _around([-3.0, -2.0, -1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 1e-300,
                       -1e-300, oracle.STURM_PIVMIN])
-    _assert_counts_ascend(diag, off, shifts, k)
+    _assert_counts_ascend(diag, off, shifts)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -646,27 +639,26 @@ def test_sturm_counts_ascend_at_the_clamp_property(case):
 def test_sturm_counts_ascend_where_the_tail_rule_ends_sweeps_property(case):
     # the shifts at and about the tail's Gershgorin floor, where a sweep ends
     # at its first check, beside shifts above the floor that read every row
-    diag, off, shifts, k = case
+    diag, off, shifts, _ = case
     if np.all(np.isfinite(diag)):
-        _assert_counts_ascend(diag, off, np.concatenate([shifts, shifts + 1.0, shifts + 4.0]), k)
+        _assert_counts_ascend(diag, off, np.concatenate([shifts, shifts + 1.0, shifts + 4.0]))
 
 
 @pytest.mark.parametrize("which", ["coarse", "refined"])
 def test_sturm_counts_ascend_on_deep_first_sweeps(deep_matrices, deep_guesses, which,
                                                   monkeypatch):
     # the shifts of the first sweep fd_eigensolve makes on each deep.cfg
-    # grid, capped as the solve caps them (one count per guess: 2 on the
-    # coarse grid, 3 with the spare level on the refined one) and uncapped
+    # grid (one bisection per guess: 2 on the coarse grid, 3 with the spare
+    # level on the refined one)
     diag, off = deep_matrices[which]
     guesses = deep_guesses[len(diag)]
     sweeps = []
     count = oracle.sturm_count
     monkeypatch.setattr(oracle, "sturm_count",
-                        lambda d, o, x, **kw: sweeps.append(x) or count(d, o, x, **kw))
+                        lambda d, o, x: sweeps.append(x) or count(d, o, x))
     oracle.sturm_tridiag_eigs(diag, off, len(guesses), guesses=guesses)
     monkeypatch.undo()
-    for k in (len(guesses), len(diag)):
-        _assert_counts_ascend(diag, off, sweeps[0], k)
+    _assert_counts_ascend(diag, off, sweeps[0])
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +710,7 @@ def test_warm_start_bit_identical(deep_matrices, deep_references, deep_guesses, 
     shifts = []  # per sweep
     count = oracle.sturm_count
     monkeypatch.setattr(oracle, "sturm_count",
-                        lambda d, o, x, **kw: shifts.append(len(x)) or count(d, o, x, **kw))
+                        lambda d, o, x: shifts.append(len(x)) or count(d, o, x))
     assert oracle.sturm_tridiag_eigs(diag, off, 3, guesses=guesses) == ref
     if kind in ("exact", "unsorted"):  # one sweep certifies every guessed bracket
         assert len(shifts) == 1
@@ -762,7 +754,7 @@ def test_first_sweep_counts_the_guessed_paths(deep_matrices, deep_references, de
     sweeps = []
     count = oracle.sturm_count
     monkeypatch.setattr(oracle, "sturm_count",
-                        lambda d, o, x, **kw: sweeps.append(x.tolist()) or count(d, o, x, **kw))
+                        lambda d, o, x: sweeps.append(x.tolist()) or count(d, o, x))
     assert oracle.sturm_tridiag_eigs(diag, off, 3, guesses=guesses) == ref
     assert [x.hex() for x in sweeps[0]] == [x.hex() for x in want]
     # rq: brackets 55, 57 and 59 steps down (whole paths of 61, 63 and 65),
@@ -1001,6 +993,27 @@ def test_dense_eigenvalues_are_only_guesses(dense_references, which, kind, monke
     assert _hexes(got) == _hexes(want)
 
 
+@pytest.mark.parametrize("problem", [
+    *[(_DEEP, oracle.default_grid(_DEEP, k), k) for k in range(1, 21)],  # deep.cfg --nmax k
+    *_DENSE_PROBLEMS.values()],
+    ids=[*(f"deep_nmax{k}" for k in range(1, 21)), *_DENSE_PROBLEMS])
+def test_fd_eigensolve_always_guesses(problem, monkeypatch):
+    # every bisection of a solve starts from guesses, with or without a base
+    # grid: none is cold, so a sweep settles its shifts by the tail rule
+    # alone at the cost a warm solve needs
+    passed = []
+    eigs = oracle.sturm_tridiag_eigs
+
+    def recording(diag, off, k, *, guesses=None):
+        passed.append(guesses)
+        return eigs(diag, off, k, guesses=guesses)
+
+    monkeypatch.setattr(oracle, "sturm_tridiag_eigs", recording)
+    with contextlib.suppress(GridTooCoarse):  # the last two _DENSE_PROBLEMS
+        oracle.fd_eigensolve(*problem)
+    assert passed and all(g is not None for g in passed)
+
+
 class _Stop(Exception):
     """Ends a solve at its dense eigenvalue solve."""
 
@@ -1069,7 +1082,7 @@ def test_warm_start_bit_identical_property(case):
     count = oracle.sturm_count
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "sturm_count",
-                   lambda d, o, x, **kw: sweeps.append(x.tolist()) or count(d, o, x, **kw))
+                   lambda d, o, x: sweeps.append(x.tolist()) or count(d, o, x))
         got = oracle.sturm_tridiag_eigs(diag, off, k, guesses=guesses)
     assert got == reference_sturm_eigs(diag, off, k)
     assert all(np.all(np.diff(x) > 0) for x in sweeps)

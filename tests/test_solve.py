@@ -12,11 +12,12 @@ import pytest
 
 from dipolewell import model, oracle, spectrum
 from dipolewell.errors import DipoleWellError, DomainError, NoBoundStateRegime
-from dipolewell.model import PhysicalParams
 from dipolewell.oracle import RadialGridSpec
 from dipolewell.solve import (BETA_MIN_DEFAULT, COMPARE_TOL_DEFAULT, ROUTES,
                               X0_ADMISSIBLE_DEFAULT, solve, validate)
 from dipolewell.spectrum import Route
+
+from oracles import deep_params
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -32,13 +33,6 @@ def short_grid():
 
 def no_grid():
     raise AssertionError("grid built without the oracle route")
-
-
-def deep_params(**kw) -> PhysicalParams:
-    base = dict(mass_m=1.0, polarizability_alpha=12.5, field_coupling_lambda=1.0,
-                omega=1e-3, cutoff_R=0.1, ell=0, p_z=0.0)
-    base.update(kw)
-    return PhysicalParams(**base)
 
 
 def test_solve_levels_match_the_routes():

@@ -22,7 +22,7 @@ from dipolewell.model import PhysicalParams, derive, energy_of_kappa
 from dipolewell.special import whittaker_w_scaled
 from dipolewell.spectrum import Route
 
-from oracles import mp_whittaker_w_mantissa, s_wave_energies
+from oracles import deep_params, mp_whittaker_w_mantissa, s_wave_energies
 
 # exact quantization roots in the deep regime  [frozen, 40-digit oracle]
 DEEP_EXACT = {
@@ -30,20 +30,6 @@ DEEP_EXACT = {
     2: (38396.03072304001757469, -76.79106144608003514938),
     3: (10696.37004467135371005, -21.3917400893427074201),
 }
-
-
-def deep_params(**kw) -> PhysicalParams:
-    base = dict(
-        mass_m=1.0,
-        polarizability_alpha=12.5,
-        field_coupling_lambda=1.0,
-        omega=1e-3,
-        cutoff_R=0.1,
-        ell=0,
-        p_z=0.0,
-    )
-    base.update(kw)
-    return PhysicalParams(**base)
 
 
 # ---------------------------------------------------------------------------
