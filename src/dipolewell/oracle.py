@@ -215,8 +215,8 @@ def _midpoints(lo: float, hi: float, depth: int) -> list[float]:
     return [*_midpoints(lo, mid, depth - 1), mid, *_midpoints(mid, hi, depth - 1)]
 
 
-def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
-    """k smallest eigenvalues of a symmetric tridiagonal matrix.
+def sturm_tridiag_eigs(diag, offdiag, guesses) -> list[float]:
+    """The len(guesses) smallest eigenvalues of a symmetric tridiagonal matrix.
 
     Each eigenvalue i is found by its own Sturm-sequence bisection from the
     Gershgorin bounds, which halves its bracket at 0.5 * (lo + hi), keeping
@@ -234,20 +234,20 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
     below or hi < above) to the first midpoint strictly inside (below,
     above).  There its stage picks what the next sturm_count sweep counts,
     only shifts strictly inside (below, above), so no shift is counted
-    twice in a solve.  Stage 3, every eigenvalue's without `guesses`, counts
-    the midpoints of the next MULTISECTION_DEPTH steps (_midpoints), as
-    multisection.  Stages 0 to 2 first step toward the guess (down where
-    guess < mid) at each undecided midpoint while the bracket is wider than
-    2**MULTISECTION_DEPTH times its convergence width, then count the
-    midpoints of the bracket reached; stages 0 and 1 count its two ends
-    too, and stage 2 each midpoint it stepped at.  When both ends bound
-    eigenvalue i, the walk resumes from that bracket; when one fails, the
-    decided steps turn the next descent to the bracket beside it.  A guess
-    within the Gershgorin bounds starts at stage 0, any other (NaN too) at
-    stage 2, and each sweep advances every stage by one, up to 3.  The
-    first pass that meets no undecided midpoint gives each eigenvalue as
-    the midpoint of its converged bracket: its steps are bisection's own,
-    so the floats are too, whatever the guesses.
+    twice in a solve.  Stage 3 counts the midpoints of the next
+    MULTISECTION_DEPTH steps (_midpoints), as multisection.  Stages 0 to 2
+    first step toward the guess (down where guess < mid) at each undecided
+    midpoint while the bracket is wider than 2**MULTISECTION_DEPTH times its
+    convergence width, then count the midpoints of the bracket reached;
+    stages 0 and 1 count its two ends too, and stage 2 each midpoint it
+    stepped at.  When both ends bound eigenvalue i, the walk resumes from
+    that bracket; when one fails, the decided steps turn the next descent to
+    the bracket beside it.  A guess within the Gershgorin bounds starts at
+    stage 0; any other (NaN too) is no guess and starts at stage 3.  Each
+    sweep advances every stage by one, up to 3.  The first pass that meets
+    no undecided midpoint gives each eigenvalue as the midpoint of its
+    converged bracket: its steps are bisection's own, so the floats are too,
+    whatever the guesses.
 
     Raises DomainError when a squared coupling, or twice a Gershgorin bound,
     leaves double range (so that lo + hi of every bracket stays finite).
@@ -257,12 +257,11 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
     n = len(diag)
     if len(offdiag) != max(n - 1, 0):
         raise DomainError("offdiag must have length len(diag) - 1")
-    if not (is_count(k) and 1 <= k <= n):
-        raise DomainError("need 1 <= k <= matrix dimension")
+    guesses = np.asarray(guesses, dtype=float)
+    if not (guesses.ndim == 1 and 1 <= len(guesses) <= n):
+        raise DomainError("need 1-D guesses with 1 <= len(guesses) <= matrix dimension")
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag))):
         raise DomainError("matrix entries must be finite")
-    if guesses is not None and np.shape(guesses) != (k,):
-        raise DomainError("need one guess per eigenvalue")
     if n == 1:
         return [float(diag[0])]
 
@@ -272,8 +271,8 @@ def sturm_tridiag_eigs(diag, offdiag, k: int, *, guesses) -> list[float]:
         bounds = float(np.min(diag - rad)), float(np.max(diag + rad))
     if not (np.all(np.isfinite(off_sq)) and math.isfinite(2.0 * max(map(abs, bounds)))):
         raise DomainError("the matrix's squared couplings or Gershgorin bounds leave double range")
-    guessed = [math.nan] * k if guesses is None else np.asarray(guesses, dtype=float).tolist()
-    stages = [3 if guesses is None else 0 if bounds[0] <= g <= bounds[1] else 2 for g in guessed]
+    guessed, k = guesses.tolist(), len(guesses)
+    stages = [0 if bounds[0] <= g <= bounds[1] else 3 for g in guessed]
     known = [bounds] * k  # each eigenvalue's tightest counted bracket
     walks = [bounds] * k  # where each walk stopped: re-walking from bounds ran up to 6 % longer
     while True:
@@ -450,7 +449,7 @@ def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -
     diag, off = build_tridiag(params, ladder[0])
     fine = _dense_eigvals(diag, off)[:k_work].tolist()
     if ladder[0] is grid:  # no base grid: LAPACK's values are only guesses
-        fine[:k_levels] = sturm_tridiag_eigs(diag, off, k_levels, guesses=fine[:k_levels])
+        fine[:k_levels] = sturm_tridiag_eigs(diag, off, fine[:k_levels])
     vectors = _eigenvectors(diag, off, fine, np.ones((len(fine), len(diag))))
     for lower, upper in zip(ladder, ladder[1:]):
         diag, off = build_tridiag(params, upper)
@@ -458,7 +457,7 @@ def fd_eigensolve(params: PhysicalParams, grid: RadialGridSpec, k_levels: int) -
         vectors = _eigenvectors(diag, off, _rayleigh_quotients(vectors, diag, off), vectors)
         coarse, fine = fine, _rayleigh_quotients(vectors, diag, off).tolist()
         k = k_levels if upper is grid else k_work  # only the half-step grid bisects the spare
-        fine[:k] = sturm_tridiag_eigs(diag, off, k, guesses=fine[:k])
+        fine[:k] = sturm_tridiag_eigs(diag, off, fine[:k])
 
     taus = fine[:k_levels]
     estimates = [abs(f - c) / 3.0 for f, c in zip(taus, coarse)]

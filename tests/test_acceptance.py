@@ -326,7 +326,7 @@ def test_criterion_10_oracle_sanity():
     osc_ok = len(devs) == 3 and all(d <= 2.0 * e + 1e-9 for d, e in zip(devs, rich))
 
     n = 160
-    eig = oracle.sturm_tridiag_eigs(np.full(n, 2.0), np.full(n - 1, -1.0), 5, guesses=None)
+    eig = oracle.sturm_tridiag_eigs(np.full(n, 2.0), np.full(n - 1, -1.0), [math.nan] * 5)
     lap_dev = max(
         abs(e - (2.0 - 2.0 * math.cos((j + 1) * math.pi / (n + 1))))
         for j, e in enumerate(eig)

@@ -52,7 +52,7 @@ def test_sturm_discrete_laplacian_closed_form():
     n = 120
     diag = np.full(n, 2.0)
     off = np.full(n - 1, -1.0)
-    got = oracle.sturm_tridiag_eigs(diag, off, 6, guesses=None)
+    got = oracle.sturm_tridiag_eigs(diag, off, [math.nan] * 6)
     expect = [2.0 - 2.0 * math.cos((j + 1) * math.pi / (n + 1)) for j in range(6)]
     assert max(abs(g - e) for g, e in zip(got, expect)) <= 1e-12
 
@@ -61,31 +61,33 @@ def test_sturm_matches_dense_reference():
     rng = np.random.default_rng(77)
     diag = rng.uniform(-3, 3, size=50)
     off = rng.uniform(-2, 2, size=49)
-    got = oracle.sturm_tridiag_eigs(diag, off, 12, guesses=None)
+    got = oracle.sturm_tridiag_eigs(diag, off, [math.nan] * 12)
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     expect = np.sort(np.linalg.eigvalsh(dense))[:12]
     assert np.max(np.abs(np.array(got) - expect)) <= 1e-10
 
 
 def test_sturm_one_by_one():
-    assert oracle.sturm_tridiag_eigs([5.0], [], 1, guesses=None) == [5.0]
+    assert oracle.sturm_tridiag_eigs([5.0], [], [math.nan]) == [5.0]
 
 
 def test_sturm_validates_input():
     with pytest.raises(DomainError):
-        oracle.sturm_tridiag_eigs([1.0, 2.0], [0.5, 0.5], 1, guesses=None)
+        oracle.sturm_tridiag_eigs([1.0, 2.0], [0.5, 0.5], [math.nan])
     with pytest.raises(DomainError):
-        oracle.sturm_tridiag_eigs([1.0, 2.0], [0.5], 3, guesses=None)
+        oracle.sturm_tridiag_eigs([1.0, 2.0], [0.5], [math.nan] * 3)
     # non-finite entries once came back as NaN eigenvalues
     with pytest.raises(DomainError):
-        oracle.sturm_tridiag_eigs([math.nan, 1.0], [0.5], 1, guesses=None)
+        oracle.sturm_tridiag_eigs([math.nan, 1.0], [0.5], [math.nan])
     with pytest.raises(DomainError):
-        oracle.sturm_tridiag_eigs([1.0, 2.0], [math.inf], 2, guesses=None)
-    # one guess per eigenvalue: four for k = 3 once raised numpy's broadcast
-    # ValueError, and one was broadcast to every eigenvalue
-    for guesses in ([0.0, 1.0, 2.0, 3.0], [1.0], [], 1.0):
+        oracle.sturm_tridiag_eigs([1.0, 2.0], [math.inf], [math.nan] * 2)
+    # k is the number of guesses, one per eigenvalue: 1-D, 1 <= k <= n
+    for guesses in ([0.0, 1.0, 2.0, 3.0], [], 1.0, [[1.0], [2.0]]):
         with pytest.raises(DomainError):
-            oracle.sturm_tridiag_eigs([1.0, 2.0, 3.0], [0.5, 0.5], 3, guesses=guesses)
+            oracle.sturm_tridiag_eigs([1.0, 2.0, 3.0], [0.5, 0.5], guesses)
+    # one guess is a k = 1 solve; it was once broadcast to every eigenvalue
+    assert oracle.sturm_tridiag_eigs([1.0, 2.0, 3.0], [0.5, 0.5], [1.0]) == (
+        reference_sturm_eigs([1.0, 2.0, 3.0], [0.5, 0.5], 1))
 
 
 @pytest.mark.parametrize("diag,off", [
@@ -96,18 +98,18 @@ def test_sturm_validates_input():
 ], ids=["coupling", "sum", "top_two", "wrong_values"])
 def test_sturm_rejects_matrices_past_double_range(diag, off):
     with pytest.raises(DomainError, match="double range"):
-        oracle.sturm_tridiag_eigs(diag, off, len(diag), guesses=None)
+        oracle.sturm_tridiag_eigs(diag, off, [math.nan] * len(diag))
 
 
 def test_sturm_near_double_range():
     # twice the top Gershgorin bound is 1.6e308, still finite
-    got = oracle.sturm_tridiag_eigs([1e307, 8e307], [1.0], 2, guesses=None)
+    got = oracle.sturm_tridiag_eigs([1e307, 8e307], [1.0], [math.nan] * 2)
     assert got == pytest.approx([1e307, 8e307], rel=1e-13)
 
 
 def test_sturm_small_eigenvalue_beside_a_huge_one():
     # once 2.967e240: the bracket stopped unconverged at a cap of 220 steps
-    got = oracle.sturm_tridiag_eigs([5.0, 1e307], [1.0], 2, guesses=None)
+    got = oracle.sturm_tridiag_eigs([5.0, 1e307], [1.0], [math.nan] * 2)
     assert abs(got[0] - 5.0) <= 1e-12
 
 
@@ -128,7 +130,7 @@ def test_sturm_walks_end_by_the_width_rule(diag, off, sweeps, monkeypatch):
     count = oracle.sturm_count
     monkeypatch.setattr(oracle, "sturm_count",
                         lambda d, o, x: calls.append(len(x)) or count(d, o, x))
-    got = oracle.sturm_tridiag_eigs(diag, off, len(diag), guesses=None)
+    got = oracle.sturm_tridiag_eigs(diag, off, [math.nan] * len(diag))
     assert [x.hex() for x in got] == [x.hex() for x in reference_sturm_eigs(diag, off, len(diag))]
     assert len(calls) <= sweeps
 
@@ -136,14 +138,14 @@ def test_sturm_walks_end_by_the_width_rule(diag, off, sweeps, monkeypatch):
 def test_sturm_graded_eigenvalues_keep_relative_accuracy():
     # the eigenvalues are the diagonal's to 1e-50 (relative): the width rule
     # keeps 1e-13 of each down to 1e-250, and 1e-300 lies within STURM_PIVMIN
-    got = oracle.sturm_tridiag_eigs(_GRADED, _GRADED_OFF, len(_GRADED), guesses=None)
+    got = oracle.sturm_tridiag_eigs(_GRADED, _GRADED_OFF, [math.nan] * len(_GRADED))
     assert got == pytest.approx(sorted(_GRADED), rel=1e-12, abs=oracle.STURM_PIVMIN)
 
 
 def test_sturm_clamped_pivot_overflows_quietly():
     # a squared coupling over the clamped pivot overflows to inf in the row
     # recompute; once that raised RuntimeWarning (an error under this suite)
-    got = oracle.sturm_tridiag_eigs([0.0, 0.0, 0.0], [1e150, 1e150], 3, guesses=None)
+    got = oracle.sturm_tridiag_eigs([0.0, 0.0, 0.0], [1e150, 1e150], [math.nan] * 3)
     assert got == reference_sturm_eigs([0.0, 0.0, 0.0], [1e150, 1e150], 3)
 
 
@@ -151,7 +153,7 @@ def test_sturm_ascending():
     rng = np.random.default_rng(5)
     diag = rng.uniform(-1, 1, size=30)
     off = rng.uniform(-1, 1, size=29)
-    got = oracle.sturm_tridiag_eigs(diag, off, 8, guesses=None)
+    got = oracle.sturm_tridiag_eigs(diag, off, [math.nan] * 8)
     assert all(a <= b + 1e-13 for a, b in zip(got, got[1:]))
 
 
@@ -178,7 +180,7 @@ def deep_references(deep_matrices):
 @pytest.mark.parametrize("which", ["coarse", "refined"])
 def test_multisection_bit_identical_on_deep_grids(deep_matrices, deep_references, which):
     diag, off = deep_matrices[which]
-    assert oracle.sturm_tridiag_eigs(diag, off, 3, guesses=None) == deep_references[which]
+    assert oracle.sturm_tridiag_eigs(diag, off, [math.nan] * 3) == deep_references[which]
 
 
 def _random_tridiag(n: int, seed: int):
@@ -197,7 +199,7 @@ def _random_tridiag(n: int, seed: int):
     ids=["laplacian", "k1", "k_eq_n", "n2"],
 )
 def test_multisection_bit_identical_small(diag, off, k):
-    assert oracle.sturm_tridiag_eigs(diag, off, k, guesses=None) == (
+    assert oracle.sturm_tridiag_eigs(diag, off, [math.nan] * k) == (
         reference_sturm_eigs(diag, off, k))
 
 
@@ -275,13 +277,13 @@ def test_sturm_count_blocks_match_reference(n, zero_rows, m):
     ],
     ids=["zero_eigenvalue", "symmetric", "subnormal"],
 )
-@pytest.mark.parametrize("guess", [None, 0.0, -0.0], ids=["no_guess", "zero", "minus_zero"])
+@pytest.mark.parametrize("guess", [math.nan, 0.0, -0.0], ids=["no_guess", "zero", "minus_zero"])
 def test_signed_zero_midpoints_bit_identical(diag, off, guess):
     # symmetric Gershgorin bounds make 0.0 the first midpoint; 0.0 and -0.0
     # compare equal, so a solve counts only one of them, and both give the
     # same count
     k = len(diag)
-    got = oracle.sturm_tridiag_eigs(diag, off, k, guesses=None if guess is None else [guess] * k)
+    got = oracle.sturm_tridiag_eigs(diag, off, [guess] * k)
     assert [x.hex() for x in got] == [x.hex() for x in reference_sturm_eigs(diag, off, k)]
 
 
@@ -319,7 +321,7 @@ def test_midpoints_are_those_of_bisection_paths(lo, hi, depth):
 def test_multisection_many_levels_bit_identical():
     # k = 200: 12600 shifts per sweep
     diag, off = _random_tridiag(400, 79)
-    assert oracle.sturm_tridiag_eigs(diag, off, 200, guesses=None) == (
+    assert oracle.sturm_tridiag_eigs(diag, off, [math.nan] * 200) == (
         reference_sturm_eigs(diag, off, 200))
 
 
@@ -393,9 +395,9 @@ def test_deep_solve_many_levels_gives_bisection_floats(points, k, monkeypatch):
     eigs = oracle.sturm_tridiag_eigs
     solved = []
 
-    def recording(diag, off, k_work, *, guesses=None):
-        taus = eigs(diag, off, k_work, guesses=guesses)
-        solved.append((diag, off, k_work, taus))
+    def recording(diag, off, guesses):
+        taus = eigs(diag, off, guesses)
+        solved.append((diag, off, len(guesses), taus))
         return taus
 
     monkeypatch.setattr(oracle, "sturm_tridiag_eigs", recording)
@@ -464,7 +466,7 @@ def tridiagonals(draw):
 @given(tridiagonals())
 def test_multisection_bit_identical_property(case):
     diag, off, k = case
-    assert oracle.sturm_tridiag_eigs(diag, off, k, guesses=None) == (
+    assert oracle.sturm_tridiag_eigs(diag, off, [math.nan] * k) == (
         reference_sturm_eigs(diag, off, k))
 
 
@@ -534,7 +536,7 @@ def test_sturm_count_tail_rule_property(case):
     got = oracle.sturm_count(diag, off_sq, shifts)
     assert np.array_equal(got, reference_sturm_count(diag, off_sq, shifts))
     if np.all(np.isfinite(diag)):
-        assert oracle.sturm_tridiag_eigs(diag, off, k, guesses=None) == (
+        assert oracle.sturm_tridiag_eigs(diag, off, [math.nan] * k) == (
             reference_sturm_eigs(diag, off, k))
 
 
@@ -564,7 +566,7 @@ def test_sturm_count_stops_early_on_deep_grids(deep_matrices, which):
     # count every eigenvalue below them, not just the three: the top ones
     # lie above every row's floor, so their sweep reads every row
     diag, off = deep_matrices[which]
-    eigs = oracle.sturm_tridiag_eigs(diag, off, 3, guesses=None)
+    eigs = oracle.sturm_tridiag_eigs(diag, off, [math.nan] * 3)
     seen = diag.view(_RowsRead)
     got = oracle.sturm_count(seen, off * off, np.array(eigs))
     assert np.array_equal(got, reference_sturm_count(diag, off * off, np.array(eigs)))
@@ -656,7 +658,7 @@ def test_sturm_counts_ascend_on_deep_first_sweeps(deep_matrices, deep_guesses, w
     count = oracle.sturm_count
     monkeypatch.setattr(oracle, "sturm_count",
                         lambda d, o, x: sweeps.append(x) or count(d, o, x))
-    oracle.sturm_tridiag_eigs(diag, off, len(guesses), guesses=guesses)
+    oracle.sturm_tridiag_eigs(diag, off, guesses)
     monkeypatch.undo()
     _assert_counts_ascend(diag, off, sweeps[0])
 
@@ -680,9 +682,9 @@ def deep_guesses():
     passed = {}
     eigs = oracle.sturm_tridiag_eigs
 
-    def recording(diag, off, k, *, guesses=None):
+    def recording(diag, off, guesses):
         passed[len(diag)] = guesses
-        return eigs(diag, off, k, guesses=guesses)
+        return eigs(diag, off, guesses)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "sturm_tridiag_eigs", recording)
@@ -699,7 +701,7 @@ def test_warm_start_bit_identical(deep_matrices, deep_references, deep_guesses, 
     lo, hi = _gershgorin(diag, off)
     guesses = {
         "exact": ref,
-        "coarse": oracle.sturm_tridiag_eigs(*deep_matrices["coarse"], 3, guesses=None),
+        "coarse": oracle.sturm_tridiag_eigs(*deep_matrices["coarse"], [math.nan] * 3),
         "rq": deep_guesses[len(diag)],
         "far": [r + 0.1 * abs(r) for r in ref],
         "unsorted": ref[::-1],
@@ -711,56 +713,58 @@ def test_warm_start_bit_identical(deep_matrices, deep_references, deep_guesses, 
     count = oracle.sturm_count
     monkeypatch.setattr(oracle, "sturm_count",
                         lambda d, o, x: shifts.append(len(x)) or count(d, o, x))
-    assert oracle.sturm_tridiag_eigs(diag, off, 3, guesses=guesses) == ref
+    assert oracle.sturm_tridiag_eigs(diag, off, guesses) == ref
     if kind in ("exact", "unsorted"):  # one sweep certifies every guessed bracket
         assert len(shifts) == 1
     if kind == "nan":
-        # the first sweep checks the guessed brackets of eigenvalues 0 and 2
-        # and counts every midpoint of the NaN guess's descent, which climbs
-        # toward the top bound and leaves eigenvalue 1 behind; from the
-        # bracket those counts give it, each later sweep counts the 63
-        # midpoints of its next six steps, less those already decided
+        # the first sweep checks the guessed brackets of eigenvalues 0 and 2;
+        # the NaN guess is no guess, so eigenvalue 1 is multisected from the
+        # Gershgorin bounds: each sweep counts the 63 midpoints of its next
+        # six steps, less those already decided
         assert len(shifts) <= 9 and sum(shifts) <= 695 and max(shifts[1:-1]) <= 63
 
 
-@pytest.mark.parametrize("kind", ["rq", "nan", "none"])
+@pytest.mark.parametrize("kind", ["rq", "nan", "outside", "none"])
 def test_first_sweep_counts_the_guessed_paths(deep_matrices, deep_references, deep_guesses,
                                               kind, monkeypatch):
     # the first sweep of the walk from the Gershgorin bracket: a guess within
     # the bounds steps toward itself, uncounted, while the bracket is wider
     # than 2**6 times its convergence width, and the sweep counts the two
-    # ends of the bracket it stops at and its 63 midpoints.  A NaN guess
-    # counts every midpoint of its descent, which climbs toward the top
-    # bound, then the 63 midpoints of the bracket it stops at.  All
-    # ascending, each once.  Without guesses, the 63 midpoints of the
-    # Gershgorin bracket's first six steps
+    # ends of the bracket it stops at and its 63 midpoints.  A NaN guess or
+    # one outside the bounds is no guess: its eigenvalue counts the 63
+    # midpoints of the Gershgorin bracket's first six steps, as multisection.
+    # All ascending, each once
     diag, off = deep_matrices["refined"]
     ref = deep_references["refined"]
     bounds = _gershgorin(diag, off)
     guesses = {"rq": deep_guesses[len(diag)], "nan": [ref[0], math.nan, ref[2]],
-               "none": None}[kind]
+               "outside": [ref[0], bounds[1] + 1.0, ref[2]], "none": [math.nan] * 3}[kind]
     shifts, steps = set(), []
-    for g in [] if guesses is None else list(guesses):
+    for g in guesses:
         lo, hi = bounds
+        if not lo <= g <= hi:  # no guess
+            shifts.update(_bisection_path_midpoints(lo, hi, 6))
+            continue
         path = []
         while hi - lo > 64 * 1e-13 * max(abs(lo), abs(hi)):
             mid = 0.5 * (lo + hi)
             path.append(mid)
             lo, hi = (lo, mid) if g < mid else (mid, hi)
         steps.append(len(path))
-        shifts.update(path if math.isnan(g) else (lo, hi))
+        shifts.update((lo, hi))
         shifts.update(_bisection_path_midpoints(lo, hi, 6))
-    want = sorted(shifts) if shifts else sorted(_bisection_path_midpoints(*bounds, 6))
+    want = sorted(shifts)
     sweeps = []
     count = oracle.sturm_count
     monkeypatch.setattr(oracle, "sturm_count",
                         lambda d, o, x: sweeps.append(x.tolist()) or count(d, o, x))
-    assert oracle.sturm_tridiag_eigs(diag, off, 3, guesses=guesses) == ref
+    assert oracle.sturm_tridiag_eigs(diag, off, guesses) == ref
     assert [x.hex() for x in sweeps[0]] == [x.hex() for x in want]
     # rq: brackets 55, 57 and 59 steps down (whole paths of 61, 63 and 65),
-    # 65 shifts each; nan: the NaN guess's path climbs toward the top bound in 38
-    assert steps == {"rq": [55, 57, 59], "nan": [55, 38, 59], "none": []}[kind]
-    assert len(want) == {"rq": 195, "nan": 231, "none": 63}[kind]
+    # 65 shifts each
+    assert steps == {"rq": [55, 57, 59], "nan": [55, 59], "outside": [55, 59],
+                     "none": []}[kind]
+    assert len(want) == {"rq": 195, "nan": 193, "outside": 193, "none": 63}[kind]
     if kind == "rq":  # every bracket holds its eigenvalue: one sweep
         assert len(sweeps) == 1
 
@@ -802,8 +806,8 @@ def test_guess_distances_hold_on_deep(k, distances, monkeypatch):
     eigs = oracle.sturm_tridiag_eigs
     worst = []
 
-    def recording(diag, off, k_work, *, guesses=None):
-        taus = eigs(diag, off, k_work, guesses=guesses)
+    def recording(diag, off, guesses):
+        taus = eigs(diag, off, guesses)
         worst.append(max(abs(g - t) / abs(t) for g, t in zip(guesses, taus, strict=True)))
         return taus
 
@@ -828,9 +832,9 @@ def test_degenerate_coarse_vectors_give_nan_guesses(deep_matrices, deep_referenc
         carried[0] = bad
         return carried
 
-    def recording(diag, off, k, *, guesses=None):
+    def recording(diag, off, guesses):
         passed.append(guesses)
-        return eigs(diag, off, k, guesses=guesses)
+        return eigs(diag, off, guesses)
 
     monkeypatch.setattr(oracle, "_carry", degenerate)
     monkeypatch.setattr(oracle, "sturm_tridiag_eigs", recording)
@@ -876,7 +880,7 @@ def test_leak_check_one_solve_matches_three(grid, monkeypatch):
         with pytest.raises(DomainError, match="increase r_max"):
             oracle.fd_eigensolve(p, coarse_grid, 2)
     diag, off = oracle.build_tridiag(p, fine_grid)
-    tau = oracle.sturm_tridiag_eigs(diag, off, 2, guesses=None)[-1]
+    tau = oracle.sturm_tridiag_eigs(diag, off, [math.nan] * 2)[-1]
     assert len(solved) == 2
     one = _outer_mass(solved[-1][1])
     three = _outer_mass(reference_eigenvector(diag, off, tau))
@@ -995,23 +999,33 @@ def test_dense_eigenvalues_are_only_guesses(dense_references, which, kind, monke
 
 @pytest.mark.parametrize("problem", [
     *[(_DEEP, oracle.default_grid(_DEEP, k), k) for k in range(1, 21)],  # deep.cfg --nmax k
-    *_DENSE_PROBLEMS.values()],
-    ids=[*(f"deep_nmax{k}" for k in range(1, 21)), *_DENSE_PROBLEMS])
+    *_DENSE_PROBLEMS.values(),
+    1, 2, 3],  # the problems of the oracle-validate workload's seed
+    ids=[*(f"deep_nmax{k}" for k in range(1, 21)), *_DENSE_PROBLEMS,
+         *(f"oracle_validate_seed{seed}" for seed in (1, 2, 3))])
 def test_fd_eigensolve_always_guesses(problem, monkeypatch):
     # every bisection of a solve starts from guesses, with or without a base
-    # grid: none is cold, so a sweep settles its shifts by the tail rule
-    # alone at the cost a warm solve needs
+    # grid, each finite and within the Gershgorin bounds: no eigenvalue is
+    # multisected cold, so a sweep settles its shifts by the tail rule alone
+    # at the cost a warm solve needs
     passed = []
     eigs = oracle.sturm_tridiag_eigs
 
-    def recording(diag, off, k, *, guesses=None):
-        passed.append(guesses)
-        return eigs(diag, off, k, guesses=guesses)
+    def recording(diag, off, guesses):
+        passed.append((_gershgorin(diag, off), guesses))
+        return eigs(diag, off, guesses)
 
     monkeypatch.setattr(oracle, "sturm_tridiag_eigs", recording)
-    with contextlib.suppress(GridTooCoarse):  # the last two _DENSE_PROBLEMS
-        oracle.fd_eigensolve(*problem)
-    assert passed and all(g is not None for g in passed)
+    if isinstance(problem, int):
+        for command in _perfbench_workloads(monkeypatch).oracle_validate(problem):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(list(command.argv)) == 0
+    else:
+        with contextlib.suppress(GridTooCoarse):  # the last two _DENSE_PROBLEMS
+            oracle.fd_eigensolve(*problem)
+    assert passed
+    for (lo, hi), guesses in passed:
+        assert all(math.isfinite(g) and lo <= g <= hi for g in guesses)
 
 
 class _Stop(Exception):
@@ -1083,7 +1097,7 @@ def test_warm_start_bit_identical_property(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "sturm_count",
                    lambda d, o, x: sweeps.append(x.tolist()) or count(d, o, x))
-        got = oracle.sturm_tridiag_eigs(diag, off, k, guesses=guesses)
+        got = oracle.sturm_tridiag_eigs(diag, off, guesses)
     assert got == reference_sturm_eigs(diag, off, k)
     assert all(np.all(np.diff(x) > 0) for x in sweeps)
     shifts = [x for sweep in sweeps for x in sweep]
@@ -1184,7 +1198,7 @@ def test_eigenvectors_on_the_deep_half_step_matrix(deep_matrices):
     # from the row-by-row Thomas solve's, with backward errors of 0.017 eps at
     # most (0.011 eps for the Thomas solve)
     diag, off = deep_matrices["refined"]
-    taus = oracle.sturm_tridiag_eigs(diag, off, 3, guesses=None)
+    taus = oracle.sturm_tridiag_eigs(diag, off, [math.nan] * 3)
     rhs = np.random.default_rng(81).standard_normal(len(diag))
     for tau, v in zip(taus, oracle._eigenvectors(diag, off, taus, [rhs] * 3), strict=True):
         x = reference_tridiag_solve(diag - (tau + 1e-10 * abs(tau)), off, rhs)
@@ -1273,7 +1287,7 @@ def test_fd_annulus_bessel_check():
     # apply: solve its fine grid directly
     grid = RadialGridSpec(r1, r2, 2000).refined()
     diag, off = oracle.build_tridiag(p, grid)
-    taus = oracle.sturm_tridiag_eigs(diag, off, 4, guesses=None)[:3]
+    taus = oracle.sturm_tridiag_eigs(diag, off, [math.nan] * 4)[:3]
     for tau, ref in zip(taus, expect):
         assert abs(tau - ref) <= 1e-5 * ref
 
@@ -1284,7 +1298,7 @@ def test_fd_grid_convergence_is_second_order():
     for n in (400, 801, 1603):  # successive halvings of the step
         grid = RadialGridSpec(0.1, 3.0, n)
         diag, off = oracle.build_tridiag(p, grid)
-        taus.append(oracle.sturm_tridiag_eigs(diag, off, 1, guesses=None)[0])
+        taus.append(oracle.sturm_tridiag_eigs(diag, off, [math.nan])[0])
     d1 = abs(taus[1] - taus[0])
     d2 = abs(taus[2] - taus[1])
     assert 3.2 <= d1 / d2 <= 4.8
@@ -1300,7 +1314,7 @@ def test_fd_variational_monotonicity_nested_domains():
     for n in (399, 571, 744):  # r_max ~ 0.5, 1, 2 at fixed h
         grid = RadialGridSpec(0.1, 0.1 * math.exp((n + 1) * h), n)
         diag, off = oracle.build_tridiag(p, grid)
-        taus = oracle.sturm_tridiag_eigs(diag, off, 3, guesses=None)
+        taus = oracle.sturm_tridiag_eigs(diag, off, [math.nan] * 3)
         if prev is not None:
             assert all(t <= s for t, s in zip(taus, prev))
             assert any(t < s for t, s in zip(taus, prev))

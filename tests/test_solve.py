@@ -158,8 +158,6 @@ def test_solve_regime_violation_propagates():
         solve(deep_params(), 0, ROUTES, no_grid)
 
 
-_TRIDIAG = (np.array([2.0, 1.0, 3.0, 0.5]), np.array([0.3, -0.7, 0.2]))
-
 # each library entry point that takes a count, and the floats it returns
 COUNTED = {
     "binding_energy": lambda c: [spectrum.binding_energy(deep_params(), c)],
@@ -173,7 +171,6 @@ COUNTED = {
     "default_grid": lambda c: [oracle.default_grid(deep_params(), c).r_max],
     "fd_eigensolve": lambda c: oracle.fd_eigensolve(
         deep_params(), oracle.default_grid(deep_params(), 2), c).energies(deep_params()),
-    "sturm_tridiag_eigs": lambda c: oracle.sturm_tridiag_eigs(*_TRIDIAG, c, guesses=None),
 }
 
 
